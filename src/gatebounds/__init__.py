@@ -45,7 +45,6 @@ from .diamond import (
     pauli_distance,
     unitary_diamond_distance,
 )
-from .kernels import active_backend
 from .metrics import (
     EXACT,
     average_gate_fidelity,
@@ -56,7 +55,6 @@ from .metrics import (
 from .pauli import (
     PauliChannel,
     as_pauli_channel,
-    pauli_error_rate,
     pauli_labels,
     pauli_operator,
     pauli_twirl,
@@ -79,7 +77,6 @@ __all__ = [
     "SdpSolution",
     "SdpStatus",
     "SolverError",
-    "active_backend",
     "amplitude_damping",
     "as_pauli_channel",
     "audit",
@@ -100,7 +97,6 @@ __all__ = [
     "nontriviality_threshold",
     "pauli_diamond_distance",
     "pauli_distance",
-    "pauli_error_rate",
     "pauli_labels",
     "pauli_lower_bound",
     "pauli_operator",

@@ -9,7 +9,8 @@ with the lower bound tight exactly on Pauli channels.  When the Pauli
 distance delta (diamond distance from the channel to its Pauli twirl) is
 also known, the triangle inequality refines the bracket.  ``audit`` runs
 the whole pipeline for one gate implementation and returns a
-:class:`BoundsReport`.
+:class:`BoundsReport`; ``sweep_rows`` runs it across a range of fidelities
+for one of the single-qubit error models in ``SWEEP_MODELS``.
 """
 
 import decimal
@@ -25,7 +26,7 @@ PHI_SLOP = 1e-12
 
 def _checked_phi(phi):
     p = float(phi)
-    if p < -PHI_SLOP or p > 1.0 + PHI_SLOP:
+    if not (-PHI_SLOP <= p <= 1.0 + PHI_SLOP):
         raise ValueError(f"fidelity {p!r} outside [0, 1]")
     return min(1.0, max(0.0, p))
 
@@ -74,8 +75,8 @@ def pauli_refined_interval(phi, dim, pauli_dist):
     larger) and the upper end capped by the generic bound and by 1.
     """
     delta = float(pauli_dist)
-    if delta < 0.0:
-        raise ValueError(f"Pauli distance {pauli_dist!r} negative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"Pauli distance {pauli_dist!r} is not a finite nonnegative number")
     eta_p = pauli_lower_bound(phi, dim)
     lo = max(eta_p, abs(delta - eta_p))
     hi = min(1.0, delta + eta_p, generic_upper_bound(phi, dim))
@@ -89,8 +90,8 @@ def decomposition_upper_bound(phi, dim, deltas):
     weighted Pauli distances; never beats the single-term refinement.
     """
     ds = [float(x) for x in deltas]
-    if any(x < 0.0 for x in ds):
-        raise ValueError("Pauli distances must be nonnegative")
+    if not all(0.0 <= x < math.inf for x in ds):
+        raise ValueError("Pauli distances must be finite and nonnegative")
     return pauli_lower_bound(phi, dim) + sum(ds)
 
 
@@ -177,3 +178,78 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None, sdp_options=None,
         report["pauli_distance"] = delta.value
         report["refined_interval"] = pauli_refined_interval(phi, d, delta.value)
     return BoundsReport(**report)
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One row of a fidelity sweep (field order matches the CLI's CSV header)."""
+
+    model: str
+    param: float
+    fidelity: float
+    eta: float
+    eta_pauli_lb: float
+    eta_generic_ub: float
+    pauli_distance: float
+    refined_lo: float
+    refined_hi: float
+
+
+def _unitary_from_phi(phi):
+    # phi = 1/3 + (2/3) cos^2 theta
+    theta = math.acos(math.sqrt((3.0 * phi - 1.0) / 2.0))
+    return theta, channels.unitary_error(theta)
+
+
+def _damping_from_phi(phi):
+    # phi = (2 + (1 + sqrt(1-r))^2) / 6
+    root = math.sqrt(6.0 * phi - 2.0) - 1.0
+    r = 1.0 - root * root
+    return r, channels.amplitude_damping(r)
+
+
+def _depolarizing_from_phi(phi):
+    # phi = 1 - r/2
+    r = 2.0 * (1.0 - phi)
+    return r, channels.depolarizing(r)
+
+
+SWEEP_MODELS = {
+    "unitary": (_unitary_from_phi, 1.0 / 3.0, 1.0),
+    "amplitude-damping": (_damping_from_phi, 0.5, 1.0),
+    "depolarizing": (_depolarizing_from_phi, 1.0 / 3.0, 1.0),
+}
+
+
+def sweep_rows(model, phis, sdp_options=None):
+    """Audit one error model at each target fidelity; rows sorted by fidelity."""
+    if model not in SWEEP_MODELS:
+        raise ValueError(f"unknown sweep model {model!r}")
+    build, lo, hi = SWEEP_MODELS[model]
+    values = sorted(float(p) for p in phis)
+    for phi in values:
+        if not lo <= phi <= hi:
+            raise ValueError(
+                f"fidelity {phi!r} outside the attainable range [{lo:g}, {hi:g}] of model {model!r}"
+            )
+    rows = []
+    for phi in values:
+        param, channel = build(phi)
+        fidelity = metrics.average_gate_fidelity(channel)
+        eta = diamond.diamond_distance(channel, options=sdp_options).value
+        delta = diamond.pauli_distance(channel, options=sdp_options).value
+        ref_lo, ref_hi = pauli_refined_interval(fidelity, channel.dim, delta)
+        rows.append(
+            SweepRecord(
+                model=model,
+                param=param,
+                fidelity=fidelity,
+                eta=eta,
+                eta_pauli_lb=pauli_lower_bound(fidelity, channel.dim),
+                eta_generic_ub=generic_upper_bound(fidelity, channel.dim),
+                pauli_distance=delta,
+                refined_lo=ref_lo,
+                refined_hi=ref_hi,
+            )
+        )
+    return rows

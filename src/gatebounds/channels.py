@@ -39,16 +39,12 @@ class Channel:
             raise ChannelValidationError("Kraus operators differ in dimension")
         total = sum(a.conj().T @ a for a in ops)
         defect = float(np.abs(total - np.eye(dim)).max())
-        if defect > tol:
+        if not defect <= tol:
             raise ChannelValidationError(
                 f"Kraus operators are not trace preserving: defect {defect:.3e} exceeds {tol:.3e}"
             )
         self.dim = dim
         self.kraus = tuple(ops)
-
-    @classmethod
-    def from_kraus(cls, kraus, tol=CPTP_TOL):
-        return cls(kraus, tol)
 
     @cached_property
     def choi(self):

@@ -23,11 +23,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, channels, diamond, linalg, metrics, sdp
+from . import bounds, channels, diamond, linalg, sdp
 from .channels import Channel
 
 SWEEP_HEADER = "model,param,fidelity,eta,eta_pauli_lb,eta_generic_ub,pauli_distance,refined_lo,refined_hi"
@@ -256,81 +255,6 @@ def cmd_threshold(args):
     return 0
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One CSV row of a fidelity sweep (field order matches the header)."""
-
-    model: str
-    param: float
-    fidelity: float
-    eta: float
-    eta_pauli_lb: float
-    eta_generic_ub: float
-    pauli_distance: float
-    refined_lo: float
-    refined_hi: float
-
-
-def _unitary_from_phi(phi):
-    # phi = 1/3 + (2/3) cos^2 theta
-    theta = math.acos(math.sqrt((3.0 * phi - 1.0) / 2.0))
-    return theta, channels.unitary_error(theta)
-
-
-def _damping_from_phi(phi):
-    # phi = (2 + (1 + sqrt(1-r))^2) / 6
-    root = math.sqrt(6.0 * phi - 2.0) - 1.0
-    r = 1.0 - root * root
-    return r, channels.amplitude_damping(r)
-
-
-def _depolarizing_from_phi(phi):
-    # phi = 1 - r/2
-    r = 2.0 * (1.0 - phi)
-    return r, channels.depolarizing(r)
-
-
-SWEEP_MODELS = {
-    "unitary": (_unitary_from_phi, 1.0 / 3.0, 1.0),
-    "amplitude-damping": (_damping_from_phi, 0.5, 1.0),
-    "depolarizing": (_depolarizing_from_phi, 1.0 / 3.0, 1.0),
-}
-
-
-def sweep_rows(model, phis, sdp_options=None):
-    """Audit one error model at each target fidelity; rows sorted by fidelity."""
-    if model not in SWEEP_MODELS:
-        raise ValueError(f"unknown sweep model {model!r}")
-    build, lo, hi = SWEEP_MODELS[model]
-    values = sorted(float(p) for p in phis)
-    for phi in values:
-        if not lo <= phi <= hi:
-            raise ValueError(
-                f"fidelity {phi!r} outside the attainable range [{lo:g}, {hi:g}] of model {model!r}"
-            )
-    rows = []
-    for phi in values:
-        param, channel = build(phi)
-        fidelity = metrics.average_gate_fidelity(channel)
-        eta = diamond.diamond_distance(channel, options=sdp_options).value
-        delta = diamond.pauli_distance(channel, options=sdp_options).value
-        ref_lo, ref_hi = bounds.pauli_refined_interval(fidelity, channel.dim, delta)
-        rows.append(
-            SweepRecord(
-                model=model,
-                param=param,
-                fidelity=fidelity,
-                eta=eta,
-                eta_pauli_lb=bounds.pauli_lower_bound(fidelity, channel.dim),
-                eta_generic_ub=bounds.generic_upper_bound(fidelity, channel.dim),
-                pauli_distance=delta,
-                refined_lo=ref_lo,
-                refined_hi=ref_hi,
-            )
-        )
-    return rows
-
-
 def _csv_number(x):
     # 17 significant digits: lossless decimal round-trip for float64
     return f"{x:.16e}"
@@ -361,7 +285,7 @@ def cmd_sweep(args):
     if args.phi_min >= args.phi_max:
         raise ValueError("--phi-min must be strictly below --phi-max")
     phis = np.linspace(args.phi_min, args.phi_max, args.points)
-    rows = sweep_rows(args.model, phis, sdp_options=_sdp_options(args))
+    rows = bounds.sweep_rows(args.model, phis, sdp_options=_sdp_options(args))
     with open(args.out, "w", newline="") as fh:
         write_sweep_csv(rows, fh)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -432,7 +356,7 @@ def build_parser():
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("sweep", help="CSV of bound data across a fidelity range")
-    p.add_argument("--model", choices=sorted(SWEEP_MODELS), required=True)
+    p.add_argument("--model", choices=sorted(bounds.SWEEP_MODELS), required=True)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--phi-min", type=float, required=True)
     p.add_argument("--phi-max", type=float, required=True)

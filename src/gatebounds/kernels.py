@@ -1,151 +1,31 @@
-"""Numeric hot loops, compiled with numba when available.
+"""The two dense numeric kernels, both on numpy's LAPACK.
 
-Each kernel has two implementations: a numba ``njit`` build of the loop code
-and a pure-NumPy fallback.  The active one is chosen by the
-``GATEBOUNDS_BACKEND`` environment variable ("numba" or "numpy"); the default
-is numba when it imports, numpy otherwise.  The Jacobi eigensolver twins are
-the same function object, so they agree to the last bit; the scan fallback is
-vectorized NumPy and agrees to floating-point roundoff.
-``benchmarks/bench_kernels.py`` times one against the other.
+``eigh_kernel`` is the Hermitian eigendecomposition behind every eigenvalue
+in the package; ``pair_scan_kernel`` is the vectorized sampled trace-norm
+scan behind the brute-force diamond-distance lower bound.
 """
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
+# Kept so that environment reports written by the benchmark harness keep
+# their fields: the package uses no numba, and nothing reads ENV_VAR.
+HAVE_NUMBA = False
 ENV_VAR = "GATEBOUNDS_BACKEND"
 
 
-def jacobi_eigh(a, tol, max_sweeps):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Sweeps over all index pairs p < q, each time applying the unitary plane
-    rotation that zeroes a[p, q].  The rotation is the classic real Jacobi
-    rotation composed with a phase that makes the pivot real; see Golub and
-    Van Loan, section 8.5.  Off-diagonal mass decreases monotonically and the
-    iteration converges quadratically once it is small.
-
-    Parameters: ``a`` Hermitian complex matrix (not modified), ``tol`` the
-    relative off-diagonal Frobenius threshold, ``max_sweeps`` the sweep cap.
-
-    Returns ``(w, v, sweeps)``: unsorted real eigenvalues, unitary matrix of
-    eigenvectors (columns), and the number of sweeps used.  ``sweeps`` equal
-    to ``max_sweeps`` with a large residual means no convergence; callers
-    check this.
-    """
-    n = a.shape[0]
-    h = a.copy()
-    v = np.eye(n, dtype=np.complex128)
-    w = np.empty(n, dtype=np.float64)
-    if n == 1:
-        w[0] = h[0, 0].real
-        return w, v, 0
-
-    fro2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            x = h[i, j]
-            fro2 += x.real * x.real + x.imag * x.imag
-    stop2 = (tol * tol) * fro2 + 1e-300
-
-    sweeps = 0
-    while sweeps < max_sweeps:
-        off2 = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = h[i, j]
-                off2 += 2.0 * (x.real * x.real + x.imag * x.imag)
-        if off2 <= stop2:
-            break
-        sweeps += 1
-        for p in range(n):
-            for q in range(p + 1, n):
-                g = h[p, q]
-                gabs = abs(g)
-                if gabs == 0.0:
-                    continue
-                # phase ph makes the pivot real, then rotate as in the
-                # real symmetric case
-                ph = g.conjugate() / gabs
-                alpha = h[p, p].real
-                beta = h[q, q].real
-                theta = (beta - alpha) / (2.0 * gabs)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for i in range(n):
-                    hp = h[i, p]
-                    hq = h[i, q]
-                    h[i, p] = c * hp - s * ph * hq
-                    h[i, q] = s * hp + c * ph * hq
-                phc = ph.conjugate()
-                for j in range(n):
-                    hp = h[p, j]
-                    hq = h[q, j]
-                    h[p, j] = c * hp - s * phc * hq
-                    h[q, j] = s * hp + c * phc * hq
-                for i in range(n):
-                    vp = v[i, p]
-                    vq = v[i, q]
-                    v[i, p] = c * vp - s * ph * vq
-                    v[i, q] = s * vp + c * ph * vq
-
-    for i in range(n):
-        w[i] = h[i, i].real
-    return w, v, sweeps
+def active_backend():
+    """Name of the numeric backend; always "numpy"."""
+    return "numpy"
 
 
-def _make_pair_scan(eigh):
-    def pair_scan(kraus_e, kraus_f, psis):
-        # max over sampled pure states of half the trace norm of
-        # ((E - F) x id)(|psi><psi|), states given as rows of psis
-        d = kraus_e.shape[1]
-        d2 = d * d
-        ns = psis.shape[0]
-        best = 0.0
-        m = np.empty((d2, d2), dtype=np.complex128)
-        for sidx in range(ns):
-            psi_mat = np.ascontiguousarray(psis[sidx]).reshape(d, d)
-            for i in range(d2):
-                for j in range(d2):
-                    m[i, j] = 0.0
-            for k in range(kraus_e.shape[0]):
-                out = np.dot(kraus_e[k], psi_mat).ravel()
-                for i in range(d2):
-                    oc = out[i].conjugate()
-                    for j in range(d2):
-                        m[j, i] += out[j] * oc
-            for k in range(kraus_f.shape[0]):
-                out = np.dot(kraus_f[k], psi_mat).ravel()
-                for i in range(d2):
-                    oc = out[i].conjugate()
-                    for j in range(d2):
-                        m[j, i] -= out[j] * oc
-            w, _, _ = eigh(m, 1e-13, 60)
-            tn = 0.0
-            for i in range(d2):
-                tn += abs(w[i])
-            val = 0.5 * tn
-            if val > best:
-                best = val
-        return best
-
-    return pair_scan
+def eigh_kernel(a):
+    """``np.linalg.eigh(a)``: ascending eigenvalues and eigenvector columns."""
+    return np.linalg.eigh(a)
 
 
-def pair_scan_numpy(kraus_e, kraus_f, psis):
-    """Vectorized fallback for the sampled trace-norm scan."""
+def pair_scan_kernel(kraus_e, kraus_f, psis):
+    """Max over sampled pure states of half the trace norm of
+    ((E - F) x id)(|psi><psi|), states given as rows of ``psis``."""
     d = kraus_e.shape[1]
     ns = psis.shape[0]
     mats = psis.reshape(ns, d, d)
@@ -155,37 +35,3 @@ def pair_scan_numpy(kraus_e, kraus_f, psis):
     m -= np.einsum("ksi,ksj->sij", out_f, out_f.conj())
     w = np.linalg.eigvalsh(m)
     return float(0.5 * np.abs(w).sum(axis=1).max())
-
-
-_pair_scan_loops = _make_pair_scan(jacobi_eigh)
-
-if HAVE_NUMBA:
-    _jacobi_eigh_nb = njit(cache=True)(jacobi_eigh)
-    _pair_scan_nb = njit(cache=True)(_make_pair_scan(_jacobi_eigh_nb))
-
-_IMPLS = {"numpy": (jacobi_eigh, pair_scan_numpy)}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = (_jacobi_eigh_nb, _pair_scan_nb)
-
-
-def active_backend():
-    """Backend name currently selected by the environment."""
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if not choice:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown {ENV_VAR} value {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return choice
-
-
-def eigh_kernel(a, tol=1e-14, max_sweeps=60):
-    """Dispatch the Jacobi eigensolver to the active backend."""
-    w, v, sweeps = _IMPLS[active_backend()][0](a, tol, max_sweeps)
-    return w, v, sweeps
-
-
-def pair_scan_kernel(kraus_e, kraus_f, psis):
-    """Dispatch the sampled trace-norm scan to the active backend."""
-    return float(_IMPLS[active_backend()][1](kraus_e, kraus_f, psis))

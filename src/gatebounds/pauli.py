@@ -78,10 +78,6 @@ class PauliChannel:
         return Channel(kraus)
 
 
-def pauli_error_rate(channel):
-    return channel.error_rate
-
-
 def pauli_twirl(channel):
     """Average the channel over conjugation by every Pauli operator.
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, channels, cli, diamond, metrics, pauli, sdp
+from . import bounds, channels, diamond, metrics, pauli, sdp
 from .channels import Channel
 
 
@@ -98,7 +98,7 @@ def _check_combined_noise(ctx):
     phi_tot = metrics.average_gate_fidelity(total)
     _rounds_to(t, "combined infidelity", 1.0 - phi_tot, 5.3e-4, 2)
 
-    eta_dep = pauli.pauli_error_rate(pauli.as_pauli_channel(dep))
+    eta_dep = pauli.as_pauli_channel(dep).error_rate
     t.check(abs(eta_dep - 7.5e-4) <= 1e-10, f"depolarizing error rate {eta_dep!r} != 7.5e-4")
     eta_u = diamond.diamond_distance(rot).value
     t.check(0.99e-2 <= eta_u <= 1.0e-2, f"rotation error rate {eta_u!r} outside [0.99e-2, 1.0e-2]")
@@ -252,7 +252,7 @@ def _check_sweep_models(ctx):
     t = _Tally()
     phis = np.linspace(0.90, 0.9999, 7)
     for model in ("unitary", "amplitude-damping"):
-        rows = cli.sweep_rows(model, phis, sdp_options=ctx.options)
+        rows = bounds.sweep_rows(model, phis, sdp_options=ctx.options)
         for row in rows:
             label = f"{model} at fidelity {row.fidelity:.4f}"
             t.check(

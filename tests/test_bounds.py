@@ -28,6 +28,11 @@ def test_bound_input_validation():
         bounds.pauli_lower_bound(-0.1, 2)
     with pytest.raises(ValueError):
         bounds.generic_upper_bound(0.9, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            bounds.pauli_lower_bound(bad, 2)
+        with pytest.raises(ValueError):
+            bounds.generic_upper_bound(bad, 2)
     # values inside rounding slop of the endpoints are clamped, not rejected
     assert bounds.pauli_lower_bound(1.0 + 1e-13, 2) == 0.0
 
@@ -66,8 +71,11 @@ def test_refined_interval_floors_and_caps():
     lo, hi = bounds.pauli_refined_interval(0.5, 2, 0.9)
     assert hi == 1.0
     assert lo == pytest.approx(max(0.75, abs(0.9 - 0.75)), abs=1e-15)
+    for bad in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bounds.pauli_refined_interval(0.99, 2, bad)
     with pytest.raises(ValueError):
-        bounds.pauli_refined_interval(0.99, 2, -0.01)
+        bounds.pauli_refined_interval(math.nan, 2, 0.004)
 
 
 def test_decomposition_bound():
@@ -75,8 +83,9 @@ def test_decomposition_bound():
     got = bounds.decomposition_upper_bound(0.99, 2, [0.004])
     _, hi = bounds.pauli_refined_interval(0.99, 2, 0.004)
     assert got >= hi - 1e-15
-    with pytest.raises(ValueError):
-        bounds.decomposition_upper_bound(0.99, 2, [-0.001])
+    for bad in (-0.001, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bounds.decomposition_upper_bound(0.99, 2, [0.002, bad])
 
 
 def test_upper_bound_monotonicity():

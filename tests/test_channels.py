@@ -26,6 +26,9 @@ def random_density(rng, dim=2):
 def test_validation_rejects_non_trace_preserving():
     with pytest.raises(ChannelValidationError, match="not trace preserving"):
         Channel([np.eye(2) / 2])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ChannelValidationError, match="not trace preserving"):
+            Channel([np.array([[bad, 0.0], [0.0, 1.0]])])
 
 
 def test_validation_rejects_empty_and_mixed_dims():

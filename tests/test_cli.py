@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gatebounds
 from gatebounds import channels, cli
 
 
@@ -244,6 +249,21 @@ def test_bounds_command_rounds_the_percentages(capsys):
 
     assert cli.main(["bounds", "--fidelity", "0.5", "--dim", "2"]) == 0
     assert "nontrivial           no" in capsys.readouterr().out
+
+
+def test_bounds_command_rejects_non_finite_fidelity(capsys):
+    for bad in ("nan", "inf"):
+        assert cli.main(["bounds", "--fidelity", bad, "--dim", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
+def test_library_imports_neither_cli_nor_numba():
+    code = "import sys, gatebounds.refcheck; print(sorted({'gatebounds.cli', 'numba'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(gatebounds.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threshold_command_prints_full_precision(capsys):

@@ -59,7 +59,6 @@ def test_pauli_channel_validation():
 def test_error_rate_is_nonidentity_weight():
     pc = pauli.PauliChannel(1, {"I": 0.85, "X": 0.1, "Z": 0.05})
     assert pc.error_rate == pytest.approx(0.15)
-    assert pauli.pauli_error_rate(pc) == pc.error_rate
     assert pc.dim == 2
 
 
