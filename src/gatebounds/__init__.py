@@ -59,7 +59,7 @@ from .pauli import (
     pauli_operator,
     pauli_twirl,
 )
-from .sdp import SdpOptions, SdpProblem, SdpSolution, SdpStatus, SolverError, solve
+from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverError, solve
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "DiamondResult",
     "EXACT",
     "PauliChannel",
-    "SdpOptions",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",

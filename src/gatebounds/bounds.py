@@ -144,7 +144,7 @@ def _inverse_or_exact(value):
     return EXACT if value == 0.0 else 1.0 / value
 
 
-def audit(actual, ideal, compute_eta=None, compute_delta=None, sdp_options=None, large=False):
+def audit(actual, ideal, compute_eta=None, compute_delta=None, large=False):
     """Full bounds audit of a gate implementation against its ideal unitary.
 
     ``compute_eta`` and ``compute_delta`` default to on for d <= 4 and off
@@ -170,11 +170,11 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None, sdp_options=None,
         "nontrivial": upper < 1.0,
     }
     if compute_eta:
-        eta = diamond.diamond_distance(disc, options=sdp_options, large=large)
+        eta = diamond.diamond_distance(disc, large=large)
         report["error_rate"] = eta
         report["inverse_error_rate"] = _inverse_or_exact(eta.value)
     if compute_delta:
-        delta = diamond.pauli_distance(disc, options=sdp_options, large=large)
+        delta = diamond.pauli_distance(disc, large=large)
         report["pauli_distance"] = delta.value
         report["refined_interval"] = pauli_refined_interval(phi, d, delta.value)
     return BoundsReport(**report)
@@ -221,7 +221,7 @@ SWEEP_MODELS = {
 }
 
 
-def sweep_rows(model, phis, sdp_options=None):
+def sweep_rows(model, phis):
     """Audit one error model at each target fidelity; rows sorted by fidelity."""
     if model not in SWEEP_MODELS:
         raise ValueError(f"unknown sweep model {model!r}")
@@ -236,8 +236,8 @@ def sweep_rows(model, phis, sdp_options=None):
     for phi in values:
         param, channel = build(phi)
         fidelity = metrics.average_gate_fidelity(channel)
-        eta = diamond.diamond_distance(channel, options=sdp_options).value
-        delta = diamond.pauli_distance(channel, options=sdp_options).value
+        eta = diamond.diamond_distance(channel).value
+        delta = diamond.pauli_distance(channel).value
         ref_lo, ref_hi = pauli_refined_interval(fidelity, channel.dim, delta)
         rows.append(
             SweepRecord(

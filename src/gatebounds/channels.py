@@ -29,6 +29,8 @@ class Channel:
         ops = []
         for k, op in enumerate(kraus):
             a = linalg.as_complex_matrix(op, f"Kraus operator {k}")
+            if not np.isfinite(a).all():
+                raise ChannelValidationError(f"Kraus operator {k} has a non-finite entry")
             a = a.copy()
             a.flags.writeable = False
             ops.append(a)

@@ -211,12 +211,6 @@ def render_report(report):
     return "\n".join(lines)
 
 
-def _sdp_options(args):
-    if getattr(args, "sdp_gap_tol", None) is None:
-        return None
-    return sdp.SdpOptions(gap_tol=args.sdp_gap_tol)
-
-
 def cmd_analyze(args):
     channel, implied = load_channel_file(args.channel_file)
     if args.ideal_file is not None:
@@ -230,7 +224,6 @@ def cmd_analyze(args):
         ideal,
         compute_eta=args.compute_eta,
         compute_delta=args.compute_delta,
-        sdp_options=_sdp_options(args),
         large=args.large,
     )
     if args.json:
@@ -285,7 +278,7 @@ def cmd_sweep(args):
     if args.phi_min >= args.phi_max:
         raise ValueError("--phi-min must be strictly below --phi-max")
     phis = np.linspace(args.phi_min, args.phi_max, args.points)
-    rows = bounds.sweep_rows(args.model, phis, sdp_options=_sdp_options(args))
+    rows = bounds.sweep_rows(args.model, phis)
     with open(args.out, "w", newline="") as fh:
         write_sweep_csv(rows, fh)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -299,23 +292,13 @@ def cmd_paper_check(args):
         for name in refcheck.list_checks():
             print(name)
         return 0
-    results = refcheck.run_checks(sdp_options=_sdp_options(args))
+    results = refcheck.run_checks()
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} checks passed")
     return 0 if passed == len(results) else 1
-
-
-def _add_sdp_flag(parser):
-    parser.add_argument(
-        "--sdp-gap-tol",
-        type=float,
-        default=None,
-        metavar="TOL",
-        help="override the SDP duality-gap tolerance (default 1e-8)",
-    )
 
 
 def build_parser():
@@ -342,7 +325,6 @@ def build_parser():
         default=None,
         help="force the Pauli distance on or off (default: on for qubit dims <= 4)",
     )
-    _add_sdp_flag(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bounds", help="fidelity-only error-rate bracket")
@@ -361,7 +343,6 @@ def build_parser():
     p.add_argument("--phi-min", type=float, required=True)
     p.add_argument("--phi-max", type=float, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_sdp_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -369,7 +350,6 @@ def build_parser():
         help="recompute the published reference values and report pass/fail",
     )
     p.add_argument("--list", action="store_true", help="print check names without running them")
-    _add_sdp_flag(p)
     p.set_defaults(func=cmd_paper_check)
 
     return parser

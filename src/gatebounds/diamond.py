@@ -17,6 +17,7 @@ closed form; a mismatch aborts with :class:`CalibrationError` since it would
 mean the package is miswired, not that an input is bad.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -172,40 +173,28 @@ def _encode(j_delta, d):
     return sdp.SdpProblem([2 * d2, 2 * d2, 2 * d], objective, constraints, rhs)
 
 
-_calibration_state = "pending"
-
-
+@functools.cache
 def _ensure_calibrated():
-    # always solved with default options: this guards the encoder's
-    # normalization factors, not whatever tolerances the caller chose
-    global _calibration_state
-    if _calibration_state != "pending":
-        return
-    _calibration_state = "running"
-    try:
-        theta = 0.5
-        u = np.diag([1.0, np.exp(1j * theta)])
-        got = _solve_pair(Channel([u]), identity_channel(2), sdp.SdpOptions())
-        want = math.sin(theta / 2.0)
-        if abs(got.value - want) > 1e-6:
-            raise CalibrationError(
-                f"diamond encoder calibration failed: got {got.value!r}, expected {want!r}"
-            )
-        _calibration_state = "done"
-    except Exception:
-        _calibration_state = "pending"
-        raise
+    # a call that raises is not cached, so the next SDP use retries it
+    theta = 0.5
+    u = np.diag([1.0, np.exp(1j * theta)])
+    got = _solve_pair(Channel([u]), identity_channel(2))
+    want = math.sin(theta / 2.0)
+    if abs(got.value - want) > 1e-6:
+        raise CalibrationError(
+            f"diamond encoder calibration failed: got {got.value!r}, expected {want!r}"
+        )
 
 
-def _solve_pair(e, f, options):
+def _solve_pair(e, f):
     d = e.dim
     j_delta = e.choi - f.choi
     problem = _encode(j_delta, d)
-    solution = sdp.solve(problem, options)
-    if solution.status is sdp.SdpStatus.NUMERICAL_FAILURE:
+    solution = sdp.solve(problem)
+    if solution.status is not sdp.SdpStatus.CONVERGED:
         raise sdp.SolverError(
-            f"diamond SDP broke down after {solution.iterations} iterations "
-            f"(gap {solution.gap:.3e})"
+            f"diamond SDP stopped unconverged ({solution.status.value}) after "
+            f"{solution.iterations} iterations (gap {solution.gap:.3e})"
         )
     checked = sdp.verify_solution(problem, solution)
     value_primal = -checked["primal_value"]
@@ -228,12 +217,13 @@ def _solve_pair(e, f, options):
     return result
 
 
-def diamond_distance(e, f=None, options=None, method="auto", large=False):
+def diamond_distance(e, f=None, method="auto", large=False):
     """Diamond distance between two channels (second defaults to identity).
 
     ``method`` is "auto" (closed form when one applies, SDP otherwise) or
     "sdp" to force the solver, which cross-checks use.  Dimensions above
     4 produce a large dense SDP and must be acknowledged with ``large``.
+    A solve that does not converge raises :class:`sdp.SolverError`.
     """
     if f is None:
         f = identity_channel(e.dim)
@@ -260,12 +250,12 @@ def diamond_distance(e, f=None, options=None, method="auto", large=False):
             f"dimension {e.dim} diamond SDP is large and slow; pass large=True to run it"
         )
     _ensure_calibrated()
-    return _solve_pair(e, f, options or sdp.SdpOptions())
+    return _solve_pair(e, f)
 
 
-def pauli_distance(c, options=None, method="auto", large=False):
+def pauli_distance(c, method="auto", large=False):
     """Diamond distance between a channel and its Pauli twirl."""
-    return diamond_distance(c, pauli.pauli_twirl(c), options=options, method=method, large=large)
+    return diamond_distance(c, pauli.pauli_twirl(c), method=method, large=large)
 
 
 def brute_force_lower_bound(e, f=None, samples=2000, seed=0):

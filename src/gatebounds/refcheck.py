@@ -31,7 +31,6 @@ class CheckResult:
 
 @dataclass
 class _Context:
-    options: sdp.SdpOptions
     records: list = field(default_factory=list)
 
 
@@ -102,7 +101,7 @@ def _check_combined_noise(ctx):
     t.check(abs(eta_dep - 7.5e-4) <= 1e-10, f"depolarizing error rate {eta_dep!r} != 7.5e-4")
     eta_u = diamond.diamond_distance(rot).value
     t.check(0.99e-2 <= eta_u <= 1.0e-2, f"rotation error rate {eta_u!r} outside [0.99e-2, 1.0e-2]")
-    eta_tot = diamond.diamond_distance(total, method="sdp", options=ctx.options).value
+    eta_tot = diamond.diamond_distance(total, method="sdp").value
     t.check(
         0.92e-2 <= eta_tot <= 1.08e-2,
         f"combined error rate {eta_tot!r} outside [0.92e-2, 1.08e-2]",
@@ -115,7 +114,7 @@ def _check_two_qubit_phase(ctx):
     ch = channels.generalized_cphase(4, 0.259)
     phi = metrics.average_gate_fidelity(ch)
     closed = diamond.diamond_distance(ch).value
-    via_sdp = diamond.diamond_distance(ch, method="sdp", options=ctx.options).value
+    via_sdp = diamond.diamond_distance(ch, method="sdp").value
     t = _Tally()
     t.check(abs(phi - 0.990) <= 5e-4, f"fidelity {phi!r} not 0.990 +- 5e-4")
     t.check(abs(closed - 0.129) <= 5e-4, f"error rate {closed!r} not 0.129 +- 5e-4")
@@ -173,7 +172,7 @@ def _check_pauli_saturation(ctx):
         probs /= probs.sum()
         p = pauli.PauliChannel(1, dict(zip(pauli.pauli_labels(1), probs)))
         ch = p.as_channel()
-        got = diamond.diamond_distance(ch, method="sdp", options=ctx.options).value
+        got = diamond.diamond_distance(ch, method="sdp").value
         want = bounds.pauli_lower_bound(metrics.average_gate_fidelity(ch), 2)
         worst = max(worst, abs(got - want))
         t.check(
@@ -190,9 +189,9 @@ def _check_twirl_sandwich(ctx):
     for i in range(20):
         ch = _random_channel(rng)
         twirled = pauli.pauli_twirl(ch)
-        eta = diamond.diamond_distance(ch, method="sdp", options=ctx.options).value
-        delta = diamond.diamond_distance(ch, twirled, method="sdp", options=ctx.options).value
-        eta_p = diamond.diamond_distance(twirled, method="sdp", options=ctx.options).value
+        eta = diamond.diamond_distance(ch, method="sdp").value
+        delta = diamond.diamond_distance(ch, twirled, method="sdp").value
+        eta_p = diamond.diamond_distance(twirled, method="sdp").value
         t.check(
             abs(delta - eta_p) - 2e-7 <= eta <= delta + eta_p + 2e-7,
             f"channel {i}: eta {eta!r} outside [|{delta!r} - {eta_p!r}|, sum] sandwich",
@@ -220,7 +219,7 @@ def _check_tightness_witnesses(ctx):
             disc = channels.discrepancy(actual, ideal)
             phi = metrics.average_gate_fidelity(disc)
             want_phi = 1.0 - 4.0 * (d - 1) * lam / (d * (d + 1))
-            eta = diamond.diamond_distance(disc, method="sdp", options=ctx.options).value
+            eta = diamond.diamond_distance(disc, method="sdp").value
             t.check(
                 abs(phi - want_phi) <= 1e-6,
                 f"mixture d={d} lambda={lam}: fidelity {phi!r} vs {want_phi!r}",
@@ -252,7 +251,7 @@ def _check_sweep_models(ctx):
     t = _Tally()
     phis = np.linspace(0.90, 0.9999, 7)
     for model in ("unitary", "amplitude-damping"):
-        rows = bounds.sweep_rows(model, phis, sdp_options=ctx.options)
+        rows = bounds.sweep_rows(model, phis)
         for row in rows:
             label = f"{model} at fidelity {row.fidelity:.4f}"
             t.check(
@@ -301,9 +300,9 @@ def _check_properties(ctx):
     )
     for i in range(3):
         a, b, c = (_random_channel(rng) for _ in range(3))
-        d_ac = diamond.diamond_distance(a, c, options=ctx.options).value
-        d_ab = diamond.diamond_distance(a, b, options=ctx.options).value
-        d_bc = diamond.diamond_distance(b, c, options=ctx.options).value
+        d_ac = diamond.diamond_distance(a, c).value
+        d_ab = diamond.diamond_distance(a, b).value
+        d_bc = diamond.diamond_distance(b, c).value
         t.check(
             d_ac <= d_ab + d_bc + 1e-7,
             f"triple {i}: triangle inequality violated ({d_ac!r} > {d_ab!r} + {d_bc!r})",
@@ -343,10 +342,9 @@ def _check_solver_health(ctx):
     )
 
 
-def run_checks(sdp_options=None):
+def run_checks():
     """Run the whole suite; returns one CheckResult per check, in order."""
-    options = sdp_options if sdp_options is not None else sdp.SdpOptions()
-    ctx = _Context(options=options)
+    ctx = _Context()
     diamond.set_solve_recorder(ctx.records.append)
     try:
         results = []

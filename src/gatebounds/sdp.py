@@ -14,6 +14,12 @@ Complex Hermitian data enters through :func:`embed_hermitian`, which maps a
 Hermitian matrix to the standard real symmetric 2x2 block form.  The
 embedding doubles inner products; encoders compensate by halving objective
 data (see :mod:`gatebounds.diamond`).
+
+The tolerances are module constants, because the certificates downstream
+are judged against them.  A solve is converged once the primal and dual
+residuals are within ``FEAS_TOL`` and the normalized duality gap is within
+``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.  Each step
+covers at most ``STEP_FRACTION`` of the distance to the boundary of the cone.
 """
 
 from dataclasses import dataclass, field
@@ -24,25 +30,20 @@ import numpy as np
 from . import linalg
 
 SYMMETRY_TOL = 1e-12
+MAX_ITERATIONS = 200
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-8
+STEP_FRACTION = 0.98
 
 
 class SolverError(RuntimeError):
-    """The interior-point iteration broke down numerically."""
+    """The interior-point iteration broke down or did not converge."""
 
 
 class SdpStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
     NUMERICAL_FAILURE = "numerical_failure"
-
-
-@dataclass(frozen=True)
-class SdpOptions:
-    max_iterations: int = 200
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    eig_tol: float = 1e-7
-    step_fraction: float = 0.98
 
 
 class SdpProblem:
@@ -114,17 +115,6 @@ def embed_hermitian(h):
     return np.block([[re, -im], [im, re]])
 
 
-def unembed_hermitian(s):
-    """Inverse of :func:`embed_hermitian` (projects onto embedded form)."""
-    a = np.asarray(s, dtype=float)
-    n = a.shape[0] // 2
-    re = (a[:n, :n] + a[n:, n:]) / 2
-    im = (a[n:, :n] - a[:n, n:]) / 2
-    re = (re + re.T) / 2
-    im = (im - im.T) / 2
-    return re + 1j * im
-
-
 def _apply_a(problem, xs):
     out = np.zeros(problem.num_constraints)
     for stack, x in zip(problem.a, xs):
@@ -169,13 +159,12 @@ def _max_step(mats, dmats, cap):
     return lo
 
 
-def solve(problem, options=None):
+def solve(problem):
     """Run the interior-point iteration and return an :class:`SdpSolution`.
 
     The returned dual slack ``z`` is recomputed exactly as C - sum y_i A_i,
     so dual feasibility can be re-verified from scratch by the caller.
     """
-    opt = options or SdpOptions()
     dims = problem.block_dims
     ntot = sum(dims)
     m = problem.num_constraints
@@ -190,7 +179,7 @@ def solve(problem, options=None):
     status = SdpStatus.MAX_ITERATIONS
     iterations = 0
 
-    for iterations in range(opt.max_iterations):
+    for iterations in range(MAX_ITERATIONS):
         rp = problem.b - _apply_a(problem, xs)
         aty = _apply_at(problem, y)
         rd = [c - at - z for c, at, z in zip(problem.c, aty, zs)]
@@ -202,7 +191,7 @@ def solve(problem, options=None):
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         history.append((pobj, dobj, pinf, dinf, mu))
 
-        if pinf <= opt.feas_tol and dinf <= opt.feas_tol and gap <= opt.gap_tol:
+        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and gap <= GAP_TOL:
             status = SdpStatus.CONVERGED
             break
 
@@ -274,9 +263,9 @@ def solve(problem, options=None):
         cross = [dx @ dz for dx, dz in zip(dx_aff, dz_aff)]
         dx, dy, dz = direction(sigma * mu, cross)
 
-        limit = 1.0 / opt.step_fraction
-        ap = opt.step_fraction * _max_step(xs, dx, limit)
-        ad = opt.step_fraction * _max_step(zs, dz, limit)
+        limit = 1.0 / STEP_FRACTION
+        ap = STEP_FRACTION * _max_step(xs, dx, limit)
+        ad = STEP_FRACTION * _max_step(zs, dz, limit)
         ap = min(1.0, ap)
         ad = min(1.0, ad)
         if ap < 1e-10 and ad < 1e-10:

@@ -27,7 +27,7 @@ def test_validation_rejects_non_trace_preserving():
     with pytest.raises(ChannelValidationError, match="not trace preserving"):
         Channel([np.eye(2) / 2])
     for bad in (np.nan, np.inf):
-        with pytest.raises(ChannelValidationError, match="not trace preserving"):
+        with pytest.raises(ChannelValidationError, match="non-finite entry"):
             Channel([np.array([[bad, 0.0], [0.0, 1.0]])])
 
 

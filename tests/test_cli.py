@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gatebounds
-from gatebounds import channels, cli
+from gatebounds import channels, cli, diamond, sdp
 
 
 def mat(m):
@@ -97,6 +97,14 @@ def test_analyze_named_depolarizing(tmp_path, capsys):
     assert data["fidelity"] == pytest.approx(0.9, abs=1e-12)
     assert data["error_rate"]["value"] == pytest.approx(0.15, abs=1e-9)
     assert data["error_rate"]["method"] == "pauli_closed_form"
+
+
+def test_analyze_exits_2_on_unconverged_solve(tmp_path, capsys, monkeypatch):
+    diamond._ensure_calibrated()
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    path = named_file(tmp_path, "ad.json", 2, "amplitude_damping", {"r": 0.1})
+    assert cli.main(["analyze", path]) == 2
+    assert "unconverged" in capsys.readouterr().err
 
 
 def test_analyze_named_unitary_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gatebounds import channels, diamond, pauli
+from gatebounds import channels, diamond, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod, DiamondResult
 
@@ -197,4 +197,24 @@ def test_solve_recorder_sees_each_solve():
 
 def test_calibration_completes_after_first_sdp_use():
     diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
-    assert diamond._calibration_state == "done"
+    assert diamond._ensure_calibrated.cache_info().currsize == 1
+
+
+def test_failed_calibration_raises_and_is_retried(monkeypatch):
+    diamond._ensure_calibrated.cache_clear()
+    wrong = DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP)
+    with monkeypatch.context() as m:
+        m.setattr(diamond, "_solve_pair", lambda e, f: wrong)
+        with pytest.raises(diamond.CalibrationError, match="calibration failed"):
+            diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
+    assert diamond._ensure_calibrated.cache_info().currsize == 0
+    res = diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
+    assert res.method is DiamondMethod.SDP
+    assert diamond._ensure_calibrated.cache_info().currsize == 1
+
+
+def test_unconverged_solve_raises(monkeypatch):
+    diamond._ensure_calibrated()
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    with pytest.raises(sdp.SolverError, match="max_iterations"):
+        diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")

@@ -18,13 +18,12 @@ def min_eig_problem(c):
     return sdp.SdpProblem([n], [c], [[np.eye(n)]], [1.0])
 
 
-def test_embed_round_trip_and_eigenvalue_doubling():
+def test_embed_is_symmetric_and_doubles_eigenvalues():
     rng = np.random.default_rng(60)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (a + a.conj().T) / 2
     s = sdp.embed_hermitian(h)
     np.testing.assert_allclose(s, s.T, atol=1e-15)
-    np.testing.assert_allclose(sdp.unembed_hermitian(s), h, atol=1e-15)
     doubled = np.sort(np.concatenate([np.linalg.eigvalsh(h)] * 2))
     np.testing.assert_allclose(np.linalg.eigvalsh(s), doubled, atol=1e-10)
 
@@ -119,10 +118,11 @@ def test_solve_is_deterministic():
     assert np.array_equal(sol1.y, sol2.y)
 
 
-def test_iteration_cap_reported():
+def test_iteration_cap_reported(monkeypatch):
     rng = np.random.default_rng(65)
     c = random_symmetric(rng, 4)
-    sol = sdp.solve(min_eig_problem(c), sdp.SdpOptions(max_iterations=2))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    sol = sdp.solve(min_eig_problem(c))
     assert sol.status is sdp.SdpStatus.MAX_ITERATIONS
     assert sol.iterations == 2
 
