@@ -47,17 +47,13 @@ class DiamondResult:
 
     ``lower_certificate`` comes from the primal iterate and
     ``upper_certificate`` from the dual; closed forms return a degenerate
-    interval.  ``zeta`` is the inverse error rate 1/value.
+    interval.
     """
 
     value: float
     lower_certificate: float
     upper_certificate: float
     method: DiamondMethod
-
-    @property
-    def zeta(self):
-        return math.inf if self.value == 0.0 else 1.0 / self.value
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,13 @@ data (see :mod:`gatebounds.diamond`).
 The tolerances are module constants, because the certificates downstream
 are judged against them.  A solve is converged once the primal and dual
 residuals are within ``FEAS_TOL`` and the normalized duality gap is within
-``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.  Each step
-covers at most ``STEP_FRACTION`` of the distance to the boundary of the cone.
+``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.
+
+Each step length is the exact distance to the boundary of the cone, read off
+the smallest eigenvalue of the direction in the frame of the iterate's
+Cholesky factor (as in SDPA and SDPT3), and damped by ``STEP_FRACTION``.
+Every iteration factors each X and Z block once; those factors give Z^-1 and
+all four step lengths.
 """
 
 from dataclasses import dataclass, field
@@ -58,32 +63,49 @@ class SdpProblem:
         if any(n < 1 for n in self.block_dims):
             raise ValueError("block dimensions must be positive")
         nblocks = len(self.block_dims)
-        self.c = [self._check_sym(m, n, "objective") for m, n in zip(objective, self.block_dims)]
+        self.c = [
+            self._checked_stack([mat], n, "objective")[0]
+            for mat, n in zip(objective, self.block_dims)
+        ]
         if len(self.c) != nblocks:
             raise ValueError("objective must provide one matrix per block")
         self.b = np.asarray(rhs, dtype=float).copy()
         if self.b.ndim != 1:
             raise ValueError("rhs must be a vector")
+        if not np.isfinite(self.b).all():
+            raise ValueError("rhs has a non-finite entry")
         m = self.b.size
         rows = list(constraints)
         if len(rows) != m:
             raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
-        self.a = []
-        for bidx, n in enumerate(self.block_dims):
-            stack = np.empty((m, n, n))
-            for i, row in enumerate(rows):
-                stack[i] = self._check_sym(row[bidx], n, f"constraint {i}")
-            self.a.append(stack)
+        self.a = [
+            self._checked_stack([row[bidx] for row in rows], n, "constraint {}")
+            for bidx, n in enumerate(self.block_dims)
+        ]
 
     @staticmethod
-    def _check_sym(mat, n, name):
-        a = np.asarray(mat, dtype=float)
-        if a.shape != (n, n):
-            raise ValueError(f"{name} block has shape {a.shape}, expected {(n, n)}")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-            raise ValueError(f"{name} block is not symmetric")
-        return (a + a.T) / 2
+    def _checked_stack(mats, n, label):
+        """Stack real (n, n) matrices, reject bad shapes, non-finite entries
+        and asymmetry, and return the symmetrized stack.
+
+        ``label.format(i)`` names matrix i in error messages.
+        """
+        stack = np.empty((len(mats), n, n))
+        for i, mat in enumerate(mats):
+            a = np.asarray(mat, dtype=float)
+            if a.shape != (n, n):
+                raise ValueError(f"{label.format(i)} block has shape {a.shape}, expected {(n, n)}")
+            stack[i] = a
+        finite = np.isfinite(stack)
+        if not finite.all():
+            i = np.flatnonzero(~finite.all(axis=(1, 2)))[0]
+            raise ValueError(f"{label.format(i)} block has a non-finite entry")
+        for i, a in enumerate(stack):
+            scale = max(1.0, float(np.abs(a).max()))
+            if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+                raise ValueError(f"{label.format(i)} block is not symmetric")
+            stack[i] = (a + a.T) / 2
+        return stack
 
     @property
     def num_constraints(self):
@@ -133,30 +155,27 @@ def _chol_or_none(mat):
         return None
 
 
-def _max_step(mats, dmats, cap):
-    """Largest step in [0, cap] keeping every block positive definite.
+def _inverse_cholesky(mat):
+    """L^-1 for the Cholesky factor of mat = L L^T, or None if mat is not PD."""
+    lower = _chol_or_none(mat)
+    if lower is None:
+        return None
+    return np.linalg.solve(lower, np.eye(mat.shape[0]))
 
-    Bisection on a Cholesky feasibility test; monotone, deterministic, and
-    accurate to cap * 2^-46, which is far finer than the fraction-to-boundary
-    damping applied afterwards.
+
+def _max_step(inv_factors, dmats, cap):
+    """Largest step in [0, cap] keeping every block positive semidefinite.
+
+    For M = L L^T, M + alpha D >= 0 exactly when I + alpha L^-1 D L^-T >= 0,
+    so a block's boundary lies at -1/lambda_min(L^-1 D L^-T) when that
+    eigenvalue is negative and nowhere otherwise.
     """
-
-    def feasible(alpha):
-        for m, dm in zip(mats, dmats):
-            if _chol_or_none(m + alpha * dm) is None:
-                return False
-        return True
-
-    if feasible(cap):
-        return cap
-    lo, hi = 0.0, cap
-    for _ in range(46):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    step = cap
+    for inv_l, dm in zip(inv_factors, dmats):
+        lam = np.linalg.eigvalsh(inv_l @ dm @ inv_l.T)[0]
+        if lam < 0.0:
+            step = min(step, -1.0 / lam)
+    return step
 
 
 def solve(problem):
@@ -195,18 +214,13 @@ def solve(problem):
             status = SdpStatus.CONVERGED
             break
 
-        zinv = []
-        failed = False
-        for z in zs:
-            lz = _chol_or_none(z)
-            if lz is None:
-                failed = True
-                break
-            inv_l = np.linalg.solve(lz, np.eye(z.shape[0]))
-            zinv.append(inv_l.T @ inv_l)
-        if failed:
+        # one Cholesky factor per block serves Z^-1 and all four step lengths
+        inv_lx = [_inverse_cholesky(x) for x in xs]
+        inv_lz = [_inverse_cholesky(z) for z in zs]
+        if any(f is None for f in inv_lx + inv_lz):
             status = SdpStatus.NUMERICAL_FAILURE
             break
+        zinv = [f.T @ f for f in inv_lz]
 
         # Schur complement M[i, j] = tr(A_i Z^-1 A_j X), symmetric positive
         # definite while X, Z are interior
@@ -252,8 +266,8 @@ def solve(problem):
 
         none_cross = [None] * len(dims)
         dx_aff, dy_aff, dz_aff = direction(0.0, none_cross)
-        ap_aff = _max_step(xs, dx_aff, 1.0)
-        ad_aff = _max_step(zs, dz_aff, 1.0)
+        ap_aff = _max_step(inv_lx, dx_aff, 1.0)
+        ad_aff = _max_step(inv_lz, dz_aff, 1.0)
         mu_aff = sum(
             float(np.tensordot(x + ap_aff * dx, z + ad_aff * dz))
             for x, dx, z, dz in zip(xs, dx_aff, zs, dz_aff)
@@ -264,8 +278,8 @@ def solve(problem):
         dx, dy, dz = direction(sigma * mu, cross)
 
         limit = 1.0 / STEP_FRACTION
-        ap = STEP_FRACTION * _max_step(xs, dx, limit)
-        ad = STEP_FRACTION * _max_step(zs, dz, limit)
+        ap = STEP_FRACTION * _max_step(inv_lx, dx, limit)
+        ad = STEP_FRACTION * _max_step(inv_lz, dz, limit)
         ap = min(1.0, ap)
         ad = min(1.0, ad)
         if ap < 1e-10 and ad < 1e-10:

@@ -174,11 +174,6 @@ def test_argument_validation():
         diamond.diamond_distance(channels.identity_channel(2), channels.identity_channel(3))
 
 
-def test_zeta_is_inverse_value():
-    assert DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP).zeta == pytest.approx(2.0)
-    assert DiamondResult(0.0, 0.0, 0.0, DiamondMethod.SDP).zeta == math.inf
-
-
 def test_solve_recorder_sees_each_solve():
     # warm the one-time calibration solve so it is not what gets recorded
     diamond.diamond_distance(channels.amplitude_damping(0.33), method="sdp")

@@ -18,6 +18,17 @@ def min_eig_problem(c):
     return sdp.SdpProblem([n], [c], [[np.eye(n)]], [1.0])
 
 
+def decoupled_problem(c1, c2):
+    # two independent min-eigenvalue problems, one per block
+    n1, n2 = c1.shape[0], c2.shape[0]
+    return sdp.SdpProblem(
+        [n1, n2],
+        [c1, c2],
+        [[np.eye(n1), np.zeros((n2, n2))], [np.zeros((n1, n1)), np.eye(n2)]],
+        [1.0, 1.0],
+    )
+
+
 def test_embed_is_symmetric_and_doubles_eigenvalues():
     rng = np.random.default_rng(60)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -39,6 +50,14 @@ def test_problem_validation():
         sdp.SdpProblem([2], [eye], [[eye]], [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         sdp.SdpProblem([0], [np.zeros((0, 0))], [], [])
+    for bad in (np.nan, np.inf, -np.inf):
+        corrupt = np.diag([bad, 1.0])
+        with pytest.raises(ValueError, match="objective block has a non-finite"):
+            sdp.SdpProblem([2], [corrupt], [[eye]], [1.0])
+        with pytest.raises(ValueError, match="constraint 1 block has a non-finite"):
+            sdp.SdpProblem([2], [eye], [[eye], [corrupt]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rhs has a non-finite"):
+            sdp.SdpProblem([2], [eye], [[eye]], [bad])
 
 
 def test_scalar_problem():
@@ -95,15 +114,7 @@ def test_two_blocks_decouple():
     rng = np.random.default_rng(63)
     c1 = random_symmetric(rng, 3)
     c2 = random_symmetric(rng, 2)
-    zero1 = np.zeros((3, 3))
-    zero2 = np.zeros((2, 2))
-    prob = sdp.SdpProblem(
-        [3, 2],
-        [c1, c2],
-        [[np.eye(3), zero2], [zero1, np.eye(2)]],
-        [1.0, 1.0],
-    )
-    sol = sdp.solve(prob)
+    sol = sdp.solve(decoupled_problem(c1, c2))
     want = np.linalg.eigvalsh(c1).min() + np.linalg.eigvalsh(c2).min()
     assert sol.primal_value == pytest.approx(want, abs=1e-7)
 
@@ -145,3 +156,84 @@ def test_verify_solution_matches_solution_fields():
     assert checked["primal_value"] == pytest.approx(sol.primal_value, abs=1e-12)
     assert checked["dual_value"] == pytest.approx(sol.dual_value, abs=1e-12)
     assert checked["gap"] == pytest.approx(sol.gap, abs=1e-12)
+
+
+def random_spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + 0.1 * np.eye(n)
+
+
+def reference_step(mats, dmats, cap):
+    # boundary of M + a D >= 0 from the symmetric square root of M
+    step = cap
+    for m, dm in zip(mats, dmats):
+        w, v = np.linalg.eigh(m)
+        root_inv = v @ np.diag(w**-0.5) @ v.T
+        lam = np.linalg.eigvalsh(root_inv @ dm @ root_inv).min()
+        if lam < 0.0:
+            step = min(step, -1.0 / lam)
+    return step
+
+
+@pytest.mark.parametrize("dims", [(4,), (5, 3, 2)])
+def test_max_step_is_exact_distance_to_boundary(dims):
+    rng = np.random.default_rng(68)
+    for _ in range(20):
+        mats = [random_spd(rng, n) for n in dims]
+        dmats = [random_symmetric(rng, n) for n in dims]
+        factors = [sdp._inverse_cholesky(m) for m in mats]
+        cap = 1e6
+        step = sdp._max_step(factors, dmats, cap)
+        want = reference_step(mats, dmats, cap)
+        assert step < cap
+        assert step == pytest.approx(want, rel=1e-10)
+        # the limiting block touches the boundary; the damped step is inside
+        edge = min(
+            np.linalg.eigvalsh(m + step * dm).min() / np.linalg.norm(m, 2)
+            for m, dm in zip(mats, dmats)
+        )
+        assert abs(edge) <= 1e-9
+        for m, dm in zip(mats, dmats):
+            assert sdp._chol_or_none(m + 0.98 * step * dm) is not None
+        # a cap short of the boundary is returned as is
+        assert sdp._max_step(factors, dmats, 0.5 * want) == 0.5 * want
+
+
+def test_max_step_is_cap_along_psd_directions():
+    rng = np.random.default_rng(69)
+    mats = [random_spd(rng, n) for n in (4, 2)]
+    psd = [random_spd(rng, n) - 0.1 * np.eye(n) for n in (4, 2)]
+    factors = [sdp._inverse_cholesky(m) for m in mats]
+    assert sdp._max_step(factors, psd, 1.0) == 1.0
+    assert sdp._max_step(factors, [np.zeros_like(m) for m in mats], 1.0) == 1.0
+
+
+def test_inverse_cholesky_rejects_indefinite_blocks():
+    assert sdp._inverse_cholesky(np.diag([1.0, -1.0])) is None
+    m = random_spd(np.random.default_rng(70), 3)
+    inv_l = sdp._inverse_cholesky(m)
+    np.testing.assert_allclose(inv_l @ m @ inv_l.T, np.eye(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("two_blocks", [False, True])
+def test_one_cholesky_per_block_per_iteration(monkeypatch, two_blocks):
+    # guards against a search-based step length: a bisection makes dozens
+    # of factorizations per block per iteration
+    rng = np.random.default_rng(71)
+    if two_blocks:
+        prob = decoupled_problem(random_symmetric(rng, 3), random_symmetric(rng, 2))
+    else:
+        prob = min_eig_problem(random_symmetric(rng, 4))
+    calls = []
+    real = sdp._chol_or_none
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(sdp, "_chol_or_none", counting)
+    sol = sdp.solve(prob)
+    assert sol.status is sdp.SdpStatus.CONVERGED
+    nblocks = len(prob.block_dims)
+    # one factor per X and Z block, the Schur factor and its jitter retry
+    assert len(calls) <= (2 * nblocks + 2) * sol.iterations
