@@ -32,10 +32,10 @@ def _checked_phi(phi):
 
 
 def _checked_dim(dim):
-    d = int(dim)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim!r}")
-    return d
+    d = float(dim)
+    if not (d.is_integer() and d >= 2):
+        raise ValueError(f"dimension must be an integer of at least 2, got {dim!r}")
+    return int(d)
 
 
 def pauli_lower_bound(phi, dim):

@@ -51,7 +51,13 @@ def _parse_complex_matrix(obj, size, what):
             )
             if not ok:
                 raise SpecFileError(f"{what}: entry [{i}][{j}] must be a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                value = complex(entry[0], entry[1])
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not np.isfinite(value):
+                raise SpecFileError(f"{what}: entry [{i}][{j}] is not finite")
+            out[i, j] = value
     return out
 
 

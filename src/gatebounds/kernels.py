@@ -2,7 +2,11 @@
 
 ``eigh_kernel`` is the Hermitian eigendecomposition behind every eigenvalue
 in the package; ``pair_scan_kernel`` is the vectorized sampled trace-norm
-scan behind the brute-force diamond-distance lower bound.
+scan behind the brute-force diamond-distance lower bound.  The scan reads
+the channels only through the Choi matrix J of E - F: for a sampled state
+with d x d coefficient matrix Psi_s, the output is
+M_s = (I x Psi_s^T) J (I x Psi_s^T)^dagger (Watrous, "Semidefinite programs
+for completely bounded norms", 2009), two dense products per batch.
 """
 
 import numpy as np
@@ -25,13 +29,30 @@ def eigh_kernel(a):
 
 def pair_scan_kernel(kraus_e, kraus_f, psis):
     """Max over sampled pure states of half the trace norm of
-    ((E - F) x id)(|psi><psi|), states given as rows of ``psis``."""
+    ((E - F) x id)(|psi><psi|), states given as rows of ``psis``.
+
+    With Psi_s = ``psis[s].reshape(d, d)`` (system index first) and J the
+    Choi matrix of E - F (output factor first, row-major vec, as
+    ``Channel.choi``), each sampled output is
+
+        M_s = (I x Psi_s^T) J (I x Psi_s^T)^dagger,
+
+    so the Kraus operators are read once, to build J, and the per-sample
+    cost does not depend on how many there are.
+    """
     d = kraus_e.shape[1]
     ns = psis.shape[0]
+    ve = kraus_e.reshape(kraus_e.shape[0], d * d)
+    vf = kraus_f.reshape(kraus_f.shape[0], d * d)
+    choi = ve.T @ ve.conj() - vf.T @ vf.conj()
     mats = psis.reshape(ns, d, d)
-    out_e = np.einsum("kab,sbc->ksac", kraus_e, mats).reshape(kraus_e.shape[0], ns, d * d)
-    out_f = np.einsum("kab,sbc->ksac", kraus_f, mats).reshape(kraus_f.shape[0], ns, d * d)
-    m = np.einsum("ksi,ksj->sij", out_e, out_e.conj())
-    m -= np.einsum("ksi,ksj->sij", out_f, out_f.conj())
+    # t[(s, c), (a, x, y)] = sum_b Psi_s[b, c] J[(a, b), (x, y)]
+    choi_b = choi.reshape(d, d, d * d).transpose(1, 0, 2).reshape(d, d**3)
+    t = mats.transpose(0, 2, 1).reshape(ns * d, d) @ choi_b
+    # m[s, (c, a, x), z] = sum_y t[(s, c), (a, x, y)] conj Psi_s[y, z]
+    m = t.reshape(ns, d**3, d) @ mats.conj()
+    del t  # free it before the reorder copy: at d = 4 each array is 8 MB
+    # rows (a, c), columns (x, z)
+    m = m.reshape(ns, d, d, d * d).transpose(0, 2, 1, 3).reshape(ns, d * d, d * d)
     w = np.linalg.eigvalsh(m)
     return float(0.5 * np.abs(w).sum(axis=1).max())

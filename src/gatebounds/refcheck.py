@@ -5,8 +5,9 @@ compares at its stated tolerance.  While the suite runs, every diamond SDP
 solve is recorded through :func:`gatebounds.diamond.set_solve_recorder`, and
 the final solver-health check re-verifies each one independently:
 feasibility residuals recomputed from the raw matrices, normalized duality
-gap, and a 2000-sample brute-force lower bound that the solver value must
-dominate.
+gap, and a 2000-sample brute-force lower bound that must lie below both the
+solver value (within 1e-8) and the certified upper end of the returned
+interval (within 1e-12, the scan's own rounding).
 
 A check that raises is reported as failed, not skipped; the suite always
 returns one result per registered check, in registration order.
@@ -335,6 +336,11 @@ def _check_solver_health(ctx):
         t.check(
             lower <= rec.result.value + 1e-8,
             f"solve {i}: sampled lower bound {lower!r} exceeds SDP value {rec.result.value!r}",
+        )
+        t.check(
+            lower <= rec.result.upper_certificate + 1e-12,
+            f"solve {i}: sampled lower bound {lower!r} exceeds upper certificate "
+            f"{rec.result.upper_certificate!r}",
         )
     return t.result(
         f"{len(ctx.records)} solves: max gap {worst_gap:.1e}, max residual {worst_residual:.1e}, "

@@ -246,6 +246,31 @@ def test_analyze_rejects_bad_ideal_files(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+)
+@pytest.mark.parametrize("kind", ["kraus", "choi", "ideal"])
+def test_analyze_rejects_non_finite_matrix_entries(tmp_path, capsys, kind, bad):
+    # json writes NaN and Infinity, and reads 10**400 back as an int no float holds
+    good = kraus_file(tmp_path, "x.json", 2, [X])
+    if kind == "kraus":
+        payload = {"dim": 2, "kind": "kraus", "kraus": [mat(X)]}
+        payload["kraus"][0][1][0][1] = bad
+        args, where = [write_json(tmp_path, "bad.json", payload)], "kraus[0]: entry [1][0]"
+    elif kind == "choi":
+        payload = {"dim": 2, "kind": "choi", "choi": mat(channels.amplitude_damping(0.2).choi)}
+        payload["choi"][2][3][0] = bad
+        args, where = [write_json(tmp_path, "bad.json", payload)], "choi: entry [2][3]"
+    else:
+        payload = {"dim": 2, "unitary": mat(np.eye(2))}
+        payload["unitary"][0][0][0] = bad
+        args, where = [good, write_json(tmp_path, "bad.json", payload)], "unitary: entry [0][0]"
+    assert cli.main(["analyze"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{where} is not finite" in captured.err
+
+
 def test_bounds_command_rounds_the_percentages(capsys):
     assert cli.main(["bounds", "--fidelity", "0.999", "--dim", "2"]) == 0
     out = capsys.readouterr().out

@@ -10,13 +10,21 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
-def scan_inputs(seed, d=2, kraus_count=2, samples=40):
-    # random CPTP Kraus stack via a Haar isometry, identity partner, random states
-    rng = np.random.default_rng(seed)
+def random_kraus(rng, d, kraus_count):
+    # random CPTP Kraus stack via a Haar isometry
     big = rng.standard_normal((kraus_count * d, d)) + 1j * rng.standard_normal((kraus_count * d, d))
     q, _ = np.linalg.qr(big)
-    kraus_e = np.ascontiguousarray(q.reshape(kraus_count, d, d))
-    kraus_f = np.ascontiguousarray(np.eye(d, dtype=np.complex128)[None])
+    return np.ascontiguousarray(q.reshape(kraus_count, d, d))
+
+
+def scan_inputs(seed, d=2, kraus_count=2, samples=40, partner_count=None):
+    # random channel, identity partner unless partner_count asks for a random one, random states
+    rng = np.random.default_rng(seed)
+    kraus_e = random_kraus(rng, d, kraus_count)
+    if partner_count is None:
+        kraus_f = np.ascontiguousarray(np.eye(d, dtype=np.complex128)[None])
+    else:
+        kraus_f = random_kraus(rng, d, partner_count)
     raw = rng.standard_normal((samples, d * d)) + 1j * rng.standard_normal((samples, d * d))
     psis = np.ascontiguousarray(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     return kraus_e, kraus_f, psis
@@ -35,8 +43,11 @@ def test_eigh_kernel_dispatches_to_numpy():
 def test_pair_scan_matches_kraus_reference():
     # ((E - F) x id)(|psi><psi|) built term by term from the Kraus operators,
     # system factor first, as the scan reads the rows of psis
-    for seed, d in ((11, 2), (15, 3)):
-        kraus_e, kraus_f, psis = scan_inputs(seed, d=d, samples=20)
+    cases = ((11, 2, 2, None), (15, 3, 2, None), (16, 4, 2, None), (17, 2, 8, 2), (18, 4, 3, 5))
+    for seed, d, kraus_count, partner_count in cases:
+        kraus_e, kraus_f, psis = scan_inputs(
+            seed, d=d, kraus_count=kraus_count, samples=20, partner_count=partner_count
+        )
         lift = np.eye(d)
         best = 0.0
         for psi in psis:
@@ -56,3 +67,22 @@ def test_pair_scan_bounded_by_one():
     kraus_e, kraus_f, psis = scan_inputs(14, kraus_count=3, samples=60)
     val = kernels.pair_scan_kernel(kraus_e, kraus_f, psis)
     assert 0.0 <= val <= 1.0 + 1e-12
+
+
+def test_pair_scan_depends_only_on_choi():
+    # K'_i = sum_j V_ij K_j with V unitary and the shorter list padded with
+    # zero operators: another Kraus representation of the same channel
+    rng = np.random.default_rng(19)
+    for d, kraus_count, partner_count in ((2, 2, 1), (3, 3, 2), (4, 2, 4)):
+        kraus_e, kraus_f, psis = scan_inputs(
+            20 + d, d=d, kraus_count=kraus_count, samples=30, partner_count=partner_count
+        )
+        n = kraus_count + 3
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        padded = np.concatenate([kraus_e, np.zeros((n - kraus_count, d, d), dtype=np.complex128)])
+        mixed = np.ascontiguousarray(np.einsum("ij,jab->iab", v, padded))
+        assert not np.allclose(mixed[:kraus_count], kraus_e)
+        base = kernels.pair_scan_kernel(kraus_e, kraus_f, psis)
+        assert base > 1e-3
+        assert abs(kernels.pair_scan_kernel(mixed, kraus_f, psis) - base) <= 1e-12
+        assert abs(kernels.pair_scan_kernel(kraus_e, mixed, psis)) <= 1e-12

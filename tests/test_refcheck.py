@@ -1,0 +1,40 @@
+"""The solver-health gates of the reproduction suite, on one recorded solve."""
+
+import dataclasses
+
+from gatebounds import channels, diamond, refcheck
+
+
+def recorded_context(channel):
+    diamond._ensure_calibrated()
+    ctx = refcheck._Context()
+    diamond.set_solve_recorder(ctx.records.append)
+    try:
+        diamond.diamond_distance(channel, method="sdp")
+    finally:
+        diamond.set_solve_recorder(None)
+    assert len(ctx.records) == 1
+    return ctx
+
+
+def test_solver_health_passes_on_a_real_solve():
+    passed, detail = refcheck._check_solver_health(recorded_context(channels.amplitude_damping(0.3)))
+    assert passed, detail
+    assert detail.startswith("1 solves:")
+
+
+def test_solver_health_tests_sampled_bound_against_upper_certificate():
+    # the value stays put and the certificate drops just below the sampled
+    # bound (same samples as the check), so only the certificate gate fails
+    ch = channels.amplitude_damping(0.3)
+    ctx = recorded_context(ch)
+    rec = ctx.records[0]
+    sampled = diamond.brute_force_lower_bound(ch, samples=2000, seed=9000)
+    assert sampled <= rec.result.upper_certificate
+    lowered = dataclasses.replace(rec.result, upper_certificate=sampled - 1e-11)
+    ctx.records[0] = dataclasses.replace(rec, result=lowered)
+    passed, detail = refcheck._check_solver_health(ctx)
+    assert not passed
+    assert detail.startswith("solve 0: sampled lower bound")
+    assert "exceeds upper certificate" in detail
+    assert "exceeds SDP value" not in detail
