@@ -117,7 +117,7 @@ def ceil_significant(x, figures):
     return round_significant(x, figures, mode=decimal.ROUND_CEILING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Per-gate audit record.
 
@@ -180,7 +180,7 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None, large=False):
     return BoundsReport(**report)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One row of a fidelity sweep (field order matches the CLI's CSV header)."""
 

@@ -160,6 +160,8 @@ def phase_matrix(dim, theta):
     """The controlled-phase style unitary diag(1, ..., 1, exp(i theta))."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
+    if not np.isfinite(theta):
+        raise ValueError(f"phase angle theta must be finite, got {theta!r}")
     diag = np.ones(dim, dtype=np.complex128)
     diag[-1] = np.exp(1j * theta)
     return np.diag(diag)

@@ -41,7 +41,7 @@ class DiamondMethod(Enum):
     PAULI_CLOSED_FORM = "pauli_closed_form"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiamondResult:
     """A diamond distance value with a certified enclosure.
 
@@ -56,14 +56,19 @@ class DiamondResult:
     method: DiamondMethod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveRecord:
-    """One SDP solve as seen by an installed recorder: inputs and outputs."""
+    """One SDP solve as seen by an installed recorder: inputs and outputs.
+
+    ``checked`` holds the :func:`sdp.verify_solution` figures the
+    certificates were computed from.
+    """
 
     e: Channel
     f: Channel
     problem: "sdp.SdpProblem"
     solution: "sdp.SdpSolution"
+    checked: dict
     result: DiamondResult
 
 
@@ -209,7 +214,7 @@ def _solve_pair(e, f):
     value = min(upper, max(lower, min(1.0, max(0.0, value_primal))))
     result = DiamondResult(value, lower, upper, DiamondMethod.SDP)
     if _solve_recorder is not None:
-        _solve_recorder(SolveRecord(e, f, problem, solution, result))
+        _solve_recorder(SolveRecord(e, f, problem, solution, checked, result))
     return result
 
 

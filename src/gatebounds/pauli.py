@@ -42,7 +42,7 @@ def _qubit_count(dim):
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliChannel:
     """Probabilistic Pauli map: apply operator P_k with probability p_k."""
 
@@ -55,6 +55,10 @@ class PauliChannel:
             bad = sorted(set(self.probs) - labels)
             raise ValueError(f"labels {bad} are not {self.qubits}-qubit Paulis")
         values = np.array(list(self.probs.values()), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            label = list(self.probs)[np.flatnonzero(~finite)[0]]
+            raise ValueError(f"Pauli probability of {label!r} is not finite")
         if values.size and values.min() < -1e-12:
             raise ValueError("Pauli probabilities must be nonnegative")
         if abs(values.sum() - 1.0) > 1e-12:

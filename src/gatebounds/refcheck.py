@@ -3,11 +3,13 @@
 Every check recomputes one block of reference numbers from scratch and
 compares at its stated tolerance.  While the suite runs, every diamond SDP
 solve is recorded through :func:`gatebounds.diamond.set_solve_recorder`, and
-the final solver-health check re-verifies each one independently:
-feasibility residuals recomputed from the raw matrices, normalized duality
-gap, and a 2000-sample brute-force lower bound that must lie below both the
-solver value (within 1e-8) and the certified upper end of the returned
-interval (within 1e-12, the scan's own rounding).
+the final solver-health check audits each one.  It gates the figures that
+:func:`gatebounds.sdp.verify_solution` recomputed from the raw matrices when
+the certificates were built (the record's ``checked``): primal residual,
+normalized duality gap and block eigenvalues.  It then draws a 2000-sample
+brute-force lower bound, which must lie below both the solver value (within
+1e-8) and the certified upper end of the returned interval (within 1e-12,
+the scan's own rounding).
 
 A check that raises is reported as failed, not skipped; the suite always
 returns one result per registered check, in registration order.
@@ -19,11 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, channels, diamond, metrics, pauli, sdp
+from . import bounds, channels, diamond, metrics, pauli
 from .channels import Channel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -321,7 +323,7 @@ def _check_solver_health(ctx):
     worst_residual = 0.0
     worst_excess = -math.inf
     for i, rec in enumerate(ctx.records):
-        checked = sdp.verify_solution(rec.problem, rec.solution)
+        checked = rec.checked
         worst_gap = max(worst_gap, checked["gap"])
         worst_residual = max(worst_residual, checked["primal_residual"])
         t.check(checked["gap"] <= 1e-8, f"solve {i}: duality gap {checked['gap']:.3e} above 1e-8")

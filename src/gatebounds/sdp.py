@@ -20,11 +20,25 @@ are judged against them.  A solve is converged once the primal and dual
 residuals are within ``FEAS_TOL`` and the normalized duality gap is within
 ``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.
 
+The problem data is one flat operator.  Every block-diagonal matrix is a
+vector of length N = sum n_b^2, block b in its own range as a row-major vec;
+the constraints are the rows of one (m, N) matrix.  :class:`SdpProblem`
+exposes the operator through four methods: ``apply`` (X -> <A_i, X>, one
+matrix-vector product), ``adjoint`` (y -> sum y_i A_i, one vector-matrix
+product), ``schur`` (the HKM Schur complement, assembled per block with
+matrix products) and ``blocks`` (a flat vector as its (n, n) block views).
+The iterates X and Z, the residuals and the directions are flat vectors, so
+inner products, residual norms and right-hand sides are single BLAS calls;
+only the Cholesky factors, Z^-1, the direction products and the step lengths
+work block by block.
+
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
 Cholesky factor (as in SDPA and SDPT3), and damped by ``STEP_FRACTION``.
 Every iteration factors each X and Z block once; those factors give Z^-1 and
-all four step lengths.
+all four step lengths.  The Schur matrix is factored by Cholesky only to
+test that it is positive definite (with one jittered retry); each of the two
+directions per iteration is then one ``np.linalg.solve`` against it.
 """
 
 from dataclasses import dataclass, field
@@ -56,19 +70,28 @@ class SdpProblem:
 
     ``objective`` is one real symmetric matrix per block; ``constraints`` is
     a sequence of per-block matrix lists, one list per constraint row.
+
+    The data is stored flat.  Block b of a matrix tuple is the row-major vec
+    of its (symmetrized) matrix, placed in its own column range of a vector
+    of length N = sum n_b^2: ``c`` is the flat objective and ``a`` the
+    C-contiguous (m, N) matrix whose row i is the flat A_i.  With symmetric
+    blocks, sum_b tr(A_ib X_b) is the dot product of the flat vectors.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs):
         self.block_dims = tuple(int(n) for n in block_dims)
         if any(n < 1 for n in self.block_dims):
             raise ValueError("block dimensions must be positive")
-        nblocks = len(self.block_dims)
-        self.c = [
-            self._checked_stack([mat], n, "objective")[0]
-            for mat, n in zip(objective, self.block_dims)
-        ]
-        if len(self.c) != nblocks:
+        self._slices, size = [], 0
+        for n in self.block_dims:
+            self._slices.append(slice(size, size + n * n))
+            size += n * n
+        objective = list(objective)
+        if len(objective) != len(self.block_dims):
             raise ValueError("objective must provide one matrix per block")
+        self.c = np.empty(size)
+        for mat, view in zip(objective, self.blocks(self.c[None])):
+            self._checked_stack([mat], view, "objective")
         self.b = np.asarray(rhs, dtype=float).copy()
         if self.b.ndim != 1:
             raise ValueError("rhs must be a vector")
@@ -78,38 +101,69 @@ class SdpProblem:
         rows = list(constraints)
         if len(rows) != m:
             raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
-        self.a = [
-            self._checked_stack([row[bidx] for row in rows], n, "constraint {}")
-            for bidx, n in enumerate(self.block_dims)
-        ]
+        self.a = np.empty((m, self.c.size))
+        # per-block (m, n, n) views into a, for the Schur assembly
+        self._a_stacks = self.blocks(self.a)
+        for bidx, view in enumerate(self._a_stacks):
+            self._checked_stack([row[bidx] for row in rows], view, "constraint {}")
 
     @staticmethod
-    def _checked_stack(mats, n, label):
-        """Stack real (n, n) matrices, reject bad shapes, non-finite entries
-        and asymmetry, and return the symmetrized stack.
+    def _checked_stack(mats, out, label):
+        """Write real (n, n) matrices into the (k, n, n) view ``out``, reject
+        bad shapes, non-finite entries and asymmetry, and symmetrize them.
 
         ``label.format(i)`` names matrix i in error messages.
         """
-        stack = np.empty((len(mats), n, n))
+        n = out.shape[1]
         for i, mat in enumerate(mats):
             a = np.asarray(mat, dtype=float)
             if a.shape != (n, n):
                 raise ValueError(f"{label.format(i)} block has shape {a.shape}, expected {(n, n)}")
-            stack[i] = a
-        finite = np.isfinite(stack)
+            out[i] = a
+        finite = np.isfinite(out)
         if not finite.all():
             i = np.flatnonzero(~finite.all(axis=(1, 2)))[0]
             raise ValueError(f"{label.format(i)} block has a non-finite entry")
-        for i, a in enumerate(stack):
+        for i, a in enumerate(out):
             scale = max(1.0, float(np.abs(a).max()))
             if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
                 raise ValueError(f"{label.format(i)} block is not symmetric")
-            stack[i] = (a + a.T) / 2
-        return stack
+            out[i] = (a + a.T) / 2
 
     @property
     def num_constraints(self):
         return self.b.size
+
+    def apply(self, x):
+        """The constraint operator on a flat X: entry i is sum_b tr(A_ib X_b)."""
+        return self.a @ x
+
+    def adjoint(self, y):
+        """The adjoint operator as a flat vector: block b is sum_i y_i A_ib."""
+        return y @ self.a
+
+    def blocks(self, v):
+        """The (n, n) block views of a flat vector, or the (k, n, n) block
+        views of the rows of a (k, N) array.
+
+        Splitting the contiguous last axis never copies, so writes to a view
+        land in ``v``.
+        """
+        lead = v.shape[:-1]
+        return [v[..., sl].reshape(*lead, n, n) for sl, n in zip(self._slices, self.block_dims)]
+
+    def schur(self, xs, zinvs):
+        """Schur complement M[i, j] = sum_b tr(A_ib Z_b^-1 A_jb X_b).
+
+        ``xs`` and ``zinvs`` are the blocks of X and of Z^-1.
+        """
+        m = self.num_constraints
+        out = np.zeros((m, m))
+        for stack, x, zi in zip(self._a_stacks, xs, zinvs):
+            t = zi[None] @ stack @ x[None]
+            n = x.shape[0]
+            out += stack.reshape(m, n * n) @ t.transpose(0, 2, 1).reshape(m, n * n).T
+        return out
 
 
 @dataclass
@@ -137,15 +191,9 @@ def embed_hermitian(h):
     return np.block([[re, -im], [im, re]])
 
 
-def _apply_a(problem, xs):
-    out = np.zeros(problem.num_constraints)
-    for stack, x in zip(problem.a, xs):
-        out += np.einsum("ibc,cb->i", stack, x)
-    return out
-
-
-def _apply_at(problem, y):
-    return [np.tensordot(y, stack, axes=1) for stack in problem.a]
+def _flat(mats):
+    """Concatenate the row-major vecs of per-block matrices."""
+    return np.concatenate([mat.ravel() for mat in mats])
 
 
 def _chol_or_none(mat):
@@ -187,11 +235,11 @@ def solve(problem):
     dims = problem.block_dims
     ntot = sum(dims)
     m = problem.num_constraints
+    b, c = problem.b, problem.c
 
-    scale = 1.0 + float(np.abs(problem.b).max(initial=0.0))
-    scale += max(float(np.abs(c).max(initial=0.0)) for c in problem.c)
-    xs = [scale * np.eye(n) for n in dims]
-    zs = [scale * np.eye(n) for n in dims]
+    scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(c).max(initial=0.0))
+    x = scale * _flat([np.eye(n) for n in dims])
+    z = x.copy()
     y = np.zeros(m)
 
     history = []
@@ -199,14 +247,13 @@ def solve(problem):
     iterations = 0
 
     for iterations in range(MAX_ITERATIONS):
-        rp = problem.b - _apply_a(problem, xs)
-        aty = _apply_at(problem, y)
-        rd = [c - at - z for c, at, z in zip(problem.c, aty, zs)]
-        mu = sum(float(np.tensordot(x, z)) for x, z in zip(xs, zs)) / ntot
-        pobj = sum(float(np.tensordot(c, x)) for c, x in zip(problem.c, xs))
-        dobj = float(problem.b @ y)
+        rp = b - problem.apply(x)
+        rd = c - problem.adjoint(y) - z
+        mu = float(x @ z) / ntot
+        pobj = float(c @ x)
+        dobj = float(b @ y)
         pinf = float(np.abs(rp).max(initial=0.0))
-        dinf = max(float(np.abs(r).max(initial=0.0)) for r in rd)
+        dinf = float(np.abs(rd).max(initial=0.0))
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         history.append((pobj, dobj, pinf, dinf, mu))
 
@@ -214,92 +261,80 @@ def solve(problem):
             status = SdpStatus.CONVERGED
             break
 
+        xs, rds = problem.blocks(x), problem.blocks(rd)
         # one Cholesky factor per block serves Z^-1 and all four step lengths
-        inv_lx = [_inverse_cholesky(x) for x in xs]
-        inv_lz = [_inverse_cholesky(z) for z in zs]
+        inv_lx = [_inverse_cholesky(xb) for xb in xs]
+        inv_lz = [_inverse_cholesky(zb) for zb in problem.blocks(z)]
         if any(f is None for f in inv_lx + inv_lz):
             status = SdpStatus.NUMERICAL_FAILURE
             break
         zinv = [f.T @ f for f in inv_lz]
 
-        # Schur complement M[i, j] = tr(A_i Z^-1 A_j X), symmetric positive
-        # definite while X, Z are interior
-        schur = np.zeros((m, m))
-        for stack, x, zi in zip(problem.a, xs, zinv):
-            t = zi[None] @ stack @ x[None]
-            n = x.shape[0]
-            schur += stack.reshape(m, n * n) @ t.transpose(0, 2, 1).reshape(m, n * n).T
+        # symmetric positive definite while X, Z are interior; its Cholesky
+        # factor only tests that, and the directions solve against the matrix
+        schur = problem.schur(xs, zinv)
         schur = (schur + schur.T) / 2
-        ls = _chol_or_none(schur)
-        if ls is None:
-            jitter = 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
-            ls = _chol_or_none(schur + jitter * np.eye(m))
-        if ls is None:
-            status = SdpStatus.NUMERICAL_FAILURE
-            break
+        if _chol_or_none(schur) is None:
+            schur = schur + 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max())) * np.eye(m)
+            if _chol_or_none(schur) is None:
+                status = SdpStatus.NUMERICAL_FAILURE
+                break
 
-        def solve_schur(rhs):
-            return np.linalg.solve(ls.T, np.linalg.solve(ls, rhs))
+        def times_zinv(prods, nu, cross):
+            # (P + cross - nu*I) Z^-1 per block: complementarity target nu*I,
+            # optional second-order correction
+            out = []
+            for k, (p, zi) in enumerate(zip(prods, zinv)):
+                if cross is not None:
+                    p += cross[k]
+                if nu != 0.0:
+                    p.flat[:: p.shape[0] + 1] -= nu
+                out.append(p @ zi)
+            return out
 
         def direction(nu, cross):
-            # complementarity target nu*I, optional second-order correction
-            rhs = problem.b.copy()
-            for stack, zi, x, r, cr in zip(problem.a, zinv, xs, rd, cross):
-                inner = x @ r @ zi
-                if cr is not None:
-                    inner = inner + cr @ zi
-                rhs += np.einsum("ibc,cb->i", stack, inner)
-                if nu != 0.0:
-                    rhs -= nu * np.einsum("ibc,cb->i", stack, zi)
-            dy = solve_schur(rhs)
-            daty = _apply_at(problem, dy)
-            dz = [r - da for r, da in zip(rd, daty)]
-            dx = []
-            for x, z, zi, dzb, cr in zip(xs, zs, zinv, dz, cross):
-                raw = -x - x @ dzb @ zi
-                if nu != 0.0:
-                    raw = raw + nu * zi
-                if cr is not None:
-                    raw = raw - cr @ zi
-                dx.append((raw + raw.T) / 2)
+            inner = times_zinv([xb @ r for xb, r in zip(xs, rds)], nu, cross)
+            dy = np.linalg.solve(schur, b + problem.apply(_flat(inner)))
+            dz = rd - problem.adjoint(dy)
+            steps = times_zinv([xb @ dzb for xb, dzb in zip(xs, problem.blocks(dz))], nu, cross)
+            raw = [-xb - s for xb, s in zip(xs, steps)]
+            dx = _flat([(r + r.T) / 2 for r in raw])
             return dx, dy, dz
 
-        none_cross = [None] * len(dims)
-        dx_aff, dy_aff, dz_aff = direction(0.0, none_cross)
-        ap_aff = _max_step(inv_lx, dx_aff, 1.0)
-        ad_aff = _max_step(inv_lz, dz_aff, 1.0)
-        mu_aff = sum(
-            float(np.tensordot(x + ap_aff * dx, z + ad_aff * dz))
-            for x, dx, z, dz in zip(xs, dx_aff, zs, dz_aff)
-        ) / ntot
+        dx_aff, dy_aff, dz_aff = direction(0.0, None)
+        ap_aff = _max_step(inv_lx, problem.blocks(dx_aff), 1.0)
+        ad_aff = _max_step(inv_lz, problem.blocks(dz_aff), 1.0)
+        mu_aff = float((x + ap_aff * dx_aff) @ (z + ad_aff * dz_aff)) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        cross = [dx @ dz for dx, dz in zip(dx_aff, dz_aff)]
+        cross = [
+            dxb @ dzb for dxb, dzb in zip(problem.blocks(dx_aff), problem.blocks(dz_aff))
+        ]
         dx, dy, dz = direction(sigma * mu, cross)
 
         limit = 1.0 / STEP_FRACTION
-        ap = STEP_FRACTION * _max_step(inv_lx, dx, limit)
-        ad = STEP_FRACTION * _max_step(inv_lz, dz, limit)
+        ap = STEP_FRACTION * _max_step(inv_lx, problem.blocks(dx), limit)
+        ad = STEP_FRACTION * _max_step(inv_lz, problem.blocks(dz), limit)
         ap = min(1.0, ap)
         ad = min(1.0, ad)
         if ap < 1e-10 and ad < 1e-10:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        xs = [x + ap * dx_b for x, dx_b in zip(xs, dx)]
+        x = x + ap * dx
         y = y + ad * dy
-        zs = [z + ad * dz_b for z, dz_b in zip(zs, dz)]
+        z = z + ad * dz
 
     # exact dual slack for independently checkable certificates
-    zs_exact = [c - at for c, at in zip(problem.c, _apply_at(problem, y))]
-    pobj = sum(float(np.tensordot(c, x)) for c, x in zip(problem.c, xs))
-    dobj = float(problem.b @ y)
+    z_exact = c - problem.adjoint(y)
+    pobj = float(c @ x)
+    dobj = float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
     return SdpSolution(
         status=status,
-        x=xs,
+        x=problem.blocks(x),
         y=y,
-        z=zs_exact,
+        z=problem.blocks(z_exact),
         primal_value=pobj,
         dual_value=dobj,
         gap=gap,
@@ -315,15 +350,16 @@ def verify_solution(problem, solution):
     minimum eigenvalues of the primal blocks and of C - sum y_i A_i, and the
     normalized duality gap.
     """
-    primal_residual = float(np.abs(_apply_a(problem, solution.x) - problem.b).max(initial=0.0))
+    x = _flat(solution.x)
+    primal_residual = float(np.abs(problem.apply(x) - problem.b).max(initial=0.0))
     x_min_eig = min(
-        linalg.min_hermitian_eigenvalue(x.astype(np.complex128), tol=1e-6) for x in solution.x
+        linalg.min_hermitian_eigenvalue(xb.astype(np.complex128), tol=1e-6) for xb in solution.x
     )
-    slack = [c - at for c, at in zip(problem.c, _apply_at(problem, solution.y))]
+    slack = problem.blocks(problem.c - problem.adjoint(solution.y))
     z_min_eig = min(
-        linalg.min_hermitian_eigenvalue(z.astype(np.complex128), tol=1e-6) for z in slack
+        linalg.min_hermitian_eigenvalue(zb.astype(np.complex128), tol=1e-6) for zb in slack
     )
-    pobj = sum(float(np.tensordot(c, x)) for c, x in zip(problem.c, solution.x))
+    pobj = float(problem.c @ x)
     dobj = float(problem.b @ solution.y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
     return {

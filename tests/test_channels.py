@@ -173,6 +173,14 @@ def test_phase_matrix_and_cphase():
         channels.phase_matrix(1, 0.25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phase_matrix_rejects_non_finite_theta(bad):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        channels.phase_matrix(2, bad)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        channels.generalized_cphase(4, bad)
+
+
 def test_lambda_mixture_returns_pair():
     actual, ideal = channels.lambda_mixture(3, 0.2)
     np.testing.assert_allclose(ideal, channels.phase_matrix(3, np.pi), atol=1e-15)

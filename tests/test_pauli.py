@@ -56,6 +56,13 @@ def test_pauli_channel_validation():
         pauli.PauliChannel(1, {"I": 1.2, "X": -0.2})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pauli_channel_rejects_non_finite_probabilities(bad):
+    # NaN slips through both the sign test and the sum test
+    with pytest.raises(ValueError, match="probability of 'X' is not finite"):
+        pauli.PauliChannel(1, {"I": 1.0, "X": bad})
+
+
 def test_error_rate_is_nonidentity_weight():
     pc = pauli.PauliChannel(1, {"I": 0.85, "X": 0.1, "Z": 0.05})
     assert pc.error_rate == pytest.approx(0.15)

@@ -23,6 +23,15 @@ def test_solver_health_passes_on_a_real_solve():
     assert detail.startswith("1 solves:")
 
 
+def test_solver_health_gates_the_recorded_verification_figures():
+    ctx = recorded_context(channels.amplitude_damping(0.3))
+    rec = ctx.records[0]
+    ctx.records[0] = dataclasses.replace(rec, checked={**rec.checked, "gap": 2e-8})
+    passed, detail = refcheck._check_solver_health(ctx)
+    assert not passed
+    assert detail == "solve 0: duality gap 2.000e-08 above 1e-8"
+
+
 def test_solver_health_tests_sampled_bound_against_upper_certificate():
     # the value stays put and the certificate drops just below the sampled
     # bound (same samples as the check), so only the certificate gate fails

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gatebounds import sdp
+from gatebounds import channels, diamond, sdp
 
 
 def random_symmetric(rng, n):
@@ -50,6 +50,8 @@ def test_problem_validation():
         sdp.SdpProblem([2], [eye], [[eye]], [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         sdp.SdpProblem([0], [np.zeros((0, 0))], [], [])
+    with pytest.raises(ValueError, match="one matrix per block"):
+        sdp.SdpProblem([2], [eye, eye], [[eye]], [1.0])
     for bad in (np.nan, np.inf, -np.inf):
         corrupt = np.diag([bad, 1.0])
         with pytest.raises(ValueError, match="objective block has a non-finite"):
@@ -143,8 +145,62 @@ def test_dual_slack_recomputed_exactly():
     c = random_symmetric(rng, 3)
     prob = min_eig_problem(c)
     sol = sdp.solve(prob)
-    want = prob.c[0] - np.tensordot(sol.y, prob.a[0], axes=1)
-    assert np.array_equal(sol.z[0], want)
+    want = prob.c - sol.y @ prob.a
+    assert np.array_equal(np.concatenate([z.ravel() for z in sol.z]), want)
+
+
+def test_flat_operator_matches_its_definitions():
+    rng = np.random.default_rng(72)
+    dims, m = (3, 4, 2), 5
+    objective = [random_symmetric(rng, n) for n in dims]
+    rows = [[random_symmetric(rng, n) for n in dims] for _ in range(m)]
+    prob = sdp.SdpProblem(dims, objective, rows, rng.standard_normal(m))
+    size = sum(n * n for n in dims)
+    assert prob.a.shape == (m, size) and prob.a.flags.c_contiguous
+    assert prob.c.shape == (size,)
+    for got, want in zip(prob.blocks(prob.c), objective):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    xs = [random_spd(rng, n) for n in dims]
+    zinvs = [np.linalg.inv(random_spd(rng, n)) for n in dims]
+    y = rng.standard_normal(m)
+    x = np.concatenate([xb.ravel() for xb in xs])
+    for got, want in zip(prob.blocks(x), xs):
+        assert np.array_equal(got, want)
+    applied = [sum(np.trace(a @ xb) for a, xb in zip(row, xs)) for row in rows]
+    np.testing.assert_allclose(prob.apply(x), applied, rtol=0, atol=1e-12)
+    for b, got in enumerate(prob.blocks(prob.adjoint(y))):
+        want = sum(yi * row[b] for yi, row in zip(y, rows))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    schur = [
+        [
+            sum(np.trace(ai @ zi @ aj @ xb) for ai, aj, zi, xb in zip(ri, rj, zinvs, xs))
+            for rj in rows
+        ]
+        for ri in rows
+    ]
+    np.testing.assert_allclose(prob.schur(xs, zinvs), schur, rtol=0, atol=1e-12)
+
+
+def test_two_schur_solves_per_iteration(monkeypatch):
+    # the Schur Cholesky only tests definiteness; each of the two directions
+    # is then a single solve against the Schur matrix
+    j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
+    prob = diamond._encode(j, 2)
+    m = prob.num_constraints
+    assert m not in prob.block_dims
+    shapes = []
+    real = np.linalg.solve
+
+    def counting(a, b):
+        shapes.append(np.shape(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    sol = sdp.solve(prob)
+    assert sol.status is sdp.SdpStatus.CONVERGED
+    # the last iteration only tests convergence
+    assert shapes.count((m, m)) <= 2 * (sol.iterations - 1)
 
 
 def test_verify_solution_matches_solution_fields():
