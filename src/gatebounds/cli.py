@@ -281,6 +281,9 @@ def write_sweep_csv(rows, fh):
 def cmd_sweep(args):
     if args.points < 1:
         raise ValueError("--points must be at least 1")
+    for flag, value in (("--phi-min", args.phi_min), ("--phi-max", args.phi_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     if args.phi_min >= args.phi_max:
         raise ValueError("--phi-min must be strictly below --phi-max")
     phis = np.linspace(args.phi_min, args.phi_max, args.points)

@@ -5,12 +5,16 @@ The workhorse is a semidefinite program in the standard maximization form
     maximize   tr(J(E - F) W)
     subject to 0 <= W <= I_out (x) rho,   rho >= 0,   tr rho = 1,
 
-whose optimum is exactly half the diamond norm of E - F.  Unitary pairs and
-Pauli pairs short-circuit to closed forms; everything else is encoded into
-the block solver of :mod:`gatebounds.sdp` through the real embedding of
-Hermitian matrices.  Every SDP result carries primal and dual certificates
-with measured-residual margins, so callers can trust (and re-verify) the
-returned interval without rerunning the solver.
+whose optimum is exactly half the diamond norm of E - F (Watrous,
+"Semidefinite programs for completely bounded norms", Theory of Computing 5,
+2009).  Unitary pairs and Pauli pairs short-circuit to closed forms;
+everything else is encoded as complex Hermitian blocks for the solver of
+:mod:`gatebounds.sdp`.  Every SDP result carries primal and dual
+certificates with measured-residual margins, so callers can trust (and
+re-verify) the returned interval without rerunning the solver.  The margins
+are in the units of that complex problem: the primal residual is measured on
+the constraints of :func:`_encode` (rhs 0 and tr rho = 1), and the dual
+slack is C - sum y_i A_i with objective -J.
 
 The encoder normalization is calibrated once per process against the unitary
 closed form; a mismatch aborts with :class:`CalibrationError` since it would
@@ -19,6 +23,7 @@ mean the package is miswired, not that an input is bad.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,27 +156,28 @@ def _hermitian_basis(n):
 
 
 def _encode(j_delta, d):
-    """Build the block SDP for the maximization above.
+    """Build the block SDP for the maximization above, in minimization form.
 
-    Blocks (after the real embedding): W, the slack I (x) rho - W, and rho.
-    The linking constraint is expanded over an orthonormal Hermitian basis;
-    the objective is -embed(J)/2, the half compensating the doubling of
-    inner products under the embedding.
+    Complex Hermitian blocks of sizes (d^2, d^2, d): W, the slack
+    S = I (x) rho - W, and rho.  The objective is -J.  The linking
+    constraint W + S = I (x) rho is expanded over an orthonormal Hermitian
+    basis F_i of the d^2 x d^2 matrices: row i is (F_i, F_i, -Tr_1 F_i) with
+    rhs 0, since Re tr(F_i (I (x) rho)) = Re tr((Tr_1 F_i) rho).  The last
+    row (0, 0, I_d) with rhs 1 fixes tr rho.
     """
     d2 = d * d
-    zero_w = np.zeros((2 * d2, 2 * d2))
-    zero_r = np.zeros((2 * d, 2 * d))
-    objective = [-sdp.embed_hermitian(j_delta) / 2.0, zero_w, zero_r]
+    zero_w = np.zeros((d2, d2))
+    zero_r = np.zeros((d, d))
+    objective = [-j_delta, zero_w, zero_r]
     constraints = []
     rhs = []
     for f in _hermitian_basis(d2):
-        ef = sdp.embed_hermitian(f)
         g = linalg.partial_trace(f, (d, d), keep=1)
-        constraints.append([ef, ef, -sdp.embed_hermitian(g)])
+        constraints.append([f, f, -g])
         rhs.append(0.0)
-    constraints.append([zero_w, zero_w, sdp.embed_hermitian(np.eye(d))])
-    rhs.append(2.0)
-    return sdp.SdpProblem([2 * d2, 2 * d2, 2 * d], objective, constraints, rhs)
+    constraints.append([zero_w, zero_w, np.eye(d)])
+    rhs.append(1.0)
+    return sdp.SdpProblem([d2, d2, d], objective, constraints, rhs)
 
 
 @functools.cache
@@ -201,12 +207,12 @@ def _solve_pair(e, f):
     value_primal = -checked["primal_value"]
     value_dual = -checked["dual_value"]
     # measured-residual margins: dual slack negativity is charged against the
-    # feasible-trace bound 2(d + 1); primal infeasibility and block
-    # negativity against a linear sensitivity bound in the objective size
+    # feasible-trace bound d + 1; primal infeasibility and block negativity
+    # against a linear sensitivity bound in the objective size
     jnorm = linalg.trace_norm(j_delta, tol=1e-6)
     neg_x = max(0.0, -checked["x_min_eig"])
     neg_z = max(0.0, -checked["z_min_eig"])
-    slack = 2.0 * (d + 1) * neg_z + (d * d * checked["primal_residual"] + 2.0 * d * d * neg_x) * max(1.0, jnorm)
+    slack = (d + 1) * neg_z + (2.0 * d * d * checked["primal_residual"] + 2.0 * d * d * neg_x) * max(1.0, jnorm)
     lower = min(value_primal, value_dual) - slack
     upper = max(value_primal, value_dual) + slack
     lower = min(1.0, max(0.0, lower))
@@ -270,8 +276,8 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
         f = identity_channel(e.dim)
     if e.dim != f.dim:
         raise ValueError("channels differ in dimension")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     d = e.dim
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((samples, d * d)) + 1j * rng.standard_normal((samples, d * d))

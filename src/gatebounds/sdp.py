@@ -1,19 +1,19 @@
 """Dense primal-dual interior-point solver for small block SDPs.
 
-Standard form: minimize <C, X> over block-diagonal real symmetric X >= 0
-subject to <A_i, X> = b_i.  The solver runs the HKM search direction with a
-Mehrotra predictor-corrector step, starting from scaled identity iterates.
-It is written for the problem sizes this package produces (a few hundred
-rows, a few thousand constraints at most) and keeps everything dense.
+Standard form: minimize <C, X> over block-diagonal complex Hermitian X >= 0
+subject to <A_i, X> = b_i, with the real inner product <A, B> = Re tr(A B).
+The solver runs the HKM search direction with a Mehrotra predictor-corrector
+step, starting from scaled identity iterates.  It is written for the problem
+sizes this package produces (a few hundred rows, a few thousand constraints
+at most) and keeps everything dense.
 
 The iterate path is deterministic: no randomness, fixed initialization, and
 plain NumPy arithmetic, so repeated solves of the same problem produce
 identical histories.
 
-Complex Hermitian data enters through :func:`embed_hermitian`, which maps a
-Hermitian matrix to the standard real symmetric 2x2 block form.  The
-embedding doubles inner products; encoders compensate by halving objective
-data (see :mod:`gatebounds.diamond`).
+Every block is complex Hermitian, whatever the data's dtype: real symmetric
+problems enter as Hermitian matrices with zero imaginary part and run on the
+same code path.  Transposes are conjugate transposes throughout.
 
 The tolerances are module constants, because the certificates downstream
 are judged against them.  A solve is converged once the primal and dual
@@ -21,11 +21,14 @@ residuals are within ``FEAS_TOL`` and the normalized duality gap is within
 ``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.
 
 The problem data is one flat operator.  Every block-diagonal matrix is a
-vector of length N = sum n_b^2, block b in its own range as a row-major vec;
-the constraints are the rows of one (m, N) matrix.  :class:`SdpProblem`
-exposes the operator through four methods: ``apply`` (X -> <A_i, X>, one
-matrix-vector product), ``adjoint`` (y -> sum y_i A_i, one vector-matrix
-product), ``schur`` (the HKM Schur complement, assembled per block with
+complex vector of length N = sum n_b^2, block b in its own range as a
+row-major vec; the constraints are the rows of one complex (m, N) matrix.
+For Hermitian A and B, Re tr(A B) is the dot product of the float64 views of
+their vecs (real and imaginary parts interleaved), so every inner product is
+one real BLAS call on a view, with no copy.  :class:`SdpProblem` exposes the
+operator through four methods: ``apply`` (X -> <A_i, X>, one real
+matrix-vector product on the float64 view), ``adjoint`` (y -> sum y_i A_i,
+likewise), ``schur`` (the HKM Schur complement, assembled per block with
 matrix products) and ``blocks`` (a flat vector as its (n, n) block views).
 The iterates X and Z, the residuals and the directions are flat vectors, so
 inner products, residual norms and right-hand sides are single BLAS calls;
@@ -36,9 +39,10 @@ Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
 Cholesky factor (as in SDPA and SDPT3), and damped by ``STEP_FRACTION``.
 Every iteration factors each X and Z block once; those factors give Z^-1 and
-all four step lengths.  The Schur matrix is factored by Cholesky only to
-test that it is positive definite (with one jittered retry); each of the two
-directions per iteration is then one ``np.linalg.solve`` against it.
+all four step lengths.  The Schur matrix is real symmetric; it is factored
+by Cholesky only to test that it is positive definite (with one jittered
+retry), and each of the two directions per iteration is then one
+``np.linalg.solve`` against it.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import linalg
 
-SYMMETRY_TOL = 1e-12
+HERMITIAN_TOL = 1e-12
 MAX_ITERATIONS = 200
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
@@ -68,14 +72,16 @@ class SdpStatus(Enum):
 class SdpProblem:
     """Block-diagonal SDP data: objective C, constraints A_i, rhs b.
 
-    ``objective`` is one real symmetric matrix per block; ``constraints`` is
-    a sequence of per-block matrix lists, one list per constraint row.
+    ``objective`` is one Hermitian matrix per block; ``constraints`` is a
+    sequence of per-block matrix lists, one list per constraint row.  Real
+    symmetric matrices are Hermitian matrices like any other.
 
-    The data is stored flat.  Block b of a matrix tuple is the row-major vec
-    of its (symmetrized) matrix, placed in its own column range of a vector
-    of length N = sum n_b^2: ``c`` is the flat objective and ``a`` the
-    C-contiguous (m, N) matrix whose row i is the flat A_i.  With symmetric
-    blocks, sum_b tr(A_ib X_b) is the dot product of the flat vectors.
+    The data is stored flat and complex.  Block b of a matrix tuple is the
+    row-major vec of its (Hermitian part of the) matrix, placed in its own
+    column range of a vector of length N = sum n_b^2: ``c`` is the flat
+    objective and ``a`` the C-contiguous (m, N) matrix whose row i is the flat
+    A_i.  With Hermitian blocks, sum_b Re tr(A_ib X_b) is the dot product of
+    the float64 views of the flat vectors.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs):
@@ -89,7 +95,7 @@ class SdpProblem:
         objective = list(objective)
         if len(objective) != len(self.block_dims):
             raise ValueError("objective must provide one matrix per block")
-        self.c = np.empty(size)
+        self.c = np.empty(size, dtype=np.complex128)
         for mat, view in zip(objective, self.blocks(self.c[None])):
             self._checked_stack([mat], view, "objective")
         self.b = np.asarray(rhs, dtype=float).copy()
@@ -101,22 +107,25 @@ class SdpProblem:
         rows = list(constraints)
         if len(rows) != m:
             raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
-        self.a = np.empty((m, self.c.size))
+        self.a = np.empty((m, size), dtype=np.complex128)
         # per-block (m, n, n) views into a, for the Schur assembly
         self._a_stacks = self.blocks(self.a)
         for bidx, view in enumerate(self._a_stacks):
             self._checked_stack([row[bidx] for row in rows], view, "constraint {}")
+        # (m, 2N) real view: Re tr(A_i X) is a row of it dotted with X's view
+        self._a_real = self.a.view(np.float64)
 
     @staticmethod
     def _checked_stack(mats, out, label):
-        """Write real (n, n) matrices into the (k, n, n) view ``out``, reject
-        bad shapes, non-finite entries and asymmetry, and symmetrize them.
+        """Write (n, n) matrices into the complex (k, n, n) view ``out``,
+        reject bad shapes, non-finite entries and non-Hermitian matrices, and
+        keep their Hermitian parts.
 
         ``label.format(i)`` names matrix i in error messages.
         """
         n = out.shape[1]
         for i, mat in enumerate(mats):
-            a = np.asarray(mat, dtype=float)
+            a = np.asarray(mat, dtype=np.complex128)
             if a.shape != (n, n):
                 raise ValueError(f"{label.format(i)} block has shape {a.shape}, expected {(n, n)}")
             out[i] = a
@@ -125,22 +134,23 @@ class SdpProblem:
             i = np.flatnonzero(~finite.all(axis=(1, 2)))[0]
             raise ValueError(f"{label.format(i)} block has a non-finite entry")
         for i, a in enumerate(out):
+            adj = a.conj().T
             scale = max(1.0, float(np.abs(a).max()))
-            if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-                raise ValueError(f"{label.format(i)} block is not symmetric")
-            out[i] = (a + a.T) / 2
+            if float(np.abs(a - adj).max()) > HERMITIAN_TOL * scale:
+                raise ValueError(f"{label.format(i)} block is not Hermitian")
+            out[i] = (a + adj) / 2
 
     @property
     def num_constraints(self):
         return self.b.size
 
     def apply(self, x):
-        """The constraint operator on a flat X: entry i is sum_b tr(A_ib X_b)."""
-        return self.a @ x
+        """The constraint operator on a flat X: entry i is sum_b Re tr(A_ib X_b)."""
+        return self._a_real @ x.view(np.float64)
 
     def adjoint(self, y):
         """The adjoint operator as a flat vector: block b is sum_i y_i A_ib."""
-        return y @ self.a
+        return (y @ self._a_real).view(np.complex128)
 
     def blocks(self, v):
         """The (n, n) block views of a flat vector, or the (k, n, n) block
@@ -153,16 +163,18 @@ class SdpProblem:
         return [v[..., sl].reshape(*lead, n, n) for sl, n in zip(self._slices, self.block_dims)]
 
     def schur(self, xs, zinvs):
-        """Schur complement M[i, j] = sum_b tr(A_ib Z_b^-1 A_jb X_b).
+        """Schur complement M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1).
 
-        ``xs`` and ``zinvs`` are the blocks of X and of Z^-1.
+        ``xs`` and ``zinvs`` are the blocks of X and of Z^-1.  With
+        T_j = X A_j Z^-1, the dot product of the float64 views of A_i and T_j
+        is Re tr(A_i T_j^H), which equals Re tr(A_i T_j) because the two
+        traces are complex conjugates.
         """
         m = self.num_constraints
         out = np.zeros((m, m))
         for stack, x, zi in zip(self._a_stacks, xs, zinvs):
-            t = zi[None] @ stack @ x[None]
-            n = x.shape[0]
-            out += stack.reshape(m, n * n) @ t.transpose(0, 2, 1).reshape(m, n * n).T
+            t = x[None] @ stack @ zi[None]
+            out += stack.view(np.float64).reshape(m, -1) @ t.view(np.float64).reshape(m, -1).T
         return out
 
 
@@ -179,21 +191,14 @@ class SdpSolution:
     history: list = field(repr=False)
 
 
-def embed_hermitian(h):
-    """Real symmetric 2x2 block embedding [[Re, -Im], [Im, Re]].
-
-    Positive semidefiniteness is preserved both ways and every inner product
-    is doubled, so eigenvalues of the embedding are those of ``h``, each
-    twice.
-    """
-    a = np.asarray(h, dtype=np.complex128)
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
-
-
 def _flat(mats):
     """Concatenate the row-major vecs of per-block matrices."""
     return np.concatenate([mat.ravel() for mat in mats])
+
+
+def _inner(u, v):
+    """<U, V> = Re tr(U V) of flat Hermitian block vectors, on float64 views."""
+    return float(u.view(np.float64) @ v.view(np.float64))
 
 
 def _chol_or_none(mat):
@@ -204,7 +209,7 @@ def _chol_or_none(mat):
 
 
 def _inverse_cholesky(mat):
-    """L^-1 for the Cholesky factor of mat = L L^T, or None if mat is not PD."""
+    """L^-1 for the Cholesky factor of mat = L L^H, or None if mat is not PD."""
     lower = _chol_or_none(mat)
     if lower is None:
         return None
@@ -214,13 +219,13 @@ def _inverse_cholesky(mat):
 def _max_step(inv_factors, dmats, cap):
     """Largest step in [0, cap] keeping every block positive semidefinite.
 
-    For M = L L^T, M + alpha D >= 0 exactly when I + alpha L^-1 D L^-T >= 0,
-    so a block's boundary lies at -1/lambda_min(L^-1 D L^-T) when that
+    For M = L L^H, M + alpha D >= 0 exactly when I + alpha L^-1 D L^-H >= 0,
+    so a block's boundary lies at -1/lambda_min(L^-1 D L^-H) when that
     eigenvalue is negative and nowhere otherwise.
     """
     step = cap
     for inv_l, dm in zip(inv_factors, dmats):
-        lam = np.linalg.eigvalsh(inv_l @ dm @ inv_l.T)[0]
+        lam = np.linalg.eigvalsh(inv_l @ dm @ inv_l.conj().T)[0]
         if lam < 0.0:
             step = min(step, -1.0 / lam)
     return step
@@ -238,7 +243,7 @@ def solve(problem):
     b, c = problem.b, problem.c
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(c).max(initial=0.0))
-    x = scale * _flat([np.eye(n) for n in dims])
+    x = scale * _flat([np.eye(n, dtype=np.complex128) for n in dims])
     z = x.copy()
     y = np.zeros(m)
 
@@ -249,8 +254,8 @@ def solve(problem):
     for iterations in range(MAX_ITERATIONS):
         rp = b - problem.apply(x)
         rd = c - problem.adjoint(y) - z
-        mu = float(x @ z) / ntot
-        pobj = float(c @ x)
+        mu = _inner(x, z) / ntot
+        pobj = _inner(c, x)
         dobj = float(b @ y)
         pinf = float(np.abs(rp).max(initial=0.0))
         dinf = float(np.abs(rd).max(initial=0.0))
@@ -268,9 +273,9 @@ def solve(problem):
         if any(f is None for f in inv_lx + inv_lz):
             status = SdpStatus.NUMERICAL_FAILURE
             break
-        zinv = [f.T @ f for f in inv_lz]
+        zinv = [f.conj().T @ f for f in inv_lz]
 
-        # symmetric positive definite while X, Z are interior; its Cholesky
+        # real symmetric positive definite while X, Z are interior; its Cholesky
         # factor only tests that, and the directions solve against the matrix
         schur = problem.schur(xs, zinv)
         schur = (schur + schur.T) / 2
@@ -298,13 +303,13 @@ def solve(problem):
             dz = rd - problem.adjoint(dy)
             steps = times_zinv([xb @ dzb for xb, dzb in zip(xs, problem.blocks(dz))], nu, cross)
             raw = [-xb - s for xb, s in zip(xs, steps)]
-            dx = _flat([(r + r.T) / 2 for r in raw])
+            dx = _flat([(r + r.conj().T) / 2 for r in raw])
             return dx, dy, dz
 
         dx_aff, dy_aff, dz_aff = direction(0.0, None)
         ap_aff = _max_step(inv_lx, problem.blocks(dx_aff), 1.0)
         ad_aff = _max_step(inv_lz, problem.blocks(dz_aff), 1.0)
-        mu_aff = float((x + ap_aff * dx_aff) @ (z + ad_aff * dz_aff)) / ntot
+        mu_aff = _inner(x + ap_aff * dx_aff, z + ad_aff * dz_aff) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         cross = [
@@ -327,7 +332,7 @@ def solve(problem):
 
     # exact dual slack for independently checkable certificates
     z_exact = c - problem.adjoint(y)
-    pobj = float(c @ x)
+    pobj = _inner(c, x)
     dobj = float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
     return SdpSolution(
@@ -352,14 +357,10 @@ def verify_solution(problem, solution):
     """
     x = _flat(solution.x)
     primal_residual = float(np.abs(problem.apply(x) - problem.b).max(initial=0.0))
-    x_min_eig = min(
-        linalg.min_hermitian_eigenvalue(xb.astype(np.complex128), tol=1e-6) for xb in solution.x
-    )
+    x_min_eig = min(linalg.min_hermitian_eigenvalue(xb, tol=1e-6) for xb in solution.x)
     slack = problem.blocks(problem.c - problem.adjoint(solution.y))
-    z_min_eig = min(
-        linalg.min_hermitian_eigenvalue(zb.astype(np.complex128), tol=1e-6) for zb in slack
-    )
-    pobj = float(problem.c @ x)
+    z_min_eig = min(linalg.min_hermitian_eigenvalue(zb, tol=1e-6) for zb in slack)
+    pobj = _inner(problem.c, x)
     dobj = float(problem.b @ solution.y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
     return {

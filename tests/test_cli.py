@@ -348,6 +348,21 @@ def test_sweep_rejects_bad_ranges(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--phi-min", "--phi-max"])
+def test_sweep_rejects_non_finite_range(tmp_path, capsys, flag, bad):
+    out = tmp_path / "never.csv"
+    limits = {"--phi-min": "0.8", "--phi-max": "0.9"}
+    limits[flag] = bad
+    argv = ["sweep", "--model", "depolarizing", "--out", str(out)]
+    argv += [f"{name}={value}" for name, value in limits.items()]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite")
+    assert "attainable range" not in err
+    assert not out.exists()
+
+
 def test_paper_check_list_names_every_check(capsys):
     from gatebounds import refcheck
 

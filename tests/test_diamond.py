@@ -97,6 +97,33 @@ def test_sdp_matches_pauli_closed_form():
         assert abs(via_sdp - pc.error_rate) <= 1e-6
 
 
+def short_arc_unitary(rng, n, arc):
+    # Haar eigenbasis (that of a GUE matrix), eigenphases spread over arc
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(a + a.conj().T)
+    phases = arc * (w - w[0]) / (w[-1] - w[0])
+    return (v * np.exp(1j * phases)) @ v.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_forced_sdp_certificates_bracket_closed_forms(d):
+    # the certified interval, not just the point value, must contain the
+    # exact distance: Haar unitaries (at d >= 3 their arc usually saturates
+    # the distance at 1), unitaries whose distance stays below 1, and at
+    # qubit dimensions the Pauli twirls of both
+    rng = np.random.default_rng(75 + d)
+    for u in (random_unitary(rng, d), short_arc_unitary(rng, d, 1.0 + rng.random())):
+        ch = channels.unitary_channel(u)
+        cases = [(ch, diamond.unitary_diamond_distance(u).value)]
+        if d != 3:
+            twirled = pauli.pauli_twirl(ch)
+            cases.append((twirled, pauli.as_pauli_channel(twirled).error_rate))
+        for channel, closed in cases:
+            res = diamond.diamond_distance(channel, method="sdp")
+            assert res.method is DiamondMethod.SDP
+            assert res.lower_certificate <= closed <= res.upper_certificate
+
+
 def test_sdp_cross_checks_arc_saturation():
     ch = channels.unitary_channel(np.diag([1.0, 1j, -1.0]))
     via_sdp = diamond.diamond_distance(ch, method="sdp")
@@ -146,8 +173,11 @@ def test_brute_force_never_exceeds_closed_form():
 
 
 def test_brute_force_validation():
-    with pytest.raises(ValueError):
-        diamond.brute_force_lower_bound(channels.identity_channel(2), samples=0)
+    ch = channels.identity_channel(2)
+    for bad in (0, -3, True, False, np.True_, 2.5, 3.0, math.nan, math.inf, -math.inf, "10", None):
+        with pytest.raises(ValueError, match="samples"):
+            diamond.brute_force_lower_bound(ch, samples=bad)
+    assert diamond.brute_force_lower_bound(ch, samples=np.int64(3)) == 0.0
     with pytest.raises(ValueError):
         diamond.brute_force_lower_bound(
             channels.identity_channel(2), channels.identity_channel(3)

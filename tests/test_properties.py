@@ -3,19 +3,28 @@
 Examples are derandomized so that every run checks the same inputs.
 """
 
+import dataclasses
+import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatebounds import bounds, channels, diamond, metrics
+from gatebounds import bounds, channels, cli, diamond, metrics
 from gatebounds.channels import Channel, ChannelValidationError
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+# every finite float64, with the edges of the format always in the mix:
+# signed zeros, the smallest and largest subnormals, and +-max
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max, -sys.float_info.max]
+FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+SWEEP_NUMBERS = len(dataclasses.fields(bounds.SweepRecord)) - 1
 
 
 @st.composite
@@ -73,3 +82,20 @@ def test_channel_rejects_non_finite_kraus_entries(bad, k, flat, imaginary):
     ops[k][divmod(flat, 2)] = complex(0.0, bad) if imaginary else bad
     with pytest.raises(ChannelValidationError, match=f"Kraus operator {k} has a non-finite entry"):
         Channel(ops)
+
+
+@settings(derandomize=True, database=None, max_examples=20)
+@given(st.lists(st.lists(FINITE_FLOATS, min_size=SWEEP_NUMBERS, max_size=SWEEP_NUMBERS), min_size=1, max_size=4))
+def test_sweep_csv_round_trip_is_bit_exact(rows):
+    records = [bounds.SweepRecord("depolarizing", *values) for values in rows]
+    fh = io.StringIO()
+    cli.write_sweep_csv(records, fh)
+    lines = fh.getvalue().splitlines()
+    assert lines[0] == cli.SWEEP_HEADER
+    assert len(lines) == len(rows) + 1
+    for line, values in zip(lines[1:], rows):
+        model, *fields = line.split(",")
+        assert model == "depolarizing"
+        parsed = np.array([float(f) for f in fields])
+        # compared as bit patterns, so -0.0 must come back as -0.0
+        assert np.array_equal(parsed.view(np.int64), np.array(values).view(np.int64))

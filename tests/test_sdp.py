@@ -11,6 +11,11 @@ def random_symmetric(rng, n):
     return (a + a.T) / 2
 
 
+def random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
 def min_eig_problem(c):
     # minimize <C, X> over X >= 0 with tr X = 1; optimum is the smallest
     # eigenvalue of C, attained on the matching eigenprojector
@@ -29,21 +34,17 @@ def decoupled_problem(c1, c2):
     )
 
 
-def test_embed_is_symmetric_and_doubles_eigenvalues():
-    rng = np.random.default_rng(60)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = (a + a.conj().T) / 2
-    s = sdp.embed_hermitian(h)
-    np.testing.assert_allclose(s, s.T, atol=1e-15)
-    doubled = np.sort(np.concatenate([np.linalg.eigvalsh(h)] * 2))
-    np.testing.assert_allclose(np.linalg.eigvalsh(s), doubled, atol=1e-10)
-
-
 def test_problem_validation():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     eye = np.eye(2)
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(ValueError, match="not Hermitian"):
         sdp.SdpProblem([2], [asym], [[eye]], [1.0])
+    # complex symmetric, not Hermitian: the imaginary part must be antisymmetric
+    csym = np.array([[1.0, 1j], [1j, 1.0]])
+    with pytest.raises(ValueError, match="objective block is not Hermitian"):
+        sdp.SdpProblem([2], [csym], [[eye]], [1.0])
+    with pytest.raises(ValueError, match="constraint 0 block is not Hermitian"):
+        sdp.SdpProblem([2], [eye], [[eye + 1e-6j * np.eye(2)]], [1.0])
     with pytest.raises(ValueError, match="shape"):
         sdp.SdpProblem([2], [np.eye(3)], [[eye]], [1.0])
     with pytest.raises(ValueError, match="constraint rows"):
@@ -95,6 +96,16 @@ def test_min_eigenvalue_problem(n):
     sol = sdp.solve(min_eig_problem(c))
     assert sol.status is sdp.SdpStatus.CONVERGED
     assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_complex_min_eigenvalue_problem(n):
+    rng = np.random.default_rng(73 + n)
+    c = random_hermitian(rng, n)
+    sol = sdp.solve(min_eig_problem(c))
+    assert sol.status is sdp.SdpStatus.CONVERGED
+    assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c)[0], abs=1e-7)
+    assert sdp.verify_solution(min_eig_problem(c), sol)["primal_residual"] <= 1e-8
 
 
 def test_weak_duality_once_iterates_are_feasible():
@@ -152,8 +163,8 @@ def test_dual_slack_recomputed_exactly():
 def test_flat_operator_matches_its_definitions():
     rng = np.random.default_rng(72)
     dims, m = (3, 4, 2), 5
-    objective = [random_symmetric(rng, n) for n in dims]
-    rows = [[random_symmetric(rng, n) for n in dims] for _ in range(m)]
+    objective = [random_hermitian(rng, n) for n in dims]
+    rows = [[random_hermitian(rng, n) for n in dims] for _ in range(m)]
     prob = sdp.SdpProblem(dims, objective, rows, rng.standard_normal(m))
     size = sum(n * n for n in dims)
     assert prob.a.shape == (m, size) and prob.a.flags.c_contiguous
@@ -161,20 +172,20 @@ def test_flat_operator_matches_its_definitions():
     for got, want in zip(prob.blocks(prob.c), objective):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    xs = [random_spd(rng, n) for n in dims]
-    zinvs = [np.linalg.inv(random_spd(rng, n)) for n in dims]
+    xs = [random_hpd(rng, n) for n in dims]
+    zinvs = [np.linalg.inv(random_hpd(rng, n)) for n in dims]
     y = rng.standard_normal(m)
     x = np.concatenate([xb.ravel() for xb in xs])
     for got, want in zip(prob.blocks(x), xs):
         assert np.array_equal(got, want)
-    applied = [sum(np.trace(a @ xb) for a, xb in zip(row, xs)) for row in rows]
+    applied = [sum(np.trace(a @ xb).real for a, xb in zip(row, xs)) for row in rows]
     np.testing.assert_allclose(prob.apply(x), applied, rtol=0, atol=1e-12)
     for b, got in enumerate(prob.blocks(prob.adjoint(y))):
         want = sum(yi * row[b] for yi, row in zip(y, rows))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     schur = [
         [
-            sum(np.trace(ai @ zi @ aj @ xb) for ai, aj, zi, xb in zip(ri, rj, zinvs, xs))
+            sum(np.trace(ai @ zi @ aj @ xb).real for ai, aj, zi, xb in zip(ri, rj, zinvs, xs))
             for rj in rows
         ]
         for ri in rows
@@ -219,12 +230,17 @@ def random_spd(rng, n):
     return a @ a.T + 0.1 * np.eye(n)
 
 
+def random_hpd(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a @ a.conj().T + 0.1 * np.eye(n)
+
+
 def reference_step(mats, dmats, cap):
-    # boundary of M + a D >= 0 from the symmetric square root of M
+    # boundary of M + a D >= 0 from the Hermitian square root of M
     step = cap
     for m, dm in zip(mats, dmats):
         w, v = np.linalg.eigh(m)
-        root_inv = v @ np.diag(w**-0.5) @ v.T
+        root_inv = v @ np.diag(w**-0.5) @ v.conj().T
         lam = np.linalg.eigvalsh(root_inv @ dm @ root_inv).min()
         if lam < 0.0:
             step = min(step, -1.0 / lam)
@@ -233,10 +249,18 @@ def reference_step(mats, dmats, cap):
 
 @pytest.mark.parametrize("dims", [(4,), (5, 3, 2)])
 def test_max_step_is_exact_distance_to_boundary(dims):
-    rng = np.random.default_rng(68)
+    check_max_step(np.random.default_rng(68), dims, random_spd, random_symmetric)
+
+
+@pytest.mark.parametrize("dims", [(4,), (5, 3, 2)])
+def test_max_step_is_exact_on_hermitian_blocks(dims):
+    check_max_step(np.random.default_rng(74), dims, random_hpd, random_hermitian)
+
+
+def check_max_step(rng, dims, pd, direction):
     for _ in range(20):
-        mats = [random_spd(rng, n) for n in dims]
-        dmats = [random_symmetric(rng, n) for n in dims]
+        mats = [pd(rng, n) for n in dims]
+        dmats = [direction(rng, n) for n in dims]
         factors = [sdp._inverse_cholesky(m) for m in mats]
         cap = 1e6
         step = sdp._max_step(factors, dmats, cap)
