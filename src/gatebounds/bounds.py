@@ -226,7 +226,11 @@ def sweep_rows(model, phis):
     if model not in SWEEP_MODELS:
         raise ValueError(f"unknown sweep model {model!r}")
     build, lo, hi = SWEEP_MODELS[model]
-    values = sorted(float(p) for p in phis)
+    values = [float(p) for p in phis]
+    for phi in values:
+        if not math.isfinite(phi):
+            raise ValueError(f"fidelity must be finite, got {phi!r}")
+    values.sort()
     for phi in values:
         if not lo <= phi <= hi:
             raise ValueError(

@@ -28,12 +28,23 @@ their vecs (real and imaginary parts interleaved), so every inner product is
 one real BLAS call on a view, with no copy.  :class:`SdpProblem` exposes the
 operator through four methods: ``apply`` (X -> <A_i, X>, one real
 matrix-vector product on the float64 view), ``adjoint`` (y -> sum y_i A_i,
-likewise), ``schur`` (the HKM Schur complement, assembled per block with
-matrix products) and ``blocks`` (a flat vector as its (n, n) block views).
-The iterates X and Z, the residuals and the directions are flat vectors, so
+likewise), ``schur`` (the HKM Schur complement, assembled with matrix
+products) and ``blocks`` (a flat vector as its (n, n) block views).  The
+iterates X and Z, the residuals and the directions are flat vectors, so
 inner products, residual norms and right-hand sides are single BLAS calls;
 only the Cholesky factors, Z^-1, the direction products and the step lengths
 work block by block.
+
+The problem data is read-only.  Problems that differ only in the objective
+share one constraint matrix: ``SdpProblem.with_objective`` derives a problem
+without copying or re-validating the constraints, which is how the diamond
+SDP reuses one set of constraints per dimension.  Blocks whose constraint
+stacks are equal entry for entry form a group, and ``schur`` sums
+X_b A_j Z_b^-1 over a group before its one real GEMM, so two blocks that
+share a stack cost one GEMM instead of two.  Each ``solve`` call owns its
+Schur buffers (``SdpProblem.schur_workspace``) and refills them in place
+every iteration; they are not kept on the problem, whose data a caller may
+share or keep after the solve.
 
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
@@ -45,6 +56,7 @@ retry), and each of the two directions per iteration is then one
 ``np.linalg.solve`` against it.
 """
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,6 +94,12 @@ class SdpProblem:
     objective and ``a`` the C-contiguous (m, N) matrix whose row i is the flat
     A_i.  With Hermitian blocks, sum_b Re tr(A_ib X_b) is the dot product of
     the float64 views of the flat vectors.
+
+    ``a``, ``b`` and ``c`` are read-only, so problems that differ only in
+    their objective can share the constraint data: :meth:`with_objective`
+    derives one without copying or re-validating the constraints.  Blocks
+    whose constraint stacks are equal entry for entry form one group, which
+    :meth:`schur` treats as a single stack.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs):
@@ -92,28 +110,55 @@ class SdpProblem:
         for n in self.block_dims:
             self._slices.append(slice(size, size + n * n))
             size += n * n
-        objective = list(objective)
-        if len(objective) != len(self.block_dims):
-            raise ValueError("objective must provide one matrix per block")
-        self.c = np.empty(size, dtype=np.complex128)
-        for mat, view in zip(objective, self.blocks(self.c[None])):
-            self._checked_stack([mat], view, "objective")
+        self.c = self._checked_objective(objective)
         self.b = np.asarray(rhs, dtype=float).copy()
         if self.b.ndim != 1:
             raise ValueError("rhs must be a vector")
         if not np.isfinite(self.b).all():
             raise ValueError("rhs has a non-finite entry")
+        self.b.flags.writeable = False
         m = self.b.size
         rows = list(constraints)
         if len(rows) != m:
             raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
         self.a = np.empty((m, size), dtype=np.complex128)
-        # per-block (m, n, n) views into a, for the Schur assembly
-        self._a_stacks = self.blocks(self.a)
-        for bidx, view in enumerate(self._a_stacks):
+        for bidx, view in enumerate(self.blocks(self.a)):
             self._checked_stack([row[bidx] for row in rows], view, "constraint {}")
+        self.a.flags.writeable = False
         # (m, 2N) real view: Re tr(A_i X) is a row of it dotted with X's view
         self._a_real = self.a.view(np.float64)
+        # (stack, its (m, 2 n^2) float64 view, member blocks) per group of
+        # blocks with equal (m, n, n) constraint stacks, views into a
+        self._groups = []
+        for bidx, stack in enumerate(self.blocks(self.a)):
+            for group in self._groups:
+                if np.array_equal(group[0], stack):
+                    group[2].append(bidx)
+                    break
+            else:
+                real = stack.view(np.float64).reshape(m, 2 * stack.shape[1] ** 2)
+                self._groups.append((stack, real, [bidx]))
+
+    def _checked_objective(self, objective):
+        objective = list(objective)
+        if len(objective) != len(self.block_dims):
+            raise ValueError("objective must provide one matrix per block")
+        c = np.empty(sum(n * n for n in self.block_dims), dtype=np.complex128)
+        for mat, view in zip(objective, self.blocks(c[None])):
+            self._checked_stack([mat], view, "objective")
+        c.flags.writeable = False
+        return c
+
+    def with_objective(self, objective):
+        """The same constraints and rhs with a new objective.
+
+        Shares ``a``, its float64 view, ``b`` and the block groups with this
+        problem; only the objective is validated, with the messages of the
+        constructor.
+        """
+        derived = copy.copy(self)
+        derived.c = self._checked_objective(objective)
+        return derived
 
     @staticmethod
     def _checked_stack(mats, out, label):
@@ -162,20 +207,47 @@ class SdpProblem:
         lead = v.shape[:-1]
         return [v[..., sl].reshape(*lead, n, n) for sl, n in zip(self._slices, self.block_dims)]
 
-    def schur(self, xs, zinvs):
-        """Schur complement M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1).
-
-        ``xs`` and ``zinvs`` are the blocks of X and of Z^-1.  With
-        T_j = X A_j Z^-1, the dot product of the float64 views of A_i and T_j
-        is Re tr(A_i T_j^H), which equals Re tr(A_i T_j) because the two
-        traces are complex conjugates.
-        """
+    def schur_workspace(self):
+        """Buffers for :meth:`schur`: two real (m, m) matrices, and per group
+        two complex (m, n, n) products, plus a third when the group has more
+        than one block."""
         m = self.num_constraints
-        out = np.zeros((m, m))
-        for stack, x, zi in zip(self._a_stacks, xs, zinvs):
-            t = x[None] @ stack @ zi[None]
-            out += stack.view(np.float64).reshape(m, -1) @ t.view(np.float64).reshape(m, -1).T
-        return out
+        temps = [
+            [np.empty(stack.shape, dtype=np.complex128) for _ in range(2 + (len(members) > 1))]
+            for stack, _, members in self._groups
+        ]
+        return np.empty((m, m)), np.empty((m, m)), temps
+
+    def schur(self, xs, zinvs, work=None):
+        """Schur complement M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1),
+        returned as the exactly symmetric (M + M^T) / 2 of the assembled sum.
+
+        ``xs`` and ``zinvs`` are the blocks of X and of Z^-1.  Blocks of one
+        group share the stack A, so the group contributes one real GEMM of
+        A's float64 view against that of T_j = sum_b X_b A_j Z_b^-1: the dot
+        product of the views is Re tr(A_i T_j^H), which equals Re tr(A_i T_j)
+        because the two traces are complex conjugates.
+
+        ``work`` is a :meth:`schur_workspace`; the result is one of its
+        buffers, overwritten by the next call that uses it.
+        """
+        if work is None:
+            work = self.schur_workspace()
+        out, part, temps = work
+        for g, ((stack, stack_real, members), bufs) in enumerate(zip(self._groups, temps)):
+            xa, t = bufs[0], bufs[1]
+            for k, bidx in enumerate(members):
+                np.matmul(xs[bidx], stack, out=xa)
+                if k == 0:
+                    np.matmul(xa, zinvs[bidx], out=t)
+                else:
+                    t += np.matmul(xa, zinvs[bidx], out=bufs[2])
+            np.matmul(stack_real, t.view(np.float64).reshape(len(t), -1).T, out=part if g else out)
+            if g:
+                out += part
+        np.add(out, out.T, out=part)
+        part *= 0.5
+        return part
 
 
 @dataclass
@@ -247,6 +319,10 @@ def solve(problem):
     z = x.copy()
     y = np.zeros(m)
 
+    # Schur buffers for this call only: reused by every iteration, and not
+    # kept on the problem, whose data may be shared and outlive the solve
+    work = problem.schur_workspace()
+
     history = []
     status = SdpStatus.MAX_ITERATIONS
     iterations = 0
@@ -277,10 +353,9 @@ def solve(problem):
 
         # real symmetric positive definite while X, Z are interior; its Cholesky
         # factor only tests that, and the directions solve against the matrix
-        schur = problem.schur(xs, zinv)
-        schur = (schur + schur.T) / 2
+        schur = problem.schur(xs, zinv, work)
         if _chol_or_none(schur) is None:
-            schur = schur + 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max())) * np.eye(m)
+            schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
             if _chol_or_none(schur) is None:
                 status = SdpStatus.NUMERICAL_FAILURE
                 break

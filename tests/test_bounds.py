@@ -176,3 +176,11 @@ def test_audit_explicit_switches():
     # the twirl distance at dimension 8 is an SDP and stays behind the flag
     with pytest.raises(ValueError, match="large"):
         bounds.audit(ch8, np.eye(8), compute_delta=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_rows_rejects_non_finite_fidelity_by_name(bad):
+    # named before the range test, which would call NaN merely out of range
+    with pytest.raises(ValueError, match="fidelity must be finite") as info:
+        bounds.sweep_rows("depolarizing", [0.9, bad])
+    assert "attainable range" not in str(info.value)

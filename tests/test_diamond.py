@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gatebounds import channels, diamond, pauli, sdp
+from gatebounds import channels, diamond, linalg, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod, DiamondResult
 
@@ -243,3 +243,55 @@ def test_unconverged_solve_raises(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     with pytest.raises(sdp.SolverError, match="max_iterations"):
         diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
+
+
+def from_scratch_encoding(j_delta, d):
+    # the diamond SDP built directly, as a reference for the cached template
+    d2 = d * d
+    zero_w, zero_r = np.zeros((d2, d2)), np.zeros((d, d))
+    rows = [
+        [f, f, -linalg.partial_trace(f, (d, d), keep=1)] for f in diamond._hermitian_basis(d2)
+    ]
+    rows.append([zero_w, zero_w, np.eye(d)])
+    rhs = [0.0] * (len(rows) - 1) + [1.0]
+    return sdp.SdpProblem([d2, d2, d], [-j_delta, zero_w, zero_r], rows, rhs)
+
+
+def random_choi_difference(rng, d):
+    gate = channels.unitary_channel(random_unitary(rng, d))
+    e = channels.mix([(0.8, gate), (0.2, channels.identity_channel(d))])
+    return e.choi - channels.identity_channel(d).choi
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_encode_matches_a_from_scratch_problem(d):
+    j = random_choi_difference(np.random.default_rng(80 + d), d)
+    got, want = diamond._encode(j, d), from_scratch_encoding(j, d)
+    assert got.block_dims == want.block_dims
+    for name in ("a", "b", "c"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), name
+
+
+def test_encodings_share_one_read_only_template():
+    rng = np.random.default_rng(82)
+    first = diamond._encode(random_choi_difference(rng, 2), 2)
+    second = diamond._encode(random_choi_difference(rng, 2), 2)
+    assert np.shares_memory(first.a, second.a) and np.shares_memory(first.b, second.b)
+    assert not np.shares_memory(first.c, second.c)
+    with pytest.raises(ValueError, match="read-only"):
+        first.a[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.b[0] = 1.0
+    # W and S carry the same constraint stack and assemble as one group
+    assert [members for _, _, members in first._groups] == [[0, 1], [2]]
+
+
+def test_repeated_solves_build_one_template():
+    diamond._ensure_calibrated()
+    diamond._template.cache_clear()
+    for p in (0.1, 0.2, 0.3):
+        diamond.diamond_distance(channels.amplitude_damping(p), method="sdp")
+    info = diamond._template.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)

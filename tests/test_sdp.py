@@ -160,20 +160,42 @@ def test_dual_slack_recomputed_exactly():
     assert np.array_equal(np.concatenate([z.ravel() for z in sol.z]), want)
 
 
-def test_flat_operator_matches_its_definitions():
-    rng = np.random.default_rng(72)
-    dims, m = (3, 4, 2), 5
+def groups(prob):
+    return [members for _, _, members in prob._groups]
+
+
+def random_problem(rng, dims, m, shared=()):
+    # blocks listed in ``shared`` get the constraint matrices of block 0
     objective = [random_hermitian(rng, n) for n in dims]
     rows = [[random_hermitian(rng, n) for n in dims] for _ in range(m)]
-    prob = sdp.SdpProblem(dims, objective, rows, rng.standard_normal(m))
+    for row in rows:
+        for bidx in shared:
+            row[bidx] = row[0].copy()
+    return sdp.SdpProblem(dims, objective, rows, rng.standard_normal(m)), objective, rows
+
+
+def random_iterate(rng, dims):
+    return [random_hpd(rng, n) for n in dims], [np.linalg.inv(random_hpd(rng, n)) for n in dims]
+
+
+def test_flat_operator_matches_its_definitions():
+    rng = np.random.default_rng(72)
+    # distinct stacks, then two blocks that share one and assemble as a group
+    check_flat_operator(rng, (3, 4, 2), (), [[0], [1], [2]])
+    check_flat_operator(rng, (3, 3, 2), (1,), [[0, 1], [2]])
+
+
+def check_flat_operator(rng, dims, shared, want_groups):
+    m = 5
+    prob, objective, rows = random_problem(rng, dims, m, shared)
+    assert groups(prob) == want_groups
     size = sum(n * n for n in dims)
     assert prob.a.shape == (m, size) and prob.a.flags.c_contiguous
     assert prob.c.shape == (size,)
     for got, want in zip(prob.blocks(prob.c), objective):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    xs = [random_hpd(rng, n) for n in dims]
-    zinvs = [np.linalg.inv(random_hpd(rng, n)) for n in dims]
+    xs, zinvs = random_iterate(rng, dims)
     y = rng.standard_normal(m)
     x = np.concatenate([xb.ravel() for xb in xs])
     for got, want in zip(prob.blocks(x), xs):
@@ -185,12 +207,71 @@ def test_flat_operator_matches_its_definitions():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     schur = [
         [
-            sum(np.trace(ai @ zi @ aj @ xb).real for ai, aj, zi, xb in zip(ri, rj, zinvs, xs))
+            sum(np.trace(ai @ xb @ aj @ zi).real for ai, aj, zi, xb in zip(ri, rj, zinvs, xs))
             for rj in rows
         ]
         for ri in rows
     ]
     np.testing.assert_allclose(prob.schur(xs, zinvs), schur, rtol=0, atol=1e-12)
+
+
+def test_schur_workspace_reuse_matches_a_fresh_assembly():
+    rng = np.random.default_rng(76)
+    dims = (3, 3, 2)
+    prob = random_problem(rng, dims, 6, shared=(1,))[0]
+    work = prob.schur_workspace()
+    for _ in range(2):
+        xs, zinvs = random_iterate(rng, dims)
+        got = prob.schur(xs, zinvs, work)
+        assert np.shares_memory(got, work[1])
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(got, prob.schur(xs, zinvs))
+
+
+def test_with_objective_shares_constraints_and_checks_the_objective():
+    rng = np.random.default_rng(77)
+    dims = (3, 2)
+    prob = random_problem(rng, dims, 4)[0]
+    objective = [random_hermitian(rng, n) for n in dims]
+    derived = prob.with_objective(objective)
+    assert derived.a is prob.a and derived.b is prob.b and derived._a_real is prob._a_real
+    assert np.array_equal(derived.c, np.concatenate([c.ravel() for c in objective]))
+    assert not np.shares_memory(derived.c, prob.c)
+    assert groups(derived) == groups(prob)
+
+    eye3, eye2 = np.eye(3), np.eye(2)
+    with pytest.raises(ValueError, match="one matrix per block"):
+        prob.with_objective([eye3])
+    with pytest.raises(ValueError, match="objective block is not Hermitian"):
+        prob.with_objective([eye3, np.array([[1.0, 1j], [1j, 1.0]])])
+    with pytest.raises(ValueError, match="objective block has shape"):
+        prob.with_objective([eye3, eye3])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="objective block has a non-finite"):
+            prob.with_objective([eye3, np.diag([bad, 1.0])])
+
+
+def test_problem_data_is_read_only():
+    prob = min_eig_problem(np.eye(2))
+    for arr in (prob.a, prob.b, prob.c, prob._a_real):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+    for stack, stack_real, _ in prob._groups:
+        assert not stack.flags.writeable and not stack_real.flags.writeable
+
+
+def test_solve_leaves_the_problem_untouched():
+    # the Schur buffers belong to the call: a problem that a caller keeps
+    # (the reproduction suite keeps every solved one) gains no attributes
+    j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
+    prob = diamond._encode(j, 2)
+    before = dict(vars(prob))
+    data = [prob.a.copy(), prob.b.copy(), prob.c.copy()]
+    assert sdp.solve(prob).status is sdp.SdpStatus.CONVERGED
+    assert vars(prob).keys() == before.keys()
+    assert all(vars(prob)[k] is v for k, v in before.items())
+    for arr, saved in zip((prob.a, prob.b, prob.c), data):
+        assert np.array_equal(arr, saved)
 
 
 def test_two_schur_solves_per_iteration(monkeypatch):
