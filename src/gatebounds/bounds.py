@@ -24,8 +24,15 @@ from .metrics import EXACT
 PHI_SLOP = 1e-12
 
 
+def _finite(value, what):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def _checked_phi(phi):
-    p = float(phi)
+    p = _finite(phi, "fidelity")
     if not (-PHI_SLOP <= p <= 1.0 + PHI_SLOP):
         raise ValueError(f"fidelity {p!r} outside [0, 1]")
     return min(1.0, max(0.0, p))
@@ -60,7 +67,7 @@ def nontriviality_threshold(dim):
 
 def required_fidelity(target_error, dim):
     """Fidelity needed before the upper bound certifies the target error rate."""
-    t = float(target_error)
+    t = _finite(target_error, "target error rate")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"target error rate {target_error!r} outside (0, 1]")
     d = _checked_dim(dim)
@@ -226,11 +233,7 @@ def sweep_rows(model, phis):
     if model not in SWEEP_MODELS:
         raise ValueError(f"unknown sweep model {model!r}")
     build, lo, hi = SWEEP_MODELS[model]
-    values = [float(p) for p in phis]
-    for phi in values:
-        if not math.isfinite(phi):
-            raise ValueError(f"fidelity must be finite, got {phi!r}")
-    values.sort()
+    values = sorted(_finite(p, "fidelity") for p in phis)
     for phi in values:
         if not lo <= phi <= hi:
             raise ValueError(

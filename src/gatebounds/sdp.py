@@ -26,14 +26,16 @@ row-major vec; the constraints are the rows of one complex (m, N) matrix.
 For Hermitian A and B, Re tr(A B) is the dot product of the float64 views of
 their vecs (real and imaginary parts interleaved), so every inner product is
 one real BLAS call on a view, with no copy.  :class:`SdpProblem` exposes the
-operator through four methods: ``apply`` (X -> <A_i, X>, one real
+operator through five methods: ``apply`` (X -> <A_i, X>, one real
 matrix-vector product on the float64 view), ``adjoint`` (y -> sum y_i A_i,
 likewise), ``schur`` (the HKM Schur complement, assembled with matrix
-products) and ``blocks`` (a flat vector as its (n, n) block views).  The
-iterates X and Z, the residuals and the directions are flat vectors, so
-inner products, residual norms and right-hand sides are single BLAS calls;
-only the Cholesky factors, Z^-1, the direction products and the step lengths
-work block by block.
+products), ``blocks`` (a flat vector as its (n, n) block views) and
+``stacks`` (a flat vector as one (k, n, n) view per run of k consecutive
+blocks of equal size n).  The iterates X and Z, the residuals and the
+directions are flat vectors, so inner products, residual norms and
+right-hand sides are single BLAS calls; the Cholesky factors, Z^-1, the
+direction products and the step lengths work run by run, each one batched
+call on a stack.
 
 The problem data is read-only.  Problems that differ only in the objective
 share one constraint matrix: ``SdpProblem.with_objective`` derives a problem
@@ -49,14 +51,23 @@ share or keep after the solve.
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
 Cholesky factor (as in SDPA and SDPT3), and damped by ``STEP_FRACTION``.
-Every iteration factors each X and Z block once; those factors give Z^-1 and
-all four step lengths.  The Schur matrix is real symmetric; it is factored
-by Cholesky only to test that it is positive definite (with one jittered
-retry), and each of the two directions per iteration is then one
-``np.linalg.solve`` against it.
+Every iteration factors the X and Z blocks of a run together: one batched
+Cholesky call on their concatenated (2k, n, n) stack, then one batched
+solve for the inverse factors, which give Z^-1 and all four step lengths.
+Each direction's primal and dual step lengths of a run come from one
+batched ``eigvalsh``; the two minima are taken separately.
+NumPy's batched linear algebra runs the same LAPACK routine on each member,
+so a run gives the numbers that one call per block gives; a problem whose
+blocks all differ in size has runs of one.  The diamond SDP's blocks
+(d^2, d^2, d) form two runs, so an iteration makes three Cholesky calls,
+four solves and four ``eigvalsh`` calls.  The Schur matrix is real
+symmetric; it is factored by Cholesky only to test that it is positive
+definite (with one jittered retry), and each of the two directions per
+iteration is then one ``np.linalg.solve`` against it.
 """
 
 import copy
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,6 +111,11 @@ class SdpProblem:
     derives one without copying or re-validating the constraints.  Blocks
     whose constraint stacks are equal entry for entry form one group, which
     :meth:`schur` treats as a single stack.
+
+    ``runs`` lists the maximal runs of consecutive blocks of equal size as
+    (k, n) pairs: k blocks of size n.  A run's blocks fill one contiguous
+    range of a flat vector, so :meth:`stacks` views it as one (k, n, n)
+    array, and the solver factors and steps it with one batched call.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs):
@@ -110,6 +126,12 @@ class SdpProblem:
         for n in self.block_dims:
             self._slices.append(slice(size, size + n * n))
             size += n * n
+        self.runs, self._run_slices, start = [], [], 0
+        for n, members in itertools.groupby(self.block_dims):
+            k = len(list(members))
+            self.runs.append((k, n))
+            self._run_slices.append(slice(start, start + k * n * n))
+            start += k * n * n
         self.c = self._checked_objective(objective)
         self.b = np.asarray(rhs, dtype=float).copy()
         if self.b.ndim != 1:
@@ -207,6 +229,14 @@ class SdpProblem:
         lead = v.shape[:-1]
         return [v[..., sl].reshape(*lead, n, n) for sl, n in zip(self._slices, self.block_dims)]
 
+    def stacks(self, v):
+        """The (k, n, n) views of a flat vector, one per run of ``runs``.
+
+        A run's blocks are contiguous, so a stack is a reshape of its slice
+        of ``v``: no copy, and writes to a stack land in ``v``.
+        """
+        return [v[sl].reshape(k, n, n) for sl, (k, n) in zip(self._run_slices, self.runs)]
+
     def schur_workspace(self):
         """Buffers for :meth:`schur`: two real (m, m) matrices, and per group
         two complex (m, n, n) products, plus a third when the group has more
@@ -264,7 +294,7 @@ class SdpSolution:
 
 
 def _flat(mats):
-    """Concatenate the row-major vecs of per-block matrices."""
+    """Concatenate the row-major vecs of per-block matrices or per-run stacks."""
     return np.concatenate([mat.ravel() for mat in mats])
 
 
@@ -280,27 +310,40 @@ def _chol_or_none(mat):
         return None
 
 
-def _inverse_cholesky(mat):
-    """L^-1 for the Cholesky factor of mat = L L^H, or None if mat is not PD."""
-    lower = _chol_or_none(mat)
+def _inverse_cholesky(mats):
+    """L^-1 for the Cholesky factors of mats = L L^H, or None unless every
+    matrix is positive definite.
+
+    ``mats`` is one matrix or a (k, n, n) stack; a stack takes one batched
+    Cholesky call and one batched solve.
+    """
+    lower = _chol_or_none(mats)
     if lower is None:
         return None
-    return np.linalg.solve(lower, np.eye(mat.shape[0]))
+    return np.linalg.solve(lower, np.eye(mats.shape[-1]))
 
 
-def _max_step(inv_factors, dmats, cap):
-    """Largest step in [0, cap] keeping every block positive semidefinite.
+def _max_steps(inv_factors, dxs, dzs, cap):
+    """Largest primal and dual steps in [0, cap] keeping every block positive
+    semidefinite.
 
     For M = L L^H, M + alpha D >= 0 exactly when I + alpha L^-1 D L^-H >= 0,
     so a block's boundary lies at -1/lambda_min(L^-1 D L^-H) when that
-    eigenvalue is negative and nowhere otherwise.
+    eigenvalue is negative and nowhere otherwise.  Per run, ``inv_factors``
+    holds the (2k, n, n) inverse factors of the X blocks then the Z blocks,
+    and ``dxs`` and ``dzs`` the (k, n, n) stacks of the two directions; one
+    ``eigvalsh`` call covers the run, and the X and Z halves of its smallest
+    eigenvalues give the primal and the dual step.
     """
-    step = cap
-    for inv_l, dm in zip(inv_factors, dmats):
-        lam = np.linalg.eigvalsh(inv_l @ dm @ inv_l.conj().T)[0]
-        if lam < 0.0:
-            step = min(step, -1.0 / lam)
-    return step
+    steps = [cap, cap]
+    for inv_l, dx, dz in zip(inv_factors, dxs, dzs):
+        frame = inv_l @ np.concatenate((dx, dz)) @ inv_l.conj().mT
+        lam = np.linalg.eigvalsh(frame)[:, 0]
+        for side, half in enumerate((lam[: len(dx)], lam[len(dx) :])):
+            negative = half[half < 0.0]
+            if negative.size:
+                steps[side] = min(steps[side], -1.0 / negative.min())
+    return tuple(steps)
 
 
 def solve(problem):
@@ -309,7 +352,7 @@ def solve(problem):
     The returned dual slack ``z`` is recomputed exactly as C - sum y_i A_i,
     so dual feasibility can be re-verified from scratch by the caller.
     """
-    dims = problem.block_dims
+    dims, runs = problem.block_dims, problem.runs
     ntot = sum(dims)
     m = problem.num_constraints
     b, c = problem.b, problem.c
@@ -342,18 +385,20 @@ def solve(problem):
             status = SdpStatus.CONVERGED
             break
 
-        xs, rds = problem.blocks(x), problem.blocks(rd)
-        # one Cholesky factor per block serves Z^-1 and all four step lengths
-        inv_lx = [_inverse_cholesky(xb) for xb in xs]
-        inv_lz = [_inverse_cholesky(zb) for zb in problem.blocks(z)]
-        if any(f is None for f in inv_lx + inv_lz):
+        xs = problem.stacks(x)
+        # one Cholesky call per run factors its X and Z blocks together; the
+        # factors serve Z^-1 and all four step lengths
+        inv_l = [
+            _inverse_cholesky(np.concatenate((xr, zr))) for xr, zr in zip(xs, problem.stacks(z))
+        ]
+        if any(f is None for f in inv_l):
             status = SdpStatus.NUMERICAL_FAILURE
             break
-        zinv = [f.conj().T @ f for f in inv_lz]
+        zinv = [f[k:].conj().mT @ f[k:] for f, (k, _) in zip(inv_l, runs)]
 
         # real symmetric positive definite while X, Z are interior; its Cholesky
         # factor only tests that, and the directions solve against the matrix
-        schur = problem.schur(xs, zinv, work)
+        schur = problem.schur(problem.blocks(x), [zb for zr in zinv for zb in zr], work)
         if _chol_or_none(schur) is None:
             schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
             if _chol_or_none(schur) is None:
@@ -361,42 +406,40 @@ def solve(problem):
                 break
 
         def times_zinv(prods, nu, cross):
-            # (P + cross - nu*I) Z^-1 per block: complementarity target nu*I,
+            # (P + cross - nu*I) Z^-1 per run: complementarity target nu*I,
             # optional second-order correction
             out = []
-            for k, (p, zi) in enumerate(zip(prods, zinv)):
+            for r, (p, zi) in enumerate(zip(prods, zinv)):
                 if cross is not None:
-                    p += cross[k]
+                    p += cross[r]
                 if nu != 0.0:
-                    p.flat[:: p.shape[0] + 1] -= nu
+                    p.reshape(len(p), -1)[:, :: p.shape[-1] + 1] -= nu
                 out.append(p @ zi)
             return out
 
         def direction(nu, cross):
-            inner = times_zinv([xb @ r for xb, r in zip(xs, rds)], nu, cross)
+            inner = times_zinv([xr @ r for xr, r in zip(xs, problem.stacks(rd))], nu, cross)
             dy = np.linalg.solve(schur, b + problem.apply(_flat(inner)))
             dz = rd - problem.adjoint(dy)
-            steps = times_zinv([xb @ dzb for xb, dzb in zip(xs, problem.blocks(dz))], nu, cross)
-            raw = [-xb - s for xb, s in zip(xs, steps)]
-            dx = _flat([(r + r.conj().T) / 2 for r in raw])
+            steps = times_zinv([xr @ dzr for xr, dzr in zip(xs, problem.stacks(dz))], nu, cross)
+            raw = [-xr - s for xr, s in zip(xs, steps)]
+            dx = _flat([(r + r.conj().mT) / 2 for r in raw])
             return dx, dy, dz
 
         dx_aff, dy_aff, dz_aff = direction(0.0, None)
-        ap_aff = _max_step(inv_lx, problem.blocks(dx_aff), 1.0)
-        ad_aff = _max_step(inv_lz, problem.blocks(dz_aff), 1.0)
+        ap_aff, ad_aff = _max_steps(inv_l, problem.stacks(dx_aff), problem.stacks(dz_aff), 1.0)
         mu_aff = _inner(x + ap_aff * dx_aff, z + ad_aff * dz_aff) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         cross = [
-            dxb @ dzb for dxb, dzb in zip(problem.blocks(dx_aff), problem.blocks(dz_aff))
+            dxr @ dzr for dxr, dzr in zip(problem.stacks(dx_aff), problem.stacks(dz_aff))
         ]
         dx, dy, dz = direction(sigma * mu, cross)
 
         limit = 1.0 / STEP_FRACTION
-        ap = STEP_FRACTION * _max_step(inv_lx, problem.blocks(dx), limit)
-        ad = STEP_FRACTION * _max_step(inv_lz, problem.blocks(dz), limit)
-        ap = min(1.0, ap)
-        ad = min(1.0, ad)
+        ap, ad = _max_steps(inv_l, problem.stacks(dx), problem.stacks(dz), limit)
+        ap = min(1.0, STEP_FRACTION * ap)
+        ad = min(1.0, STEP_FRACTION * ad)
         if ap < 1e-10 and ad < 1e-10:
             status = SdpStatus.NUMERICAL_FAILURE
             break

@@ -78,6 +78,33 @@ def test_refined_interval_floors_and_caps():
         bounds.pauli_refined_interval(math.nan, 2, 0.004)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi: bounds.pauli_lower_bound(phi, 2),
+        lambda phi: bounds.generic_upper_bound(phi, 2),
+        lambda phi: bounds.pauli_refined_interval(phi, 2, 0.004),
+        lambda phi: bounds.decomposition_upper_bound(phi, 2, [0.002]),
+    ],
+    ids=["pauli_lower_bound", "generic_upper_bound", "pauli_refined_interval", "decomposition_upper_bound"],
+)
+def test_non_finite_fidelity_is_rejected_by_name(call, bad):
+    # named before the range test, which would call NaN merely out of range
+    with pytest.raises(ValueError, match=f"fidelity must be finite, got {bad!r}") as info:
+        call(bad)
+    assert "outside" not in str(info.value)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_target_error_is_rejected_by_name(bad):
+    with pytest.raises(ValueError, match=f"target error rate must be finite, got {bad!r}"):
+        bounds.required_fidelity(bad, 2)
+
+
 def test_decomposition_bound():
     assert bounds.decomposition_upper_bound(0.99, 2, [0.0, 0.0]) == pytest.approx(0.015)
     got = bounds.decomposition_upper_bound(0.99, 2, [0.004])

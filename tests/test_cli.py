@@ -292,6 +292,23 @@ def test_bounds_command_rejects_non_finite_fidelity(capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("bounds", "--fidelity", "fidelity must be finite"),
+        ("threshold", "--target-error", "target error rate must be finite"),
+    ],
+    ids=["bounds", "threshold"],
+)
+def test_non_finite_inputs_are_named(capsys, command, flag, message, bad):
+    # "--flag=-inf": argparse would read a separate "-inf" as an option
+    assert cli.main([command, "--dim", "2", f"{flag}={bad}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
 def test_library_imports_neither_cli_nor_numba():
     code = "import sys, gatebounds.refcheck; print(sorted({'gatebounds.cli', 'numba'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(gatebounds.__file__).parent.parent))

@@ -328,45 +328,92 @@ def reference_step(mats, dmats, cap):
     return step
 
 
-@pytest.mark.parametrize("dims", [(4,), (5, 3, 2)])
+def stacked(prob, mats):
+    # per-block matrices as the problem's per-run stacks
+    return prob.stacks(np.concatenate([np.asarray(m, dtype=complex).ravel() for m in mats]))
+
+
+def run_factors(prob, xs, zs):
+    return [
+        sdp._inverse_cholesky(np.concatenate((xr, zr)))
+        for xr, zr in zip(stacked(prob, xs), stacked(prob, zs))
+    ]
+
+
+def bare_problem(dims):
+    # no constraints: only the block layout and its runs matter here
+    return sdp.SdpProblem(dims, [np.eye(n) for n in dims], [], [])
+
+
+@pytest.mark.parametrize("dims", [(4,), (5, 3, 2), (4, 4, 2), (3, 3, 3)])
 def test_max_step_is_exact_distance_to_boundary(dims):
     check_max_step(np.random.default_rng(68), dims, random_spd, random_symmetric)
 
 
-@pytest.mark.parametrize("dims", [(4,), (5, 3, 2)])
+@pytest.mark.parametrize("dims", [(4,), (5, 3, 2), (4, 4, 2), (3, 3, 3)])
 def test_max_step_is_exact_on_hermitian_blocks(dims):
     check_max_step(np.random.default_rng(74), dims, random_hpd, random_hermitian)
 
 
 def check_max_step(rng, dims, pd, direction):
+    prob = bare_problem(dims)
     for _ in range(20):
-        mats = [pd(rng, n) for n in dims]
-        dmats = [direction(rng, n) for n in dims]
-        factors = [sdp._inverse_cholesky(m) for m in mats]
+        xs, zs = ([pd(rng, n) for n in dims] for _ in range(2))
+        dxs, dzs = ([direction(rng, n) for n in dims] for _ in range(2))
+        factors = run_factors(prob, xs, zs)
         cap = 1e6
-        step = sdp._max_step(factors, dmats, cap)
-        want = reference_step(mats, dmats, cap)
-        assert step < cap
-        assert step == pytest.approx(want, rel=1e-10)
-        # the limiting block touches the boundary; the damped step is inside
-        edge = min(
-            np.linalg.eigvalsh(m + step * dm).min() / np.linalg.norm(m, 2)
-            for m, dm in zip(mats, dmats)
-        )
-        assert abs(edge) <= 1e-9
-        for m, dm in zip(mats, dmats):
-            assert sdp._chol_or_none(m + 0.98 * step * dm) is not None
+        steps = sdp._max_steps(factors, stacked(prob, dxs), stacked(prob, dzs), cap)
+        wants = []
+        # the primal step is X's distance to the boundary, the dual step Z's
+        for step, mats, dmats in zip(steps, (xs, zs), (dxs, dzs)):
+            want = reference_step(mats, dmats, cap)
+            wants.append(want)
+            assert step < cap
+            assert step == pytest.approx(want, rel=1e-10)
+            # the limiting block touches the boundary; the damped step is inside
+            edge = min(
+                np.linalg.eigvalsh(m + step * dm).min() / np.linalg.norm(m, 2)
+                for m, dm in zip(mats, dmats)
+            )
+            assert abs(edge) <= 1e-9
+            for m, dm in zip(mats, dmats):
+                assert sdp._chol_or_none(m + 0.98 * step * dm) is not None
         # a cap short of the boundary is returned as is
-        assert sdp._max_step(factors, dmats, 0.5 * want) == 0.5 * want
+        short = 0.5 * min(wants)
+        got = sdp._max_steps(factors, stacked(prob, dxs), stacked(prob, dzs), short)
+        assert got == (short, short)
 
 
 def test_max_step_is_cap_along_psd_directions():
     rng = np.random.default_rng(69)
-    mats = [random_spd(rng, n) for n in (4, 2)]
-    psd = [random_spd(rng, n) - 0.1 * np.eye(n) for n in (4, 2)]
-    factors = [sdp._inverse_cholesky(m) for m in mats]
-    assert sdp._max_step(factors, psd, 1.0) == 1.0
-    assert sdp._max_step(factors, [np.zeros_like(m) for m in mats], 1.0) == 1.0
+    dims = (4, 2)
+    prob = bare_problem(dims)
+    mats = [random_spd(rng, n) for n in dims]
+    psd = [random_spd(rng, n) - 0.1 * np.eye(n) for n in dims]
+    factors = run_factors(prob, mats, mats)
+    psd_stacks = stacked(prob, psd)
+    assert sdp._max_steps(factors, psd_stacks, psd_stacks, 1.0) == (1.0, 1.0)
+    zero = stacked(prob, [np.zeros_like(m) for m in mats])
+    assert sdp._max_steps(factors, zero, zero, 1.0) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 2), (3, 3, 3)])
+def test_primal_and_dual_steps_are_taken_separately(dims):
+    # one side's direction stays in the cone and keeps the cap, while the
+    # other side is limited by its own boundary, whichever side that is
+    rng = np.random.default_rng(78)
+    prob = bare_problem(dims)
+    xs, zs = ([random_hpd(rng, n) for n in dims] for _ in range(2))
+    factors = run_factors(prob, xs, zs)
+    inside = [random_hpd(rng, n) for n in dims]
+    limited = [random_hermitian(rng, n) for n in dims]
+    cap = 1e6
+    ap, ad = sdp._max_steps(factors, stacked(prob, inside), stacked(prob, limited), cap)
+    assert ap == cap
+    assert ad == pytest.approx(reference_step(zs, limited, cap), rel=1e-10) and ad < cap
+    ap, ad = sdp._max_steps(factors, stacked(prob, limited), stacked(prob, inside), cap)
+    assert ap == pytest.approx(reference_step(xs, limited, cap), rel=1e-10) and ap < cap
+    assert ad == cap
 
 
 def test_inverse_cholesky_rejects_indefinite_blocks():
@@ -374,6 +421,40 @@ def test_inverse_cholesky_rejects_indefinite_blocks():
     m = random_spd(np.random.default_rng(70), 3)
     inv_l = sdp._inverse_cholesky(m)
     np.testing.assert_allclose(inv_l @ m @ inv_l.T, np.eye(3), atol=1e-10)
+
+
+def test_inverse_cholesky_of_a_stack_matches_each_member():
+    rng = np.random.default_rng(79)
+    stack = np.stack([random_hpd(rng, 3) for _ in range(4)])
+    batched = sdp._inverse_cholesky(stack)
+    for got, member in zip(batched, stack):
+        assert np.array_equal(got, sdp._inverse_cholesky(member))
+    # one indefinite member fails the whole stack
+    stack[2] = np.diag([1.0, -1.0, 1.0])
+    assert sdp._inverse_cholesky(stack) is None
+
+
+def test_indefinite_iterate_reports_numerical_failure(monkeypatch):
+    # overshooting the boundary leaves one block of an X and Z stack
+    # indefinite; its run's factorization fails and the solve stops there
+    j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
+    prob = diamond._encode(j, 2)
+    outcomes = []
+    real = sdp._inverse_cholesky
+
+    def recording(mats):
+        factors = real(mats)
+        outcomes.append((mats, factors))
+        return factors
+
+    monkeypatch.setattr(sdp, "_inverse_cholesky", recording)
+    monkeypatch.setattr(sdp, "STEP_FRACTION", 3.0)
+    sol = sdp.solve(prob)
+    assert sol.status is sdp.SdpStatus.NUMERICAL_FAILURE
+    mats, factors = outcomes[-1]
+    assert factors is None
+    definite = [sdp._chol_or_none(member) is not None for member in mats]
+    assert definite.count(False) >= 1
 
 
 @pytest.mark.parametrize("two_blocks", [False, True])
@@ -385,16 +466,52 @@ def test_one_cholesky_per_block_per_iteration(monkeypatch, two_blocks):
         prob = decoupled_problem(random_symmetric(rng, 3), random_symmetric(rng, 2))
     else:
         prob = min_eig_problem(random_symmetric(rng, 4))
-    calls = []
-    real = sdp._chol_or_none
+    check_lapack_calls(monkeypatch, prob)
 
-    def counting(mat):
-        calls.append(mat.shape)
-        return real(mat)
 
-    monkeypatch.setattr(sdp, "_chol_or_none", counting)
+def test_diamond_sdp_lapack_calls_per_iteration(monkeypatch):
+    j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
+    prob = diamond._encode(j, 2)
+    assert prob.runs == [(2, 4), (1, 2)]
+    check_lapack_calls(monkeypatch, prob)
+
+
+def check_lapack_calls(monkeypatch, prob):
+    calls = {"cholesky": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(mat, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     sol = sdp.solve(prob)
     assert sol.status is sdp.SdpStatus.CONVERGED
-    nblocks = len(prob.block_dims)
-    # one factor per X and Z block, the Schur factor and its jitter retry
-    assert len(calls) <= (2 * nblocks + 2) * sol.iterations
+    runs = len(prob.runs)
+    # per run one factorization of its X and Z blocks together, plus the
+    # Schur factor and its jitter retry; one eigvalsh per run and direction
+    assert calls["cholesky"] <= (runs + 2) * sol.iterations
+    assert calls["eigvalsh"] <= 2 * runs * sol.iterations
+
+
+def test_runs_group_consecutive_equal_sizes():
+    prob = bare_problem((3, 3, 2, 3, 3))
+    assert prob.runs == [(2, 3), (1, 2), (2, 3)]
+    assert bare_problem((4, 2, 3)).runs == [(1, 4), (1, 2), (1, 3)]
+    v = np.arange(2 * 9 + 4 + 2 * 9, dtype=complex)
+    stacks = prob.stacks(v)
+    assert [s.shape for s in stacks] == [(2, 3, 3), (1, 2, 2), (2, 3, 3)]
+    for stack in stacks:
+        assert np.shares_memory(stack, v)
+    # a run's blocks, in order, are its stack's members
+    members = [member for stack in stacks for member in stack]
+    assert all(np.array_equal(a, b) for a, b in zip(members, prob.blocks(v)))
+    stacks[2][1, 0, 0] = -1.0
+    assert v[2 * 9 + 4 + 9] == -1.0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_diamond_template_has_two_runs(d):
+    j = np.zeros((d * d, d * d))
+    assert diamond._encode(j, d).runs == [(2, d * d), (1, d)]
