@@ -154,10 +154,16 @@ def _inverse_or_exact(value):
 def audit(actual, ideal, compute_eta=None, compute_delta=None, large=False):
     """Full bounds audit of a gate implementation against its ideal unitary.
 
-    ``compute_eta`` and ``compute_delta`` default to on for d <= 4 and off
-    above (SDP cost); ``compute_delta`` additionally requires a qubit
-    dimension.  Pass ``large=True`` to allow d > 4 diamond SDPs.
+    ``compute_eta`` and ``compute_delta`` are bools, or None for the
+    default: on for d <= 4 and off above (SDP cost); ``compute_delta``
+    additionally requires a qubit dimension.  Pass ``large=True`` to allow
+    d > 4 diamond SDPs.
     """
+    for name, flag in (("compute_eta", compute_eta), ("compute_delta", compute_delta)):
+        if flag is not None and not isinstance(flag, bool):
+            raise TypeError(f"{name} must be a bool or None, got {type(flag).__name__}")
+    if not isinstance(large, bool):
+        raise TypeError(f"large must be a bool, got {type(large).__name__}")
     disc = channels.discrepancy(actual, ideal)
     d = disc.dim
     if compute_eta is None:

@@ -180,6 +180,7 @@ def report_to_dict(report):
             "lower_certificate": report.error_rate.lower_certificate,
             "upper_certificate": report.error_rate.upper_certificate,
             "method": report.error_rate.method.value,
+            "route": report.error_rate.route,
         }
         out["inverse_error_rate"] = report.inverse_error_rate
     if report.pauli_distance is not None:
@@ -364,8 +365,44 @@ def build_parser():
     return parser
 
 
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_signed_values(parser, argv):
+    """Glue each float-parsable token that starts with "-" onto the option
+    before it when that option takes a value: "--fidelity -inf" becomes
+    "--fidelity=-inf".
+
+    argparse reads such a token ("-inf", "-nan", "-1e-3") as an option,
+    so without this the command stops with a usage error instead of
+    reaching the value checks.
+    """
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes_value = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.nargs is None
+        for option in action.option_strings
+    }
+    out = []
+    for token in argv:
+        if out and out[-1] in takes_value and token.startswith("-") and _is_number(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_signed_values(parser, argv))
     try:
         return args.func(args)
     except (diamond.CalibrationError, sdp.SolverError) as exc:

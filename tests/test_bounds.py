@@ -205,6 +205,23 @@ def test_audit_explicit_switches():
         bounds.audit(ch8, np.eye(8), compute_delta=True)
 
 
+@pytest.mark.parametrize("bad", [1, 0, "yes", np.False_, 1.0])
+@pytest.mark.parametrize("name", ["compute_eta", "compute_delta", "large"])
+def test_audit_switches_must_be_bools(name, bad):
+    ch = channels.amplitude_damping(0.1)
+    accepted = "a bool" if name == "large" else "a bool or None"
+    with pytest.raises(TypeError, match=f"{name} must be {accepted}, got"):
+        bounds.audit(ch, np.eye(2), **{name: bad})
+
+
+def test_audit_accepts_none_only_for_the_compute_switches():
+    ch = channels.amplitude_damping(0.1)
+    report = bounds.audit(ch, np.eye(2), compute_eta=None, compute_delta=None)
+    assert report.error_rate is not None and report.pauli_distance is not None
+    with pytest.raises(TypeError, match="large must be a bool, got NoneType"):
+        bounds.audit(ch, np.eye(2), large=None)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sweep_rows_rejects_non_finite_fidelity_by_name(bad):
     # named before the range test, which would call NaN merely out of range

@@ -59,9 +59,16 @@ def test_analyze_bit_flip_json_report(tmp_path, capsys):
     ]
     assert data["dim"] == 2
     assert data["fidelity"] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert list(data["error_rate"]) == ["value", "lower_certificate", "upper_certificate", "method"]
+    assert list(data["error_rate"]) == [
+        "value",
+        "lower_certificate",
+        "upper_certificate",
+        "method",
+        "route",
+    ]
     assert data["error_rate"]["value"] == pytest.approx(1.0, abs=1e-9)
     assert data["error_rate"]["method"] == "unitary_closed_form"
+    assert data["error_rate"]["route"] is None
     assert data["pauli_distance"] == pytest.approx(0.0, abs=1e-9)
     assert data["refined_interval"] == pytest.approx([1.0, 1.0], abs=1e-9)
     assert data["nontrivial"] is False
@@ -100,7 +107,7 @@ def test_analyze_named_depolarizing(tmp_path, capsys):
 
 
 def test_analyze_exits_2_on_unconverged_solve(tmp_path, capsys, monkeypatch):
-    diamond._ensure_calibrated()
+    diamond._ensure_calibrated("choi")
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     path = named_file(tmp_path, "ad.json", 2, "amplitude_damping", {"r": 0.1})
     assert cli.main(["analyze", path]) == 2
@@ -302,7 +309,7 @@ def test_bounds_command_rejects_non_finite_fidelity(capsys):
     ids=["bounds", "threshold"],
 )
 def test_non_finite_inputs_are_named(capsys, command, flag, message, bad):
-    # "--flag=-inf": argparse would read a separate "-inf" as an option
+    # the "--flag=value" form; the space-separated form is tested below
     assert cli.main([command, "--dim", "2", f"{flag}={bad}"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
@@ -388,3 +395,53 @@ def test_paper_check_list_names_every_check(capsys):
     assert names == refcheck.list_checks()
     assert len(names) == 12
     assert names[-1] == "solver-health"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--fidelity", "-inf", "--dim", "2"], "fidelity must be finite"),
+        (["threshold", "--target-error", "-nan", "--dim", "2"], "target error rate must be finite"),
+        (["threshold", "--dim", "2", "--target-error", "-1e-3"], "target error rate -0.001 outside"),
+        (
+            ["sweep", "--model", "depolarizing", "--phi-min", "-inf", "--phi-max", "0.9", "--out", "x"],
+            "--phi-min must be finite",
+        ),
+    ],
+    ids=["bounds--inf", "threshold--nan", "threshold-negative", "sweep--inf"],
+)
+def test_signed_values_reach_the_value_checks(capsys, argv, message):
+    # "-inf", "-nan" and "-1e-3" as separate tokens: argparse alone would
+    # read them as options and exit 2 with "expected one argument"
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
+def test_signed_values_join_only_options_that_take_one(tmp_path, capsys):
+    # after a flag, "-1" stays a positional argument: here a missing file
+    assert cli.main(["analyze", "--json", str(tmp_path / "-1")]) == 1
+    assert "No such file" in capsys.readouterr().err
+
+
+def test_analyze_json_names_the_route(tmp_path, capsys):
+    path = named_file(tmp_path, "ad.json", 2, "amplitude_damping", {"r": 0.1})
+    assert cli.main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["error_rate"]["route"] == "choi"
+    path = named_file(tmp_path, "mix.json", 3, "lambda_mixture", {"lambda": 0.1})
+    assert cli.main(["analyze", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)["error_rate"]
+    assert (data["method"], data["route"]) == ("sdp", "fidelity")
+    assert data["lower_certificate"] <= 0.1 <= data["upper_certificate"]
+    path = named_file(tmp_path, "dep.json", 2, "depolarizing", {"r": 0.2})
+    assert cli.main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["error_rate"]["route"] is None
+
+
+def test_analyze_exits_2_on_unconverged_fidelity_route_solve(tmp_path, capsys, monkeypatch):
+    diamond._ensure_calibrated("fidelity")
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    path = named_file(tmp_path, "mix.json", 3, "lambda_mixture", {"lambda": 0.1})
+    assert cli.main(["analyze", path]) == 2
+    assert "fidelity route) stopped unconverged" in capsys.readouterr().err

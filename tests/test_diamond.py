@@ -221,28 +221,51 @@ def test_solve_recorder_sees_each_solve():
 
 
 def test_calibration_completes_after_first_sdp_use():
+    # each route calibrates on its own first use: a d = 2 pair takes the Choi
+    # route, a low-rank d = 3 pair the fidelity route
+    diamond._ensure_calibrated.cache_clear()
     diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
+    assert diamond._ensure_calibrated.cache_info().currsize == 1
+    res = diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp")
+    assert res.route == "fidelity"
+    assert diamond._ensure_calibrated.cache_info().currsize == 2
+
+
+def check_failed_calibration_is_retried(monkeypatch, channel, route):
+    diamond._ensure_calibrated.cache_clear()
+    wrong = DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP, route)
+    with monkeypatch.context() as m:
+        m.setattr(diamond, "_solve_pair", lambda e, f, route: wrong)
+        with pytest.raises(diamond.CalibrationError, match=f"calibration failed on the {route} route"):
+            diamond.diamond_distance(channel, method="sdp")
+    assert diamond._ensure_calibrated.cache_info().currsize == 0
+    res = diamond.diamond_distance(channel, method="sdp")
+    assert res.method is DiamondMethod.SDP
+    assert res.route == route
     assert diamond._ensure_calibrated.cache_info().currsize == 1
 
 
 def test_failed_calibration_raises_and_is_retried(monkeypatch):
-    diamond._ensure_calibrated.cache_clear()
-    wrong = DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP)
-    with monkeypatch.context() as m:
-        m.setattr(diamond, "_solve_pair", lambda e, f: wrong)
-        with pytest.raises(diamond.CalibrationError, match="calibration failed"):
-            diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
-    assert diamond._ensure_calibrated.cache_info().currsize == 0
-    res = diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
-    assert res.method is DiamondMethod.SDP
-    assert diamond._ensure_calibrated.cache_info().currsize == 1
+    check_failed_calibration_is_retried(monkeypatch, channels.amplitude_damping(0.1), "choi")
+
+
+def test_failed_fidelity_calibration_raises_and_is_retried(monkeypatch):
+    check_failed_calibration_is_retried(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity")
+
+
+def check_unconverged_solve_raises(monkeypatch, channel, route):
+    diamond._ensure_calibrated(route)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+    with pytest.raises(sdp.SolverError, match=rf"\({route} route\) stopped unconverged \(max_iterations\)"):
+        diamond.diamond_distance(channel, method="sdp")
 
 
 def test_unconverged_solve_raises(monkeypatch):
-    diamond._ensure_calibrated()
-    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-    with pytest.raises(sdp.SolverError, match="max_iterations"):
-        diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
+    check_unconverged_solve_raises(monkeypatch, channels.amplitude_damping(0.1), "choi")
+
+
+def test_unconverged_fidelity_route_solve_raises(monkeypatch):
+    check_unconverged_solve_raises(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity")
 
 
 def from_scratch_encoding(j_delta, d):
@@ -289,9 +312,141 @@ def test_encodings_share_one_read_only_template():
 
 
 def test_repeated_solves_build_one_template():
-    diamond._ensure_calibrated()
+    diamond._ensure_calibrated("choi")
     diamond._template.cache_clear()
     for p in (0.1, 0.2, 0.3):
         diamond.diamond_distance(channels.amplitude_damping(p), method="sdp")
     info = diamond._template.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_template_cache_keeps_only_small_dimensions():
+    # a d >= 5 template is built per call and freed with its problem
+    diamond._template.cache_clear()
+    problem = diamond._encode(np.zeros((25, 25)), 5)
+    assert problem.num_constraints == 5**4 + 1
+    info = diamond._template.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+    diamond._encode(np.zeros((4, 4)), 2)
+    assert diamond._template.cache_info().currsize == 1
+
+
+def isometry_channel(rng, d, rank):
+    g = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
+    q, _ = np.linalg.qr(g)
+    return Channel([q[k * d : (k + 1) * d] for k in range(rank)])
+
+
+def route_pairs(d, rng):
+    pairs = [(isometry_channel(rng, d, 1), isometry_channel(rng, d, 2))]
+    pairs.append((isometry_channel(rng, d, 2), channels.identity_channel(d)))
+    # an audit-like pair: a gate with weight 1e-5 of noise, so every
+    # eigenvalue of J is small and must survive the rank cut
+    gate = isometry_channel(rng, d, 1)
+    noisy = channels.mix([(1.0 - 1e-5, gate), (1e-5, channels.compose(isometry_channel(rng, d, 2), gate))])
+    pairs.append((noisy, gate))
+    if d != 3:
+        # a diagonal unitary: its twirl has d Pauli terms, so J has rank <= d + 1
+        u = np.diag(np.exp(1j * rng.uniform(-0.6, 0.6, d)))
+        ch = channels.unitary_channel(u)
+        pairs.append((ch, pauli.pauli_twirl(ch)))
+    return pairs
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_routes_agree_when_forced(d):
+    # both encodings of the same pair: the intervals overlap, and each value
+    # lies inside the other route's interval up to the solver tolerance
+    rng = np.random.default_rng(90 + d)
+    for e, f in route_pairs(d, rng):
+        choi = diamond._solve_pair(e, f, "choi")
+        fid = diamond._solve_pair(e, f, "fidelity")
+        assert (choi.route, fid.route) == ("choi", "fidelity")
+        assert choi.lower_certificate <= fid.upper_certificate
+        assert fid.lower_certificate <= choi.upper_certificate
+        for a, b in ((choi, fid), (fid, choi)):
+            assert b.lower_certificate - 1e-8 <= a.value <= b.upper_certificate + 1e-8
+
+
+@pytest.mark.parametrize("route", ["choi", "fidelity"])
+def test_witness_never_exceeds_upper_certificate(route):
+    rng = np.random.default_rng(95)
+    for d in (2, 3):
+        for e, f in route_pairs(d, rng):
+            j = e.choi - f.choi
+            encoding, solution, _, res = diamond._solve(j, d, route)
+            witness = diamond._witness_value(
+                j, d, solution.x[encoding.witness], encoding.transpose
+            )
+            assert res.lower_certificate == min(1.0, max(0.0, witness))
+            assert witness <= res.upper_certificate
+            assert 0.0 <= res.lower_certificate <= res.value <= res.upper_certificate <= 1.0
+            assert res.upper_certificate - res.lower_certificate <= 1e-7
+
+
+def test_route_follows_the_rank_of_the_choi_difference():
+    rng = np.random.default_rng(97)
+    low = isometry_channel(rng, 4, 2)
+    assert diamond._route(low.choi - channels.identity_channel(4).choi, 4) == "fidelity"
+    # the Pauli twirl of a Haar unitary has all 16 Pauli terms
+    twirled = pauli.pauli_twirl(channels.unitary_channel(random_unitary(rng, 4)))
+    assert diamond._route(twirled.choi - channels.identity_channel(4).choi, 4) == "choi"
+    # every d = 2 pair stays on the Choi route, and so does J = 0
+    e, f = isometry_channel(rng, 2, 1), channels.identity_channel(2)
+    assert diamond._route(e.choi - f.choi, 2) == "choi"
+    assert diamond._route(np.zeros((9, 9)), 3) == "choi"
+
+
+def test_three_qubit_low_rank_pairs_take_the_fidelity_route():
+    # 2 and 3 kept eigenvalues: m = 10 and 20 rows instead of 8^4 + 1
+    u = channels.generalized_cphase(8, 0.4)
+    sparse = pauli.PauliChannel(3, {"III": 0.9, "XZI": 0.06, "YYZ": 0.04})
+    for channel, closed in ((u, math.sin(0.2)), (sparse.as_channel(), 0.1)):
+        res = diamond.diamond_distance(channel, method="sdp", large=True)
+        assert res.method is DiamondMethod.SDP
+        assert res.route == "fidelity"
+        assert res.lower_certificate <= closed <= res.upper_certificate
+        assert res.upper_certificate - res.lower_certificate <= 1e-7
+
+
+def test_cut_eigenvalues_widen_the_upper_end(monkeypatch):
+    # add lambda w w^dagger along a null vector of J, below a raised cut: the
+    # kept terms and so the solve stay the same, and the upper end grows by
+    # lambda / 2
+    u = np.diag(np.exp(1j * np.array([0.0, 0.3, 0.7])))
+    j = channels.unitary_channel(u).choi - channels.identity_channel(3).choi
+    lam, vecs = np.linalg.eigh(j)
+    null = vecs[:, np.argmin(np.abs(lam))]
+    injected = 1e-7
+    monkeypatch.setattr(diamond, "_rank_cut", lambda d: 1e-6)
+    base_enc, _, _, base = diamond._solve(j, 3, "fidelity")
+    enc, _, _, wider = diamond._solve(j + injected * np.outer(null, null.conj()), 3, "fidelity")
+    assert enc.problem.num_constraints == base_enc.problem.num_constraints == 10
+    assert enc.dropped - base_enc.dropped == pytest.approx(injected / 2, abs=1e-14)
+    assert wider.upper_certificate - base.upper_certificate == pytest.approx(injected / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_equal_channels_give_a_zero_interval(d):
+    # neither unitary nor Pauli: J = 0 exactly, and the Choi route certifies
+    # [0, tiny]
+    ch = isometry_channel(np.random.default_rng(98), d, 2)
+    res = diamond.diamond_distance(ch, ch, method="sdp")
+    assert res.route == "choi"
+    assert res.lower_certificate == 0.0
+    assert 0.0 <= res.value <= res.upper_certificate <= 1e-8
+
+
+def test_closed_forms_report_no_route():
+    assert diamond.diamond_distance(channels.unitary_error(0.3)).route is None
+    assert diamond.diamond_distance(channels.depolarizing(0.2)).route is None
+    assert diamond.diamond_distance(channels.amplitude_damping(0.2)).route == "choi"
+
+
+@pytest.mark.parametrize("bad", [None, 1, 0, "yes", np.True_])
+def test_large_must_be_a_bool(bad):
+    ch = channels.amplitude_damping(0.2)
+    with pytest.raises(TypeError, match="large must be a bool"):
+        diamond.diamond_distance(ch, large=bad)
+    with pytest.raises(TypeError, match="large must be a bool"):
+        diamond.pauli_distance(ch, large=bad)

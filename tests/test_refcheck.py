@@ -5,8 +5,8 @@ import dataclasses
 from gatebounds import channels, diamond, refcheck
 
 
-def recorded_context(channel):
-    diamond._ensure_calibrated()
+def recorded_context(channel, route="choi"):
+    diamond._ensure_calibrated(route)
     ctx = refcheck._Context()
     diamond.set_solve_recorder(ctx.records.append)
     try:
@@ -14,6 +14,7 @@ def recorded_context(channel):
     finally:
         diamond.set_solve_recorder(None)
     assert len(ctx.records) == 1
+    assert ctx.records[0].result.route == route
     return ctx
 
 
@@ -47,3 +48,17 @@ def test_solver_health_tests_sampled_bound_against_upper_certificate():
     assert detail.startswith("solve 0: sampled lower bound")
     assert "exceeds upper certificate" in detail
     assert "exceeds SDP value" not in detail
+
+
+def test_solver_health_gates_fidelity_route_records():
+    # a low-rank d = 3 pair takes the fidelity route; the same gates apply
+    ctx = recorded_context(channels.generalized_cphase(3, 0.4), route="fidelity")
+    rec = ctx.records[0]
+    assert rec.problem.block_dims == (4, 3, 3)
+    passed, detail = refcheck._check_solver_health(ctx)
+    assert passed, detail
+    assert detail.startswith("1 solves:")
+    ctx.records[0] = dataclasses.replace(rec, checked={**rec.checked, "z_min_eig": -2e-7})
+    passed, detail = refcheck._check_solver_health(ctx)
+    assert not passed
+    assert detail == "solve 0: dual slack not PSD within 1e-7"
