@@ -151,19 +151,17 @@ def _inverse_or_exact(value):
     return EXACT if value == 0.0 else 1.0 / value
 
 
-def audit(actual, ideal, compute_eta=None, compute_delta=None, large=False):
+def audit(actual, ideal, compute_eta=None, compute_delta=None):
     """Full bounds audit of a gate implementation against its ideal unitary.
 
     ``compute_eta`` and ``compute_delta`` are bools, or None for the
     default: on for d <= 4 and off above (SDP cost); ``compute_delta``
-    additionally requires a qubit dimension.  Pass ``large=True`` to allow
-    d > 4 diamond SDPs.
+    additionally requires a qubit dimension.  A diamond SDP above
+    ``diamond.MAX_ROWS`` constraint rows raises ``ValueError``.
     """
     for name, flag in (("compute_eta", compute_eta), ("compute_delta", compute_delta)):
         if flag is not None and not isinstance(flag, bool):
             raise TypeError(f"{name} must be a bool or None, got {type(flag).__name__}")
-    if not isinstance(large, bool):
-        raise TypeError(f"large must be a bool, got {type(large).__name__}")
     disc = channels.discrepancy(actual, ideal)
     d = disc.dim
     if compute_eta is None:
@@ -183,11 +181,11 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None, large=False):
         "nontrivial": upper < 1.0,
     }
     if compute_eta:
-        eta = diamond.diamond_distance(disc, large=large)
+        eta = diamond.diamond_distance(disc)
         report["error_rate"] = eta
         report["inverse_error_rate"] = _inverse_or_exact(eta.value)
     if compute_delta:
-        delta = diamond.pauli_distance(disc, large=large)
+        delta = diamond.pauli_distance(disc)
         report["pauli_distance"] = delta.value
         report["refined_interval"] = pauli_refined_interval(phi, d, delta.value)
     return BoundsReport(**report)

@@ -16,7 +16,8 @@ Named channels take {"name": ..., "params": {...}} with name one of
 depolarizing, unitary_error, amplitude_damping, generalized_cphase,
 lambda_mixture.  Ideal-gate files are ``{"dim": d, "unitary": matrix}``.
 
-Exit codes: 0 success, 1 input or validation problem, 2 solver failure.
+Exit codes: 0 success, 1 input or validation problem (a usage error
+included), 2 solver failure.
 """
 
 import argparse
@@ -227,11 +228,7 @@ def cmd_analyze(args):
     else:
         ideal = np.eye(channel.dim)
     report = bounds.audit(
-        channel,
-        ideal,
-        compute_eta=args.compute_eta,
-        compute_delta=args.compute_delta,
-        large=args.large,
+        channel, ideal, compute_eta=args.compute_eta, compute_delta=args.compute_delta
     )
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
@@ -322,7 +319,6 @@ def build_parser():
     p.add_argument("channel_file", help="JSON channel description")
     p.add_argument("ideal_file", nargs="?", default=None, help="JSON ideal-gate file (default: identity)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--large", action="store_true", help="allow diamond SDPs above dimension 4")
     p.add_argument(
         "--compute-eta",
         action=argparse.BooleanOptionalAction,
@@ -402,7 +398,11 @@ def _join_signed_values(parser, argv):
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_signed_values(parser, argv))
+    try:
+        args = parser.parse_args(_join_signed_values(parser, argv))
+    except SystemExit as exc:
+        # argparse has printed help (exit 0) or a usage error, an input problem
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (diamond.CalibrationError, sdp.SolverError) as exc:

@@ -39,7 +39,8 @@ thread, random isometry-channel pairs): at d = 3 it ties the Choi route at
 r = 6 (74 rows against 82), and at d = 4 it wins by 24 % at r = 10 and
 loses by 16 % at r = 11 (244 rows against 257).  At d = 2 the two programs
 (10 or 20 rows against 17) took the same time, and every d = 2 pair stays
-on the Choi route.
+on the Choi route.  A route with more than ``MAX_ROWS`` = 8^4 + 1 rows (the
+Choi route at d = 8, about 2 GB peak) raises ``ValueError`` before it is built.
 
 *Certificate.*  Both routes end in one certificate (:func:`_certify`),
 derived without tuned margins:
@@ -85,6 +86,7 @@ from .channels import Channel, identity_channel
 
 UNITARY_KRAUS_TOL = 1e-9
 LARGE_DIMENSION = 4
+MAX_ROWS = 8**4 + 1
 EPS = float(np.finfo(float).eps)
 
 
@@ -352,10 +354,12 @@ _ENCODINGS = {"choi": _choi_encoding, "fidelity": _fidelity_encoding}
 
 
 def _route(j_delta, d):
-    """The route for J(E - F): "fidelity" at d >= 3 where it has at most
-    three quarters of the Choi route's rows (module docstring)."""
+    """The route for J(E - F) and its row count: "fidelity" at d >= 3 where
+    it has at most three quarters of the Choi route's rows (module docstring)."""
     r = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(j_delta)) > _rank_cut(d)))
-    return "fidelity" if d > 2 and 0 < r and 4 * (2 * r * r + 2) <= 3 * (d**4 + 1) else "choi"
+    rows = {"fidelity": 2 * r * r + 2, "choi": d**4 + 1}
+    route = "fidelity" if d > 2 and 0 < r and 4 * rows["fidelity"] <= 3 * rows["choi"] else "choi"
+    return route, rows[route]
 
 
 def _witness_value(j_delta, d, rho, transpose):
@@ -430,21 +434,15 @@ def _solve_pair(e, f, route):
     return result
 
 
-def _require_bool(value, name):
-    if not isinstance(value, bool):
-        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
-
-
-def diamond_distance(e, f=None, method="auto", large=False):
+def diamond_distance(e, f=None, method="auto"):
     """Diamond distance between two channels (second defaults to identity).
 
     ``method`` is "auto" (closed form when one applies, SDP otherwise) or
     "sdp" to force the solver, which cross-checks use.  The SDP route is
-    picked from the rank of J(E - F) (module docstring).  Dimensions above
-    4 produce a large dense SDP and must be acknowledged with ``large``, a
-    bool.  A solve that does not converge raises :class:`sdp.SolverError`.
+    picked from the rank of J(E - F), and a route with more than
+    ``MAX_ROWS`` constraint rows raises ``ValueError`` (module docstring).
+    A solve that does not converge raises :class:`sdp.SolverError`.
     """
-    _require_bool(large, "large")
     if f is None:
         f = identity_channel(e.dim)
     if e.dim != f.dim:
@@ -465,19 +463,19 @@ def diamond_distance(e, f=None, method="auto", large=False):
         else:
             return _exact(_pauli_pair_value(pe, pf), DiamondMethod.PAULI_CLOSED_FORM)
 
-    if e.dim > LARGE_DIMENSION and not large:
+    route, rows = _route(e.choi - f.choi, e.dim)
+    if rows > MAX_ROWS:
         raise ValueError(
-            f"dimension {e.dim} diamond SDP is large and slow; pass large=True to run it"
+            f"dimension {e.dim} diamond SDP on the {route} route has {rows} constraint rows, "
+            f"above the cap of {MAX_ROWS}"
         )
-    route = _route(e.choi - f.choi, e.dim)
     _ensure_calibrated(route)
     return _solve_pair(e, f, route)
 
 
-def pauli_distance(c, method="auto", large=False):
+def pauli_distance(c, method="auto"):
     """Diamond distance between a channel and its Pauli twirl."""
-    _require_bool(large, "large")
-    return diamond_distance(c, pauli.pauli_twirl(c), method=method, large=large)
+    return diamond_distance(c, pauli.pauli_twirl(c), method=method)
 
 
 def brute_force_lower_bound(e, f=None, samples=2000, seed=0):

@@ -1,18 +1,24 @@
 """The two dense numeric kernels, both on numpy's LAPACK.
 
-``eigh_kernel`` is the Hermitian eigendecomposition behind every eigenvalue
-in the package; ``pair_scan_kernel`` is the vectorized sampled trace-norm
-scan behind the brute-force diamond-distance lower bound.  The scan reads
-the channels only through the Choi matrix J of E - F: for a sampled state
-with d x d coefficient matrix Psi_s, the output is
-M_s = (I x Psi_s^T) J (I x Psi_s^T)^dagger (Watrous, "Semidefinite programs
-for completely bounded norms", 2009), two dense products per batch.
+``eigh_kernel`` is the Hermitian eigendecomposition behind
+:func:`gatebounds.linalg.hermitian_eigendecomposition`, its only caller
+(and so behind ``trace_norm`` and ``min_hermitian_eigenvalue``).  Other
+eigenvalues call LAPACK directly, so a count of ``eigh_kernel`` calls
+covers only that path: the solver's step lengths (``sdp._max_steps``), the
+rank that picks a diamond route (``diamond._route``), the witness
+certificate (``diamond._witness_value``), the fidelity route's Gram bound,
+and the batched ``eigvalsh`` of ``pair_scan_kernel``, the vectorized
+sampled trace-norm scan behind the brute-force diamond-distance lower
+bound.  The scan reads the channels only through the Choi matrix J of
+E - F: for a sampled state with d x d coefficient matrix Psi_s, the output
+is M_s = (I x Psi_s^T) J (I x Psi_s^T)^dagger (Watrous, "Semidefinite
+programs for completely bounded norms", 2009), two dense products per batch.
 """
 
 import numpy as np
 
-# Kept so that environment reports written by the benchmark harness keep
-# their fields: the package uses no numba, and nothing reads ENV_VAR.
+# Read only by the benchmark harness's environment report
+# (perfbench/run.py): the package uses no numba, and nothing reads ENV_VAR.
 HAVE_NUMBA = False
 ENV_VAR = "GATEBOUNDS_BACKEND"
 

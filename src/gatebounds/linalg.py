@@ -2,8 +2,11 @@
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Functions validate shape and (where required) hermiticity, and raise
-``ValueError`` on bad input.  Eigenvalues come from numpy's LAPACK, through
-:func:`gatebounds.kernels.eigh_kernel` for Hermitian matrices.
+``ValueError`` on bad input.  Eigenvalues come from numpy's LAPACK: the
+Hermitian ones here through :func:`gatebounds.kernels.eigh_kernel`, after a
+Hermiticity check.  The solver's step lengths, the diamond route's rank and
+certificate, and the brute-force scan call ``np.linalg.eigvalsh``/``eigh``
+directly, without that check (see :mod:`gatebounds.kernels`).
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gatebounds import bounds, channels, metrics
+from gatebounds import bounds, channels, diamond, metrics
 from gatebounds.diamond import DiamondMethod
 
 
@@ -194,23 +194,28 @@ def test_audit_explicit_switches():
     assert report.inverse_error_rate is None
     assert report.pauli_distance is None
 
-    # unitary closed form works at dimension 8 without the large flag
+    # unitary closed form at dimension 8
     ch8 = channels.generalized_cphase(8, 0.2)
     report = bounds.audit(ch8, np.eye(8), compute_eta=True)
     assert report.error_rate.method is DiamondMethod.UNITARY_CLOSED_FORM
     assert report.error_rate.value == pytest.approx(math.sin(0.1), abs=1e-12)
 
-    # the twirl distance at dimension 8 is an SDP and stays behind the flag
-    with pytest.raises(ValueError, match="large"):
-        bounds.audit(ch8, np.eye(8), compute_delta=True)
+    # the twirl distance at dimension 8 is an SDP, asked for explicitly; it
+    # runs on the fidelity route (r = 8, 130 rows), within the row cap
+    report = bounds.audit(ch8, np.eye(8), compute_delta=True)
+    assert report.error_rate is None
+    want = diamond.pauli_distance(ch8, method="sdp")
+    assert want.route == "fidelity"
+    assert want.lower_certificate - 1e-9 <= report.pauli_distance <= want.upper_certificate + 1e-9
+    lo, hi = report.refined_interval
+    assert lo <= math.sin(0.1) <= hi
 
 
 @pytest.mark.parametrize("bad", [1, 0, "yes", np.False_, 1.0])
-@pytest.mark.parametrize("name", ["compute_eta", "compute_delta", "large"])
+@pytest.mark.parametrize("name", ["compute_eta", "compute_delta"])
 def test_audit_switches_must_be_bools(name, bad):
     ch = channels.amplitude_damping(0.1)
-    accepted = "a bool" if name == "large" else "a bool or None"
-    with pytest.raises(TypeError, match=f"{name} must be {accepted}, got"):
+    with pytest.raises(TypeError, match=f"{name} must be a bool or None, got"):
         bounds.audit(ch, np.eye(2), **{name: bad})
 
 
@@ -218,8 +223,6 @@ def test_audit_accepts_none_only_for_the_compute_switches():
     ch = channels.amplitude_damping(0.1)
     report = bounds.audit(ch, np.eye(2), compute_eta=None, compute_delta=None)
     assert report.error_rate is not None and report.pauli_distance is not None
-    with pytest.raises(TypeError, match="large must be a bool, got NoneType"):
-        bounds.audit(ch, np.eye(2), large=None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,8 +1,10 @@
 """End-to-end command-line tests driven through ``cli.main``."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -445,3 +447,57 @@ def test_analyze_exits_2_on_unconverged_fidelity_route_solve(tmp_path, capsys, m
     path = named_file(tmp_path, "mix.json", 3, "lambda_mixture", {"lambda": 0.1})
     assert cli.main(["analyze", path]) == 2
     assert "fidelity route) stopped unconverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "f.json", "--large"], "unrecognized arguments: --large"),
+        (["bounds", "--dim", "2"], "the following arguments are required: --fidelity"),
+        (["bounds", "--fidelity", "high", "--dim", "2"], "invalid float value: 'high'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+    ids=["unknown-option", "missing-option", "unparsable-number", "unknown-command"],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # 2 is the solver-failure code; a malformed command line is an input problem
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    assert "usage: gatebounds" in capsys.readouterr().out
+
+
+def test_readme_names_only_real_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    commands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    assert {"--json", "--compute-eta", "--no-compute-delta", "--fidelity"} <= named
+    assert named <= options, sorted(named - options)
+
+
+def test_analyze_three_qubit_gate_with_both_sdps(tmp_path, capsys):
+    # d = 8 needs only the compute switches: eta is the unitary closed form,
+    # delta a 130-row fidelity-route SDP
+    path = named_file(tmp_path, "cp8.json", 8, "generalized_cphase", {"theta": 0.2})
+    assert cli.main(["analyze", path, "--compute-eta", "--compute-delta", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dim"] == 8
+    assert data["error_rate"]["method"] == "unitary_closed_form"
+    assert data["error_rate"]["value"] == pytest.approx(math.sin(0.1), abs=1e-12)
+    lo, hi = data["refined_interval"]
+    assert lo <= math.sin(0.1) <= hi

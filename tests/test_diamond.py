@@ -1,11 +1,13 @@
 """Diamond distance: closed forms, the SDP path, and their agreement."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gatebounds import channels, diamond, linalg, pauli, sdp
+from gatebounds import bounds, channels, cli, diamond, linalg, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod, DiamondResult
 
@@ -184,10 +186,35 @@ def test_brute_force_validation():
         )
 
 
-def test_large_dimension_needs_opt_in():
-    actual, ideal = channels.lambda_mixture(5, 0.1)
-    with pytest.raises(ValueError, match="large"):
-        diamond.diamond_distance(actual, channels.unitary_channel(ideal))
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a refused pair reached the solver or the template")
+
+
+def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys):
+    # nothing may be built for a refused pair, nor calibrated before the check
+    diamond._ensure_calibrated.cache_clear()
+    monkeypatch.setattr(sdp, "solve", refuse_to_build)
+    monkeypatch.setattr(diamond, "_template", refuse_to_build)
+    rng = np.random.default_rng(99)
+    # the real cap: a high-rank d = 9 pair is the Choi route with 9^4 + 1 rows
+    wide = isometry_channel(rng, 9, 60)
+    with pytest.raises(ValueError, match=r"choi route has 6562 constraint rows, above the cap of 4097"):
+        diamond.diamond_distance(wide)
+    # a lowered cap refuses a high-rank d = 4 pair (r = 13, Choi route, 257 rows)
+    monkeypatch.setattr(diamond, "MAX_ROWS", 256)
+    ch = isometry_channel(rng, 4, 12)
+    message = r"dimension 4 diamond SDP on the choi route has 257 constraint rows, above the cap of 256"
+    with pytest.raises(ValueError, match=message):
+        diamond.diamond_distance(ch)
+    with pytest.raises(ValueError, match=message):
+        bounds.audit(ch, np.eye(4))
+    path = tmp_path / "wide.json"
+    kraus = [[[[float(z.real), float(z.imag)] for z in row] for row in k] for k in ch.kraus]
+    path.write_text(json.dumps({"dim": 4, "kind": "kraus", "kraus": kraus}))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    # the closed forms are dispatched before the check
+    assert diamond.diamond_distance(channels.generalized_cphase(4, 0.4)).route is None
 
 
 def test_large_unitary_still_dispatches_to_closed_form():
@@ -386,15 +413,16 @@ def test_witness_never_exceeds_upper_certificate(route):
 
 def test_route_follows_the_rank_of_the_choi_difference():
     rng = np.random.default_rng(97)
+    # r = 3 and 2 r^2 + 2 rows on the fidelity route, d^4 + 1 on the Choi route
     low = isometry_channel(rng, 4, 2)
-    assert diamond._route(low.choi - channels.identity_channel(4).choi, 4) == "fidelity"
+    assert diamond._route(low.choi - channels.identity_channel(4).choi, 4) == ("fidelity", 20)
     # the Pauli twirl of a Haar unitary has all 16 Pauli terms
     twirled = pauli.pauli_twirl(channels.unitary_channel(random_unitary(rng, 4)))
-    assert diamond._route(twirled.choi - channels.identity_channel(4).choi, 4) == "choi"
+    assert diamond._route(twirled.choi - channels.identity_channel(4).choi, 4) == ("choi", 257)
     # every d = 2 pair stays on the Choi route, and so does J = 0
     e, f = isometry_channel(rng, 2, 1), channels.identity_channel(2)
-    assert diamond._route(e.choi - f.choi, 2) == "choi"
-    assert diamond._route(np.zeros((9, 9)), 3) == "choi"
+    assert diamond._route(e.choi - f.choi, 2) == ("choi", 17)
+    assert diamond._route(np.zeros((9, 9)), 3) == ("choi", 82)
 
 
 def test_three_qubit_low_rank_pairs_take_the_fidelity_route():
@@ -402,7 +430,7 @@ def test_three_qubit_low_rank_pairs_take_the_fidelity_route():
     u = channels.generalized_cphase(8, 0.4)
     sparse = pauli.PauliChannel(3, {"III": 0.9, "XZI": 0.06, "YYZ": 0.04})
     for channel, closed in ((u, math.sin(0.2)), (sparse.as_channel(), 0.1)):
-        res = diamond.diamond_distance(channel, method="sdp", large=True)
+        res = diamond.diamond_distance(channel, method="sdp")
         assert res.method is DiamondMethod.SDP
         assert res.route == "fidelity"
         assert res.lower_certificate <= closed <= res.upper_certificate
@@ -443,10 +471,29 @@ def test_closed_forms_report_no_route():
     assert diamond.diamond_distance(channels.amplitude_damping(0.2)).route == "choi"
 
 
-@pytest.mark.parametrize("bad", [None, 1, 0, "yes", np.True_])
-def test_large_must_be_a_bool(bad):
-    ch = channels.amplitude_damping(0.2)
-    with pytest.raises(TypeError, match="large must be a bool"):
-        diamond.diamond_distance(ch, large=bad)
-    with pytest.raises(TypeError, match="large must be a bool"):
-        diamond.pauli_distance(ch, large=bad)
+def test_five_dimensional_high_rank_pair_runs_without_a_flag():
+    # r = 24: the Choi route with 5^4 + 1 rows, under the cap
+    rng = np.random.default_rng(100)
+    e, f = isometry_channel(rng, 5, 12), isometry_channel(rng, 5, 12)
+    assert diamond._route(e.choi - f.choi, 5) == ("choi", 626)
+    res = diamond.diamond_distance(e, f)
+    assert (res.method, res.route) == (DiamondMethod.SDP, "choi")
+    assert res.upper_certificate - res.lower_certificate <= 1e-7
+    sampled = diamond.brute_force_lower_bound(e, f, samples=2000)
+    assert 0.5 * res.value < sampled <= res.upper_certificate
+
+
+def test_sixteen_dimensional_low_rank_pairs_bracket_their_closed_forms():
+    # four qubits on the fidelity route: a diagonal unitary (r = 2, 10 rows)
+    # and a three-term Pauli channel (r = 3, 20 rows)
+    rng = np.random.default_rng(101)
+    u = channels.unitary_channel(np.diag(np.exp(1j * rng.uniform(-0.6, 0.6, 16))))
+    sparse = pauli.PauliChannel(4, {"IIII": 0.9, "XZIY": 0.06, "YYZI": 0.04}).as_channel()
+    for channel, rows in ((u, 10), (sparse, 20)):
+        closed = diamond.diamond_distance(channel)
+        assert closed.method is not DiamondMethod.SDP
+        assert diamond._route(channel.choi - channels.identity_channel(16).choi, 16) == ("fidelity", rows)
+        res = diamond.diamond_distance(channel, method="sdp")
+        assert res.route == "fidelity"
+        assert res.lower_certificate <= closed.value <= res.upper_certificate
+        assert res.upper_certificate - res.lower_certificate <= 1e-7
