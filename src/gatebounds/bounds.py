@@ -156,8 +156,8 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None):
 
     ``compute_eta`` and ``compute_delta`` are bools, or None for the
     default: on for d <= 4 and off above (SDP cost); ``compute_delta``
-    additionally requires a qubit dimension.  A diamond SDP above
-    ``diamond.MAX_ROWS`` constraint rows raises ``ValueError``.
+    additionally requires a qubit dimension.  A diamond SDP whose largest
+    array would exceed ``diamond.MAX_ENTRIES`` entries raises ``ValueError``.
     """
     for name, flag in (("compute_eta", compute_eta), ("compute_delta", compute_delta)):
         if flag is not None and not isinstance(flag, bool):

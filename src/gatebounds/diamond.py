@@ -13,8 +13,20 @@ Choi matrix J = J(E - F):
       subject to 0 <= W <= I_out (x) rho,   rho >= 0,   tr rho = 1,
 
   with blocks (d^2, d^2, d) and m = d^4 + 1 constraint rows.  Only the
-  objective -J depends on the channels, so the constraints are built once
-  per dimension as a read-only template (:func:`_template`).
+  objective -J depends on the channels.  At d < ``STRUCTURED_DIMENSION``
+  = 4 the constraints are built once per dimension as a read-only template
+  (:func:`_template`), an :class:`sdp.SdpProblem` that the solver steps
+  with the HKM direction against its assembled (d^4 + 1)^2 Schur matrix.
+  From d = 4 on they are a :class:`_ChoiOperator`, an
+  :class:`sdp.StructuredProblem` that applies them in O(d^4) and solves the
+  NT Newton system (Nesterov-Todd scaling; Todd, Toh and Tutuncu, SIAM J.
+  Optim. 8, 1998) through one congruence that diagonalizes the W and S
+  scalings, in O(d^6) per solve plus an O(d^8) product per iteration, with
+  no Schur matrix.  HKM has no such inverse (its operator
+  herm(X Y Z^-1) has four Kronecker terms).  Per iteration the structured
+  solve took 2.8 ms against 9.3 ms at d = 4 and lost at d = 3, 2.0 against
+  1.7 ms (medians of six interleaved runs over ten random isometry pairs,
+  one BLAS thread), so d = 2 and 3 stay assembled.
 * The *fidelity route* (Kitaev's characterization by the complementary maps,
   as an SDP in Watrous, "Simpler semidefinite programs for completely
   bounded norms", Chicago J. Theoretical Computer Science 2013,
@@ -28,19 +40,30 @@ Choi matrix J = J(E - F):
   where G_A(rho)_ij = tr(A_i rho A_j^dagger), G_B = S G_A S with
   S = diag(s_k), and F(P, Q) = max Re tr Y subject to [[P, Y], [Y^dagger, Q]]
   >= 0.  Its blocks are (2r, d, d) and it has m = 2 r^2 + 2 rows; the
-  constraints depend on the pair, so there is no template.
+  constraints depend on the pair, so there is no template.  It runs on the
+  assembled HKM path.
 
 *Rule.*  Eigenvalues of J at or below the rank cut 2 d^3 eps (d^2 rounding
 units of ||J_E||_1 + ||J_F||_1 = 2d, far below any physical eigenvalue) are
 dropped from the fidelity route, and r counts the rest.  The fidelity route
-is taken at d >= 3 when 0 < r and 2 r^2 + 2 <= 3/4 (d^4 + 1): up to r = 5 at
-d = 3 and r = 9 at d = 4.  That is where it was measured faster (one BLAS
-thread, random isometry-channel pairs): at d = 3 it ties the Choi route at
-r = 6 (74 rows against 82), and at d = 4 it wins by 24 % at r = 10 and
-loses by 16 % at r = 11 (244 rows against 257).  At d = 2 the two programs
-(10 or 20 rows against 17) took the same time, and every d = 2 pair stays
-on the Choi route.  A route with more than ``MAX_ROWS`` = 8^4 + 1 rows (the
-Choi route at d = 8, about 2 GB peak) raises ``ValueError`` before it is built.
+is taken at d >= 3 when 0 < r and 2 r^2 + 2 <= 7 d^2: up to r = 5 at d = 3,
+r = 7 at d = 4, r = 9 at d = 5 and r = 14 at d = 8.  That is where it was
+measured faster (one BLAS thread, random isometry-channel pairs, the mean
+of two pairs per rank): against the assembled Choi route at d = 3 it ties
+at r = 6 (74 rows against 82); against the structured Choi route it took
+29 against 34 ms at r = 7 and 49 against 33 ms at r = 8 at d = 4, 47
+against 47 ms at r = 8 and 65 against 57 ms at r = 9 at d = 5, and 373
+against 418 ms at r = 14 and 730 against 387 ms at r = 16 at d = 8.  At
+d = 2 the two programs (10 or 20 rows against 17) took the same time, and
+every d = 2 pair stays on the Choi route.
+
+*Cap.*  A route whose largest array would have more than ``MAX_ENTRIES`` =
+2^25 complex entries (512 MiB) raises ``ValueError`` before anything is
+built: the (m, 2 (m - 2) + 2 d^2) constraint matrix on the fidelity route,
+the (d^4 + 1, 2 d^4 + d^2) template on the assembled Choi route, and the
+(d^2, d^2, d^2) stack of the structured solve, d^6 entries, on the
+structured Choi route.  So every pair up to d = 17 runs, and so does a
+low-rank pair of any dimension whose fidelity route fits.
 
 *Certificate.*  Both routes end in one certificate (:func:`_certify`),
 derived without tuned margins:
@@ -66,8 +89,9 @@ derived without tuned margins:
 
 The returned value is the solver's primal value, clipped into the interval.
 
-Each route's encoder normalization is calibrated once per process, on its
-first use, against the unitary closed form; a mismatch aborts with
+Each route's encoder normalization, and the structured Choi operator's, is
+calibrated once per process, on its first use, against the unitary closed
+form; a mismatch aborts with
 :class:`CalibrationError` since it would mean the package is miswired, not
 that an input is bad.
 """
@@ -85,8 +109,8 @@ from . import kernels, linalg, pauli, sdp
 from .channels import Channel, identity_channel
 
 UNITARY_KRAUS_TOL = 1e-9
-LARGE_DIMENSION = 4
-MAX_ROWS = 8**4 + 1
+STRUCTURED_DIMENSION = 4
+MAX_ENTRIES = 2**25
 EPS = float(np.finfo(float).eps)
 
 
@@ -224,11 +248,10 @@ def _template(d):
     solver assembles them as one group.
 
     Only the objective depends on the channels, so :func:`_encode` keeps the
-    template of each d <= ``LARGE_DIMENSION`` for the life of the process;
-    its read-only constraint matrix has m = d^4 + 1 rows and 2 d^4 + d^2
-    complex columns, about 10 KB at d = 2, 0.2 MB at d = 3 and 2.2 MB at
-    d = 4.  A larger template (0.54 GB at d = 8) is built per solve through
-    ``_template.__wrapped__`` and freed with it.
+    template of each assembled dimension, d < ``STRUCTURED_DIMENSION``, for
+    the life of the process; its read-only constraint matrix has
+    m = d^4 + 1 rows and 2 d^4 + d^2 complex columns, about 10 KB at d = 2
+    and 0.2 MB at d = 3.
     """
     d2 = d * d
     zero_w = np.zeros((d2, d2))
@@ -244,15 +267,161 @@ def _template(d):
     return sdp.SdpProblem([d2, d2, d], [zero_w, zero_w, zero_r], constraints, rhs)
 
 
+@functools.cache
+def _coordinates(n):
+    """Float64-view positions and weights for the coordinates of an n x n
+    matrix in the basis of :func:`_hermitian_basis`, in its order.
+
+    Row i of the basis is a diagonal unit (p, p), or the real or imaginary
+    pair at (p, q) and (q, p), q > p.  ``upper`` and ``lower`` are the
+    positions of that entry's part at (p, q) and at (q, p) in the matrix's
+    float64 view, ``sign`` is -1 for imaginary parts, ``half`` weighs the
+    coordinate Re tr(F_i M) = half (M[upper] + sign M[lower]) and ``unit``
+    is the entry of F_i at (p, q).
+    """
+    root = 1.0 / np.sqrt(2.0)
+    upper, lower, sign, unit = [], [], [], []
+    for p in range(n):
+        upper.append(2 * (p * n + p))
+        lower.append(2 * (p * n + p))
+        sign.append(1.0)
+        unit.append(1.0)
+        for q in range(p + 1, n):
+            for part, part_sign in ((0, 1.0), (1, -1.0)):
+                upper.append(2 * (p * n + q) + part)
+                lower.append(2 * (q * n + p) + part)
+                sign.append(part_sign)
+                unit.append(root)
+    unit = np.array(unit)
+    arrays = (np.array(upper), np.array(lower), np.array(sign), np.where(unit == 1.0, 0.5, root), unit)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _ChoiOperator(sdp.StructuredProblem):
+    """The Choi route's SDP with its constraint operator in structured form.
+
+    The same blocks (W, S, rho), rows and rhs as :func:`_template`, applied
+    without a constraint matrix: ``apply`` is (coords(X_W + X_S - I (x)
+    X_rho), tr X_rho) and ``adjoint`` is (U, U, -Tr_1 U + y_last I) with U
+    the Hermitian matrix of coordinates y, both O(d^4).
+
+    Its NT Newton matrix A(W A*(.) W) is L(U) = W_W U W_W + W_S U W_S on
+    the W/S part plus the rho coupling I (x) W_rho (Tr_1 U) W_rho.
+    :meth:`nt_solver` inverts L in O(d^6) by one congruence T that
+    diagonalizes both scalings, W_W = T diag(g_W) T^H and
+    W_S = T diag(g_S) T^H: the Cholesky factor of W_W + W_S, then ``eigh``,
+    with both g read from their blocks in T's frame.  (Built on the factor
+    of W_W alone, every one of 18 two-qubit test solves stopped as a
+    numerical failure within four iterations.)  In that
+    frame L is the entrywise product with g_W,i g_W,j + g_S,i g_S,j.
+    Eliminating U leaves a (d^2 + 1) system in the rho block's direction V
+    and the trace multiplier.  V is written in the basis of W_rho's
+    Cholesky factor, where the W_rho^-1 V W_rho^-1 term is the identity: in
+    the plain basis, near an optimum whose rho is rank-deficient, the
+    errors of that system grew to the size of the solution.  The largest
+    array is the (d^2, d^2, d^2) stack of T^-1 (I (x) E_pq) T^-H in that
+    basis; peak memory is a few times its d^6 entries.
+    """
+
+    def __init__(self, j_delta, d):
+        n = d * d
+        super().__init__((n, n, d))
+        self.d = d
+        self._coords = _coordinates(n)
+        self.b = np.zeros(n * n + 1)
+        self.b[-1] = 1.0
+        self.b.flags.writeable = False
+        self.c = np.zeros(self.size, dtype=np.complex128)
+        self.c[: n * n] = (-0.5 * (j_delta + j_delta.conj().T)).ravel()
+        self.c.flags.writeable = False
+
+    def _coordinates_of(self, mat):
+        upper, lower, sign, half, _ = self._coords
+        view = mat.view(np.float64).ravel()
+        return half * (view[upper] + sign * view[lower])
+
+    def _matrix_of(self, coords):
+        upper, lower, sign, _, unit = self._coords
+        n = self.block_dims[0]
+        mat = np.zeros((n, n), dtype=np.complex128)
+        view = mat.view(np.float64).ravel()
+        view[lower] = sign * unit * coords
+        view[upper] = unit * coords
+        return mat
+
+    def apply(self, x):
+        d = self.d
+        w, s, rho = self.blocks(x)
+        link = w + s
+        diag = np.arange(d)
+        link.reshape(d, d, d, d)[diag, :, diag, :] -= rho
+        return np.append(self._coordinates_of(link), np.trace(rho).real)
+
+    def adjoint(self, y):
+        d = self.d
+        u = self._matrix_of(y[:-1])
+        rho = y[-1] * np.eye(d) - np.trace(u.reshape(d, d, d, d), axis1=0, axis2=2)
+        return np.concatenate((u.ravel(), u.ravel(), rho.ravel()))
+
+    def nt_solver(self, ws):
+        """A solve of A(W A*(y) W) = h for the scaling blocks ``ws``, or None
+        when W_W + W_S or W_rho is not numerically positive definite."""
+        d = self.d
+        n = d * d
+        w_w, w_s, w_r = ws
+        try:
+            lower = np.linalg.cholesky(w_w + w_s)
+            g_r = np.linalg.cholesky(w_r)
+        except np.linalg.LinAlgError:
+            return None
+        l_inv = np.linalg.solve(lower, np.eye(n))
+        _, q = np.linalg.eigh(l_inv @ w_w @ l_inv.conj().T)
+        t_inv = q.conj().T @ l_inv
+        g_w = np.einsum("ij,ij->i", t_inv @ w_w, t_inv.conj()).real
+        g_s = np.einsum("ij,ij->i", t_inv @ w_s, t_inv.conj()).real
+        weights = (np.outer(g_w, g_w) + np.outer(g_s, g_s)).ravel()
+        # V = G_rho V' G_rho^H with W_rho = G_rho G_rho^H turns W_rho^-1 V
+        # W_rho^-1 into V' itself.  units[p d + q] = T^-1 (I (x) G_rho E_pq
+        # G_rho^H) T^-H, flat: a sum over the first factor a of the columns
+        # (a, p) and (a, q) of T^-1 (I (x) G_rho)
+        cols = (t_inv.reshape(n, d, d) @ g_r).transpose(2, 0, 1).reshape(d * n, d)
+        units = (cols @ cols.conj().T).reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(n, n * n)
+        # sum_ij conj(units[a]) units[b] / weights, conjugated in place so
+        # that no second conjugate copy of the stack is made
+        scaled = np.divide(units, weights)
+        np.conj(scaled, out=scaled)
+        bordered = np.empty((n + 1, n + 1), dtype=np.complex128)
+        bordered[:n, :n] = np.conj(units @ scaled.T)
+        bordered[:n, :n].flat[:: n + 1] += 1.0
+        gram = (g_r.conj().T @ g_r).ravel()
+        bordered[:n, n] = -gram
+        bordered[n, :n] = gram.conj()
+        bordered[n, n] = 0.0
+
+        def solve(h):
+            framed = (t_inv @ self._matrix_of(h[:-1]) @ t_inv.conj().T).ravel()
+            rhs = np.append(-np.conj(units @ np.conj(framed / weights)), h[-1])
+            v = np.linalg.solve(bordered, rhs)
+            u = ((framed + v[:n] @ units) / weights).reshape(n, n)
+            u = t_inv.conj().T @ u @ t_inv
+            return np.append(self._coordinates_of(u), v[n].real)
+
+        return solve
+
+
 def _encode(j_delta, d):
     """The Choi route's SDP for the maximization above, in minimization form.
 
-    The constraints are those of :func:`_template` (shared, not copied);
-    the objective is -J on the W block and zero on S and rho.
+    The objective is -J on the W block and zero on S and rho.  Below
+    ``STRUCTURED_DIMENSION`` the constraints are those of :func:`_template`
+    (shared, not copied); from it on they are a :class:`_ChoiOperator`.
     """
+    if d >= STRUCTURED_DIMENSION:
+        return _ChoiOperator(j_delta, d)
     d2 = d * d
-    template = _template(d) if d <= LARGE_DIMENSION else _template.__wrapped__(d)
-    return template.with_objective([-j_delta, np.zeros((d2, d2)), np.zeros((d, d))])
+    return _template(d).with_objective([-j_delta, np.zeros((d2, d2)), np.zeros((d, d))])
 
 
 def _rank_cut(d):
@@ -355,11 +524,27 @@ _ENCODINGS = {"choi": _choi_encoding, "fidelity": _fidelity_encoding}
 
 def _route(j_delta, d):
     """The route for J(E - F) and its row count: "fidelity" at d >= 3 where
-    it has at most three quarters of the Choi route's rows (module docstring)."""
+    it has at most 7 d^2 rows (module docstring)."""
     r = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(j_delta)) > _rank_cut(d)))
     rows = {"fidelity": 2 * r * r + 2, "choi": d**4 + 1}
-    route = "fidelity" if d > 2 and 0 < r and 4 * rows["fidelity"] <= 3 * rows["choi"] else "choi"
+    route = "fidelity" if d > 2 and 0 < r and rows["fidelity"] <= 7 * d * d else "choi"
     return route, rows[route]
+
+
+def _largest_array(route, rows, d):
+    """Complex entries of the largest array a solve on ``route`` allocates
+    (module docstring, *Cap*)."""
+    if route == "fidelity":
+        return rows * (2 * (rows - 2) + 2 * d * d)
+    if d >= STRUCTURED_DIMENSION:
+        return d**6
+    return rows * (2 * d**4 + d * d)
+
+
+def _path(route, d):
+    """The solve path of a pair: its route, or "structured" for the Choi
+    route's structured operator."""
+    return "structured" if route == "choi" and d >= STRUCTURED_DIMENSION else route
 
 
 def _witness_value(j_delta, d, rho, transpose):
@@ -397,15 +582,18 @@ def _certify(encoding, solution, checked, j_delta, d):
 
 
 @functools.cache
-def _ensure_calibrated(route):
-    # a call that raises is not cached, so the next use of the route retries it
+def _ensure_calibrated(path):
+    # a call that raises is not cached, so the next use of the path retries it
     theta = 0.5
-    u = np.diag([1.0, np.exp(1j * theta)])
-    got = _solve_pair(Channel([u]), identity_channel(2), route)
+    d = STRUCTURED_DIMENSION if path == "structured" else 2
+    route = "choi" if path == "structured" else path
+    u = np.diag([1.0] * (d - 1) + [np.exp(1j * theta)])
+    got = _solve_pair(Channel([u]), identity_channel(d), route)
     want = math.sin(theta / 2.0)
     if abs(got.value - want) > 1e-6:
+        name = "choi route (structured operator)" if path == "structured" else f"{route} route"
         raise CalibrationError(
-            f"diamond encoder calibration failed on the {route} route: got {got.value!r}, "
+            f"diamond encoder calibration failed on the {name}: got {got.value!r}, "
             f"expected {want!r}"
         )
 
@@ -439,8 +627,9 @@ def diamond_distance(e, f=None, method="auto"):
 
     ``method`` is "auto" (closed form when one applies, SDP otherwise) or
     "sdp" to force the solver, which cross-checks use.  The SDP route is
-    picked from the rank of J(E - F), and a route with more than
-    ``MAX_ROWS`` constraint rows raises ``ValueError`` (module docstring).
+    picked from the rank of J(E - F), and a route whose largest array has
+    more than ``MAX_ENTRIES`` entries raises ``ValueError`` (module
+    docstring).
     A solve that does not converge raises :class:`sdp.SolverError`.
     """
     if f is None:
@@ -464,12 +653,13 @@ def diamond_distance(e, f=None, method="auto"):
             return _exact(_pauli_pair_value(pe, pf), DiamondMethod.PAULI_CLOSED_FORM)
 
     route, rows = _route(e.choi - f.choi, e.dim)
-    if rows > MAX_ROWS:
+    entries = _largest_array(route, rows, e.dim)
+    if entries > MAX_ENTRIES:
         raise ValueError(
-            f"dimension {e.dim} diamond SDP on the {route} route has {rows} constraint rows, "
-            f"above the cap of {MAX_ROWS}"
+            f"dimension {e.dim} diamond SDP on the {route} route needs an array of {entries} "
+            f"entries, above the cap of {MAX_ENTRIES}"
         )
-    _ensure_calibrated(route)
+    _ensure_calibrated(_path(route, e.dim))
     return _solve_pair(e, f, route)
 
 

@@ -2,10 +2,27 @@
 
 Standard form: minimize <C, X> over block-diagonal complex Hermitian X >= 0
 subject to <A_i, X> = b_i, with the real inner product <A, B> = Re tr(A B).
-The solver runs the HKM search direction with a Mehrotra predictor-corrector
-step, starting from scaled identity iterates.  It is written for the problem
-sizes this package produces (a few hundred rows, a few thousand constraints
-at most) and keeps everything dense.
+The solver runs a Mehrotra predictor-corrector step from scaled identity
+iterates, and asks the problem for its Newton system every iteration.
+Two kinds of problem supply two Newton systems:
+
+* :class:`SdpProblem` holds its constraints as one matrix and uses the HKM
+  direction: the Schur matrix M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1)
+  is assembled with matrix products and solved dense.  It is written for
+  the problem sizes this package assembles (a few hundred rows, a few
+  thousand constraints at most).
+* :class:`StructuredProblem` applies its constraints without a matrix and
+  uses the Nesterov-Todd (NT) direction, whose Newton matrix
+  M = A(W A*(.) W), W the NT scaling point, keeps a congruence structure
+  that a problem can invert cheaply (the diamond SDP's Choi route does, in
+  :mod:`gatebounds.diamond`).  HKM's operator herm(X A*(.) Z^-1) has no
+  such inverse.  The problem's solve may be inexact: each one is refined
+  against the exact operator until its residual is within ``REFINE_TOL``
+  of the right-hand side or stops shrinking, and one that ends above
+  ``NEWTON_TOL`` stops the iteration as ``NUMERICAL_FAILURE``.  NT on the
+  assembled matrix took 1.5-1.75 times HKM's time at d = 2 with the same
+  iteration counts (60 diamond solves of audit inputs, one BLAS thread), so
+  :class:`SdpProblem` keeps HKM.
 
 The iterate path is deterministic: no randomness, fixed initialization, and
 plain NumPy arithmetic, so repeated solves of the same problem produce
@@ -22,7 +39,8 @@ residuals are within ``FEAS_TOL`` and the normalized duality gap is within
 
 The problem data is one flat operator.  Every block-diagonal matrix is a
 complex vector of length N = sum n_b^2, block b in its own range as a
-row-major vec; the constraints are the rows of one complex (m, N) matrix.
+row-major vec (:class:`BlockLayout`); an :class:`SdpProblem`'s constraints
+are the rows of one complex (m, N) matrix.
 For Hermitian A and B, Re tr(A B) is the dot product of the float64 views of
 their vecs (real and imaginary parts interleaved), so every inner product is
 one real BLAS call on a view, with no copy.  :class:`SdpProblem` exposes the
@@ -46,7 +64,8 @@ X_b A_j Z_b^-1 over a group before its one real GEMM, so two blocks that
 share a stack cost one GEMM instead of two.  Each ``solve`` call owns its
 Schur buffers (``SdpProblem.schur_workspace``) and refills them in place
 every iteration; they are not kept on the problem, whose data a caller may
-share or keep after the solve.
+share or keep after the solve.  ``newton_system`` returns the HKM system
+of an iterate.
 
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
@@ -59,11 +78,12 @@ batched ``eigvalsh``; the two minima are taken separately.
 NumPy's batched linear algebra runs the same LAPACK routine on each member,
 so a run gives the numbers that one call per block gives; a problem whose
 blocks all differ in size has runs of one.  The diamond SDP's blocks
-(d^2, d^2, d) form two runs, so an iteration makes three Cholesky calls,
-four solves and four ``eigvalsh`` calls.  The Schur matrix is real
-symmetric; it is factored by Cholesky only to test that it is positive
-definite (with one jittered retry), and each of the two directions per
-iteration is then one ``np.linalg.solve`` against it.
+(d^2, d^2, d) form two runs, so an assembled iteration makes three
+Cholesky calls, four solves and four ``eigvalsh`` calls.  The Schur matrix
+is real symmetric; it is factored by Cholesky only to test that it is
+positive definite (with one jittered retry), and each of the two directions
+per iteration is then one ``np.linalg.solve`` against it.  The NT scaling
+reuses the same inverse Cholesky factors: one batched SVD per run gives it.
 """
 
 import copy
@@ -80,6 +100,11 @@ MAX_ITERATIONS = 200
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
 STEP_FRACTION = 0.98
+# a structured Newton solve is refined until its residual is this small
+# relative to the right-hand side, and fails above NEWTON_TOL
+REFINE_TOL = 1e-12
+NEWTON_TOL = 1e-6
+MAX_REFINEMENTS = 10
 
 
 class SolverError(RuntimeError):
@@ -92,7 +117,57 @@ class SdpStatus(Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-class SdpProblem:
+class BlockLayout:
+    """The layout of block-diagonal matrices as flat complex vectors.
+
+    Block b of a vector of length N = sum n_b^2 is the row-major vec of an
+    (n_b, n_b) matrix in its own range.  ``runs`` lists the maximal runs of
+    consecutive blocks of equal size as (k, n) pairs: k blocks of size n.  A
+    run's blocks fill one contiguous range, so :meth:`stacks` views it as one
+    (k, n, n) array, and the solver factors and steps it with one batched
+    call.  Both kinds of problem share this layout.
+    """
+
+    def __init__(self, block_dims):
+        self.block_dims = tuple(int(n) for n in block_dims)
+        if any(n < 1 for n in self.block_dims):
+            raise ValueError("block dimensions must be positive")
+        self._slices, size = [], 0
+        for n in self.block_dims:
+            self._slices.append(slice(size, size + n * n))
+            size += n * n
+        self.runs, self._run_slices, start = [], [], 0
+        for n, members in itertools.groupby(self.block_dims):
+            k = len(list(members))
+            self.runs.append((k, n))
+            self._run_slices.append(slice(start, start + k * n * n))
+            start += k * n * n
+        self.size = size
+
+    @property
+    def num_constraints(self):
+        return self.b.size
+
+    def blocks(self, v):
+        """The (n, n) block views of a flat vector, or the (k, n, n) block
+        views of the rows of a (k, N) array.
+
+        Splitting the contiguous last axis never copies, so writes to a view
+        land in ``v``.
+        """
+        lead = v.shape[:-1]
+        return [v[..., sl].reshape(*lead, n, n) for sl, n in zip(self._slices, self.block_dims)]
+
+    def stacks(self, v):
+        """The (k, n, n) views of a flat vector, one per run of ``runs``.
+
+        A run's blocks are contiguous, so a stack is a reshape of its slice
+        of ``v``: no copy, and writes to a stack land in ``v``.
+        """
+        return [v[sl].reshape(k, n, n) for sl, (k, n) in zip(self._run_slices, self.runs)]
+
+
+class SdpProblem(BlockLayout):
     """Block-diagonal SDP data: objective C, constraints A_i, rhs b.
 
     ``objective`` is one Hermitian matrix per block; ``constraints`` is a
@@ -112,26 +187,12 @@ class SdpProblem:
     whose constraint stacks are equal entry for entry form one group, which
     :meth:`schur` treats as a single stack.
 
-    ``runs`` lists the maximal runs of consecutive blocks of equal size as
-    (k, n) pairs: k blocks of size n.  A run's blocks fill one contiguous
-    range of a flat vector, so :meth:`stacks` views it as one (k, n, n)
-    array, and the solver factors and steps it with one batched call.
+    Its Newton system is the HKM one, assembled as the Schur matrix
+    (:meth:`newton_system`).
     """
 
     def __init__(self, block_dims, objective, constraints, rhs):
-        self.block_dims = tuple(int(n) for n in block_dims)
-        if any(n < 1 for n in self.block_dims):
-            raise ValueError("block dimensions must be positive")
-        self._slices, size = [], 0
-        for n in self.block_dims:
-            self._slices.append(slice(size, size + n * n))
-            size += n * n
-        self.runs, self._run_slices, start = [], [], 0
-        for n, members in itertools.groupby(self.block_dims):
-            k = len(list(members))
-            self.runs.append((k, n))
-            self._run_slices.append(slice(start, start + k * n * n))
-            start += k * n * n
+        super().__init__(block_dims)
         self.c = self._checked_objective(objective)
         self.b = np.asarray(rhs, dtype=float).copy()
         if self.b.ndim != 1:
@@ -143,7 +204,7 @@ class SdpProblem:
         rows = list(constraints)
         if len(rows) != m:
             raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
-        self.a = np.empty((m, size), dtype=np.complex128)
+        self.a = np.empty((m, self.size), dtype=np.complex128)
         for bidx, view in enumerate(self.blocks(self.a)):
             self._checked_stack([row[bidx] for row in rows], view, "constraint {}")
         self.a.flags.writeable = False
@@ -207,10 +268,6 @@ class SdpProblem:
             raise ValueError(f"{label.format(np.flatnonzero(skew)[0])} block is not Hermitian")
         out[...] = (out + adj) / 2
 
-    @property
-    def num_constraints(self):
-        return self.b.size
-
     def apply(self, x):
         """The constraint operator on a flat X: entry i is sum_b Re tr(A_ib X_b)."""
         return self._a_real @ x.view(np.float64)
@@ -219,23 +276,28 @@ class SdpProblem:
         """The adjoint operator as a flat vector: block b is sum_i y_i A_ib."""
         return (y @ self._a_real).view(np.complex128)
 
-    def blocks(self, v):
-        """The (n, n) block views of a flat vector, or the (k, n, n) block
-        views of the rows of a (k, N) array.
+    def newton_workspace(self):
+        """Per-solve buffers of :meth:`newton_system`: a :meth:`schur_workspace`."""
+        return self.schur_workspace()
 
-        Splitting the contiguous last axis never copies, so writes to a view
-        land in ``v``.
+    def newton_system(self, x, inv_l, work):
+        """The HKM Newton system at the iterate with primal part ``x``, or
+        None when its Schur matrix is not numerically positive definite.
+
+        ``inv_l`` holds per run the inverse Cholesky factors of the X blocks
+        then of the Z blocks, which give Z^-1.  The Schur matrix is real
+        symmetric positive definite while X and Z are interior; its Cholesky
+        factor only tests that (with one jittered retry), and each direction
+        is then one ``np.linalg.solve`` against the matrix.
         """
-        lead = v.shape[:-1]
-        return [v[..., sl].reshape(*lead, n, n) for sl, n in zip(self._slices, self.block_dims)]
-
-    def stacks(self, v):
-        """The (k, n, n) views of a flat vector, one per run of ``runs``.
-
-        A run's blocks are contiguous, so a stack is a reshape of its slice
-        of ``v``: no copy, and writes to a stack land in ``v``.
-        """
-        return [v[sl].reshape(k, n, n) for sl, (k, n) in zip(self._run_slices, self.runs)]
+        zinv = [f[k:].conj().mT @ f[k:] for f, (k, _) in zip(inv_l, self.runs)]
+        schur = self.schur(self.blocks(x), [zb for zr in zinv for zb in zr], work)
+        if _chol_or_none(schur) is None:
+            m = self.num_constraints
+            schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
+            if _chol_or_none(schur) is None:
+                return None
+        return _HkmSystem(self, self.stacks(x), zinv, schur)
 
     def schur_workspace(self):
         """Buffers for :meth:`schur`: two real (m, m) matrices, and per group
@@ -346,13 +408,183 @@ def _max_steps(inv_factors, dxs, dzs, cap):
     return tuple(steps)
 
 
+class _HkmSystem:
+    """The HKM direction of an :class:`SdpProblem` against its assembled
+    Schur matrix.
+
+    The linearized complementarity is X dZ + dX Z = nu I - X Z - cross, with
+    ``cross`` = dX_aff dZ_aff of the predictor for the corrector, and dX is
+    the Hermitian part of its solution.  The right-hand side of the Schur
+    solve is written with b, not with the primal residual: with dX = -X -
+    (X dZ + cross - nu I) Z^-1, A(dX) = b - A(X) is M dy = b + A((X R_d +
+    cross - nu I) Z^-1).
+    """
+
+    def __init__(self, problem, xs, zinv, schur):
+        self.problem, self.xs, self.zinv, self.schur = problem, xs, zinv, schur
+
+    def _times_zinv(self, prods, nu, cross):
+        # (P + cross - nu*I) Z^-1 per run: complementarity target nu*I,
+        # optional second-order correction
+        out = []
+        for r, (p, zi) in enumerate(zip(prods, self.zinv)):
+            if cross is not None:
+                p += cross[r]
+            if nu != 0.0:
+                p.reshape(len(p), -1)[:, :: p.shape[-1] + 1] -= nu
+            out.append(p @ zi)
+        return out
+
+    def direction(self, rp, rd, nu, affine):
+        """(dx, dy, dz) towards the target nu; ``affine`` is the predictor's
+        (dx, dz) for the corrector, or None.  Never fails."""
+        problem, xs = self.problem, self.xs
+        cross = None
+        if affine is not None:
+            cross = [dxr @ dzr for dxr, dzr in zip(*(problem.stacks(v) for v in affine))]
+        inner = self._times_zinv([xr @ r for xr, r in zip(xs, problem.stacks(rd))], nu, cross)
+        dy = np.linalg.solve(self.schur, problem.b + problem.apply(_flat(inner)))
+        dz = rd - problem.adjoint(dy)
+        steps = self._times_zinv([xr @ dzr for xr, dzr in zip(xs, problem.stacks(dz))], nu, cross)
+        raw = [-xr - s for xr, s in zip(xs, steps)]
+        dx = _flat([(r + r.conj().mT) / 2 for r in raw])
+        return dx, dy, dz
+
+
+class StructuredProblem(BlockLayout):
+    """A problem whose constraint operator is applied without a matrix.
+
+    Subclasses set ``b`` and ``c`` (read-only, in the layout of
+    :class:`BlockLayout`) and implement ``apply`` and ``adjoint`` as
+    :class:`SdpProblem` does, and ``nt_solver(ws)``: for the blocks ``ws`` of
+    a positive definite W, a function h -> y that solves
+    A(W A*(y) W) = h, or None when it cannot be built.  It may be inexact;
+    every solve is refined against ``apply`` and ``adjoint`` (:class:`_NtSystem`).
+    The Newton system is the NT one, whose matrix A(W A*(.) W) keeps the
+    operator's structure where the HKM matrix A(X A*(.) Z^-1) does not.
+    """
+
+    def newton_workspace(self):
+        return None
+
+    def newton_system(self, x, inv_l, work):
+        """The NT Newton system at the iterate, or None when its scaling or
+        its base solve cannot be built."""
+        scaling = _nt_scaling(self.stacks(x), inv_l)
+        if scaling is None:
+            return None
+        ws = [g @ g.conj().mT for g, _, _ in scaling]
+        base = self.nt_solver([wb for w in ws for wb in w])
+        if base is None:
+            return None
+        return _NtSystem(self, scaling, ws, base)
+
+
+def _nt_scaling(xs, inv_l):
+    """The Nesterov-Todd scaling per run, from the inverse Cholesky factors
+    F_X = L_X^-1 and F_Z = L_Z^-1 of the solver's factorization.
+
+    With the SVD F_Z F_X^H = U diag(s) V^H, G = L_X V diag(s)^1/2 (and
+    L_X = X F_X^H) gives G^-1 X G^-H = G^H Z G = diag(lambda), lambda = 1/s,
+    and W = G G^H is the NT scaling point, W Z W = X (Todd, Toh and
+    Tutuncu, SIAM J. Optim. 8, 1998).  Returns (G, G^-1, lambda) stacks per
+    run, or None when the SVD fails.
+    """
+    out = []
+    for xr, f in zip(xs, inv_l):
+        k = len(xr)
+        fx_h = f[:k].conj().mT
+        try:
+            _, s, vh = np.linalg.svd(f[k:] @ fx_h)
+        except np.linalg.LinAlgError:
+            return None
+        root = np.sqrt(s)
+        g = (xr @ fx_h @ vh.conj().mT) * root[:, None, :]
+        ginv = (vh @ f[:k]) / root[:, :, None]
+        out.append((g, ginv, 1.0 / s))
+    return out
+
+
+def _refined(base, operator, h):
+    """y with operator(y) = h: ``base(h)``, refined by ``base`` of the
+    residual until the residual is within ``REFINE_TOL`` of h or stops
+    shrinking; None unless it ends within ``NEWTON_TOL``."""
+    size = float(np.abs(h).max(initial=0.0))
+    y = base(h)
+    res = h - operator(y)
+    err = float(np.abs(res).max(initial=0.0))
+    for _ in range(MAX_REFINEMENTS):
+        if not err > REFINE_TOL * size:
+            break
+        trial = y + base(res)
+        trial_res = h - operator(trial)
+        trial_err = float(np.abs(trial_res).max(initial=0.0))
+        if not trial_err < err:
+            break
+        y, res, err = trial, trial_res, trial_err
+    return y if err <= NEWTON_TOL * size else None
+
+
+class _NtSystem:
+    """The NT direction of a :class:`StructuredProblem`.
+
+    In the scaled frame X~ = G^-1 X G^-H = diag(lambda) = G^H Z G = Z~, the
+    linearized complementarity is the Lyapunov equation
+    herm(Lambda D) = nu I - Lambda^2 - herm(dX~_aff dZ~_aff) for
+    D = dX~ + dZ~, solved entrywise.  Back in the original frame
+    dX + W dZ W = T with T = G D G^H, so M dy = R_p - A(T - W R_d W) with
+    M = A(W A*(.) W), dZ = R_d - A*(dy) and dX = T - W dZ W.
+    """
+
+    def __init__(self, problem, scaling, ws, base):
+        self.problem, self.scaling, self.ws, self.base = problem, scaling, ws, base
+
+    def _scaled(self, v):
+        """W V W of a flat vector, run by run."""
+        return _flat([w @ vr @ w for w, vr in zip(self.ws, self.problem.stacks(v))])
+
+    def _operator(self, y):
+        return self.problem.apply(self._scaled(self.problem.adjoint(y)))
+
+    def direction(self, rp, rd, nu, affine):
+        """(dx, dy, dz) towards the target nu; ``affine`` is the predictor's
+        (dx, dz) for the corrector, or None.  None when the Newton solve
+        stays inaccurate."""
+        problem = self.problem
+        affine = [problem.stacks(v) for v in affine] if affine is not None else None
+        targets = []
+        for r, (g, ginv, lam) in enumerate(self.scaling):
+            k, n = lam.shape
+            rhs = np.zeros((k, n, n), dtype=np.complex128)
+            rhs.reshape(k, -1)[:, :: n + 1] = nu - lam * lam
+            if affine is not None:
+                dxs = ginv @ affine[0][r] @ ginv.conj().mT
+                dzs = g.conj().mT @ affine[1][r] @ g
+                prod = dxs @ dzs
+                rhs -= (prod + prod.conj().mT) / 2
+            rhs *= 2.0 / (lam[:, :, None] + lam[:, None, :])
+            targets.append(g @ rhs @ g.conj().mT)
+        t = _flat(targets)
+        dy = _refined(self.base, self._operator, rp - problem.apply(t - self._scaled(rd)))
+        if dy is None:
+            return None
+        dz = rd - problem.adjoint(dy)
+        raw = [tr - w @ dzr @ w for tr, w, dzr in zip(targets, self.ws, problem.stacks(dz))]
+        dx = _flat([(r + r.conj().mT) / 2 for r in raw])
+        return dx, dy, dz
+
+
 def solve(problem):
     """Run the interior-point iteration and return an :class:`SdpSolution`.
 
-    The returned dual slack ``z`` is recomputed exactly as C - sum y_i A_i,
-    so dual feasibility can be re-verified from scratch by the caller.
+    The problem supplies its Newton system each iteration
+    (``problem.newton_system``): HKM against the assembled Schur matrix for
+    an :class:`SdpProblem`, NT through the structured operator for a
+    :class:`StructuredProblem`.  The returned dual slack ``z`` is recomputed
+    exactly as C - sum y_i A_i, so dual feasibility can be re-verified from
+    scratch by the caller.
     """
-    dims, runs = problem.block_dims, problem.runs
+    dims = problem.block_dims
     ntot = sum(dims)
     m = problem.num_constraints
     b, c = problem.b, problem.c
@@ -362,9 +594,9 @@ def solve(problem):
     z = x.copy()
     y = np.zeros(m)
 
-    # Schur buffers for this call only: reused by every iteration, and not
-    # kept on the problem, whose data may be shared and outlive the solve
-    work = problem.schur_workspace()
+    # buffers for this call only: reused by every iteration, and not kept on
+    # the problem, whose data may be shared and outlive the solve
+    work = problem.newton_workspace()
 
     history = []
     status = SdpStatus.MAX_ITERATIONS
@@ -385,56 +617,31 @@ def solve(problem):
             status = SdpStatus.CONVERGED
             break
 
-        xs = problem.stacks(x)
         # one Cholesky call per run factors its X and Z blocks together; the
-        # factors serve Z^-1 and all four step lengths
+        # factors serve the Newton system and all four step lengths
         inv_l = [
-            _inverse_cholesky(np.concatenate((xr, zr))) for xr, zr in zip(xs, problem.stacks(z))
+            _inverse_cholesky(np.concatenate((xr, zr)))
+            for xr, zr in zip(problem.stacks(x), problem.stacks(z))
         ]
         if any(f is None for f in inv_l):
             status = SdpStatus.NUMERICAL_FAILURE
             break
-        zinv = [f[k:].conj().mT @ f[k:] for f, (k, _) in zip(inv_l, runs)]
+        system = problem.newton_system(x, inv_l, work)
+        affine = system.direction(rp, rd, 0.0, None) if system is not None else None
+        if affine is None:
+            status = SdpStatus.NUMERICAL_FAILURE
+            break
 
-        # real symmetric positive definite while X, Z are interior; its Cholesky
-        # factor only tests that, and the directions solve against the matrix
-        schur = problem.schur(problem.blocks(x), [zb for zr in zinv for zb in zr], work)
-        if _chol_or_none(schur) is None:
-            schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
-            if _chol_or_none(schur) is None:
-                status = SdpStatus.NUMERICAL_FAILURE
-                break
-
-        def times_zinv(prods, nu, cross):
-            # (P + cross - nu*I) Z^-1 per run: complementarity target nu*I,
-            # optional second-order correction
-            out = []
-            for r, (p, zi) in enumerate(zip(prods, zinv)):
-                if cross is not None:
-                    p += cross[r]
-                if nu != 0.0:
-                    p.reshape(len(p), -1)[:, :: p.shape[-1] + 1] -= nu
-                out.append(p @ zi)
-            return out
-
-        def direction(nu, cross):
-            inner = times_zinv([xr @ r for xr, r in zip(xs, problem.stacks(rd))], nu, cross)
-            dy = np.linalg.solve(schur, b + problem.apply(_flat(inner)))
-            dz = rd - problem.adjoint(dy)
-            steps = times_zinv([xr @ dzr for xr, dzr in zip(xs, problem.stacks(dz))], nu, cross)
-            raw = [-xr - s for xr, s in zip(xs, steps)]
-            dx = _flat([(r + r.conj().mT) / 2 for r in raw])
-            return dx, dy, dz
-
-        dx_aff, dy_aff, dz_aff = direction(0.0, None)
+        dx_aff, _, dz_aff = affine
         ap_aff, ad_aff = _max_steps(inv_l, problem.stacks(dx_aff), problem.stacks(dz_aff), 1.0)
         mu_aff = _inner(x + ap_aff * dx_aff, z + ad_aff * dz_aff) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        cross = [
-            dxr @ dzr for dxr, dzr in zip(problem.stacks(dx_aff), problem.stacks(dz_aff))
-        ]
-        dx, dy, dz = direction(sigma * mu, cross)
+        step = system.direction(rp, rd, sigma * mu, (dx_aff, dz_aff))
+        if step is None:
+            status = SdpStatus.NUMERICAL_FAILURE
+            break
+        dx, dy, dz = step
 
         limit = 1.0 / STEP_FRACTION
         ap, ad = _max_steps(inv_l, problem.stacks(dx), problem.stacks(dz), limit)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gatebounds
-from gatebounds import channels, cli, diamond, sdp
+from gatebounds import channels, cli, diamond, pauli, sdp
 
 
 def mat(m):
@@ -501,3 +501,31 @@ def test_analyze_three_qubit_gate_with_both_sdps(tmp_path, capsys):
     assert data["error_rate"]["value"] == pytest.approx(math.sin(0.1), abs=1e-12)
     lo, hi = data["refined_interval"]
     assert lo <= math.sin(0.1) <= hi
+
+
+def test_analyze_three_qubit_haar_unitary_delta(tmp_path, capsys, monkeypatch):
+    # the Pauli twirl of a Haar-random d = 8 unitary has all 64 Pauli terms,
+    # so delta is a full-rank Choi-route SDP (4097 rows) on the structured
+    # operator; eta stays off by default above d = 4
+    rng = np.random.default_rng(8)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    path = kraus_file(tmp_path, "haar8.json", 8, [u])
+    results = []
+    real = diamond.diamond_distance
+
+    def tapped(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(diamond, "diamond_distance", tapped)
+    assert cli.main(["analyze", path, "--compute-delta", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "error_rate" not in data
+    (delta,) = results
+    assert (delta.method.value, delta.route) == ("sdp", "choi")
+    assert data["pauli_distance"] == delta.value
+    assert delta.upper_certificate - delta.lower_certificate <= 1e-8
+    channel = channels.unitary_channel(u)
+    sampled = diamond.brute_force_lower_bound(channel, pauli.pauli_twirl(channel), samples=2000)
+    assert 0.5 * delta.value < sampled <= delta.upper_certificate

@@ -195,15 +195,18 @@ def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys)
     diamond._ensure_calibrated.cache_clear()
     monkeypatch.setattr(sdp, "solve", refuse_to_build)
     monkeypatch.setattr(diamond, "_template", refuse_to_build)
+    monkeypatch.setattr(diamond, "_ChoiOperator", refuse_to_build)
+    monkeypatch.setattr(diamond, "_encode_fidelity", refuse_to_build)
     rng = np.random.default_rng(99)
-    # the real cap: a high-rank d = 9 pair is the Choi route with 9^4 + 1 rows
-    wide = isometry_channel(rng, 9, 60)
-    with pytest.raises(ValueError, match=r"choi route has 6562 constraint rows, above the cap of 4097"):
-        diamond.diamond_distance(wide)
-    # a lowered cap refuses a high-rank d = 4 pair (r = 13, Choi route, 257 rows)
-    monkeypatch.setattr(diamond, "MAX_ROWS", 256)
+    # the real cap: a high-rank d = 18 pair (r = 36) is the structured Choi
+    # route, whose (d^2, d^2, d^2) stack has 18^6 entries
+    wide = isometry_channel(rng, 18, 18), isometry_channel(rng, 18, 18)
+    with pytest.raises(ValueError, match=r"choi route needs an array of 34012224 entries, above the cap of 33554432"):
+        diamond.diamond_distance(*wide)
+    # a lowered cap refuses a high-rank d = 4 pair (r = 13, 4^6 entries)
+    monkeypatch.setattr(diamond, "MAX_ENTRIES", 4095)
     ch = isometry_channel(rng, 4, 12)
-    message = r"dimension 4 diamond SDP on the choi route has 257 constraint rows, above the cap of 256"
+    message = r"dimension 4 diamond SDP on the choi route needs an array of 4096 entries, above the cap of 4095"
     with pytest.raises(ValueError, match=message):
         diamond.diamond_distance(ch)
     with pytest.raises(ValueError, match=message):
@@ -213,6 +216,11 @@ def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys)
     path.write_text(json.dumps({"dim": 4, "kind": "kraus", "kraus": kraus}))
     assert cli.main(["analyze", str(path)]) == 1
     assert re.search(message, capsys.readouterr().err)
+    # the fidelity route counts its (m, 2 (m - 2) + 2 d^2) constraint matrix:
+    # r = 2 at d = 3 is 10 rows and 340 entries
+    monkeypatch.setattr(diamond, "MAX_ENTRIES", 339)
+    with pytest.raises(ValueError, match=r"fidelity route needs an array of 340 entries"):
+        diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp")
     # the closed forms are dispatched before the check
     assert diamond.diamond_distance(channels.generalized_cphase(4, 0.4)).route is None
 
@@ -256,6 +264,10 @@ def test_calibration_completes_after_first_sdp_use():
     res = diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp")
     assert res.route == "fidelity"
     assert diamond._ensure_calibrated.cache_info().currsize == 2
+    # the Choi route's structured operator (d >= 4) calibrates on its own
+    res = diamond.diamond_distance(isometry_channel(np.random.default_rng(96), 4, 12))
+    assert res.route == "choi"
+    assert diamond._ensure_calibrated.cache_info().currsize == 3
 
 
 def check_failed_calibration_is_retried(monkeypatch, channel, route):
@@ -278,6 +290,11 @@ def test_failed_calibration_raises_and_is_retried(monkeypatch):
 
 def test_failed_fidelity_calibration_raises_and_is_retried(monkeypatch):
     check_failed_calibration_is_retried(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity")
+
+
+def test_failed_structured_calibration_raises_and_is_retried(monkeypatch):
+    channel = isometry_channel(np.random.default_rng(96), 4, 12)
+    check_failed_calibration_is_retried(monkeypatch, channel, "choi")
 
 
 def check_unconverged_solve_raises(monkeypatch, channel, route):
@@ -348,14 +365,17 @@ def test_repeated_solves_build_one_template():
 
 
 def test_template_cache_keeps_only_small_dimensions():
-    # a d >= 5 template is built per call and freed with its problem
+    # from d = 4 on, the Choi route is the structured operator: no template
     diamond._template.cache_clear()
-    problem = diamond._encode(np.zeros((25, 25)), 5)
-    assert problem.num_constraints == 5**4 + 1
+    for d in (4, 5):
+        problem = diamond._encode(np.zeros((d * d, d * d)), d)
+        assert isinstance(problem, diamond._ChoiOperator)
+        assert problem.num_constraints == d**4 + 1
     info = diamond._template.cache_info()
     assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
-    diamond._encode(np.zeros((4, 4)), 2)
-    assert diamond._template.cache_info().currsize == 1
+    for d in (2, 3):
+        assert isinstance(diamond._encode(np.zeros((d * d, d * d)), d), sdp.SdpProblem)
+    assert diamond._template.cache_info().currsize == 2
 
 
 def isometry_channel(rng, d, rank):
@@ -423,6 +443,13 @@ def test_route_follows_the_rank_of_the_choi_difference():
     e, f = isometry_channel(rng, 2, 1), channels.identity_channel(2)
     assert diamond._route(e.choi - f.choi, 2) == ("choi", 17)
     assert diamond._route(np.zeros((9, 9)), 3) == ("choi", 82)
+    # the fidelity route while 2 r^2 + 2 <= 7 d^2: r = 5 at d = 3, 7 at d = 4,
+    # 14 at d = 8
+    for d, top in ((3, 5), (4, 7), (8, 14)):
+        for r, route in ((top, "fidelity"), (top + 1, "choi")):
+            q = random_unitary(rng, d * d)[:, :r]
+            j = (q * rng.choice([-0.1, 0.1], r)) @ q.conj().T
+            assert diamond._route(j, d) == (route, 2 * r * r + 2 if route == "fidelity" else d**4 + 1)
 
 
 def test_three_qubit_low_rank_pairs_take_the_fidelity_route():
@@ -472,10 +499,11 @@ def test_closed_forms_report_no_route():
 
 
 def test_five_dimensional_high_rank_pair_runs_without_a_flag():
-    # r = 24: the Choi route with 5^4 + 1 rows, under the cap
+    # r = 24: the Choi route with 5^4 + 1 rows, on the structured operator
     rng = np.random.default_rng(100)
     e, f = isometry_channel(rng, 5, 12), isometry_channel(rng, 5, 12)
     assert diamond._route(e.choi - f.choi, 5) == ("choi", 626)
+    assert isinstance(diamond._encode(e.choi - f.choi, 5), diamond._ChoiOperator)
     res = diamond.diamond_distance(e, f)
     assert (res.method, res.route) == (DiamondMethod.SDP, "choi")
     assert res.upper_certificate - res.lower_certificate <= 1e-7
@@ -497,3 +525,111 @@ def test_sixteen_dimensional_low_rank_pairs_bracket_their_closed_forms():
         assert res.route == "fidelity"
         assert res.lower_certificate <= closed.value <= res.upper_certificate
         assert res.upper_certificate - res.lower_certificate <= 1e-7
+
+
+def random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_structured_operator_matches_the_template(d):
+    # the same rows, rhs and objective as the assembled template
+    rng = np.random.default_rng(110 + d)
+    n = d * d
+    j = random_choi_difference(rng, d)
+    template = diamond._template(d).with_objective([-j, np.zeros((n, n)), np.zeros((d, d))])
+    op = diamond._ChoiOperator(j, d)
+    assert op.block_dims == template.block_dims and op.runs == template.runs
+    assert np.array_equal(op.b, template.b)
+    np.testing.assert_allclose(op.c, template.c, rtol=0, atol=1e-15)
+    for _ in range(3):
+        x = np.concatenate([random_hermitian(rng, k).ravel() for k in (n, n, d)])
+        y = rng.standard_normal(n * n + 1)
+        want_x, want_y = template.apply(x), template.adjoint(y)
+        np.testing.assert_allclose(op.apply(x), want_x, rtol=0, atol=1e-15 * np.abs(want_x).max())
+        np.testing.assert_allclose(op.adjoint(y), want_y, rtol=0, atol=1e-15 * np.abs(want_y).max())
+
+
+def scaling(rng, n, lo, hi):
+    # a Hermitian positive definite matrix with eigenvalues from lo to hi
+    w = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+    w[0], w[-1] = lo, hi
+    q = random_unitary(rng, n)
+    return (q * w) @ q.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_structured_newton_solve_matches_the_assembled_nt_matrix(d):
+    # A(W A*(y) W) = h through the congruence against np.linalg.solve of the
+    # assembled NT matrix, sum_b Re tr(A_ib W_b A_jb W_b)
+    rng = np.random.default_rng(120 + d)
+    n = d * d
+    template = diamond._template(d)
+    op = diamond._ChoiOperator(np.zeros((n, n)), d)
+    for _ in range(3):
+        ws = [scaling(rng, k, 0.1, 10.0) for k in (n, n, d)]
+        h = rng.standard_normal(n * n + 1)
+        want = np.linalg.solve(template.schur(ws, ws), h)
+        got = op.nt_solver(ws)(h)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+    # eigenvalues spread from 1e-8 to 1e4 make the matrix so ill-conditioned
+    # (1e12 and beyond) that no two solvers agree entrywise; the structured
+    # solve is backward stable like the dense one
+    for _ in range(3):
+        ws = [scaling(rng, k, 1e-8, 1e4) for k in (n, n, d)]
+        matrix = template.schur(ws, ws)
+        h = rng.standard_normal(n * n + 1)
+
+        def backward(y):
+            return np.abs(matrix @ y - h).max() / (np.abs(matrix).max() * np.abs(y).max())
+
+        assert backward(np.linalg.solve(matrix, h)) <= 1e-14
+        assert backward(op.nt_solver(ws)(h)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_structured_route_brackets_closed_forms(d):
+    # a diagonal unitary (distance below 1) and a sparse Pauli channel,
+    # forced through the Choi route, which is the structured operator here
+    rng = np.random.default_rng(130 + d)
+    u = channels.unitary_channel(np.diag(np.exp(1j * rng.uniform(-0.6, 0.6, d))))
+    labels = {4: ("II", "XZ", "YY"), 8: ("III", "XZI", "YYZ")}[d]
+    sparse = pauli.PauliChannel(d.bit_length() - 1, dict(zip(labels, (0.9, 0.06, 0.04))))
+    identity = channels.identity_channel(d)
+    for channel in (u, sparse.as_channel()):
+        closed = diamond.diamond_distance(channel)
+        assert closed.method is not DiamondMethod.SDP
+        assert isinstance(diamond._encode(channel.choi - identity.choi, d), diamond._ChoiOperator)
+        res = diamond._solve_pair(channel, identity, "choi")
+        assert res.route == "choi"
+        assert res.lower_certificate <= closed.value <= res.upper_certificate
+        assert res.upper_certificate - res.lower_certificate <= 1e-8
+
+
+def test_inaccurate_structured_newton_solve_raises(monkeypatch):
+    # a base solve three times too long never shrinks its residual under
+    # refinement: the solve stops as a numerical failure, never as a result
+    diamond._ensure_calibrated("structured")
+    real = diamond._ChoiOperator.nt_solver
+
+    def degraded(self, ws):
+        base = real(self, ws)
+        return lambda h: 3.0 * base(h)
+
+    monkeypatch.setattr(diamond._ChoiOperator, "nt_solver", degraded)
+    channel = isometry_channel(np.random.default_rng(97), 4, 12)
+    with pytest.raises(sdp.SolverError, match=r"\(choi route\) stopped unconverged \(numerical_failure\)"):
+        diamond.diamond_distance(channel)
+
+
+def test_structured_solve_takes_the_corrector_step():
+    # with the NT second-order term these two-qubit solves take 13-18
+    # iterations; without it they took 24-38
+    rng = np.random.default_rng(97)
+    identity = channels.identity_channel(4)
+    for _ in range(3):
+        j = isometry_channel(rng, 4, 12).choi - identity.choi
+        _, solution, _, _ = diamond._solve(j, 4, "choi")
+        assert solution.status is sdp.SdpStatus.CONVERGED
+        assert solution.iterations <= 20

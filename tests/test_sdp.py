@@ -513,5 +513,43 @@ def test_runs_group_consecutive_equal_sizes():
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_diamond_template_has_two_runs(d):
-    j = np.zeros((d * d, d * d))
-    assert diamond._encode(j, d).runs == [(2, d * d), (1, d)]
+    # the assembled template at d = 2 and the structured operator at d = 4
+    # share the block layout (W, S, rho)
+    problem = diamond._encode(np.zeros((d * d, d * d)), d)
+    assert problem.runs == [(2, d * d), (1, d)]
+    assert isinstance(problem, sdp.SdpProblem if d < 4 else sdp.StructuredProblem)
+
+
+@pytest.mark.parametrize("dims", [(4,), (3, 3, 2)])
+def test_nt_scaling_diagonalizes_both_iterates(dims):
+    # G^-1 X G^-H = G^H Z G = diag(lambda), so W = G G^H has W Z W = X
+    rng = np.random.default_rng(81)
+    prob = bare_problem(dims)
+    xs, zs = ([random_hpd(rng, n) for n in dims] for _ in range(2))
+    scaling = sdp._nt_scaling(stacked(prob, xs), run_factors(prob, xs, zs))
+    blocks = [(g, ginv, lam) for run in scaling for g, ginv, lam in zip(*run)]
+    for (g, ginv, lam), x, z in zip(blocks, xs, zs):
+        np.testing.assert_allclose(ginv @ g, np.eye(len(x)), atol=1e-12)
+        np.testing.assert_allclose(ginv @ x @ ginv.conj().T, np.diag(lam), atol=1e-10)
+        np.testing.assert_allclose(g.conj().T @ z @ g, np.diag(lam), atol=1e-10)
+        w = g @ g.conj().T
+        np.testing.assert_allclose(w @ z @ w, x, atol=1e-10 * np.abs(x).max())
+
+
+def test_refinement_stops_when_the_residual_stops_shrinking():
+    rng = np.random.default_rng(82)
+    a = random_spd(rng, 6) + 6.0 * np.eye(6)
+    h = rng.standard_normal(6)
+    exact = np.linalg.solve(a, h)
+
+    def operator(y):
+        return a @ y
+
+    # an exact base needs no step; a base 1 % long contracts by 0.01 a step
+    # down to the refinement tolerance
+    assert np.array_equal(sdp._refined(lambda r: np.linalg.solve(a, r), operator, h), exact)
+    got = sdp._refined(lambda r: 1.01 * np.linalg.solve(a, r), operator, h)
+    assert np.abs(operator(got) - h).max() <= sdp.REFINE_TOL * np.abs(h).max()
+    # a base three times too long doubles the residual: the first step is
+    # refused, and a residual above NEWTON_TOL is no solve at all
+    assert sdp._refined(lambda r: 3.0 * np.linalg.solve(a, r), operator, h) is None
