@@ -25,7 +25,7 @@ class ChannelValidationError(ValueError):
 class Channel:
     """A CPTP map, stored as Kraus operators of a fixed dimension."""
 
-    def __init__(self, kraus, tol=CPTP_TOL):
+    def __init__(self, kraus):
         ops = []
         for k, op in enumerate(kraus):
             a = linalg.as_complex_matrix(op, f"Kraus operator {k}")
@@ -41,9 +41,9 @@ class Channel:
             raise ChannelValidationError("Kraus operators differ in dimension")
         total = sum(a.conj().T @ a for a in ops)
         defect = float(np.abs(total - np.eye(dim)).max())
-        if not defect <= tol:
+        if not defect <= CPTP_TOL:
             raise ChannelValidationError(
-                f"Kraus operators are not trace preserving: defect {defect:.3e} exceeds {tol:.3e}"
+                f"Kraus operators are not trace preserving: defect {defect:.3e} exceeds {CPTP_TOL:.3e}"
             )
         self.dim = dim
         self.kraus = tuple(ops)
@@ -77,9 +77,9 @@ def identity_channel(dim):
     return Channel([np.eye(dim)])
 
 
-def unitary_channel(u, tol=CPTP_TOL):
+def unitary_channel(u):
     a = linalg.as_complex_matrix(u, "unitary")
-    if not linalg.is_unitary(a, tol):
+    if not linalg.is_unitary(a):
         raise ChannelValidationError("matrix is not unitary within tolerance")
     return Channel([a])
 
@@ -97,6 +97,10 @@ def mix(terms):
     if not terms:
         raise ValueError("empty mixture")
     weights = np.array([w for w, _ in terms], dtype=float)
+    finite = np.isfinite(weights)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"mixture weight {i} is not finite: {terms[i][0]!r}")
     if weights.min() < 0:
         raise ValueError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:

@@ -108,7 +108,6 @@ import numpy as np
 from . import kernels, linalg, pauli, sdp
 from .channels import Channel, identity_channel
 
-UNITARY_KRAUS_TOL = 1e-9
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
 EPS = float(np.finfo(float).eps)
@@ -212,27 +211,9 @@ def _single_unitary(channel):
     if len(channel.kraus) != 1:
         return None
     k = channel.kraus[0]
-    if linalg.is_unitary(k, UNITARY_KRAUS_TOL):
+    if linalg.is_unitary(k):
         return k
     return None
-
-
-def _hermitian_basis(n):
-    """Orthonormal Hermitian basis of the n x n matrices, deterministic order."""
-    root = 1.0 / np.sqrt(2.0)
-    for p in range(n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[p, p] = 1.0
-        yield m
-        for q in range(p + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[p, q] = root
-            m[q, p] = root
-            yield m
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[p, q] = 1j * root
-            m[q, p] = -1j * root
-            yield m
 
 
 @functools.cache
@@ -240,12 +221,13 @@ def _template(d):
     """The Choi route's constraints for dimension d, with a zero objective.
 
     Complex Hermitian blocks of sizes (d^2, d^2, d): W, the slack
-    S = I (x) rho - W, and rho.  The linking constraint W + S = I (x) rho is
-    expanded over an orthonormal Hermitian basis F_i of the d^2 x d^2
-    matrices: row i is (F_i, F_i, -Tr_1 F_i) with rhs 0, since
-    Re tr(F_i (I (x) rho)) = Re tr((Tr_1 F_i) rho).  The last row
-    (0, 0, I_d) with rhs 1 fixes tr rho.  W and S have equal stacks, so the
-    solver assembles them as one group.
+    S = I (x) rho - W, and rho.  Row i of the constraint matrix is the
+    :class:`_ChoiOperator` adjoint of the unit vector e_i, all rows in one
+    batched call: (F_i, F_i, -Tr_1 F_i) with rhs 0 for each F_i of the
+    orthonormal Hermitian basis of the d^2 x d^2 matrices (:func:`_matrices`),
+    which expands the linking constraint W + S = I (x) rho, and (0, 0, I_d)
+    with rhs 1, which fixes tr rho.  So the assembled and the structured
+    Choi route share one definition of the constraints.
 
     Only the objective depends on the channels, so :func:`_encode` keeps the
     template of each assembled dimension, d < ``STRUCTURED_DIMENSION``, for
@@ -253,31 +235,23 @@ def _template(d):
     m = d^4 + 1 rows and 2 d^4 + d^2 complex columns, about 10 KB at d = 2
     and 0.2 MB at d = 3.
     """
-    d2 = d * d
-    zero_w = np.zeros((d2, d2))
-    zero_r = np.zeros((d, d))
-    constraints = []
-    rhs = []
-    for f in _hermitian_basis(d2):
-        g = linalg.partial_trace(f, (d, d), keep=1)
-        constraints.append([f, f, -g])
-        rhs.append(0.0)
-    constraints.append([zero_w, zero_w, np.eye(d)])
-    rhs.append(1.0)
-    return sdp.SdpProblem([d2, d2, d], [zero_w, zero_w, zero_r], constraints, rhs)
+    op = _ChoiOperator(np.zeros((d * d, d * d)), d)
+    rows = op.adjoint(np.eye(op.num_constraints))
+    return sdp.SdpProblem(op.block_dims, op.blocks(op.c), zip(*op.blocks(rows)), op.b)
 
 
 @functools.cache
 def _coordinates(n):
     """Float64-view positions and weights for the coordinates of an n x n
-    matrix in the basis of :func:`_hermitian_basis`, in its order.
+    matrix in the orthonormal Hermitian basis F_i of the n x n matrices.
 
-    Row i of the basis is a diagonal unit (p, p), or the real or imaginary
-    pair at (p, q) and (q, p), q > p.  ``upper`` and ``lower`` are the
-    positions of that entry's part at (p, q) and at (q, p) in the matrix's
-    float64 view, ``sign`` is -1 for imaginary parts, ``half`` weighs the
-    coordinate Re tr(F_i M) = half (M[upper] + sign M[lower]) and ``unit``
-    is the entry of F_i at (p, q).
+    In order, for p = 0, ..., n - 1: the diagonal unit E_pp, then for each
+    q > p the real pair (E_pq + E_qp) / sqrt 2 and the imaginary pair
+    i (E_pq - E_qp) / sqrt 2.  ``upper`` and ``lower`` are the positions of
+    F_i's entry at (p, q) and at (q, p) in the matrix's float64 view
+    (p = q for a diagonal unit), ``sign`` is -1 for imaginary parts,
+    ``half`` weighs the coordinate Re tr(F_i M) = half (M[upper] + sign
+    M[lower]) and ``unit`` is the entry of F_i at (p, q).
     """
     root = 1.0 / np.sqrt(2.0)
     upper, lower, sign, unit = [], [], [], []
@@ -299,13 +273,28 @@ def _coordinates(n):
     return arrays
 
 
+def _matrices(coords, n):
+    """The Hermitian n x n matrices sum_i coords[..., i] F_i of the basis of
+    :func:`_coordinates`, one per leading index of ``coords``, so that
+    ``_matrices(np.eye(n * n), n)`` is the basis itself."""
+    upper, lower, sign, _, unit = _coordinates(n)
+    lead = coords.shape[:-1]
+    mats = np.zeros((*lead, n, n), dtype=np.complex128)
+    view = mats.view(np.float64).reshape(*lead, 2 * n * n)
+    view[..., lower] = sign * unit * coords
+    view[..., upper] = unit * coords
+    return mats
+
+
 class _ChoiOperator(sdp.StructuredProblem):
     """The Choi route's SDP with its constraint operator in structured form.
 
-    The same blocks (W, S, rho), rows and rhs as :func:`_template`, applied
-    without a constraint matrix: ``apply`` is (coords(X_W + X_S - I (x)
-    X_rho), tr X_rho) and ``adjoint`` is (U, U, -Tr_1 U + y_last I) with U
-    the Hermitian matrix of coordinates y, both O(d^4).
+    Blocks (W, S, rho), and the one definition of the Choi route's rows and
+    rhs, applied without a constraint matrix: ``apply`` is (coords(X_W +
+    X_S - I (x) X_rho), tr X_rho) and ``adjoint`` is (U, U, -Tr_1 U +
+    y_last I) with U the Hermitian matrix of coordinates y
+    (:func:`_matrices`), both O(d^4).  :func:`_template` assembles the same
+    rows as a matrix from one batched ``adjoint``.
 
     Its NT Newton matrix A(W A*(.) W) is L(U) = W_W U W_W + W_S U W_S on
     the W/S part plus the rho coupling I (x) W_rho (Tr_1 U) W_rho.
@@ -329,7 +318,6 @@ class _ChoiOperator(sdp.StructuredProblem):
         n = d * d
         super().__init__((n, n, d))
         self.d = d
-        self._coords = _coordinates(n)
         self.b = np.zeros(n * n + 1)
         self.b[-1] = 1.0
         self.b.flags.writeable = False
@@ -338,18 +326,9 @@ class _ChoiOperator(sdp.StructuredProblem):
         self.c.flags.writeable = False
 
     def _coordinates_of(self, mat):
-        upper, lower, sign, half, _ = self._coords
+        upper, lower, sign, half, _ = _coordinates(self.block_dims[0])
         view = mat.view(np.float64).ravel()
         return half * (view[upper] + sign * view[lower])
-
-    def _matrix_of(self, coords):
-        upper, lower, sign, _, unit = self._coords
-        n = self.block_dims[0]
-        mat = np.zeros((n, n), dtype=np.complex128)
-        view = mat.view(np.float64).ravel()
-        view[lower] = sign * unit * coords
-        view[upper] = unit * coords
-        return mat
 
     def apply(self, x):
         d = self.d
@@ -360,10 +339,14 @@ class _ChoiOperator(sdp.StructuredProblem):
         return np.append(self._coordinates_of(link), np.trace(rho).real)
 
     def adjoint(self, y):
+        """sum_i y_i A_i as a flat vector, or one row per leading index of y."""
         d = self.d
-        u = self._matrix_of(y[:-1])
-        rho = y[-1] * np.eye(d) - np.trace(u.reshape(d, d, d, d), axis1=0, axis2=2)
-        return np.concatenate((u.ravel(), u.ravel(), rho.ravel()))
+        lead = y.shape[:-1]
+        u = _matrices(y[..., :-1], d * d)
+        tr_1 = np.trace(u.reshape(*lead, d, d, d, d), axis1=-4, axis2=-2)
+        rho = y[..., -1, None, None] * np.eye(d) - tr_1
+        u = u.reshape(*lead, -1)
+        return np.concatenate((u, u, rho.reshape(*lead, -1)), axis=-1)
 
     def nt_solver(self, ws):
         """A solve of A(W A*(y) W) = h for the scaling blocks ``ws``, or None
@@ -401,7 +384,7 @@ class _ChoiOperator(sdp.StructuredProblem):
         bordered[n, n] = 0.0
 
         def solve(h):
-            framed = (t_inv @ self._matrix_of(h[:-1]) @ t_inv.conj().T).ravel()
+            framed = (t_inv @ _matrices(h[:-1], n) @ t_inv.conj().T).ravel()
             rhs = np.append(-np.conj(units @ np.conj(framed / weights)), h[-1])
             v = np.linalg.solve(bordered, rhs)
             u = ((framed + v[:n] @ units) / weights).reshape(n, n)
@@ -442,8 +425,8 @@ def _encode_fidelity(ops, signs):
     tr sigma = 1, so m = 2 r^2 + 2.
     """
     r, d = len(ops), ops.shape[1]
-    basis = np.stack(list(_hermitian_basis(r)))
     nb = r * r
+    basis = _matrices(np.eye(nb), r)
     # prods[j, i] = A_j^dagger A_i, and G_A*(F) is one contraction with F^T
     prods = np.einsum("jba,ibc->jiac", ops.conj(), ops).reshape(nb, d * d)
     flipped = basis * np.outer(signs, signs)

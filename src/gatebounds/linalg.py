@@ -14,6 +14,7 @@ import numpy as np
 from . import kernels
 
 HERMITIAN_TOL = 1e-9
+UNITARY_TOL = 1e-9
 
 
 def as_complex_matrix(m, name="matrix"):
@@ -29,10 +30,11 @@ def is_hermitian(m, tol=HERMITIAN_TOL):
     return float(np.abs(a - a.conj().T).max()) <= tol
 
 
-def is_unitary(m, tol=HERMITIAN_TOL):
+def is_unitary(m):
+    """Whether m^dagger m is the identity within ``UNITARY_TOL`` entrywise."""
     a = as_complex_matrix(m)
     eye = np.eye(a.shape[0])
-    return float(np.abs(a.conj().T @ a - eye).max()) <= tol
+    return float(np.abs(a.conj().T @ a - eye).max()) <= UNITARY_TOL
 
 
 def kron(a, b):
@@ -78,19 +80,20 @@ def min_hermitian_eigenvalue(m, tol=HERMITIAN_TOL):
     return float(w[-1])
 
 
-def trace_norm(m, tol=HERMITIAN_TOL):
-    """Sum of absolute eigenvalues; defined here for Hermitian input only."""
-    w, _ = hermitian_eigendecomposition(m, tol)
+def trace_norm(m):
+    """Sum of absolute eigenvalues; defined here for input that is Hermitian
+    within ``HERMITIAN_TOL`` only."""
+    w, _ = hermitian_eigendecomposition(m)
     return float(np.abs(w).sum())
 
 
-def unitary_eigenphases(u, tol=HERMITIAN_TOL):
+def unitary_eigenphases(u):
     """Eigenvalue phases of a unitary matrix, ascending, in [-pi, pi].
 
     The eigenvalues of a unitary are perfectly conditioned, so the general
     eigensolver is accurate here.
     """
     a = as_complex_matrix(u, "unitary")
-    if not is_unitary(a, tol):
+    if not is_unitary(a):
         raise ValueError("matrix is not unitary within tolerance")
     return np.sort(np.angle(np.linalg.eigvals(a)))

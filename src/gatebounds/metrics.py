@@ -15,29 +15,33 @@ def total_variation_distance(mu, nu):
     """Half the l1 distance between two probability vectors."""
     p = np.asarray(mu, dtype=float)
     q = np.asarray(nu, dtype=float)
+    for name, v in (("mu", p), ("nu", q)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"distribution {name} has a non-finite entry")
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"distributions must be equal-length vectors, got {p.shape} and {q.shape}")
     return float(0.5 * np.abs(p - q).sum())
 
 
-def _check_density(rho, name, tol):
+def _check_density(rho, name):
     a = linalg.as_complex_matrix(rho, name)
-    if not linalg.is_hermitian(a, tol):
+    if not linalg.is_hermitian(a, DENSITY_TOL):
         raise ValueError(f"{name} is not Hermitian")
-    if abs(a.trace().real - 1.0) > tol or abs(a.trace().imag) > tol:
+    if abs(a.trace().real - 1.0) > DENSITY_TOL or abs(a.trace().imag) > DENSITY_TOL:
         raise ValueError(f"{name} does not have unit trace")
-    if linalg.min_hermitian_eigenvalue(a, tol) < -tol:
+    if linalg.min_hermitian_eigenvalue(a, DENSITY_TOL) < -DENSITY_TOL:
         raise ValueError(f"{name} is not positive semidefinite")
     return a
 
 
-def trace_distance(rho, sigma, tol=DENSITY_TOL):
-    """Half the trace norm of the difference of two density matrices."""
-    a = _check_density(rho, "rho", tol)
-    b = _check_density(sigma, "sigma", tol)
+def trace_distance(rho, sigma):
+    """Half the trace norm of the difference of two density matrices, each
+    checked to be a state within ``DENSITY_TOL``."""
+    a = _check_density(rho, "rho")
+    b = _check_density(sigma, "sigma")
     if a.shape != b.shape:
         raise ValueError("density matrices differ in dimension")
-    return 0.5 * linalg.trace_norm(a - b, tol)
+    return 0.5 * linalg.trace_norm(a - b)
 
 
 def average_gate_fidelity(channel):

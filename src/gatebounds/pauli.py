@@ -97,13 +97,14 @@ def pauli_twirl(channel):
     return Channel(kraus)
 
 
-def as_pauli_channel(channel, tol=PAULI_TOL):
-    """Extract Pauli probabilities from a channel that is Pauli within tol.
+def as_pauli_channel(channel):
+    """Extract Pauli probabilities from a channel that is Pauli within
+    ``PAULI_TOL``.
 
     Conjugating the Choi matrix into the basis of flattened Pauli operators
     makes a Pauli channel exactly diagonal, with p_k * dim on the diagonal.
-    Any off-diagonal entry above ``tol`` means the channel is not Pauli and a
-    ``ValueError`` is raised.
+    Any off-diagonal entry above ``PAULI_TOL`` means the channel is not Pauli
+    and a ``ValueError`` is raised.
     """
     n = _qubit_count(channel.dim)
     d = channel.dim
@@ -112,9 +113,9 @@ def as_pauli_channel(channel, tol=PAULI_TOL):
     transformed = basis.conj().T @ channel.choi @ basis
     off = transformed - np.diag(np.diag(transformed))
     worst = float(np.abs(off).max())
-    if worst > tol:
+    if worst > PAULI_TOL:
         raise ValueError(
-            f"channel is not Pauli: off-diagonal Choi weight {worst:.3e} exceeds {tol:.3e}"
+            f"channel is not Pauli: off-diagonal Choi weight {worst:.3e} exceeds {PAULI_TOL:.3e}"
         )
     raw = np.diag(transformed).real / d
     probs = {label: float(max(0.0, p)) for label, p in zip(labels, raw)}

@@ -46,26 +46,27 @@ their vecs (real and imaginary parts interleaved), so every inner product is
 one real BLAS call on a view, with no copy.  :class:`SdpProblem` exposes the
 operator through five methods: ``apply`` (X -> <A_i, X>, one real
 matrix-vector product on the float64 view), ``adjoint`` (y -> sum y_i A_i,
-likewise), ``schur`` (the HKM Schur complement, assembled with matrix
-products), ``blocks`` (a flat vector as its (n, n) block views) and
-``stacks`` (a flat vector as one (k, n, n) view per run of k consecutive
-blocks of equal size n).  The iterates X and Z, the residuals and the
-directions are flat vectors, so inner products, residual norms and
-right-hand sides are single BLAS calls; the Cholesky factors, Z^-1, the
-direction products and the step lengths work run by run, each one batched
-call on a stack.
+likewise), ``schur`` (the HKM Schur complement, assembled run by run),
+``blocks`` (a flat vector as its (n, n) block views) and ``stacks`` (a flat
+vector as one (k, n, n) view per run of k consecutive blocks of equal size
+n).  The iterates X and Z, the residuals and the directions are flat
+vectors, so inner products, residual norms and right-hand sides are single
+BLAS calls; the Cholesky factors, Z^-1, the direction products, the Schur
+products and the step lengths work run by run, each one batched call on a
+stack.
 
 The problem data is read-only.  Problems that differ only in the objective
 share one constraint matrix: ``SdpProblem.with_objective`` derives a problem
 without copying or re-validating the constraints, which is how the diamond
-SDP reuses one set of constraints per dimension.  Blocks whose constraint
-stacks are equal entry for entry form a group, and ``schur`` sums
-X_b A_j Z_b^-1 over a group before its one real GEMM, so two blocks that
-share a stack cost one GEMM instead of two.  Each ``solve`` call owns its
-Schur buffers (``SdpProblem.schur_workspace``) and refills them in place
-every iteration; they are not kept on the problem, whose data a caller may
-share or keep after the solve.  ``newton_system`` returns the HKM system
-of an iterate.
+SDP reuses one set of constraints per dimension.  ``schur`` works by the
+same runs as the rest of the iteration: per run, one batched product
+X_r A_jr Z_r^-1 over all rows and members, and one real GEMM against the
+run's constraint columns.  Each ``solve`` call owns its Schur buffers
+(``SdpProblem.schur_workspace``: two (m, m) matrices and two (m, k, n, n)
+products per run) and refills them in place every iteration, so an
+iteration maps no new pages for them; they are not kept on the problem,
+whose data a caller may share or keep after the solve.  ``newton_system``
+returns the HKM system of an iterate.
 
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
@@ -183,9 +184,8 @@ class SdpProblem(BlockLayout):
 
     ``a``, ``b`` and ``c`` are read-only, so problems that differ only in
     their objective can share the constraint data: :meth:`with_objective`
-    derives one without copying or re-validating the constraints.  Blocks
-    whose constraint stacks are equal entry for entry form one group, which
-    :meth:`schur` treats as a single stack.
+    derives one without copying or re-validating the constraints.  A
+    constraint row must give one matrix per block.
 
     Its Newton system is the HKM one, assembled as the Schur matrix
     (:meth:`newton_system`).
@@ -204,23 +204,24 @@ class SdpProblem(BlockLayout):
         rows = list(constraints)
         if len(rows) != m:
             raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
+        nblocks = len(self.block_dims)
+        for i, row in enumerate(rows):
+            if len(row) != nblocks:
+                raise ValueError(
+                    f"constraint {i} must provide one matrix per block, got {len(row)} for {nblocks}"
+                )
         self.a = np.empty((m, self.size), dtype=np.complex128)
         for bidx, view in enumerate(self.blocks(self.a)):
             self._checked_stack([row[bidx] for row in rows], view, "constraint {}")
         self.a.flags.writeable = False
         # (m, 2N) real view: Re tr(A_i X) is a row of it dotted with X's view
         self._a_real = self.a.view(np.float64)
-        # (stack, its (m, 2 n^2) float64 view, member blocks) per group of
-        # blocks with equal (m, n, n) constraint stacks, views into a
-        self._groups = []
-        for bidx, stack in enumerate(self.blocks(self.a)):
-            for group in self._groups:
-                if np.array_equal(group[0], stack):
-                    group[2].append(bidx)
-                    break
-            else:
-                real = stack.view(np.float64).reshape(m, 2 * stack.shape[1] ** 2)
-                self._groups.append((stack, real, [bidx]))
+        # per run, its (m, k, n, n) constraint stack and the matching
+        # (m, 2 k n^2) columns of the float64 view, both views into a
+        self._run_stacks = [
+            (self.a[:, sl].reshape(m, k, n, n), self._a_real[:, 2 * sl.start : 2 * sl.stop])
+            for sl, (k, n) in zip(self._run_slices, self.runs)
+        ]
 
     def _checked_objective(self, objective):
         objective = list(objective)
@@ -235,7 +236,7 @@ class SdpProblem(BlockLayout):
     def with_objective(self, objective):
         """The same constraints and rhs with a new objective.
 
-        Shares ``a``, its float64 view, ``b`` and the block groups with this
+        Shares ``a``, its float64 and per-run views and ``b`` with this
         problem; only the objective is validated, with the messages of the
         constructor.
         """
@@ -291,7 +292,7 @@ class SdpProblem(BlockLayout):
         is then one ``np.linalg.solve`` against the matrix.
         """
         zinv = [f[k:].conj().mT @ f[k:] for f, (k, _) in zip(inv_l, self.runs)]
-        schur = self.schur(self.blocks(x), [zb for zr in zinv for zb in zr], work)
+        schur = self.schur(self.stacks(x), zinv, work)
         if _chol_or_none(schur) is None:
             m = self.num_constraints
             schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
@@ -300,25 +301,22 @@ class SdpProblem(BlockLayout):
         return _HkmSystem(self, self.stacks(x), zinv, schur)
 
     def schur_workspace(self):
-        """Buffers for :meth:`schur`: two real (m, m) matrices, and per group
-        two complex (m, n, n) products, plus a third when the group has more
-        than one block."""
+        """Buffers for :meth:`schur`: two real (m, m) matrices, and per run
+        two complex (m, k, n, n) products."""
         m = self.num_constraints
-        temps = [
-            [np.empty(stack.shape, dtype=np.complex128) for _ in range(2 + (len(members) > 1))]
-            for stack, _, members in self._groups
-        ]
+        temps = [[np.empty((m, k, n, n), dtype=np.complex128) for _ in range(2)] for k, n in self.runs]
         return np.empty((m, m)), np.empty((m, m)), temps
 
     def schur(self, xs, zinvs, work=None):
         """Schur complement M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1),
         returned as the exactly symmetric (M + M^T) / 2 of the assembled sum.
 
-        ``xs`` and ``zinvs`` are the blocks of X and of Z^-1.  Blocks of one
-        group share the stack A, so the group contributes one real GEMM of
-        A's float64 view against that of T_j = sum_b X_b A_j Z_b^-1: the dot
-        product of the views is Re tr(A_i T_j^H), which equals Re tr(A_i T_j)
-        because the two traces are complex conjugates.
+        ``xs`` and ``zinvs`` are the (k, n, n) stacks of X and of Z^-1, one
+        per run.  A run takes one batched product T_j = X_r A_jr Z_r^-1 over
+        every row j and member, and one real GEMM of its constraint stack's
+        float64 view against T's: the dot product of the views is
+        Re tr(A_i T_j^H), which equals Re tr(A_i T_j) because the two traces
+        are complex conjugates.
 
         ``work`` is a :meth:`schur_workspace`; the result is one of its
         buffers, overwritten by the next call that uses it.
@@ -326,16 +324,11 @@ class SdpProblem(BlockLayout):
         if work is None:
             work = self.schur_workspace()
         out, part, temps = work
-        for g, ((stack, stack_real, members), bufs) in enumerate(zip(self._groups, temps)):
-            xa, t = bufs[0], bufs[1]
-            for k, bidx in enumerate(members):
-                np.matmul(xs[bidx], stack, out=xa)
-                if k == 0:
-                    np.matmul(xa, zinvs[bidx], out=t)
-                else:
-                    t += np.matmul(xa, zinvs[bidx], out=bufs[2])
-            np.matmul(stack_real, t.view(np.float64).reshape(len(t), -1).T, out=part if g else out)
-            if g:
+        for r, ((stack, stack_real), (xa, t)) in enumerate(zip(self._run_stacks, temps)):
+            np.matmul(xs[r], stack, out=xa)
+            np.matmul(xa, zinvs[r], out=t)
+            np.matmul(stack_real, t.view(np.float64).reshape(len(t), -1).T, out=part if r else out)
+            if r:
                 out += part
         np.add(out, out.T, out=part)
         part *= 0.5

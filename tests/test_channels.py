@@ -134,6 +134,16 @@ def test_mix_validation():
     assert len(skipped.kraus) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mix_rejects_non_finite_weights_by_name(bad):
+    # NaN passes both comparisons of the weight checks, so it is named first
+    ident = channels.identity_channel(2)
+    with pytest.raises(ValueError, match=r"mixture weight 0 is not finite"):
+        channels.mix([(bad, ident), (1.0, channels.depolarizing(0.1))])
+    with pytest.raises(ValueError, match=r"mixture weight 1 is not finite"):
+        channels.mix([(1.0, ident), (bad, channels.depolarizing(0.1))])
+
+
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 4.0 / 3.0])
 def test_depolarizing_domain(r):
     ch = channels.depolarizing(r)

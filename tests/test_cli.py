@@ -318,11 +318,31 @@ def test_non_finite_inputs_are_named(capsys, command, flag, message, bad):
     assert captured.out == ""
 
 
+LIBRARY_SOLVES = """
+import sys
+import numpy as np
+import gatebounds.refcheck
+from gatebounds import channels, diamond
+rng = np.random.default_rng(5)
+u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+routes = [
+    diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp").route,
+    diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp").route,
+    diamond.pauli_distance(channels.unitary_channel(u), method="sdp").route,
+]
+print(routes, sorted({"gatebounds.cli", "numba", "scipy"} & set(sys.modules)))
+"""
+
+
 def test_library_imports_neither_cli_nor_numba():
-    code = "import sys, gatebounds.refcheck; print(sorted({'gatebounds.cli', 'numba'} & set(sys.modules)))"
+    # one SDP on each solve path: the assembled Choi route at d = 2, the
+    # fidelity route at d = 3 and the structured Choi route at d = 4; none of
+    # them may pull in the CLI, numba or scipy
     env = dict(os.environ, PYTHONPATH=str(Path(gatebounds.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBRARY_SOLVES], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "['choi', 'fidelity', 'choi'] []"
 
 
 def test_threshold_command_prints_full_precision(capsys):

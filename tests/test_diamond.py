@@ -313,12 +313,12 @@ def test_unconverged_fidelity_route_solve_raises(monkeypatch):
 
 
 def from_scratch_encoding(j_delta, d):
-    # the diamond SDP built directly, as a reference for the cached template
+    # the diamond SDP built row by row, with its own partial traces, as a
+    # reference for the template and the structured operator
     d2 = d * d
     zero_w, zero_r = np.zeros((d2, d2)), np.zeros((d, d))
-    rows = [
-        [f, f, -linalg.partial_trace(f, (d, d), keep=1)] for f in diamond._hermitian_basis(d2)
-    ]
+    basis = diamond._matrices(np.eye(d2 * d2), d2)
+    rows = [[f, f, -linalg.partial_trace(f, (d, d), keep=1)] for f in basis]
     rows.append([zero_w, zero_w, np.eye(d)])
     rhs = [0.0] * (len(rows) - 1) + [1.0]
     return sdp.SdpProblem([d2, d2, d], [-j_delta, zero_w, zero_r], rows, rhs)
@@ -330,15 +330,45 @@ def random_choi_difference(rng, d):
     return e.choi - channels.identity_channel(d).choi
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_encode_matches_a_from_scratch_problem(d):
-    j = random_choi_difference(np.random.default_rng(80 + d), d)
+    # equal entry for entry up to the sign of zero: the adjoint writes +0.0
+    # where -Tr_1 F writes -0.0
+    rng = np.random.default_rng(80 + d)
+    j = random_choi_difference(rng, d)
     got, want = diamond._encode(j, d), from_scratch_encoding(j, d)
-    assert got.block_dims == want.block_dims
-    for name in ("a", "b", "c"):
+    assert got.block_dims == want.block_dims and got.runs == want.runs
+    names = ("a", "b", "c") if d < diamond.STRUCTURED_DIMENSION else ("b",)
+    for name in names:
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes(), name
+        assert np.array_equal(g, w), name
+    if d < diamond.STRUCTURED_DIMENSION:
+        return
+    # the structured operator: its objective and both directions of its
+    # constraint operator
+    n = d * d
+    np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-15)
+    for _ in range(3):
+        x = np.concatenate([random_hermitian(rng, k).ravel() for k in (n, n, d)])
+        y = rng.standard_normal(n * n + 1)
+        want_x, want_y = want.apply(x), want.adjoint(y)
+        np.testing.assert_allclose(got.apply(x), want_x, rtol=0, atol=1e-15 * np.abs(want_x).max())
+        np.testing.assert_allclose(got.adjoint(y), want_y, rtol=0, atol=1e-15 * np.abs(want_y).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hermitian_basis_is_orthonormal(n):
+    basis = diamond._matrices(np.eye(n * n), n)
+    assert basis.shape == (n * n, n, n)
+    assert np.array_equal(basis, basis.conj().mT)
+    gram = np.einsum("iab,jba->ij", basis, basis).real
+    np.testing.assert_allclose(gram, np.eye(n * n), rtol=0, atol=1e-15)
 
 
 def test_encodings_share_one_read_only_template():
@@ -351,8 +381,9 @@ def test_encodings_share_one_read_only_template():
         first.a[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         first.b[0] = 1.0
-    # W and S carry the same constraint stack and assemble as one group
-    assert [members for _, _, members in first._groups] == [[0, 1], [2]]
+    # W and S form one run, assembled from a view of the shared matrix
+    stack, _ = first._run_stacks[0]
+    assert stack.shape == (17, 2, 4, 4) and np.shares_memory(stack, second.a)
 
 
 def test_repeated_solves_build_one_template():
@@ -527,30 +558,6 @@ def test_sixteen_dimensional_low_rank_pairs_bracket_their_closed_forms():
         assert res.upper_certificate - res.lower_certificate <= 1e-7
 
 
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_structured_operator_matches_the_template(d):
-    # the same rows, rhs and objective as the assembled template
-    rng = np.random.default_rng(110 + d)
-    n = d * d
-    j = random_choi_difference(rng, d)
-    template = diamond._template(d).with_objective([-j, np.zeros((n, n)), np.zeros((d, d))])
-    op = diamond._ChoiOperator(j, d)
-    assert op.block_dims == template.block_dims and op.runs == template.runs
-    assert np.array_equal(op.b, template.b)
-    np.testing.assert_allclose(op.c, template.c, rtol=0, atol=1e-15)
-    for _ in range(3):
-        x = np.concatenate([random_hermitian(rng, k).ravel() for k in (n, n, d)])
-        y = rng.standard_normal(n * n + 1)
-        want_x, want_y = template.apply(x), template.adjoint(y)
-        np.testing.assert_allclose(op.apply(x), want_x, rtol=0, atol=1e-15 * np.abs(want_x).max())
-        np.testing.assert_allclose(op.adjoint(y), want_y, rtol=0, atol=1e-15 * np.abs(want_y).max())
-
-
 def scaling(rng, n, lo, hi):
     # a Hermitian positive definite matrix with eigenvalues from lo to hi
     w = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
@@ -570,7 +577,8 @@ def test_structured_newton_solve_matches_the_assembled_nt_matrix(d):
     for _ in range(3):
         ws = [scaling(rng, k, 0.1, 10.0) for k in (n, n, d)]
         h = rng.standard_normal(n * n + 1)
-        want = np.linalg.solve(template.schur(ws, ws), h)
+        stacks = template.stacks(np.concatenate([w.ravel() for w in ws]))
+        want = np.linalg.solve(template.schur(stacks, stacks), h)
         got = op.nt_solver(ws)(h)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
     # eigenvalues spread from 1e-8 to 1e4 make the matrix so ill-conditioned
@@ -578,7 +586,8 @@ def test_structured_newton_solve_matches_the_assembled_nt_matrix(d):
     # solve is backward stable like the dense one
     for _ in range(3):
         ws = [scaling(rng, k, 1e-8, 1e4) for k in (n, n, d)]
-        matrix = template.schur(ws, ws)
+        stacks = template.stacks(np.concatenate([w.ravel() for w in ws]))
+        matrix = template.schur(stacks, stacks)
         h = rng.standard_normal(n * n + 1)
 
         def backward(y):

@@ -41,6 +41,15 @@ def test_total_variation_distance_validation():
         metrics.total_variation_distance([[0.5, 0.5]], [[0.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_total_variation_distance_rejects_non_finite_entries_by_name(bad):
+    # checked before the shapes: a NaN or an infinity never reaches the sum
+    with pytest.raises(ValueError, match="distribution mu has a non-finite entry"):
+        metrics.total_variation_distance([bad, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="distribution nu has a non-finite entry"):
+        metrics.total_variation_distance([0.5, 0.5], [bad])
+
+
 def test_trace_distance_known_values():
     pure = np.diag([1.0, 0.0])
     mixed = np.eye(2) / 2

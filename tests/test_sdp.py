@@ -53,6 +53,12 @@ def test_problem_validation():
         sdp.SdpProblem([0], [np.zeros((0, 0))], [], [])
     with pytest.raises(ValueError, match="one matrix per block"):
         sdp.SdpProblem([2], [eye, eye], [[eye]], [1.0])
+    # a constraint row with too few or too many matrices is named, not cut
+    # short or indexed past its end
+    with pytest.raises(ValueError, match="constraint 1 must provide one matrix per block, got 1 for 2"):
+        sdp.SdpProblem([2, 2], [eye, eye], [[eye, eye], [eye]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="constraint 0 must provide one matrix per block, got 3 for 2"):
+        sdp.SdpProblem([2, 2], [eye, eye], [[eye, eye, eye]], [1.0])
     for bad in (np.nan, np.inf, -np.inf):
         corrupt = np.diag([bad, 1.0])
         with pytest.raises(ValueError, match="objective block has a non-finite"):
@@ -160,10 +166,6 @@ def test_dual_slack_recomputed_exactly():
     assert np.array_equal(np.concatenate([z.ravel() for z in sol.z]), want)
 
 
-def groups(prob):
-    return [members for _, _, members in prob._groups]
-
-
 def random_problem(rng, dims, m, shared=()):
     # blocks listed in ``shared`` get the constraint matrices of block 0
     objective = [random_hermitian(rng, n) for n in dims]
@@ -180,15 +182,21 @@ def random_iterate(rng, dims):
 
 def test_flat_operator_matches_its_definitions():
     rng = np.random.default_rng(72)
-    # distinct stacks, then two blocks that share one and assemble as a group
-    check_flat_operator(rng, (3, 4, 2), (), [[0], [1], [2]])
-    check_flat_operator(rng, (3, 3, 2), (1,), [[0, 1], [2]])
+    # runs of one; a run of two blocks with different constraint stacks and
+    # one block of another size; the same run with equal stacks, as the
+    # diamond SDP's W and S have
+    check_flat_operator(rng, (3, 4, 2), (), [(1, 3), (1, 4), (1, 2)])
+    check_flat_operator(rng, (3, 3, 2), (), [(2, 3), (1, 2)])
+    check_flat_operator(rng, (3, 3, 2), (1,), [(2, 3), (1, 2)])
 
 
-def check_flat_operator(rng, dims, shared, want_groups):
+def check_flat_operator(rng, dims, shared, want_runs):
     m = 5
     prob, objective, rows = random_problem(rng, dims, m, shared)
-    assert groups(prob) == want_groups
+    assert prob.runs == want_runs
+    for (stack, stack_real), (k, n) in zip(prob._run_stacks, want_runs):
+        assert stack.shape == (m, k, n, n) and stack_real.shape == (m, 2 * k * n * n)
+        assert np.shares_memory(stack, prob.a) and np.shares_memory(stack_real, prob.a)
     size = sum(n * n for n in dims)
     assert prob.a.shape == (m, size) and prob.a.flags.c_contiguous
     assert prob.c.shape == (size,)
@@ -212,7 +220,8 @@ def check_flat_operator(rng, dims, shared, want_groups):
         ]
         for ri in rows
     ]
-    np.testing.assert_allclose(prob.schur(xs, zinvs), schur, rtol=0, atol=1e-12)
+    got = prob.schur(stacked(prob, xs), stacked(prob, zinvs))
+    np.testing.assert_allclose(got, schur, rtol=0, atol=1e-12)
 
 
 def test_schur_workspace_reuse_matches_a_fresh_assembly():
@@ -221,7 +230,7 @@ def test_schur_workspace_reuse_matches_a_fresh_assembly():
     prob = random_problem(rng, dims, 6, shared=(1,))[0]
     work = prob.schur_workspace()
     for _ in range(2):
-        xs, zinvs = random_iterate(rng, dims)
+        xs, zinvs = (stacked(prob, mats) for mats in random_iterate(rng, dims))
         got = prob.schur(xs, zinvs, work)
         assert np.shares_memory(got, work[1])
         assert np.array_equal(got, got.T)
@@ -237,7 +246,7 @@ def test_with_objective_shares_constraints_and_checks_the_objective():
     assert derived.a is prob.a and derived.b is prob.b and derived._a_real is prob._a_real
     assert np.array_equal(derived.c, np.concatenate([c.ravel() for c in objective]))
     assert not np.shares_memory(derived.c, prob.c)
-    assert groups(derived) == groups(prob)
+    assert derived._run_stacks is prob._run_stacks
 
     eye3, eye2 = np.eye(3), np.eye(2)
     with pytest.raises(ValueError, match="one matrix per block"):
@@ -256,7 +265,7 @@ def test_problem_data_is_read_only():
     for arr in (prob.a, prob.b, prob.c, prob._a_real):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1.0
-    for stack, stack_real, _ in prob._groups:
+    for stack, stack_real in prob._run_stacks:
         assert not stack.flags.writeable and not stack_real.flags.writeable
 
 
