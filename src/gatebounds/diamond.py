@@ -91,7 +91,7 @@ The returned value is the solver's primal value, clipped into the interval.
 
 Each route's encoder normalization, and the structured Choi operator's, is
 calibrated once per process, on its first use, against the unitary closed
-form; a mismatch aborts with
+form, out of sight of the solve recorder; a mismatch aborts with
 :class:`CalibrationError` since it would mean the package is miswired, not
 that an input is bad.
 """
@@ -163,7 +163,7 @@ def set_solve_recorder(callback):
     """Install a callback receiving a SolveRecord per SDP solve, or None.
 
     Used by the reproduction suite to audit every solve after the fact;
-    closed-form paths are not recorded.
+    closed-form paths and the one-time calibration solves are not recorded.
     """
     global _solve_recorder
     _solve_recorder = callback
@@ -481,7 +481,16 @@ def _choi_encoding(j_delta, d):
     )
 
 
-def _fidelity_encoding(j_delta, d):
+def _signed_operators(j_delta, d):
+    """The minimal signed operators of J(E - F) under the rank cut.
+
+    With J = sum_k lambda_k v_k v_k^dagger (eigenvalues descending), returns
+    the operators A_k = sqrt|lambda_k| v_k reshaped row-major to d x d for
+    the eigenvalues above :func:`_rank_cut`, their signs s_k, and
+    ``dropped``: half a bound on ||J - J_kept||_1, which bounds how far
+    1/2 ||(map x id)(X)||_1 can move on a state X when the map is read
+    through the kept terms only.
+    """
     lam, vecs = linalg.hermitian_eigendecomposition(j_delta)
     keep = np.abs(lam) > _rank_cut(d)
     # the eigensolver's backward error, n eps ||J||_2 per eigenvalue, joins
@@ -490,15 +499,20 @@ def _fidelity_encoding(j_delta, d):
     cut_norm = float(np.abs(lam[~keep]).sum()) + n * n * EPS * float(np.abs(lam).max(initial=0.0))
     lam = lam[keep]
     ops = np.sqrt(np.abs(lam))[:, None, None] * vecs[:, keep].T.reshape(-1, d, d)
+    return ops, np.sign(lam), 0.5 * cut_norm
+
+
+def _fidelity_encoding(j_delta, d):
+    ops, signs, dropped = _signed_operators(j_delta, d)
     gram_max = float(np.linalg.eigvalsh(np.einsum("kba,kbc->ac", ops.conj(), ops))[-1])
     return _Encoding(
         route="fidelity",
-        problem=_encode_fidelity(ops, np.sign(lam)),
+        problem=_encode_fidelity(ops, signs),
         scale=0.5,
         trace_bounds=(((0,), 2.0 * gram_max), ((1,), 1.0), ((2,), 1.0)),
         witness=1,
         transpose=True,
-        dropped=0.5 * cut_norm,
+        dropped=dropped,
     )
 
 
@@ -571,7 +585,7 @@ def _ensure_calibrated(path):
     d = STRUCTURED_DIMENSION if path == "structured" else 2
     route = "choi" if path == "structured" else path
     u = np.diag([1.0] * (d - 1) + [np.exp(1j * theta)])
-    got = _solve_pair(Channel([u]), identity_channel(d), route)
+    *_, got = _solve(Channel([u]).choi - identity_channel(d).choi, d, route)
     want = math.sin(theta / 2.0)
     if abs(got.value - want) > 1e-6:
         name = "choi route (structured operator)" if path == "structured" else f"{route} route"
@@ -655,8 +669,13 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     """Sampled lower bound on the diamond distance.
 
     Maximizes half the output trace norm over Haar-random pure states of the
-    doubled space (system plus same-size ancilla).  Always at most the true
-    distance, and a useful independent check on the SDP.
+    doubled space (system plus same-size ancilla), reading E - F through the
+    minimal signed operators of J(E - F) (:func:`_signed_operators`, the
+    fidelity route's rank cut), so the scan works at the rank of J.  The
+    cut allowance ``dropped`` is subtracted and the result clipped at 0, so
+    it is at most the true distance up to the eigensolver's rounding of the
+    sampled outputs; a pair whose J keeps no term gives 0.0.  A useful
+    independent check on the SDP.
     """
     if f is None:
         f = identity_channel(e.dim)
@@ -668,6 +687,8 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((samples, d * d)) + 1j * rng.standard_normal((samples, d * d))
     psis = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    kraus_e = np.ascontiguousarray(np.stack(e.kraus))
-    kraus_f = np.ascontiguousarray(np.stack(f.kraus))
-    return kernels.pair_scan_kernel(kraus_e, kraus_f, np.ascontiguousarray(psis))
+    ops, signs, dropped = _signed_operators(e.choi - f.choi, d)
+    if not len(ops):
+        return 0.0
+    scan = kernels.pair_scan_kernel(ops[signs > 0], ops[signs < 0], psis)
+    return max(0.0, scan - dropped)

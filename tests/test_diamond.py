@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from gatebounds import bounds, channels, cli, diamond, linalg, pauli, sdp
+from gatebounds import bounds, channels, cli, diamond, kernels, linalg, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod, DiamondResult
 
@@ -186,6 +186,37 @@ def test_brute_force_validation():
         )
 
 
+def test_brute_force_is_zero_for_one_channel_in_two_kraus_forms():
+    # K'_i = sum_j V_ij K_j for a unitary V: the same channel, whose Choi
+    # difference is rounding only, so the rank cut keeps no term
+    rng = np.random.default_rng(31)
+    for d, rank in ((2, 3), (4, 2)):
+        ch = isometry_channel(rng, d, rank)
+        v = random_unitary(rng, rank)
+        mixed = Channel([sum(v[i, j] * k for j, k in enumerate(ch.kraus)) for i in range(rank)])
+        assert not np.allclose(mixed.kraus[0], ch.kraus[0])
+        assert 0.0 < float(np.abs(mixed.choi - ch.choi).max()) < 1e-14
+        assert diamond.brute_force_lower_bound(ch, mixed, samples=200) == 0.0
+
+
+def test_brute_force_scans_through_the_kernel_attribute_once(monkeypatch):
+    # perfbench times the scan by wrapping kernels.pair_scan_kernel, so the
+    # bound must look it up on the module at call time, once per call
+    shapes = []
+    scan = kernels.pair_scan_kernel
+
+    def counted(kraus_e, kraus_f, psis):
+        shapes.append((kraus_e.shape, kraus_f.shape, psis.shape))
+        return scan(kraus_e, kraus_f, psis)
+
+    monkeypatch.setattr(kernels, "pair_scan_kernel", counted)
+    got = diamond.brute_force_lower_bound(channels.amplitude_damping(0.3), samples=50, seed=4)
+    assert got > 0.0
+    # J of amplitude damping less the identity has rank 3: the kernel gets
+    # its two positive and one negative term, not the channels' Kraus lists
+    assert shapes == [((2, 2, 2), (1, 2, 2), (50, 4))]
+
+
 def refuse_to_build(*args, **kwargs):
     raise AssertionError("a refused pair reached the solver or the template")
 
@@ -240,8 +271,8 @@ def test_argument_validation():
 
 
 def test_solve_recorder_sees_each_solve():
-    # warm the one-time calibration solve so it is not what gets recorded
-    diamond.diamond_distance(channels.amplitude_damping(0.33), method="sdp")
+    # the one-time calibration solve that this call pays is not recorded
+    diamond._ensure_calibrated.cache_clear()
     records = []
     diamond.set_solve_recorder(records.append)
     try:
@@ -274,7 +305,7 @@ def check_failed_calibration_is_retried(monkeypatch, channel, route):
     diamond._ensure_calibrated.cache_clear()
     wrong = DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP, route)
     with monkeypatch.context() as m:
-        m.setattr(diamond, "_solve_pair", lambda e, f, route: wrong)
+        m.setattr(diamond, "_solve", lambda j_delta, d, route: (None, None, None, wrong))
         with pytest.raises(diamond.CalibrationError, match=f"calibration failed on the {route} route"):
             diamond.diamond_distance(channel, method="sdp")
     assert diamond._ensure_calibrated.cache_info().currsize == 0

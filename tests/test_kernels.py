@@ -86,3 +86,68 @@ def test_pair_scan_depends_only_on_choi():
         assert base > 1e-3
         assert abs(kernels.pair_scan_kernel(mixed, kraus_f, psis) - base) <= 1e-12
         assert abs(kernels.pair_scan_kernel(kraus_e, mixed, psis)) <= 1e-12
+
+
+def plain_scan(kraus_e, kraus_f, psis):
+    # no reduction and no pruning: the full d^2 x d^2 output of every sample,
+    # (I x Psi^T) J (I x Psi^T)^dagger, through eigvalsh
+    d = kraus_e.shape[1]
+    ve = kraus_e.reshape(len(kraus_e), d * d)
+    vf = kraus_f.reshape(len(kraus_f), d * d)
+    choi = ve.T @ ve.conj() - vf.T @ vf.conj()
+    lift = [np.kron(np.eye(d), psi.reshape(d, d).T) for psi in psis]
+    outs = np.array([a @ choi @ a.conj().T for a in lift])
+    return float(0.5 * np.abs(np.linalg.eigvalsh(outs)).sum(axis=1).max())
+
+
+# (d, Kraus count of E, of F): r = r_E + r_F below, at and above d^2, and an
+# empty F side
+SCAN_SHAPES = (
+    (2, 1, 1), (2, 2, 2), (2, 4, 2), (2, 3, 0),
+    (3, 2, 1), (3, 5, 4), (3, 8, 3), (3, 9, 0),
+    (4, 2, 1), (4, 8, 8), (4, 10, 8), (4, 2, 0),
+)
+
+
+def test_pair_scan_matches_plain_reference():
+    for i, (d, kraus_count, partner_count) in enumerate(SCAN_SHAPES):
+        rng = np.random.default_rng(40 + i)
+        kraus_e = random_kraus(rng, d, kraus_count)
+        kraus_f = random_kraus(rng, d, partner_count) if partner_count else np.zeros((0, d, d), complex)
+        _, _, psis = scan_inputs(60 + i, d=d, samples=300)
+        got = kernels.pair_scan_kernel(kraus_e, kraus_f, psis)
+        assert abs(got - plain_scan(kraus_e, kraus_f, psis)) <= 1e-13, (d, kraus_count, partner_count)
+
+
+def counted_eigvalsh(monkeypatch):
+    # the shapes of the matrices each eigvalsh call receives
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_pair_scan_solves_low_rank_samples_at_the_kraus_count(monkeypatch):
+    calls = counted_eigvalsh(monkeypatch)
+    for d, kraus_count, partner_count in ((2, 2, 1), (3, 2, 1), (4, 2, 1), (4, 3, 0)):
+        kraus_e, kraus_f, psis = scan_inputs(70 + d, d=d, kraus_count=kraus_count, samples=200)
+        kraus_f = kraus_f[:partner_count]
+        calls.clear()
+        kernels.pair_scan_kernel(kraus_e, kraus_f, psis)
+        r = kraus_count + partner_count
+        assert calls and all(shape[-1] <= r for shape in calls), (d, r, calls)
+
+
+def test_pair_scan_prunes_samples_that_cannot_set_the_maximum(monkeypatch):
+    calls = counted_eigvalsh(monkeypatch)
+    samples = 2000
+    kraus_e, kraus_f, psis = scan_inputs(81, d=2, kraus_count=3, samples=samples, partner_count=2)
+    kernels.pair_scan_kernel(kraus_e, kraus_f, psis)
+    assert all(shape[-1] == 4 for shape in calls)
+    solved = sum(int(np.prod(shape[:-2])) for shape in calls)
+    assert 1 <= solved < samples

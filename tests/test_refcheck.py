@@ -1,7 +1,12 @@
 """The solver-health gates of the reproduction suite, on one recorded solve."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gatebounds
 from gatebounds import channels, diamond, refcheck
 
 
@@ -62,3 +67,22 @@ def test_solver_health_gates_fidelity_route_records():
     passed, detail = refcheck._check_solver_health(ctx)
     assert not passed
     assert detail == "solve 0: dual slack not PSD within 1e-7"
+
+
+TWO_PASSES = """
+from gatebounds import refcheck
+passes = [[(r.name, r.passed, r.detail) for r in refcheck.run_checks()] for _ in range(2)]
+print(passes[0] == passes[1])
+print(passes[0][-1][2])
+"""
+
+
+def test_suite_passes_agree_in_a_fresh_process():
+    # the first pass pays the calibration solves; they must not reach the
+    # solver-health audit, or the first pass counts more solves than the next
+    env = dict(os.environ, PYTHONPATH=str(Path(gatebounds.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_PASSES], capture_output=True, text=True, env=env, check=True
+    )
+    same, health = proc.stdout.strip().splitlines()
+    assert same == "True", health
