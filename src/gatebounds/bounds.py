@@ -193,7 +193,7 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None):
 
 @dataclass(frozen=True, slots=True)
 class SweepRecord:
-    """One row of a fidelity sweep (field order matches the CLI's CSV header)."""
+    """One row of a fidelity sweep."""
 
     model: str
     param: float

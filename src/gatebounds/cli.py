@@ -21,6 +21,7 @@ included), 2 solver failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ import numpy as np
 from . import bounds, channels, diamond, linalg, sdp
 from .channels import Channel
 
-SWEEP_HEADER = "model,param,fidelity,eta,eta_pauli_lb,eta_generic_ub,pauli_distance,refined_lo,refined_hi"
+SWEEP_HEADER = ",".join(f.name for f in dataclasses.fields(bounds.SweepRecord))
 
 
 class SpecFileError(ValueError):
@@ -117,8 +118,9 @@ def _named_channel(named, dim):
     raise SpecFileError(f"unknown named channel {name!r}")
 
 
-def load_channel_file(path):
-    """Parse a channel description file; returns (channel, implied ideal or None)."""
+def _read_spec(path):
+    """The top-level object of a description file and its ``dim``, checked
+    to be a positive integer."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -126,6 +128,12 @@ def load_channel_file(path):
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecFileError(f"{path}: dim must be a positive integer")
+    return data, dim
+
+
+def load_channel_file(path):
+    """Parse a channel description file; returns (channel, implied ideal or None)."""
+    data, dim = _read_spec(path)
     kind = data.get("kind")
     if kind not in ("kraus", "choi", "named"):
         raise SpecFileError(f"{path}: kind must be one of kraus, choi, named")
@@ -148,13 +156,7 @@ def load_channel_file(path):
 
 def load_ideal_file(path):
     """Parse an ideal-gate file; returns the unitary matrix."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SpecFileError(f"{path}: top level must be an object")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise SpecFileError(f"{path}: dim must be a positive integer")
+    data, dim = _read_spec(path)
     u = _parse_complex_matrix(data.get("unitary"), dim, "unitary")
     if not linalg.is_unitary(u):
         raise SpecFileError(f"{path}: matrix is not unitary within tolerance")
@@ -191,18 +193,26 @@ def report_to_dict(report):
     return out
 
 
+def _bracket_lines(lower, upper, nontrivial):
+    """The pauli lower bound, generic upper bound and nontrivial lines."""
+    return [
+        f"pauli lower bound    {lower:.10g}  ({bounds.round_significant(100 * lower, 3):g}%)",
+        f"generic upper bound  {upper:.10g}  ({bounds.ceil_significant(100 * upper, 3):g}% rounded up)",
+        f"nontrivial           {'yes' if nontrivial else 'no'}",
+    ]
+
+
 def render_report(report):
+    lower, upper, nontrivial = _bracket_lines(report.pauli_lower, report.generic_upper, report.nontrivial)
     lines = [
         f"dimension            {report.dim}",
         f"fidelity             {report.fidelity:.10g}"
         f"  ({bounds.round_significant(100 * report.fidelity, 3):g}%)",
         f"inverse infidelity   {_fmt_exactable(report.inverse_infidelity)}",
-        f"pauli lower bound    {report.pauli_lower:.10g}"
-        f"  ({bounds.round_significant(100 * report.pauli_lower, 3):g}%)",
-        f"generic upper bound  {report.generic_upper:.10g}"
-        f"  ({bounds.ceil_significant(100 * report.generic_upper, 3):g}% rounded up)",
+        lower,
+        upper,
         f"inverse upper rate   {_fmt_exactable(report.inverse_upper_rate)}",
-        f"nontrivial           {'yes' if report.nontrivial else 'no'}",
+        nontrivial,
     ]
     if report.error_rate is not None:
         er = report.error_rate
@@ -240,9 +250,7 @@ def cmd_analyze(args):
 def cmd_bounds(args):
     lower = bounds.pauli_lower_bound(args.fidelity, args.dim)
     upper = bounds.generic_upper_bound(args.fidelity, args.dim)
-    print(f"pauli lower bound    {lower:.10g}  ({bounds.round_significant(100 * lower, 3):g}%)")
-    print(f"generic upper bound  {upper:.10g}  ({bounds.ceil_significant(100 * upper, 3):g}% rounded up)")
-    print(f"nontrivial           {'yes' if upper < 1.0 else 'no'}")
+    print("\n".join(_bracket_lines(lower, upper, upper < 1.0)))
     return 0
 
 
@@ -260,20 +268,8 @@ def _csv_number(x):
 def write_sweep_csv(rows, fh):
     fh.write(SWEEP_HEADER + "\n")
     for r in rows:
-        fields = [r.model] + [
-            _csv_number(v)
-            for v in (
-                r.param,
-                r.fidelity,
-                r.eta,
-                r.eta_pauli_lb,
-                r.eta_generic_ub,
-                r.pauli_distance,
-                r.refined_lo,
-                r.refined_hi,
-            )
-        ]
-        fh.write(",".join(fields) + "\n")
+        model, *values = (getattr(r, f.name) for f in dataclasses.fields(r))
+        fh.write(",".join([model] + [_csv_number(v) for v in values]) + "\n")
 
 
 def cmd_sweep(args):

@@ -37,11 +37,6 @@ def is_unitary(m):
     return float(np.abs(a.conj().T @ a - eye).max()) <= UNITARY_TOL
 
 
-def kron(a, b):
-    """Kronecker product with complex128 output."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def partial_trace(m, dims, keep):
     """Trace out one tensor factor of a matrix on a bipartite space.
 

@@ -26,7 +26,7 @@ Two kinds of problem supply two Newton systems:
 
 The iterate path is deterministic: no randomness, fixed initialization, and
 plain NumPy arithmetic, so repeated solves of the same problem produce
-identical histories.
+identical iterates.
 
 Every block is complex Hermitian, whatever the data's dtype: real symmetric
 problems enter as Hermitian matrices with zero imaginary part and run on the
@@ -61,12 +61,9 @@ without copying or re-validating the constraints, which is how the diamond
 SDP reuses one set of constraints per dimension.  ``schur`` works by the
 same runs as the rest of the iteration: per run, one batched product
 X_r A_jr Z_r^-1 over all rows and members, and one real GEMM against the
-run's constraint columns.  Each ``solve`` call owns its Schur buffers
-(``SdpProblem.schur_workspace``: two (m, m) matrices and two (m, k, n, n)
-products per run) and refills them in place every iteration, so an
-iteration maps no new pages for them; they are not kept on the problem,
-whose data a caller may share or keep after the solve.  ``newton_system``
-returns the HKM system of an iterate.
+run's constraint columns.  ``newton_system(x, inv_l)`` returns the HKM
+system of an iterate.  A solve only reads the problem's data, which a
+caller may share or keep after the solve.
 
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
@@ -89,7 +86,7 @@ reuses the same inverse Cholesky factors: one batched SVD per run gives it.
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -277,11 +274,7 @@ class SdpProblem(BlockLayout):
         """The adjoint operator as a flat vector: block b is sum_i y_i A_ib."""
         return (y @ self._a_real).view(np.complex128)
 
-    def newton_workspace(self):
-        """Per-solve buffers of :meth:`newton_system`: a :meth:`schur_workspace`."""
-        return self.schur_workspace()
-
-    def newton_system(self, x, inv_l, work):
+    def newton_system(self, x, inv_l):
         """The HKM Newton system at the iterate with primal part ``x``, or
         None when its Schur matrix is not numerically positive definite.
 
@@ -292,7 +285,7 @@ class SdpProblem(BlockLayout):
         is then one ``np.linalg.solve`` against the matrix.
         """
         zinv = [f[k:].conj().mT @ f[k:] for f, (k, _) in zip(inv_l, self.runs)]
-        schur = self.schur(self.stacks(x), zinv, work)
+        schur = self.schur(self.stacks(x), zinv)
         if _chol_or_none(schur) is None:
             m = self.num_constraints
             schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
@@ -300,16 +293,9 @@ class SdpProblem(BlockLayout):
                 return None
         return _HkmSystem(self, self.stacks(x), zinv, schur)
 
-    def schur_workspace(self):
-        """Buffers for :meth:`schur`: two real (m, m) matrices, and per run
-        two complex (m, k, n, n) products."""
-        m = self.num_constraints
-        temps = [[np.empty((m, k, n, n), dtype=np.complex128) for _ in range(2)] for k, n in self.runs]
-        return np.empty((m, m)), np.empty((m, m)), temps
-
-    def schur(self, xs, zinvs, work=None):
+    def schur(self, xs, zinvs):
         """Schur complement M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1),
-        returned as the exactly symmetric (M + M^T) / 2 of the assembled sum.
+        returned as the exactly symmetric (M + M^T) / 2 of the per-run sum.
 
         ``xs`` and ``zinvs`` are the (k, n, n) stacks of X and of Z^-1, one
         per run.  A run takes one batched product T_j = X_r A_jr Z_r^-1 over
@@ -317,22 +303,13 @@ class SdpProblem(BlockLayout):
         float64 view against T's: the dot product of the views is
         Re tr(A_i T_j^H), which equals Re tr(A_i T_j) because the two traces
         are complex conjugates.
-
-        ``work`` is a :meth:`schur_workspace`; the result is one of its
-        buffers, overwritten by the next call that uses it.
         """
-        if work is None:
-            work = self.schur_workspace()
-        out, part, temps = work
-        for r, ((stack, stack_real), (xa, t)) in enumerate(zip(self._run_stacks, temps)):
-            np.matmul(xs[r], stack, out=xa)
-            np.matmul(xa, zinvs[r], out=t)
-            np.matmul(stack_real, t.view(np.float64).reshape(len(t), -1).T, out=part if r else out)
-            if r:
-                out += part
-        np.add(out, out.T, out=part)
-        part *= 0.5
-        return part
+        parts = [
+            stack_real @ (xr @ stack @ zi).view(np.float64).reshape(len(stack), -1).T
+            for (stack, stack_real), xr, zi in zip(self._run_stacks, xs, zinvs)
+        ]
+        total = sum(parts[1:], parts[0])
+        return (total + total.T) / 2
 
 
 @dataclass
@@ -345,7 +322,6 @@ class SdpSolution:
     dual_value: float
     gap: float
     iterations: int
-    history: list = field(repr=False)
 
 
 def _flat(mats):
@@ -457,10 +433,7 @@ class StructuredProblem(BlockLayout):
     operator's structure where the HKM matrix A(X A*(.) Z^-1) does not.
     """
 
-    def newton_workspace(self):
-        return None
-
-    def newton_system(self, x, inv_l, work):
+    def newton_system(self, x, inv_l):
         """The NT Newton system at the iterate, or None when its scaling or
         its base solve cannot be built."""
         scaling = _nt_scaling(self.stacks(x), inv_l)
@@ -587,11 +560,6 @@ def solve(problem):
     z = x.copy()
     y = np.zeros(m)
 
-    # buffers for this call only: reused by every iteration, and not kept on
-    # the problem, whose data may be shared and outlive the solve
-    work = problem.newton_workspace()
-
-    history = []
     status = SdpStatus.MAX_ITERATIONS
     iterations = 0
 
@@ -604,7 +572,6 @@ def solve(problem):
         pinf = float(np.abs(rp).max(initial=0.0))
         dinf = float(np.abs(rd).max(initial=0.0))
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-        history.append((pobj, dobj, pinf, dinf, mu))
 
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and gap <= GAP_TOL:
             status = SdpStatus.CONVERGED
@@ -619,7 +586,7 @@ def solve(problem):
         if any(f is None for f in inv_l):
             status = SdpStatus.NUMERICAL_FAILURE
             break
-        system = problem.newton_system(x, inv_l, work)
+        system = problem.newton_system(x, inv_l)
         affine = system.direction(rp, rd, 0.0, None) if system is not None else None
         if affine is None:
             status = SdpStatus.NUMERICAL_FAILURE
@@ -662,7 +629,6 @@ def solve(problem):
         dual_value=dobj,
         gap=gap,
         iterations=iterations + 1,
-        history=history,
     )
 
 

@@ -36,21 +36,11 @@ def test_hermitian_and_unitary_predicates():
     assert not linalg.is_unitary(2 * u)
 
 
-def test_kron_associative():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    left = linalg.kron(linalg.kron(a, b), c)
-    right = linalg.kron(a, linalg.kron(b, c))
-    assert float(np.abs(left - right).max()) <= 1e-12
-
-
 def test_partial_trace_of_kron():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = linalg.kron(a, b)
+    m = np.kron(a, b)
     np.testing.assert_allclose(linalg.partial_trace(m, (2, 3), keep=0), a * np.trace(b), atol=1e-12)
     np.testing.assert_allclose(linalg.partial_trace(m, (2, 3), keep=1), b * np.trace(a), atol=1e-12)
 

@@ -116,16 +116,11 @@ def test_complex_min_eigenvalue_problem(n):
 
 def test_weak_duality_once_iterates_are_feasible():
     # early iterates are infeasible, where the objective gap means nothing;
-    # once both residuals are small the dual value must sit below the primal
+    # the converged iterate is feasible, so its dual value sits below the primal
     rng = np.random.default_rng(62)
     c = random_symmetric(rng, 4)
     sol = sdp.solve(min_eig_problem(c))
-    near_feasible = 0
-    for pobj, dobj, pinf, dinf, _ in sol.history:
-        if pinf <= 1e-7 and dinf <= 1e-7:
-            near_feasible += 1
-            assert dobj <= pobj + 1e-6
-    assert near_feasible >= 1
+    assert sol.status is sdp.SdpStatus.CONVERGED
     assert sol.dual_value <= sol.primal_value + 1e-7
 
 
@@ -138,14 +133,48 @@ def test_two_blocks_decouple():
     assert sol.primal_value == pytest.approx(want, abs=1e-7)
 
 
+def assert_identical_solutions(sol1, sol2):
+    assert (sol1.status, sol1.iterations) == (sol2.status, sol2.iterations)
+    assert (sol1.primal_value, sol1.dual_value) == (sol2.primal_value, sol2.dual_value)
+    assert np.array_equal(sol1.y, sol2.y)
+    for blocks1, blocks2 in ((sol1.x, sol2.x), (sol1.z, sol2.z)):
+        assert len(blocks1) == len(blocks2)
+        assert all(np.array_equal(b1, b2) for b1, b2 in zip(blocks1, blocks2))
+
+
 def test_solve_is_deterministic():
     rng = np.random.default_rng(64)
     c = random_symmetric(rng, 4)
-    sol1 = sdp.solve(min_eig_problem(c))
-    sol2 = sdp.solve(min_eig_problem(c))
-    assert sol1.history == sol2.history
-    assert np.array_equal(sol1.x[0], sol2.x[0])
-    assert np.array_equal(sol1.y, sol2.y)
+    assert_identical_solutions(sdp.solve(min_eig_problem(c)), sdp.solve(min_eig_problem(c)))
+
+
+def seeded_isometry_channel(seed, d, rank):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
+    q, _ = np.linalg.qr(g)
+    return channels.Channel([q[k * d : (k + 1) * d] for k in range(rank)])
+
+
+@pytest.mark.parametrize(
+    "channel, path",
+    [
+        (channels.amplitude_damping(0.3), "choi"),
+        (channels.unitary_channel(np.diag([1.0, 1.0, np.exp(0.5j)])), "fidelity"),
+        (seeded_isometry_channel(97, 4, 12), "structured"),
+    ],
+    ids=["d2-template", "d3-fidelity", "d4-structured"],
+)
+def test_diamond_solves_repeat_bit_for_bit(channel, path):
+    # each kind of diamond problem, solved twice from its encoding, gives
+    # the same iterate to the last bit
+    d = channel.dim
+    j = channel.choi - channels.identity_channel(d).choi
+    route, _ = diamond._route(j, d)
+    assert diamond._path(route, d) == path
+    problem = diamond._ENCODINGS[route](j, d).problem
+    first, second = sdp.solve(problem), sdp.solve(problem)
+    assert first.status is sdp.SdpStatus.CONVERGED
+    assert_identical_solutions(first, second)
 
 
 def test_iteration_cap_reported(monkeypatch):
@@ -222,19 +251,7 @@ def check_flat_operator(rng, dims, shared, want_runs):
     ]
     got = prob.schur(stacked(prob, xs), stacked(prob, zinvs))
     np.testing.assert_allclose(got, schur, rtol=0, atol=1e-12)
-
-
-def test_schur_workspace_reuse_matches_a_fresh_assembly():
-    rng = np.random.default_rng(76)
-    dims = (3, 3, 2)
-    prob = random_problem(rng, dims, 6, shared=(1,))[0]
-    work = prob.schur_workspace()
-    for _ in range(2):
-        xs, zinvs = (stacked(prob, mats) for mats in random_iterate(rng, dims))
-        got = prob.schur(xs, zinvs, work)
-        assert np.shares_memory(got, work[1])
-        assert np.array_equal(got, got.T)
-        assert np.array_equal(got, prob.schur(xs, zinvs))
+    assert np.array_equal(got, got.T)
 
 
 def test_with_objective_shares_constraints_and_checks_the_objective():
@@ -270,8 +287,8 @@ def test_problem_data_is_read_only():
 
 
 def test_solve_leaves_the_problem_untouched():
-    # the Schur buffers belong to the call: a problem that a caller keeps
-    # (the reproduction suite keeps every solved one) gains no attributes
+    # a problem that a caller keeps (the reproduction suite keeps every
+    # solved one) gains no attributes and keeps its data
     j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
     prob = diamond._encode(j, 2)
     before = dict(vars(prob))
