@@ -39,6 +39,7 @@ from .diamond import (
     CalibrationError,
     DiamondMethod,
     DiamondResult,
+    ascent_lower_bound,
     brute_force_lower_bound,
     diamond_distance,
     pauli_diamond_distance,
@@ -78,6 +79,7 @@ __all__ = [
     "SolverError",
     "amplitude_damping",
     "as_pauli_channel",
+    "ascent_lower_bound",
     "audit",
     "average_gate_fidelity",
     "brute_force_lower_bound",

@@ -110,6 +110,8 @@ from .channels import Channel, identity_channel
 
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
+ASCENT_STARTS = 4
+ASCENT_STEPS = 30
 EPS = float(np.finfo(float).eps)
 
 
@@ -193,7 +195,8 @@ def unitary_diamond_distance(u):
 
 
 def _pauli_pair_value(p, q):
-    labels = set(p.probs) | set(q.probs)
+    # summed in sorted label order: a set's order follows the string-hash seed
+    labels = sorted(set(p.probs) | set(q.probs))
     return 0.5 * sum(abs(p.probs.get(k, 0.0) - q.probs.get(k, 0.0)) for k in labels)
 
 
@@ -519,10 +522,15 @@ def _fidelity_encoding(j_delta, d):
 _ENCODINGS = {"choi": _choi_encoding, "fidelity": _fidelity_encoding}
 
 
+def _rank(j_delta, d):
+    """The number of eigenvalues of J(E - F) above :func:`_rank_cut`."""
+    return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(j_delta)) > _rank_cut(d)))
+
+
 def _route(j_delta, d):
     """The route for J(E - F) and its row count: "fidelity" at d >= 3 where
     it has at most 7 d^2 rows (module docstring)."""
-    r = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(j_delta)) > _rank_cut(d)))
+    r = _rank(j_delta, d)
     rows = {"fidelity": 2 * r * r + 2, "choi": d**4 + 1}
     route = "fidelity" if d > 2 and 0 < r and rows["fidelity"] <= 7 * d * d else "choi"
     return route, rows[route]
@@ -544,6 +552,28 @@ def _path(route, d):
     return "structured" if route == "choi" and d >= STRUCTURED_DIMENSION else route
 
 
+def _outputs(j_delta, d, psi):
+    """(I (x) Psi) J (I (x) Psi)^dagger for each d x d Psi of a (..., d, d)
+    stack: the output of E - F on the pure input state vec(Psi).
+
+    Without the Kronecker product: rows (a, c) and columns (x, z) of
+    sum_by Psi[c, b] J[(a, b), (x, y)] conj Psi[z, y].
+    """
+    n = d * d
+    lead = psi.shape[:-2]
+    psi = psi[..., None, :, :]
+    half = (psi @ j_delta.reshape(d, d, n)).reshape(*lead, n, d, d)
+    return (half @ psi.conj().mT).reshape(*lead, n, n)
+
+
+def _output_value(lam, n):
+    """Half the trace norm of each n x n output with eigenvalues ``lam``
+    (last axis), less the eigensolver's rounding allowance n^2 eps ||M||_2:
+    a lower bound on eta when the output is that of one input state."""
+    mags = np.abs(lam)
+    return 0.5 * (mags.sum(axis=-1) - n * n * EPS * mags.max(axis=-1))
+
+
 def _witness_value(j_delta, d, rho, transpose):
     """Half the output trace norm of the purification of rho (clipped to a
     state), less its eigenvalue rounding allowance: a lower bound on eta."""
@@ -552,12 +582,7 @@ def _witness_value(j_delta, d, rho, transpose):
     psi = (v * np.sqrt(w / w.sum())) @ v.conj().T
     if transpose:
         psi = psi.T
-    # (I (x) Psi) J (I (x) Psi)^dagger without the Kronecker product: rows
-    # (a, c) and columns (x, z) of sum_by Psi[c, b] J[(a, b), (x, y)] conj Psi[z, y]
-    n = d * d
-    out = ((psi @ j_delta.reshape(d, d, n)).reshape(n, d, d) @ psi.conj().T).reshape(n, n)
-    w = np.linalg.eigvalsh(out)
-    return 0.5 * (float(np.abs(w).sum()) - n * n * EPS * float(np.abs(w).max()))
+    return float(_output_value(np.linalg.eigvalsh(_outputs(j_delta, d, psi)), d * d))
 
 
 def _certify(encoding, solution, checked, j_delta, d):
@@ -692,3 +717,61 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
         return 0.0
     scan = kernels.pair_scan_kernel(ops[signs > 0], ops[signs < 0], psis)
     return max(0.0, scan - dropped)
+
+
+def ascent_lower_bound(e, f=None, seed=0):
+    """Lower bound on the diamond distance by a monotone ascent over input
+    states (second channel defaults to identity).
+
+    The alternating maximization of Re tr(U (E - F (x) id)(psi psi^dagger))
+    over a Hermitian contraction U and a unit vector psi of the doubled
+    space, from ``ASCENT_STARTS`` seeded Haar-random starts at once; it
+    rests on ||X||_1 = max_U |tr(U X)| and follows the iterative method of
+    Johnston, Kribs and Paulsen (arXiv:0711.3636).  With Psi = psi
+    reshaped to d x d and M(psi) = (I (x) Psi) J (I (x) Psi)^dagger on the
+    full Choi matrix J = J(E - F), one step takes U = V sign(Lambda)
+    V^dagger from the eigendecomposition of M(psi) and replaces psi by the
+    top eigenvector of Q(U), the Hermitian matrix with psi^dagger Q(U) psi
+    = tr(U M(psi)).  Since 1/2 ||M(psi_k)||_1 = 1/2 psi_k^dagger Q(U_k)
+    psi_k <= 1/2 lambda_max(Q(U_k)) = 1/2 tr(U_k M(psi_k+1)) <=
+    1/2 ||M(psi_k+1)||_1, no step lowers a start's value.
+
+    It stops after ``ASCENT_STEPS`` steps, or once the best value over the
+    starts rises by at most 1e-14 relative.  It returns the largest
+    1/2 ||M(psi)||_1 seen, less its eigenvalue rounding allowance
+    n^2 eps ||M||_2 (as the witness certificate), clipped at 0: each value
+    is the exact output of one explicit state, so no rank cut enters.  A
+    pair whose J has no eigenvalue above the rank cut is rounding only and
+    gives 0.0.  A sharper independent check on the SDP than
+    :func:`brute_force_lower_bound`, at a few eigensolves per step.
+    """
+    if f is None:
+        f = identity_channel(e.dim)
+    if e.dim != f.dim:
+        raise ValueError("channels differ in dimension")
+    d = e.dim
+    n = d * d
+    j_delta = e.choi - f.choi
+    if not _rank(j_delta, d):
+        return 0.0
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((ASCENT_STARTS, n)) + 1j * rng.standard_normal((ASCENT_STARTS, n))
+    psi = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, d, d)
+    # Q(U)[(z, y), (c, b)] = sum_ax U[(x, z), (a, c)] J[(a, b), (x, y)] is one
+    # product of U with rows (z, c), columns (x, a) and J with rows (x, a),
+    # columns (y, b)
+    j_xa = j_delta.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(n, n)
+    lam, vecs = np.linalg.eigh(_outputs(j_delta, d, psi))
+    best = float(_output_value(lam, n).max())
+    for _ in range(ASCENT_STEPS):
+        u = (vecs * np.sign(lam)[..., None, :]) @ vecs.conj().mT
+        u = u.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(-1, n, n)
+        q = (u @ j_xa).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, n, n)
+        psi = np.linalg.eigh(0.5 * (q + q.conj().mT))[1][..., -1].reshape(-1, d, d)
+        lam, vecs = np.linalg.eigh(_outputs(j_delta, d, psi))
+        value = float(_output_value(lam, n).max())
+        rise = value - best
+        best = max(best, value)
+        if rise <= 1e-14 * abs(best):
+            break
+    return max(0.0, best)

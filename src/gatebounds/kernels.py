@@ -6,11 +6,15 @@
 eigenvalues call LAPACK directly, so a count of ``eigh_kernel`` calls
 covers only that path: the solver's step lengths (``sdp._max_steps``), the
 rank that picks a diamond route (``diamond._route``), the witness
-certificate (``diamond._witness_value``), the fidelity route's Gram bound,
-and the batched QR and ``eigvalsh`` of ``pair_scan_kernel``.
+certificate (``diamond._witness_value``), the input-state ascent
+(``diamond.ascent_lower_bound``), the fidelity route's Gram bound, and the
+batched QR and ``eigvalsh`` of ``pair_scan_kernel``.
 
 ``pair_scan_kernel`` is the vectorized sampled trace-norm scan behind the
-brute-force diamond-distance lower bound.  For a sampled state with d x d
+brute-force diamond-distance lower bound.  Its only remaining callers are
+``diamond.brute_force_lower_bound``, the benchmark harness (its oracle and
+tracer) and tests; the reproduction suite's solver-health check uses
+``diamond.ascent_lower_bound`` instead.  For a sampled state with d x d
 coefficient matrix Psi_s, the output is M_s = (I x Psi_s^T) J (I x
 Psi_s^T)^dagger for the Choi matrix J of E - F (Watrous, "Semidefinite
 programs for completely bounded norms", 2009).  The scan makes its

@@ -6,10 +6,11 @@ solve is recorded through :func:`gatebounds.diamond.set_solve_recorder`, and
 the final solver-health check audits each one.  It gates the figures that
 :func:`gatebounds.sdp.verify_solution` recomputed from the raw matrices when
 the certificates were built (the record's ``checked``): primal residual,
-normalized duality gap and block eigenvalues.  It then draws a 2000-sample
-brute-force lower bound, which must lie below both the solver value (within
-1e-8) and the certified upper end of the returned interval (within 1e-12,
-the scan's own rounding).
+normalized duality gap and block eigenvalues.  It then computes an
+input-state ascent lower bound (:func:`gatebounds.diamond.ascent_lower_bound`),
+which must lie below both the solver value (within 1e-8) and the certified
+upper end of the returned interval (within 1e-12, the ascent's own
+rounding).
 
 A check that raises is reported as failed, not skipped; the suite always
 returns one result per registered check, in registration order.
@@ -333,20 +334,20 @@ def _check_solver_health(ctx):
         )
         t.check(checked["x_min_eig"] >= -1e-7, f"solve {i}: primal block not PSD within 1e-7")
         t.check(checked["z_min_eig"] >= -1e-7, f"solve {i}: dual slack not PSD within 1e-7")
-        lower = diamond.brute_force_lower_bound(rec.e, rec.f, samples=2000, seed=9000 + i)
+        lower = diamond.ascent_lower_bound(rec.e, rec.f, seed=9000 + i)
         worst_excess = max(worst_excess, lower - rec.result.value)
         t.check(
             lower <= rec.result.value + 1e-8,
-            f"solve {i}: sampled lower bound {lower!r} exceeds SDP value {rec.result.value!r}",
+            f"solve {i}: ascent lower bound {lower!r} exceeds SDP value {rec.result.value!r}",
         )
         t.check(
             lower <= rec.result.upper_certificate + 1e-12,
-            f"solve {i}: sampled lower bound {lower!r} exceeds upper certificate "
+            f"solve {i}: ascent lower bound {lower!r} exceeds upper certificate "
             f"{rec.result.upper_certificate!r}",
         )
     return t.result(
         f"{len(ctx.records)} solves: max gap {worst_gap:.1e}, max residual {worst_residual:.1e}, "
-        f"max sampled-bound excess {worst_excess:.1e}"
+        f"max ascent excess {worst_excess:.1e}"
     )
 
 

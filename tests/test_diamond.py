@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,85 @@ def test_brute_force_scans_through_the_kernel_attribute_once(monkeypatch):
     # J of amplitude damping less the identity has rank 3: the kernel gets
     # its two positive and one negative term, not the channels' Kraus lists
     assert shapes == [((2, 2, 2), (1, 2, 2), (50, 4))]
+
+
+@pytest.mark.parametrize(
+    "channel, want",
+    [
+        (channels.amplitude_damping(0.3), 0.3),
+        (channels.depolarizing(0.1), 0.075),
+        (channels.unitary_error(0.3), None),
+    ],
+    ids=["amplitude-damping", "depolarizing", "unitary-error"],
+)
+def test_ascent_reaches_the_distance(channel, want):
+    # the 2000-sample scan falls 5.3e-3 short on amplitude damping
+    if want is None:
+        want = diamond.diamond_distance(channel, method="sdp").value
+    assert diamond.ascent_lower_bound(channel) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ascent_lies_between_the_scan_and_the_upper_certificate(d):
+    rng = np.random.default_rng(40 + d)
+    pairs = [(isometry_channel(rng, d, 2), isometry_channel(rng, d, 1))]
+    pairs.append((isometry_channel(rng, d, 3), channels.identity_channel(d)))
+    for e, f in pairs:
+        res = diamond.diamond_distance(e, f, method="sdp")
+        ascent = diamond.ascent_lower_bound(e, f, seed=5)
+        sampled = diamond.brute_force_lower_bound(e, f, samples=2000, seed=5)
+        assert sampled - 1e-15 <= ascent <= res.upper_certificate
+
+
+def test_ascent_never_falls_as_the_step_cap_grows(monkeypatch):
+    rng = np.random.default_rng(48)
+    e, f = isometry_channel(rng, 3, 2), isometry_channel(rng, 3, 2)
+    got = []
+    for steps in (0, 1, 2, 5):
+        monkeypatch.setattr(diamond, "ASCENT_STEPS", steps)
+        got.append(diamond.ascent_lower_bound(e, f, seed=1))
+    assert got == sorted(got)
+    assert got[0] < got[-1]
+
+
+def test_ascent_is_zero_for_one_channel_in_two_kraus_forms():
+    rng = np.random.default_rng(31)
+    for d, rank in ((2, 3), (4, 2)):
+        ch = isometry_channel(rng, d, rank)
+        v = random_unitary(rng, rank)
+        mixed = Channel([sum(v[i, j] * k for j, k in enumerate(ch.kraus)) for i in range(rank)])
+        assert 0.0 < float(np.abs(mixed.choi - ch.choi).max()) < 1e-14
+        assert diamond.ascent_lower_bound(ch, mixed) == 0.0
+
+
+def test_ascent_rejects_a_dimension_mismatch_like_the_scan():
+    pair = (channels.identity_channel(2), channels.identity_channel(3))
+    with pytest.raises(ValueError) as scan:
+        diamond.brute_force_lower_bound(*pair)
+    with pytest.raises(ValueError) as ascent:
+        diamond.ascent_lower_bound(*pair)
+    assert str(ascent.value) == str(scan.value) == "channels differ in dimension"
+
+
+PAULI_DISTANCE = """
+from gatebounds import channels, diamond
+print(repr(diamond.diamond_distance(channels.depolarizing(0.155)).value))
+"""
+
+
+def test_pauli_closed_form_does_not_depend_on_the_string_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(diamond.__file__).parent.parent))
+    seen = set()
+    for seed in ("1", "4", "5", "8"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PAULI_DISTANCE],
+            capture_output=True,
+            text=True,
+            env={**env, "PYTHONHASHSEED": seed},
+            check=True,
+        )
+        seen.add(proc.stdout.strip())
+    assert len(seen) == 1, seen
 
 
 def refuse_to_build(*args, **kwargs):

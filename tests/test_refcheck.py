@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import gatebounds
-from gatebounds import channels, diamond, refcheck
+from gatebounds import channels, diamond, kernels, refcheck
 
 
 def recorded_context(channel, route="choi"):
@@ -38,21 +38,45 @@ def test_solver_health_gates_the_recorded_verification_figures():
     assert detail == "solve 0: duality gap 2.000e-08 above 1e-8"
 
 
-def test_solver_health_tests_sampled_bound_against_upper_certificate():
-    # the value stays put and the certificate drops just below the sampled
-    # bound (same samples as the check), so only the certificate gate fails
+def test_solver_health_tests_ascent_bound_against_upper_certificate():
+    # the value stays put and the certificate drops just below the ascent
+    # bound (same seed as the check), so only the certificate gate fails
     ch = channels.amplitude_damping(0.3)
     ctx = recorded_context(ch)
     rec = ctx.records[0]
-    sampled = diamond.brute_force_lower_bound(ch, samples=2000, seed=9000)
-    assert sampled <= rec.result.upper_certificate
-    lowered = dataclasses.replace(rec.result, upper_certificate=sampled - 1e-11)
+    ascent = diamond.ascent_lower_bound(ch, seed=9000)
+    assert ascent <= rec.result.upper_certificate
+    lowered = dataclasses.replace(rec.result, upper_certificate=ascent - 1e-11)
     ctx.records[0] = dataclasses.replace(rec, result=lowered)
     passed, detail = refcheck._check_solver_health(ctx)
     assert not passed
-    assert detail.startswith("solve 0: sampled lower bound")
+    assert detail.startswith("solve 0: ascent lower bound")
     assert "exceeds upper certificate" in detail
     assert "exceeds SDP value" not in detail
+
+
+def test_solver_health_catches_a_value_one_millionth_low():
+    # the 2000-sample scan fell 5.3e-3 short on this pair; the ascent reaches
+    # the distance, so a recorded value 1e-6 too low fails the value gate
+    ctx = recorded_context(channels.amplitude_damping(0.3))
+    rec = ctx.records[0]
+    low = dataclasses.replace(rec.result, value=rec.result.value - 1e-6)
+    ctx.records[0] = dataclasses.replace(rec, result=low)
+    passed, detail = refcheck._check_solver_health(ctx)
+    assert not passed
+    assert detail.startswith("solve 0: ascent lower bound")
+    assert "exceeds SDP value" in detail
+
+
+def test_solver_health_no_longer_runs_the_sampled_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampled scan ran")
+
+    ctx = recorded_context(channels.amplitude_damping(0.3))
+    monkeypatch.setattr(kernels, "pair_scan_kernel", refuse)
+    monkeypatch.setattr(diamond, "brute_force_lower_bound", refuse)
+    passed, detail = refcheck._check_solver_health(ctx)
+    assert passed, detail
 
 
 def test_solver_health_gates_fidelity_route_records():
