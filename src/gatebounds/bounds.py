@@ -168,7 +168,13 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None):
         compute_eta = d <= 4
     if compute_delta is None:
         compute_delta = d <= 4 and (d & (d - 1)) == 0
+    return _report(disc, compute_eta, compute_delta)
 
+
+def _report(disc, compute_eta, compute_delta):
+    """The :class:`BoundsReport` of a discrepancy channel: the one place that
+    computes its fidelity, eta, delta and refined interval."""
+    d = disc.dim
     phi = metrics.average_gate_fidelity(disc)
     upper = generic_upper_bound(phi, d)
     report = {
@@ -246,21 +252,20 @@ def sweep_rows(model, phis):
     rows = []
     for phi in values:
         param, channel = build(phi)
-        fidelity = metrics.average_gate_fidelity(channel)
-        eta = diamond.diamond_distance(channel).value
-        delta = diamond.pauli_distance(channel).value
-        ref_lo, ref_hi = pauli_refined_interval(fidelity, channel.dim, delta)
+        # the model channel is its own discrepancy channel: its ideal gate is
+        # the identity
+        report = _report(channel, compute_eta=True, compute_delta=True)
         rows.append(
             SweepRecord(
                 model=model,
                 param=param,
-                fidelity=fidelity,
-                eta=eta,
-                eta_pauli_lb=pauli_lower_bound(fidelity, channel.dim),
-                eta_generic_ub=generic_upper_bound(fidelity, channel.dim),
-                pauli_distance=delta,
-                refined_lo=ref_lo,
-                refined_hi=ref_hi,
+                fidelity=report.fidelity,
+                eta=report.error_rate.value,
+                eta_pauli_lb=report.pauli_lower,
+                eta_generic_ub=report.generic_upper,
+                pauli_distance=report.pauli_distance,
+                refined_lo=report.refined_interval[0],
+                refined_hi=report.refined_interval[1],
             )
         )
     return rows

@@ -144,16 +144,16 @@ class DiamondResult:
 
 @dataclass(frozen=True, slots=True)
 class SolveRecord:
-    """One SDP solve as seen by an installed recorder: inputs and outputs.
+    """One SDP solve as seen by an installed recorder: the pair and what its
+    certificate rests on.
 
     ``checked`` holds the :func:`sdp.verify_solution` figures the
-    certificates were computed from.
+    certificates were computed from.  The problem and the iterate are not
+    kept, so a recorder that holds every record holds no solver data.
     """
 
     e: Channel
     f: Channel
-    problem: "sdp.SdpProblem"
-    solution: "sdp.SdpSolution"
     checked: dict
     result: DiamondResult
 
@@ -232,15 +232,15 @@ def _template(d):
     with rhs 1, which fixes tr rho.  So the assembled and the structured
     Choi route share one definition of the constraints.
 
-    Only the objective depends on the channels, so :func:`_encode` keeps the
-    template of each assembled dimension, d < ``STRUCTURED_DIMENSION``, for
-    the life of the process; its read-only constraint matrix has
-    m = d^4 + 1 rows and 2 d^4 + d^2 complex columns, about 10 KB at d = 2
-    and 0.2 MB at d = 3.
+    The operator's flat objective, rows and rhs pass to
+    :class:`sdp.SdpProblem` as they are.  Only the objective depends on the
+    channels, so :func:`_encode` keeps the template of each assembled
+    dimension, d < ``STRUCTURED_DIMENSION``, for the life of the process; its
+    read-only constraint matrix has m = d^4 + 1 rows and 2 d^4 + d^2 complex
+    columns, about 10 KB at d = 2 and 0.2 MB at d = 3.
     """
     op = _ChoiOperator(np.zeros((d * d, d * d)), d)
-    rows = op.adjoint(np.eye(op.num_constraints))
-    return sdp.SdpProblem(op.block_dims, op.blocks(op.c), zip(*op.blocks(rows)), op.b)
+    return sdp.SdpProblem(op.block_dims, op.c, op.adjoint(np.eye(op.num_constraints)), op.b)
 
 
 @functools.cache
@@ -292,10 +292,10 @@ def _matrices(coords, n):
 class _ChoiOperator(sdp.StructuredProblem):
     """The Choi route's SDP with its constraint operator in structured form.
 
-    Blocks (W, S, rho), and the one definition of the Choi route's rows and
-    rhs, applied without a constraint matrix: ``apply`` is (coords(X_W +
-    X_S - I (x) X_rho), tr X_rho) and ``adjoint`` is (U, U, -Tr_1 U +
-    y_last I) with U the Hermitian matrix of coordinates y
+    Blocks (W, S, rho), and the one definition of the Choi route's
+    objective, rows and rhs, applied without a constraint matrix: ``apply``
+    is (coords(X_W + X_S - I (x) X_rho), tr X_rho) and ``adjoint`` is (U, U,
+    -Tr_1 U + y_last I) with U the Hermitian matrix of coordinates y
     (:func:`_matrices`), both O(d^4).  :func:`_template` assembles the same
     rows as a matrix from one batched ``adjoint``.
 
@@ -400,14 +400,13 @@ class _ChoiOperator(sdp.StructuredProblem):
 def _encode(j_delta, d):
     """The Choi route's SDP for the maximization above, in minimization form.
 
-    The objective is -J on the W block and zero on S and rho.  Below
-    ``STRUCTURED_DIMENSION`` the constraints are those of :func:`_template`
-    (shared, not copied); from it on they are a :class:`_ChoiOperator`.
+    A :class:`_ChoiOperator`, whose flat objective is the one definition of
+    the route's objective: -J (its Hermitian part) on the W block and zero
+    on S and rho.  Below ``STRUCTURED_DIMENSION`` that objective goes onto
+    the constraints of :func:`_template` (shared, not copied).
     """
-    if d >= STRUCTURED_DIMENSION:
-        return _ChoiOperator(j_delta, d)
-    d2 = d * d
-    return _template(d).with_objective([-j_delta, np.zeros((d2, d2)), np.zeros((d, d))])
+    op = _ChoiOperator(j_delta, d)
+    return op if d >= STRUCTURED_DIMENSION else _template(d).with_objective(op.c)
 
 
 def _rank_cut(d):
@@ -426,6 +425,10 @@ def _encode_fidelity(ops, signs):
     <F_i, P> - <G_A*(F_i), rho> and <F_i, Q> - <G_A*(S F_i S), sigma>, with
     G_A*(F) = sum_ij F_ji A_j^dagger A_i.  Two more rows fix tr rho = 1 and
     tr sigma = 1, so m = 2 r^2 + 2.
+
+    The rows are written into the (m, 2r, 2r), (m, d, d) and (m, d, d) block
+    views of one zeroed (m, N) matrix, which :class:`sdp.SdpProblem` takes as
+    it is.
     """
     r, d = len(ops), ops.shape[1]
     nb = r * r
@@ -433,25 +436,22 @@ def _encode_fidelity(ops, signs):
     # prods[j, i] = A_j^dagger A_i, and G_A*(F) is one contraction with F^T
     prods = np.einsum("jba,ibc->jiac", ops.conj(), ops).reshape(nb, d * d)
     flipped = basis * np.outer(signs, signs)
-    g_a = (basis.reshape(nb, nb) @ prods).reshape(nb, d, d)
-    g_b = (flipped.reshape(nb, nb) @ prods).reshape(nb, d, d)
+    layout = sdp.BlockLayout((2 * r, d, d))
     m = 2 * nb + 2
-    joint = np.zeros((m, 2 * r, 2 * r), dtype=np.complex128)
+    a = np.zeros((m, layout.size), dtype=np.complex128)
+    joint, rho, sigma = layout.blocks(a)
     joint[:nb, :r, :r] = basis
     joint[nb : 2 * nb, r:, r:] = basis
-    rho = np.zeros((m, d, d), dtype=np.complex128)
-    rho[:nb] = -g_a
+    rho[:nb] = -(basis.reshape(nb, nb) @ prods).reshape(nb, d, d)
     rho[-2] = np.eye(d)
-    sigma = np.zeros((m, d, d), dtype=np.complex128)
-    sigma[nb : 2 * nb] = -g_b
+    sigma[nb : 2 * nb] = -(flipped.reshape(nb, nb) @ prods).reshape(nb, d, d)
     sigma[-1] = np.eye(d)
-    swap = np.block([[np.zeros((r, r)), np.eye(r)], [np.eye(r), np.zeros((r, r))]])
-    zero = np.zeros((d, d))
+    c = np.zeros(layout.size, dtype=np.complex128)
+    swap = layout.blocks(c)[0]
+    swap[:r, r:] = swap[r:, :r] = -0.5 * np.eye(r)
     rhs = np.zeros(m)
     rhs[-2:] = 1.0
-    return sdp.SdpProblem(
-        [2 * r, d, d], [-0.5 * swap, zero, zero], list(zip(joint, rho, sigma)), rhs
-    )
+    return sdp.SdpProblem(layout.block_dims, c, a, rhs)
 
 
 class _Encoding(NamedTuple):
@@ -637,11 +637,21 @@ def _solve(j_delta, d, route):
     return encoding, solution, checked, _certify(encoding, solution, checked, j_delta, d)
 
 
-def _solve_pair(e, f, route):
-    encoding, solution, checked, result = _solve(e.choi - f.choi, e.dim, route)
+def _solve_pair(e, f, j_delta, route):
+    *_, checked, result = _solve(j_delta, e.dim, route)
     if _solve_recorder is not None:
-        _solve_recorder(SolveRecord(e, f, encoding.problem, solution, checked, result))
+        _solve_recorder(SolveRecord(e, f, checked, result))
     return result
+
+
+def _second(e, f):
+    """The second channel of a pair, the identity when None, checked to
+    match the first in dimension."""
+    if f is None:
+        f = identity_channel(e.dim)
+    if e.dim != f.dim:
+        raise ValueError("channels differ in dimension")
+    return f
 
 
 def diamond_distance(e, f=None, method="auto"):
@@ -654,10 +664,7 @@ def diamond_distance(e, f=None, method="auto"):
     docstring).
     A solve that does not converge raises :class:`sdp.SolverError`.
     """
-    if f is None:
-        f = identity_channel(e.dim)
-    if e.dim != f.dim:
-        raise ValueError("channels differ in dimension")
+    f = _second(e, f)
     if method not in ("auto", "sdp"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -674,7 +681,8 @@ def diamond_distance(e, f=None, method="auto"):
         else:
             return _exact(_pauli_pair_value(pe, pf), DiamondMethod.PAULI_CLOSED_FORM)
 
-    route, rows = _route(e.choi - f.choi, e.dim)
+    j_delta = e.choi - f.choi
+    route, rows = _route(j_delta, e.dim)
     entries = _largest_array(route, rows, e.dim)
     if entries > MAX_ENTRIES:
         raise ValueError(
@@ -682,7 +690,7 @@ def diamond_distance(e, f=None, method="auto"):
             f"entries, above the cap of {MAX_ENTRIES}"
         )
     _ensure_calibrated(_path(route, e.dim))
-    return _solve_pair(e, f, route)
+    return _solve_pair(e, f, j_delta, route)
 
 
 def pauli_distance(c, method="auto"):
@@ -702,10 +710,7 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     sampled outputs; a pair whose J keeps no term gives 0.0.  A useful
     independent check on the SDP.
     """
-    if f is None:
-        f = identity_channel(e.dim)
-    if e.dim != f.dim:
-        raise ValueError("channels differ in dimension")
+    f = _second(e, f)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     d = e.dim
@@ -745,10 +750,7 @@ def ascent_lower_bound(e, f=None, seed=0):
     gives 0.0.  A sharper independent check on the SDP than
     :func:`brute_force_lower_bound`, at a few eigensolves per step.
     """
-    if f is None:
-        f = identity_channel(e.dim)
-    if e.dim != f.dim:
-        raise ValueError("channels differ in dimension")
+    f = _second(e, f)
     d = e.dim
     n = d * d
     j_delta = e.choi - f.choi

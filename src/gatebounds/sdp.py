@@ -39,8 +39,10 @@ residuals are within ``FEAS_TOL`` and the normalized duality gap is within
 
 The problem data is one flat operator.  Every block-diagonal matrix is a
 complex vector of length N = sum n_b^2, block b in its own range as a
-row-major vec (:class:`BlockLayout`); an :class:`SdpProblem`'s constraints
-are the rows of one complex (m, N) matrix.
+row-major vec (:class:`BlockLayout`).  An :class:`SdpProblem` is given its
+data in that form, ``SdpProblem(block_dims, c, a, b)`` with the (N,)
+objective c, the (m, N) constraint matrix a whose rows are the A_i and the
+(m,) rhs b, and it validates and copies them in one pass over the blocks.
 For Hermitian A and B, Re tr(A B) is the dot product of the float64 views of
 their vecs (real and imaginary parts interleaved), so every inner product is
 one real BLAS call on a view, with no copy.  :class:`SdpProblem` exposes the
@@ -56,14 +58,15 @@ products and the step lengths work run by run, each one batched call on a
 stack.
 
 The problem data is read-only.  Problems that differ only in the objective
-share one constraint matrix: ``SdpProblem.with_objective`` derives a problem
-without copying or re-validating the constraints, which is how the diamond
-SDP reuses one set of constraints per dimension.  ``schur`` works by the
-same runs as the rest of the iteration: per run, one batched product
-X_r A_jr Z_r^-1 over all rows and members, and one real GEMM against the
-run's constraint columns.  ``newton_system(x, inv_l)`` returns the HKM
-system of an iterate.  A solve only reads the problem's data, which a
-caller may share or keep after the solve.
+share one constraint matrix: ``SdpProblem.with_objective(c)`` derives a
+problem with the flat objective c without copying or re-validating the
+constraints, which is how the diamond SDP reuses one set of constraints per
+dimension.  ``schur`` works by the same runs as the rest of the iteration:
+per run, one batched product X_r A_jr Z_r^-1 over all rows and members, and
+one real GEMM against the run's constraint columns.
+``newton_system(x, inv_l)`` returns the HKM system of an iterate.  A solve
+only reads the problem's data, which a caller may share or keep after the
+solve.
 
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
@@ -168,49 +171,35 @@ class BlockLayout:
 class SdpProblem(BlockLayout):
     """Block-diagonal SDP data: objective C, constraints A_i, rhs b.
 
-    ``objective`` is one Hermitian matrix per block; ``constraints`` is a
-    sequence of per-block matrix lists, one list per constraint row.  Real
-    symmetric matrices are Hermitian matrices like any other.
-
-    The data is stored flat and complex.  Block b of a matrix tuple is the
-    row-major vec of its (Hermitian part of the) matrix, placed in its own
-    column range of a vector of length N = sum n_b^2: ``c`` is the flat
-    objective and ``a`` the C-contiguous (m, N) matrix whose row i is the flat
-    A_i.  With Hermitian blocks, sum_b Re tr(A_ib X_b) is the dot product of
-    the float64 views of the flat vectors.
+    The data is given and stored flat, in the layout of :class:`BlockLayout`:
+    ``c`` is the (N,) objective, N = sum n_b^2, and ``a`` the (m, N)
+    constraint matrix whose row i is A_i, one row per entry of the (m,) rhs
+    ``b``.  Block b of a flat vector is the row-major vec of an (n_b, n_b)
+    Hermitian matrix; real symmetric matrices are Hermitian matrices like any
+    other.  The constructor stores complex C-contiguous copies of the
+    Hermitian parts, so the caller's arrays are left as they are.  With
+    Hermitian blocks, sum_b Re tr(A_ib X_b) is the dot product of the float64
+    views of the flat vectors.
 
     ``a``, ``b`` and ``c`` are read-only, so problems that differ only in
     their objective can share the constraint data: :meth:`with_objective`
-    derives one without copying or re-validating the constraints.  A
-    constraint row must give one matrix per block.
+    derives one without copying or re-validating the constraints.
 
     Its Newton system is the HKM one, assembled as the Schur matrix
     (:meth:`newton_system`).
     """
 
-    def __init__(self, block_dims, objective, constraints, rhs):
+    def __init__(self, block_dims, c, a, b):
         super().__init__(block_dims)
-        self.c = self._checked_objective(objective)
-        self.b = np.asarray(rhs, dtype=float).copy()
+        self.c = self._checked(c, (self.size,), "objective")
+        self.b = np.asarray(b, dtype=float).copy()
         if self.b.ndim != 1:
             raise ValueError("rhs must be a vector")
         if not np.isfinite(self.b).all():
             raise ValueError("rhs has a non-finite entry")
         self.b.flags.writeable = False
         m = self.b.size
-        rows = list(constraints)
-        if len(rows) != m:
-            raise ValueError(f"got {len(rows)} constraint rows for {m} rhs entries")
-        nblocks = len(self.block_dims)
-        for i, row in enumerate(rows):
-            if len(row) != nblocks:
-                raise ValueError(
-                    f"constraint {i} must provide one matrix per block, got {len(row)} for {nblocks}"
-                )
-        self.a = np.empty((m, self.size), dtype=np.complex128)
-        for bidx, view in enumerate(self.blocks(self.a)):
-            self._checked_stack([row[bidx] for row in rows], view, "constraint {}")
-        self.a.flags.writeable = False
+        self.a = self._checked(a, (m, self.size), "constraint {}")
         # (m, 2N) real view: Re tr(A_i X) is a row of it dotted with X's view
         self._a_real = self.a.view(np.float64)
         # per run, its (m, k, n, n) constraint stack and the matching
@@ -220,51 +209,41 @@ class SdpProblem(BlockLayout):
             for sl, (k, n) in zip(self._run_slices, self.runs)
         ]
 
-    def _checked_objective(self, objective):
-        objective = list(objective)
-        if len(objective) != len(self.block_dims):
-            raise ValueError("objective must provide one matrix per block")
-        c = np.empty(sum(n * n for n in self.block_dims), dtype=np.complex128)
-        for mat, view in zip(objective, self.blocks(c[None])):
-            self._checked_stack([mat], view, "objective")
-        c.flags.writeable = False
-        return c
-
-    def with_objective(self, objective):
-        """The same constraints and rhs with a new objective.
+    def with_objective(self, c):
+        """The same constraints and rhs with the flat objective ``c``.
 
         Shares ``a``, its float64 and per-run views and ``b`` with this
         problem; only the objective is validated, with the messages of the
         constructor.
         """
         derived = copy.copy(self)
-        derived.c = self._checked_objective(objective)
+        derived.c = self._checked(c, (self.size,), "objective")
         return derived
 
-    @staticmethod
-    def _checked_stack(mats, out, label):
-        """Write (n, n) matrices into the complex (k, n, n) view ``out``,
-        reject bad shapes, non-finite entries and non-Hermitian matrices, and
-        keep their Hermitian parts.
+    def _checked(self, data, shape, label):
+        """A read-only complex copy of ``data``, whose rows are flat vectors
+        of this layout, with each block replaced by its Hermitian part.
 
-        ``label.format(i)`` names matrix i in error messages.
+        Rejects a shape other than ``shape``, a non-finite entry and a
+        non-Hermitian block.  ``label.format(i)`` names the first bad row i,
+        and ``label.format("matrix")`` the whole array.
         """
-        n = out.shape[1]
-        for i, mat in enumerate(mats):
-            a = np.asarray(mat, dtype=np.complex128)
-            if a.shape != (n, n):
-                raise ValueError(f"{label.format(i)} block has shape {a.shape}, expected {(n, n)}")
-            out[i] = a
-        finite = np.isfinite(out)
-        if not finite.all():
-            i = np.flatnonzero(~finite.all(axis=(1, 2)))[0]
-            raise ValueError(f"{label.format(i)} block has a non-finite entry")
-        adj = out.conj().mT
-        scale = np.maximum(1.0, np.abs(out).max(axis=(1, 2)))
-        skew = np.abs(out - adj).max(axis=(1, 2)) > HERMITIAN_TOL * scale
-        if skew.any():
-            raise ValueError(f"{label.format(np.flatnonzero(skew)[0])} block is not Hermitian")
-        out[...] = (out + adj) / 2
+        out = np.array(data, dtype=np.complex128, order="C")
+        if out.shape != shape:
+            raise ValueError(f"{label.format('matrix')} has shape {out.shape}, expected {shape}")
+        rows = out.reshape(-1, self.size)
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{label.format(np.flatnonzero(bad)[0])} block has a non-finite entry")
+        for view in self.blocks(rows):
+            adj = view.conj().mT
+            scale = np.maximum(1.0, np.abs(view).max(axis=(1, 2)))
+            bad |= np.abs(view - adj).max(axis=(1, 2)) > HERMITIAN_TOL * scale
+            view[...] = (view + adj) / 2
+        if bad.any():
+            raise ValueError(f"{label.format(np.flatnonzero(bad)[0])} block is not Hermitian")
+        out.flags.writeable = False
+        return out
 
     def apply(self, x):
         """The constraint operator on a flat X: entry i is sum_b Re tr(A_ib X_b)."""

@@ -1,5 +1,6 @@
 """Diamond distance: closed forms, the SDP path, and their agreement."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from gatebounds import bounds, channels, cli, diamond, kernels, linalg, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod, DiamondResult
+from test_sdp import flat_problem
 
 
 def random_unitary(rng, n):
@@ -364,9 +366,13 @@ def test_solve_recorder_sees_each_solve():
     finally:
         diamond.set_solve_recorder(None)
     assert len(records) == 1
-    assert records[0].result is res
-    assert records[0].e is ch
-    assert records[0].solution.status.value == "converged"
+    rec = records[0]
+    assert rec.result is res and rec.result.route == "choi"
+    assert rec.e is ch and rec.f.dim == 2
+    # the record keeps the verification figures, not the problem or iterate
+    assert [field.name for field in dataclasses.fields(rec)] == ["e", "f", "checked", "result"]
+    assert rec.checked["gap"] <= 1e-8 and rec.checked["primal_residual"] <= 1e-8
+    assert len(rec.checked["z_eig_ranges"]) == 3
 
 
 def test_calibration_completes_after_first_sdp_use():
@@ -435,7 +441,7 @@ def from_scratch_encoding(j_delta, d):
     rows = [[f, f, -linalg.partial_trace(f, (d, d), keep=1)] for f in basis]
     rows.append([zero_w, zero_w, np.eye(d)])
     rhs = [0.0] * (len(rows) - 1) + [1.0]
-    return sdp.SdpProblem([d2, d2, d], [-j_delta, zero_w, zero_r], rows, rhs)
+    return flat_problem([d2, d2, d], [-j_delta, zero_w, zero_r], rows, rhs)
 
 
 def random_choi_difference(rng, d):
@@ -474,6 +480,48 @@ def test_encode_matches_a_from_scratch_problem(d):
         want_x, want_y = want.apply(x), want.adjoint(y)
         np.testing.assert_allclose(got.apply(x), want_x, rtol=0, atol=1e-15 * np.abs(want_x).max())
         np.testing.assert_allclose(got.adjoint(y), want_y, rtol=0, atol=1e-15 * np.abs(want_y).max())
+
+
+def from_scratch_fidelity_encoding(ops, signs):
+    # the fidelity route's SDP built row by row with plain loops, from
+    # G_A*(F) = sum_ij F_ji A_j^dagger A_i and G_B*(F) = G_A*(S F S)
+    r, d = len(ops), ops.shape[1]
+    zr, zd = np.zeros((r, r)), np.zeros((d, d))
+
+    def g_adjoint(f, flip):
+        out = np.zeros((d, d), dtype=complex)
+        for j in range(r):
+            for i in range(r):
+                weight = signs[j] * signs[i] if flip else 1.0
+                out += weight * f[j, i] * (ops[j].conj().T @ ops[i])
+        return out
+
+    basis = diamond._matrices(np.eye(r * r), r)
+    rows = [[np.block([[f, zr], [zr, zr]]), -g_adjoint(f, False), zd] for f in basis]
+    rows += [[np.block([[zr, zr], [zr, f]]), zd, -g_adjoint(f, True)] for f in basis]
+    rows.append([np.zeros((2 * r, 2 * r)), np.eye(d), zd])
+    rows.append([np.zeros((2 * r, 2 * r)), zd, np.eye(d)])
+    rhs = [0.0] * (2 * r * r) + [1.0, 1.0]
+    swap = np.block([[zr, np.eye(r)], [np.eye(r), zr]])
+    return flat_problem([2 * r, d, d], [-0.5 * swap, zd, zd], rows, rhs)
+
+
+@pytest.mark.parametrize("d, r", [(3, 2), (3, 3), (4, 3)])
+def test_encode_fidelity_matches_a_from_scratch_problem(d, r):
+    # random operators and mixed signs; the rows of G_A* sum in another
+    # order than the reference's loops, so they agree to rounding
+    rng = np.random.default_rng(90 + 10 * d + r)
+    ops = rng.standard_normal((r, d, d)) + 1j * rng.standard_normal((r, d, d))
+    signs = np.array([1.0, -1.0, 1.0][:r])
+    got, want = diamond._encode_fidelity(ops, signs), from_scratch_fidelity_encoding(ops, signs)
+    assert got.block_dims == want.block_dims == (2 * r, d, d)
+    assert got.num_constraints == 2 * r * r + 2
+    for name in ("a", "b", "c"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+    assert np.array_equal(got.b, want.b) and np.array_equal(got.c, want.c)
+    scale = np.abs(want.a).max()
+    np.testing.assert_allclose(got.a, want.a, rtol=0, atol=4 * r * r * diamond.EPS * scale)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -551,8 +599,8 @@ def test_routes_agree_when_forced(d):
     # lies inside the other route's interval up to the solver tolerance
     rng = np.random.default_rng(90 + d)
     for e, f in route_pairs(d, rng):
-        choi = diamond._solve_pair(e, f, "choi")
-        fid = diamond._solve_pair(e, f, "fidelity")
+        choi = diamond._solve_pair(e, f, e.choi - f.choi, "choi")
+        fid = diamond._solve_pair(e, f, e.choi - f.choi, "fidelity")
         assert (choi.route, fid.route) == ("choi", "fidelity")
         assert choi.lower_certificate <= fid.upper_certificate
         assert fid.lower_certificate <= choi.upper_certificate
@@ -723,8 +771,9 @@ def test_structured_route_brackets_closed_forms(d):
     for channel in (u, sparse.as_channel()):
         closed = diamond.diamond_distance(channel)
         assert closed.method is not DiamondMethod.SDP
-        assert isinstance(diamond._encode(channel.choi - identity.choi, d), diamond._ChoiOperator)
-        res = diamond._solve_pair(channel, identity, "choi")
+        j = channel.choi - identity.choi
+        assert isinstance(diamond._encode(j, d), diamond._ChoiOperator)
+        res = diamond._solve_pair(channel, identity, j, "choi")
         assert res.route == "choi"
         assert res.lower_certificate <= closed.value <= res.upper_certificate
         assert res.upper_certificate - res.lower_certificate <= 1e-8

@@ -83,7 +83,11 @@ def test_solver_health_gates_fidelity_route_records():
     # a low-rank d = 3 pair takes the fidelity route; the same gates apply
     ctx = recorded_context(channels.generalized_cphase(3, 0.4), route="fidelity")
     rec = ctx.records[0]
-    assert rec.problem.block_dims == (4, 3, 3)
+    # the record carries the route and the verification figures of the
+    # fidelity route's three blocks (P/Y/Q, rho, sigma), not the problem
+    assert rec.result.route == "fidelity"
+    assert len(rec.checked["z_eig_ranges"]) == 3
+    assert rec.checked["gap"] <= 1e-8 and rec.checked["primal_residual"] <= 1e-8
     passed, detail = refcheck._check_solver_health(ctx)
     assert passed, detail
     assert detail.startswith("1 solves:")

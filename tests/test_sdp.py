@@ -16,17 +16,29 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
+def flat(mats):
+    # per-block matrices as one flat vector of the block layout
+    return np.concatenate([np.asarray(m, dtype=complex).ravel() for m in mats])
+
+
+def flat_problem(dims, objective, rows, rhs):
+    # an SdpProblem written block by block: the objective and each
+    # constraint row as lists of per-block matrices
+    a = np.array([flat(row) for row in rows]) if rows else np.zeros((0, sum(n * n for n in dims)))
+    return sdp.SdpProblem(dims, flat(objective), a, rhs)
+
+
 def min_eig_problem(c):
     # minimize <C, X> over X >= 0 with tr X = 1; optimum is the smallest
     # eigenvalue of C, attained on the matching eigenprojector
     n = c.shape[0]
-    return sdp.SdpProblem([n], [c], [[np.eye(n)]], [1.0])
+    return flat_problem([n], [c], [[np.eye(n)]], [1.0])
 
 
 def decoupled_problem(c1, c2):
     # two independent min-eigenvalue problems, one per block
     n1, n2 = c1.shape[0], c2.shape[0]
-    return sdp.SdpProblem(
+    return flat_problem(
         [n1, n2],
         [c1, c2],
         [[np.eye(n1), np.zeros((n2, n2))], [np.zeros((n1, n1)), np.eye(n2)]],
@@ -38,40 +50,65 @@ def test_problem_validation():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     eye = np.eye(2)
     with pytest.raises(ValueError, match="not Hermitian"):
-        sdp.SdpProblem([2], [asym], [[eye]], [1.0])
+        flat_problem([2], [asym], [[eye]], [1.0])
     # complex symmetric, not Hermitian: the imaginary part must be antisymmetric
     csym = np.array([[1.0, 1j], [1j, 1.0]])
     with pytest.raises(ValueError, match="objective block is not Hermitian"):
-        sdp.SdpProblem([2], [csym], [[eye]], [1.0])
+        flat_problem([2], [csym], [[eye]], [1.0])
     with pytest.raises(ValueError, match="constraint 0 block is not Hermitian"):
-        sdp.SdpProblem([2], [eye], [[eye + 1e-6j * np.eye(2)]], [1.0])
-    with pytest.raises(ValueError, match="shape"):
-        sdp.SdpProblem([2], [np.eye(3)], [[eye]], [1.0])
-    with pytest.raises(ValueError, match="constraint rows"):
-        sdp.SdpProblem([2], [eye], [[eye]], [1.0, 2.0])
+        flat_problem([2], [eye], [[eye + 1e-6j * np.eye(2)]], [1.0])
+    with pytest.raises(ValueError, match=r"objective has shape \(9,\), expected \(4,\)"):
+        flat_problem([2], [np.eye(3)], [[eye]], [1.0])
+    # one constraint row for two rhs entries
+    with pytest.raises(ValueError, match=r"constraint matrix has shape \(1, 4\), expected \(2, 4\)"):
+        flat_problem([2], [eye], [[eye]], [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
-        sdp.SdpProblem([0], [np.zeros((0, 0))], [], [])
-    with pytest.raises(ValueError, match="one matrix per block"):
-        sdp.SdpProblem([2], [eye, eye], [[eye]], [1.0])
-    # a constraint row with too few or too many matrices is named, not cut
-    # short or indexed past its end
-    with pytest.raises(ValueError, match="constraint 1 must provide one matrix per block, got 1 for 2"):
-        sdp.SdpProblem([2, 2], [eye, eye], [[eye, eye], [eye]], [1.0, 1.0])
-    with pytest.raises(ValueError, match="constraint 0 must provide one matrix per block, got 3 for 2"):
-        sdp.SdpProblem([2, 2], [eye, eye], [[eye, eye, eye]], [1.0])
+        sdp.SdpProblem([0], np.zeros(0), np.zeros((0, 0)), [])
+    # an objective with one matrix too many
+    with pytest.raises(ValueError, match=r"objective has shape \(8,\), expected \(4,\)"):
+        flat_problem([2], [eye, eye], [[eye]], [1.0])
+    # constraint rows with too few or too many matrices are shape errors,
+    # not cut short or indexed past their end
+    with pytest.raises(ValueError, match=r"constraint matrix has shape \(2, 4\), expected \(2, 8\)"):
+        sdp.SdpProblem([2, 2], flat([eye, eye]), np.stack([flat([eye]), flat([eye])]), [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"constraint matrix has shape \(1, 12\), expected \(1, 8\)"):
+        sdp.SdpProblem([2, 2], flat([eye, eye]), flat([eye, eye, eye])[None], [1.0])
     for bad in (np.nan, np.inf, -np.inf):
         corrupt = np.diag([bad, 1.0])
         with pytest.raises(ValueError, match="objective block has a non-finite"):
-            sdp.SdpProblem([2], [corrupt], [[eye]], [1.0])
+            flat_problem([2], [corrupt], [[eye]], [1.0])
         with pytest.raises(ValueError, match="constraint 1 block has a non-finite"):
-            sdp.SdpProblem([2], [eye], [[eye], [corrupt]], [1.0, 1.0])
+            flat_problem([2], [eye], [[eye], [corrupt]], [1.0, 1.0])
         with pytest.raises(ValueError, match="rhs has a non-finite"):
-            sdp.SdpProblem([2], [eye], [[eye]], [bad])
+            flat_problem([2], [eye], [[eye]], [bad])
+
+
+def test_problem_copies_its_inputs():
+    # the stored data is a read-only Hermitian copy; the caller's arrays stay
+    # writeable and unchanged, also where a block was not exactly Hermitian
+    rng = np.random.default_rng(83)
+    dims = (3, 2)
+    skew = 1e-14j * np.array([[0.0, 1.0], [0.0, 0.0]])
+    c = flat([random_hermitian(rng, 3), random_hermitian(rng, 2) + skew])
+    a = np.array([flat([random_hermitian(rng, n) for n in dims]) for _ in range(4)])
+    b = rng.standard_normal(4)
+    saved = [c.copy(), a.copy(), b.copy()]
+    prob = sdp.SdpProblem(dims, c, a, b)
+    derived = prob.with_objective(c)
+    for given, kept in zip((c, a, b), saved):
+        assert given.flags.writeable
+        assert np.array_equal(given, kept)
+    for stored, given in ((prob.c, c), (prob.a, a), (prob.b, b), (derived.c, c)):
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, given)
+    # the objective's second block was stored as its Hermitian part
+    np.testing.assert_array_equal(prob.blocks(prob.c)[1], prob.blocks(prob.c)[1].conj().T)
+    assert not np.array_equal(prob.c, c)
 
 
 def test_scalar_problem():
     # minimize 3x subject to x = 2
-    prob = sdp.SdpProblem([1], [[[3.0]]], [[[[1.0]]]], [2.0])
+    prob = sdp.SdpProblem([1], [3.0], [[1.0]], [2.0])
     sol = sdp.solve(prob)
     assert sol.status is sdp.SdpStatus.CONVERGED
     assert sol.primal_value == pytest.approx(6.0, abs=1e-7)
@@ -83,7 +120,7 @@ def test_correlation_toy_against_grid_oracle():
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
     e00 = np.diag([1.0, 0.0])
     e11 = np.diag([0.0, 1.0])
-    prob = sdp.SdpProblem([2], [c], [[e00], [e11]], [1.0, 1.0])
+    prob = flat_problem([2], [c], [[e00], [e11]], [1.0, 1.0])
     sol = sdp.solve(prob)
     oracle = min(2.0 * t for t in np.linspace(-1.0, 1.0, 2001))
     assert sol.status is sdp.SdpStatus.CONVERGED
@@ -202,7 +239,7 @@ def random_problem(rng, dims, m, shared=()):
     for row in rows:
         for bidx in shared:
             row[bidx] = row[0].copy()
-    return sdp.SdpProblem(dims, objective, rows, rng.standard_normal(m)), objective, rows
+    return flat_problem(dims, objective, rows, rng.standard_normal(m)), objective, rows
 
 
 def random_iterate(rng, dims):
@@ -258,23 +295,24 @@ def test_with_objective_shares_constraints_and_checks_the_objective():
     rng = np.random.default_rng(77)
     dims = (3, 2)
     prob = random_problem(rng, dims, 4)[0]
-    objective = [random_hermitian(rng, n) for n in dims]
+    objective = flat([random_hermitian(rng, n) for n in dims])
     derived = prob.with_objective(objective)
     assert derived.a is prob.a and derived.b is prob.b and derived._a_real is prob._a_real
-    assert np.array_equal(derived.c, np.concatenate([c.ravel() for c in objective]))
+    assert np.array_equal(derived.c, objective)
     assert not np.shares_memory(derived.c, prob.c)
     assert derived._run_stacks is prob._run_stacks
 
-    eye3, eye2 = np.eye(3), np.eye(2)
-    with pytest.raises(ValueError, match="one matrix per block"):
-        prob.with_objective([eye3])
+    eye3 = np.eye(3)
+    # one block missing, and a second block of the wrong size
+    with pytest.raises(ValueError, match=r"objective has shape \(9,\), expected \(13,\)"):
+        prob.with_objective(flat([eye3]))
     with pytest.raises(ValueError, match="objective block is not Hermitian"):
-        prob.with_objective([eye3, np.array([[1.0, 1j], [1j, 1.0]])])
-    with pytest.raises(ValueError, match="objective block has shape"):
-        prob.with_objective([eye3, eye3])
+        prob.with_objective(flat([eye3, np.array([[1.0, 1j], [1j, 1.0]])]))
+    with pytest.raises(ValueError, match=r"objective has shape \(18,\), expected \(13,\)"):
+        prob.with_objective(flat([eye3, eye3]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="objective block has a non-finite"):
-            prob.with_objective([eye3, np.diag([bad, 1.0])])
+            prob.with_objective(flat([eye3, np.diag([bad, 1.0])]))
 
 
 def test_problem_data_is_read_only():
@@ -356,7 +394,7 @@ def reference_step(mats, dmats, cap):
 
 def stacked(prob, mats):
     # per-block matrices as the problem's per-run stacks
-    return prob.stacks(np.concatenate([np.asarray(m, dtype=complex).ravel() for m in mats]))
+    return prob.stacks(flat(mats))
 
 
 def run_factors(prob, xs, zs):
@@ -368,7 +406,7 @@ def run_factors(prob, xs, zs):
 
 def bare_problem(dims):
     # no constraints: only the block layout and its runs matter here
-    return sdp.SdpProblem(dims, [np.eye(n) for n in dims], [], [])
+    return flat_problem(dims, [np.eye(n) for n in dims], [], [])
 
 
 @pytest.mark.parametrize("dims", [(4,), (5, 3, 2), (4, 4, 2), (3, 3, 3)])
