@@ -15,6 +15,7 @@ for one of the single-qubit error models in ``SWEEP_MODELS``.
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import channels, diamond, metrics
@@ -103,9 +104,13 @@ def decomposition_upper_bound(phi, dim, deltas):
 
 
 def round_significant(x, figures, mode=decimal.ROUND_HALF_EVEN):
-    """Round to the given count of significant figures (half-even default)."""
-    if figures < 1:
-        raise ValueError("need at least one significant figure")
+    """Round to the given count of significant figures (half-even default).
+
+    ``figures`` is a positive integer, or a float of integer value.
+    """
+    if not (isinstance(figures, numbers.Real) and float(figures).is_integer() and figures >= 1):
+        raise ValueError(f"significant figures must be an integer of at least 1, got {figures!r}")
+    figures = int(figures)
     v = float(x)
     if v == 0.0 or not math.isfinite(v):
         return v

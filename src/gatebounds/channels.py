@@ -5,6 +5,7 @@ are immutable (the stored arrays are marked read-only) and cache their Choi
 matrix on first use, so they are safe to share between threads.
 """
 
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -162,11 +163,11 @@ def amplitude_damping(r):
 
 def phase_matrix(dim, theta):
     """The controlled-phase style unitary diag(1, ..., 1, exp(i theta))."""
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
+    if not (isinstance(dim, numbers.Real) and float(dim).is_integer() and dim >= 2):
+        raise ValueError(f"dimension must be an integer of at least 2, got {dim!r}")
     if not np.isfinite(theta):
         raise ValueError(f"phase angle theta must be finite, got {theta!r}")
-    diag = np.ones(dim, dtype=np.complex128)
+    diag = np.ones(int(dim), dtype=np.complex128)
     diag[-1] = np.exp(1j * theta)
     return np.diag(diag)
 
@@ -186,5 +187,5 @@ def lambda_mixture(dim, lam):
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"idle probability must lie in [0, 1], got {lam!r}")
     u = phase_matrix(dim, np.pi)
-    actual = mix([(1.0 - lam, unitary_channel(u)), (lam, identity_channel(dim))])
+    actual = mix([(1.0 - lam, unitary_channel(u)), (lam, identity_channel(len(u)))])
     return actual, u

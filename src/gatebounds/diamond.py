@@ -91,11 +91,13 @@ The returned value is the solver's primal value, clipped into the interval.
 
 Each route's encoder normalization, and the structured Choi operator's, is
 calibrated once per process, on its first use, against the unitary closed
-form, out of sight of the solve recorder; a mismatch aborts with
+form, outside every :func:`recorded_solves` block; a mismatch aborts with
 :class:`CalibrationError` since it would mean the package is miswired, not
 that an input is bad.
 """
 
+import contextlib
+import contextvars
 import functools
 import math
 import numbers
@@ -144,12 +146,12 @@ class DiamondResult:
 
 @dataclass(frozen=True, slots=True)
 class SolveRecord:
-    """One SDP solve as seen by an installed recorder: the pair and what its
-    certificate rests on.
+    """One SDP solve as collected by :func:`recorded_solves`: the pair and
+    what its certificate rests on.
 
     ``checked`` holds the :func:`sdp.verify_solution` figures the
     certificates were computed from.  The problem and the iterate are not
-    kept, so a recorder that holds every record holds no solver data.
+    kept, so a block that holds every record holds no solver data.
     """
 
     e: Channel
@@ -158,17 +160,26 @@ class SolveRecord:
     result: DiamondResult
 
 
-_solve_recorder = None
+# the record lists of the recorded_solves blocks open in this context
+_open_records = contextvars.ContextVar("gatebounds_open_records", default=())
 
 
-def set_solve_recorder(callback):
-    """Install a callback receiving a SolveRecord per SDP solve, or None.
+@contextlib.contextmanager
+def recorded_solves():
+    """Collect a SolveRecord per SDP solve of :func:`diamond_distance` made
+    inside the ``with`` block, in the yielded list.
 
-    Used by the reproduction suite to audit every solve after the fact;
-    closed-form paths and the one-time calibration solves are not recorded.
+    Blocks nest, and a solve reaches every block open around it.  Blocks are
+    confined to the current context, so a solve made in another thread is
+    not recorded; neither are closed forms or the one-time calibration
+    solves.
     """
-    global _solve_recorder
-    _solve_recorder = callback
+    records = []
+    token = _open_records.set((*_open_records.get(), records))
+    try:
+        yield records
+    finally:
+        _open_records.reset(token)
 
 
 def _exact(value, method):
@@ -637,13 +648,6 @@ def _solve(j_delta, d, route):
     return encoding, solution, checked, _certify(encoding, solution, checked, j_delta, d)
 
 
-def _solve_pair(e, f, j_delta, route):
-    *_, checked, result = _solve(j_delta, e.dim, route)
-    if _solve_recorder is not None:
-        _solve_recorder(SolveRecord(e, f, checked, result))
-    return result
-
-
 def _second(e, f):
     """The second channel of a pair, the identity when None, checked to
     match the first in dimension."""
@@ -690,7 +694,13 @@ def diamond_distance(e, f=None, method="auto"):
             f"entries, above the cap of {MAX_ENTRIES}"
         )
     _ensure_calibrated(_path(route, e.dim))
-    return _solve_pair(e, f, j_delta, route)
+    *_, checked, result = _solve(j_delta, e.dim, route)
+    blocks = _open_records.get()
+    if blocks:
+        record = SolveRecord(e, f, checked, result)
+        for records in blocks:
+            records.append(record)
+    return result
 
 
 def pauli_distance(c, method="auto"):

@@ -37,24 +37,6 @@ def is_unitary(m):
     return float(np.abs(a.conj().T @ a - eye).max()) <= UNITARY_TOL
 
 
-def partial_trace(m, dims, keep):
-    """Trace out one tensor factor of a matrix on a bipartite space.
-
-    ``dims`` is the pair of factor dimensions and ``keep`` selects the factor
-    kept (0 for the first, 1 for the second).
-    """
-    a = as_complex_matrix(m)
-    d0, d1 = int(dims[0]), int(dims[1])
-    if d0 * d1 != a.shape[0]:
-        raise ValueError(f"dims {dims} do not factor dimension {a.shape[0]}")
-    t = a.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("ijkj->ik", t)
-    if keep == 1:
-        return np.einsum("ijil->jl", t)
-    raise ValueError("keep must be 0 or 1")
-
-
 def hermitian_eigendecomposition(m, tol=HERMITIAN_TOL):
     """Eigenvalues (descending) and matching eigenvector columns.
 

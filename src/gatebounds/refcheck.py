@@ -2,7 +2,7 @@
 
 Every check recomputes one block of reference numbers from scratch and
 compares at its stated tolerance.  While the suite runs, every diamond SDP
-solve is recorded through :func:`gatebounds.diamond.set_solve_recorder`, and
+solve is collected by a :func:`gatebounds.diamond.recorded_solves` block, and
 the final solver-health check audits each one.  It gates the figures that
 :func:`gatebounds.sdp.verify_solution` recomputed from the raw matrices when
 the certificates were built (the record's ``checked``): primal residual,
@@ -17,7 +17,7 @@ returns one result per registered check, in registration order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,7 @@ class CheckResult:
 
 @dataclass
 class _Context:
-    records: list = field(default_factory=list)
+    records: list
 
 
 class _Tally:
@@ -353,16 +353,13 @@ def _check_solver_health(ctx):
 
 def run_checks():
     """Run the whole suite; returns one CheckResult per check, in order."""
-    ctx = _Context()
-    diamond.set_solve_recorder(ctx.records.append)
-    try:
-        results = []
+    results = []
+    with diamond.recorded_solves() as records:
+        ctx = _Context(records)
         for name, fn in _CHECKS:
             try:
                 passed, detail = fn(ctx)
             except Exception as exc:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             results.append(CheckResult(name, passed, detail))
-    finally:
-        diamond.set_solve_recorder(None)
     return results

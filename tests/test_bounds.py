@@ -1,6 +1,7 @@
 """Fidelity-to-error-rate bound arithmetic and the audit pipeline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,8 +132,13 @@ def test_round_significant():
     assert bounds.round_significant(1.75, 2) == 1.8
     assert bounds.round_significant(0.0, 3) == 0.0
     assert bounds.round_significant(math.inf, 3) == math.inf
-    with pytest.raises(ValueError):
-        bounds.round_significant(1.0, 0)
+    # an integer-valued float or numpy integer counts as that many figures
+    assert bounds.round_significant(0.24494, 3.0) == 0.245
+    assert bounds.round_significant(1.75, np.int64(2)) == 1.8
+    for bad in (0, 0.0, -1, 1.5, math.nan, math.inf, "3", None):
+        message = f"significant figures must be an integer of at least 1, got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            bounds.round_significant(1.0, bad)
 
 
 def test_ceil_significant():
@@ -141,6 +147,10 @@ def test_ceil_significant():
     assert bounds.ceil_significant(7.746, 3) == 7.75
     assert bounds.ceil_significant(0.25, 2) == 0.25
     assert bounds.ceil_significant(14.15, 3) == 14.2
+    assert bounds.ceil_significant(24.49, 2.0) == 25.0
+    for bad in (2.5, math.nan, -math.inf, "2"):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}"):
+            bounds.ceil_significant(24.49, bad)
 
 
 def test_audit_of_perfect_gate():

@@ -1,26 +1,15 @@
 """Channel construction, Choi conventions, and the channel algebra."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gatebounds import channels
 from gatebounds.channels import Channel, ChannelValidationError
+from helpers import random_channel, random_density
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
-def random_channel(rng, dim=2, kraus_count=2):
-    big = rng.standard_normal((kraus_count * dim, dim)) + 1j * rng.standard_normal(
-        (kraus_count * dim, dim)
-    )
-    q, _ = np.linalg.qr(big)
-    return Channel([q[k * dim : (k + 1) * dim] for k in range(kraus_count)])
-
-
-def random_density(rng, dim=2):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def test_validation_rejects_non_trace_preserving():
@@ -181,6 +170,11 @@ def test_phase_matrix_and_cphase():
     assert len(channels.generalized_cphase(4, 0.25).kraus) == 1
     with pytest.raises(ValueError):
         channels.phase_matrix(1, 0.25)
+    # an integer-valued float or numpy integer is that dimension
+    np.testing.assert_array_equal(channels.phase_matrix(4.0, 0.25), u)
+    assert channels.generalized_cphase(np.int64(2), 0.25).dim == 2
+    actual, ideal = channels.lambda_mixture(2.0, 0.2)
+    assert actual.dim == 2 and ideal.shape == (2, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -189,6 +183,17 @@ def test_phase_matrix_rejects_non_finite_theta(bad):
         channels.phase_matrix(2, bad)
     with pytest.raises(ValueError, match="theta must be finite"):
         channels.generalized_cphase(4, bad)
+
+
+@pytest.mark.parametrize("bad", [1, 2.5, np.inf, np.nan, "2"])
+def test_phase_matrix_rejects_a_non_integer_dimension(bad):
+    message = f"dimension must be an integer of at least 2, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        channels.phase_matrix(bad, 0.25)
+    with pytest.raises(ValueError, match=message):
+        channels.generalized_cphase(bad, 0.25)
+    with pytest.raises(ValueError, match=message):
+        channels.lambda_mixture(bad, 0.2)
 
 
 def test_lambda_mixture_returns_pair():

@@ -510,6 +510,23 @@ def test_readme_names_only_real_options():
     assert named <= options, sorted(named - options)
 
 
+def test_readme_python_api_block_runs_as_commented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    report = namespace["report"]
+    fidelity = re.search(r"report\.fidelity +# ([0-9.]+)\.\.\.", block).group(1)
+    assert fidelity == "0.98322" and repr(report.fidelity).startswith(fidelity)
+    rate = float(re.search(r"report\.error_rate\.value +# ([0-9.]+):", block).group(1))
+    eta = report.error_rate
+    assert rate == 0.05 and eta.lower_certificate <= rate <= eta.upper_certificate
+    assert report.pauli_lower <= eta.lower_certificate
+    lo, hi = report.refined_interval
+    assert lo <= eta.lower_certificate and eta.upper_certificate <= hi
+
+
 def test_analyze_three_qubit_gate_with_both_sdps(tmp_path, capsys):
     # d = 8 needs only the compute switches: eta is the unitary closed form,
     # delta a 130-row fidelity-route SDP

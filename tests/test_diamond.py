@@ -7,28 +7,17 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatebounds import bounds, channels, cli, diamond, kernels, linalg, pauli, sdp
+from gatebounds import bounds, channels, cli, diamond, kernels, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod, DiamondResult
+from helpers import random_channel, random_hermitian, random_pauli_channel, random_unitary
 from test_sdp import flat_problem
-
-
-def random_unitary(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
-
-
-def random_pauli_channel(rng):
-    raw = rng.random(4)
-    raw /= raw.sum()
-    return pauli.PauliChannel(1, dict(zip("IXYZ", raw)))
 
 
 def test_unitary_closed_form_identity():
@@ -100,7 +89,7 @@ def test_sdp_matches_unitary_closed_form():
 def test_sdp_matches_pauli_closed_form():
     rng = np.random.default_rng(72)
     for _ in range(20):
-        pc = random_pauli_channel(rng)
+        pc = random_pauli_channel(rng, 1)
         via_sdp = diamond.diamond_distance(pc.as_channel(), method="sdp").value
         assert abs(via_sdp - pc.error_rate) <= 1e-6
 
@@ -197,7 +186,7 @@ def test_brute_force_is_zero_for_one_channel_in_two_kraus_forms():
     # difference is rounding only, so the rank cut keeps no term
     rng = np.random.default_rng(31)
     for d, rank in ((2, 3), (4, 2)):
-        ch = isometry_channel(rng, d, rank)
+        ch = random_channel(rng, d, rank)
         v = random_unitary(rng, rank)
         mixed = Channel([sum(v[i, j] * k for j, k in enumerate(ch.kraus)) for i in range(rank)])
         assert not np.allclose(mixed.kraus[0], ch.kraus[0])
@@ -242,8 +231,8 @@ def test_ascent_reaches_the_distance(channel, want):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ascent_lies_between_the_scan_and_the_upper_certificate(d):
     rng = np.random.default_rng(40 + d)
-    pairs = [(isometry_channel(rng, d, 2), isometry_channel(rng, d, 1))]
-    pairs.append((isometry_channel(rng, d, 3), channels.identity_channel(d)))
+    pairs = [(random_channel(rng, d, 2), random_channel(rng, d, 1))]
+    pairs.append((random_channel(rng, d, 3), channels.identity_channel(d)))
     for e, f in pairs:
         res = diamond.diamond_distance(e, f, method="sdp")
         ascent = diamond.ascent_lower_bound(e, f, seed=5)
@@ -253,7 +242,7 @@ def test_ascent_lies_between_the_scan_and_the_upper_certificate(d):
 
 def test_ascent_never_falls_as_the_step_cap_grows(monkeypatch):
     rng = np.random.default_rng(48)
-    e, f = isometry_channel(rng, 3, 2), isometry_channel(rng, 3, 2)
+    e, f = random_channel(rng, 3, 2), random_channel(rng, 3, 2)
     got = []
     for steps in (0, 1, 2, 5):
         monkeypatch.setattr(diamond, "ASCENT_STEPS", steps)
@@ -265,7 +254,7 @@ def test_ascent_never_falls_as_the_step_cap_grows(monkeypatch):
 def test_ascent_is_zero_for_one_channel_in_two_kraus_forms():
     rng = np.random.default_rng(31)
     for d, rank in ((2, 3), (4, 2)):
-        ch = isometry_channel(rng, d, rank)
+        ch = random_channel(rng, d, rank)
         v = random_unitary(rng, rank)
         mixed = Channel([sum(v[i, j] * k for j, k in enumerate(ch.kraus)) for i in range(rank)])
         assert 0.0 < float(np.abs(mixed.choi - ch.choi).max()) < 1e-14
@@ -316,12 +305,12 @@ def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys)
     rng = np.random.default_rng(99)
     # the real cap: a high-rank d = 18 pair (r = 36) is the structured Choi
     # route, whose (d^2, d^2, d^2) stack has 18^6 entries
-    wide = isometry_channel(rng, 18, 18), isometry_channel(rng, 18, 18)
+    wide = random_channel(rng, 18, 18), random_channel(rng, 18, 18)
     with pytest.raises(ValueError, match=r"choi route needs an array of 34012224 entries, above the cap of 33554432"):
         diamond.diamond_distance(*wide)
     # a lowered cap refuses a high-rank d = 4 pair (r = 13, 4^6 entries)
     monkeypatch.setattr(diamond, "MAX_ENTRIES", 4095)
-    ch = isometry_channel(rng, 4, 12)
+    ch = random_channel(rng, 4, 12)
     message = r"dimension 4 diamond SDP on the choi route needs an array of 4096 entries, above the cap of 4095"
     with pytest.raises(ValueError, match=message):
         diamond.diamond_distance(ch)
@@ -355,16 +344,12 @@ def test_argument_validation():
         diamond.diamond_distance(channels.identity_channel(2), channels.identity_channel(3))
 
 
-def test_solve_recorder_sees_each_solve():
+def test_recorded_solves_see_each_solve():
     # the one-time calibration solve that this call pays is not recorded
     diamond._ensure_calibrated.cache_clear()
-    records = []
-    diamond.set_solve_recorder(records.append)
-    try:
+    with diamond.recorded_solves() as records:
         ch = channels.amplitude_damping(0.25)
         res = diamond.diamond_distance(ch, method="sdp")
-    finally:
-        diamond.set_solve_recorder(None)
     assert len(records) == 1
     rec = records[0]
     assert rec.result is res and rec.result.route == "choi"
@@ -373,6 +358,60 @@ def test_solve_recorder_sees_each_solve():
     assert [field.name for field in dataclasses.fields(rec)] == ["e", "f", "checked", "result"]
     assert rec.checked["gap"] <= 1e-8 and rec.checked["primal_residual"] <= 1e-8
     assert len(rec.checked["z_eig_ranges"]) == 3
+
+
+def test_nested_recorded_solves_share_each_record():
+    ch = channels.amplitude_damping(0.25)
+    with diamond.recorded_solves() as outer:
+        diamond.diamond_distance(ch, method="sdp")
+        with diamond.recorded_solves() as inner:
+            res = diamond.diamond_distance(ch, method="sdp")
+        assert len(inner) == 1 and inner[0].result is res
+        diamond.diamond_distance(ch, method="sdp")
+    assert len(outer) == 3 and outer[1] is inner[0]
+    assert len(inner) == 1
+
+
+def test_recorded_solves_stop_when_the_block_is_left():
+    ch = channels.amplitude_damping(0.25)
+    with pytest.raises(RuntimeError, match="left"):
+        with diamond.recorded_solves() as records:
+            diamond.diamond_distance(ch, method="sdp")
+            raise RuntimeError("left")
+    diamond.diamond_distance(ch, method="sdp")
+    with diamond.recorded_solves() as later:
+        diamond.diamond_distance(ch, method="sdp")
+    assert len(records) == 1 and len(later) == 1
+
+
+def test_no_record_is_built_outside_a_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a SolveRecord was built")
+
+    monkeypatch.setattr(diamond, "SolveRecord", refuse)
+    res = diamond.diamond_distance(channels.amplitude_damping(0.25), method="sdp")
+    assert res.method is DiamondMethod.SDP
+
+
+def test_calibration_solves_reach_no_block():
+    diamond._ensure_calibrated.cache_clear()
+    with diamond.recorded_solves() as records:
+        for path in ("choi", "fidelity", "structured"):
+            diamond._ensure_calibrated(path)
+    assert diamond._ensure_calibrated.cache_info().currsize == 3
+    assert records == []
+
+
+def test_recorded_solves_see_only_their_own_thread():
+    # a new thread starts in an empty context, outside the block
+    ch = channels.amplitude_damping(0.25)
+    results = []
+    with diamond.recorded_solves() as records:
+        worker = threading.Thread(target=lambda: results.append(diamond.diamond_distance(ch, method="sdp")))
+        worker.start()
+        worker.join()
+    assert len(results) == 1 and results[0].method is DiamondMethod.SDP
+    assert records == []
 
 
 def test_calibration_completes_after_first_sdp_use():
@@ -385,7 +424,7 @@ def test_calibration_completes_after_first_sdp_use():
     assert res.route == "fidelity"
     assert diamond._ensure_calibrated.cache_info().currsize == 2
     # the Choi route's structured operator (d >= 4) calibrates on its own
-    res = diamond.diamond_distance(isometry_channel(np.random.default_rng(96), 4, 12))
+    res = diamond.diamond_distance(random_channel(np.random.default_rng(96), 4, 12))
     assert res.route == "choi"
     assert diamond._ensure_calibrated.cache_info().currsize == 3
 
@@ -413,7 +452,7 @@ def test_failed_fidelity_calibration_raises_and_is_retried(monkeypatch):
 
 
 def test_failed_structured_calibration_raises_and_is_retried(monkeypatch):
-    channel = isometry_channel(np.random.default_rng(96), 4, 12)
+    channel = random_channel(np.random.default_rng(96), 4, 12)
     check_failed_calibration_is_retried(monkeypatch, channel, "choi")
 
 
@@ -438,7 +477,7 @@ def from_scratch_encoding(j_delta, d):
     d2 = d * d
     zero_w, zero_r = np.zeros((d2, d2)), np.zeros((d, d))
     basis = diamond._matrices(np.eye(d2 * d2), d2)
-    rows = [[f, f, -linalg.partial_trace(f, (d, d), keep=1)] for f in basis]
+    rows = [[f, f, -np.einsum("ijil->jl", f.reshape(d, d, d, d))] for f in basis]
     rows.append([zero_w, zero_w, np.eye(d)])
     rhs = [0.0] * (len(rows) - 1) + [1.0]
     return flat_problem([d2, d2, d], [-j_delta, zero_w, zero_r], rows, rhs)
@@ -448,11 +487,6 @@ def random_choi_difference(rng, d):
     gate = channels.unitary_channel(random_unitary(rng, d))
     e = channels.mix([(0.8, gate), (0.2, channels.identity_channel(d))])
     return e.choi - channels.identity_channel(d).choi
-
-
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -571,19 +605,13 @@ def test_template_cache_keeps_only_small_dimensions():
     assert diamond._template.cache_info().currsize == 2
 
 
-def isometry_channel(rng, d, rank):
-    g = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
-    q, _ = np.linalg.qr(g)
-    return Channel([q[k * d : (k + 1) * d] for k in range(rank)])
-
-
 def route_pairs(d, rng):
-    pairs = [(isometry_channel(rng, d, 1), isometry_channel(rng, d, 2))]
-    pairs.append((isometry_channel(rng, d, 2), channels.identity_channel(d)))
+    pairs = [(random_channel(rng, d, 1), random_channel(rng, d, 2))]
+    pairs.append((random_channel(rng, d, 2), channels.identity_channel(d)))
     # an audit-like pair: a gate with weight 1e-5 of noise, so every
     # eigenvalue of J is small and must survive the rank cut
-    gate = isometry_channel(rng, d, 1)
-    noisy = channels.mix([(1.0 - 1e-5, gate), (1e-5, channels.compose(isometry_channel(rng, d, 2), gate))])
+    gate = random_channel(rng, d, 1)
+    noisy = channels.mix([(1.0 - 1e-5, gate), (1e-5, channels.compose(random_channel(rng, d, 2), gate))])
     pairs.append((noisy, gate))
     if d != 3:
         # a diagonal unitary: its twirl has d Pauli terms, so J has rank <= d + 1
@@ -599,8 +627,8 @@ def test_routes_agree_when_forced(d):
     # lies inside the other route's interval up to the solver tolerance
     rng = np.random.default_rng(90 + d)
     for e, f in route_pairs(d, rng):
-        choi = diamond._solve_pair(e, f, e.choi - f.choi, "choi")
-        fid = diamond._solve_pair(e, f, e.choi - f.choi, "fidelity")
+        *_, choi = diamond._solve(e.choi - f.choi, d, "choi")
+        *_, fid = diamond._solve(e.choi - f.choi, d, "fidelity")
         assert (choi.route, fid.route) == ("choi", "fidelity")
         assert choi.lower_certificate <= fid.upper_certificate
         assert fid.lower_certificate <= choi.upper_certificate
@@ -627,13 +655,13 @@ def test_witness_never_exceeds_upper_certificate(route):
 def test_route_follows_the_rank_of_the_choi_difference():
     rng = np.random.default_rng(97)
     # r = 3 and 2 r^2 + 2 rows on the fidelity route, d^4 + 1 on the Choi route
-    low = isometry_channel(rng, 4, 2)
+    low = random_channel(rng, 4, 2)
     assert diamond._route(low.choi - channels.identity_channel(4).choi, 4) == ("fidelity", 20)
     # the Pauli twirl of a Haar unitary has all 16 Pauli terms
     twirled = pauli.pauli_twirl(channels.unitary_channel(random_unitary(rng, 4)))
     assert diamond._route(twirled.choi - channels.identity_channel(4).choi, 4) == ("choi", 257)
     # every d = 2 pair stays on the Choi route, and so does J = 0
-    e, f = isometry_channel(rng, 2, 1), channels.identity_channel(2)
+    e, f = random_channel(rng, 2, 1), channels.identity_channel(2)
     assert diamond._route(e.choi - f.choi, 2) == ("choi", 17)
     assert diamond._route(np.zeros((9, 9)), 3) == ("choi", 82)
     # the fidelity route while 2 r^2 + 2 <= 7 d^2: r = 5 at d = 3, 7 at d = 4,
@@ -678,7 +706,7 @@ def test_cut_eigenvalues_widen_the_upper_end(monkeypatch):
 def test_equal_channels_give_a_zero_interval(d):
     # neither unitary nor Pauli: J = 0 exactly, and the Choi route certifies
     # [0, tiny]
-    ch = isometry_channel(np.random.default_rng(98), d, 2)
+    ch = random_channel(np.random.default_rng(98), d, 2)
     res = diamond.diamond_distance(ch, ch, method="sdp")
     assert res.route == "choi"
     assert res.lower_certificate == 0.0
@@ -694,7 +722,7 @@ def test_closed_forms_report_no_route():
 def test_five_dimensional_high_rank_pair_runs_without_a_flag():
     # r = 24: the Choi route with 5^4 + 1 rows, on the structured operator
     rng = np.random.default_rng(100)
-    e, f = isometry_channel(rng, 5, 12), isometry_channel(rng, 5, 12)
+    e, f = random_channel(rng, 5, 12), random_channel(rng, 5, 12)
     assert diamond._route(e.choi - f.choi, 5) == ("choi", 626)
     assert isinstance(diamond._encode(e.choi - f.choi, 5), diamond._ChoiOperator)
     res = diamond.diamond_distance(e, f)
@@ -773,7 +801,7 @@ def test_structured_route_brackets_closed_forms(d):
         assert closed.method is not DiamondMethod.SDP
         j = channel.choi - identity.choi
         assert isinstance(diamond._encode(j, d), diamond._ChoiOperator)
-        res = diamond._solve_pair(channel, identity, j, "choi")
+        *_, res = diamond._solve(j, d, "choi")
         assert res.route == "choi"
         assert res.lower_certificate <= closed.value <= res.upper_certificate
         assert res.upper_certificate - res.lower_certificate <= 1e-8
@@ -790,7 +818,7 @@ def test_inaccurate_structured_newton_solve_raises(monkeypatch):
         return lambda h: 3.0 * base(h)
 
     monkeypatch.setattr(diamond._ChoiOperator, "nt_solver", degraded)
-    channel = isometry_channel(np.random.default_rng(97), 4, 12)
+    channel = random_channel(np.random.default_rng(97), 4, 12)
     with pytest.raises(sdp.SolverError, match=r"\(choi route\) stopped unconverged \(numerical_failure\)"):
         diamond.diamond_distance(channel)
 
@@ -801,7 +829,7 @@ def test_structured_solve_takes_the_corrector_step():
     rng = np.random.default_rng(97)
     identity = channels.identity_channel(4)
     for _ in range(3):
-        j = isometry_channel(rng, 4, 12).choi - identity.choi
+        j = random_channel(rng, 4, 12).choi - identity.choi
         _, solution, _, _ = diamond._solve(j, 4, "choi")
         assert solution.status is sdp.SdpStatus.CONVERGED
         assert solution.iterations <= 20

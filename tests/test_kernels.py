@@ -8,11 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from gatebounds import diamond, kernels, linalg, refcheck
-
-
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
+from helpers import random_hermitian
 
 
 def random_kraus(rng, d, kraus_count):

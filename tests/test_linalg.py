@@ -2,18 +2,7 @@ import numpy as np
 import pytest
 
 from gatebounds import linalg
-
-
-def random_hermitian(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (a + a.conj().T) / 2
-
-
-def random_unitary(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+from helpers import random_hermitian, random_unitary
 
 
 def test_as_complex_matrix_rejects_bad_shapes():
@@ -34,23 +23,6 @@ def test_hermitian_and_unitary_predicates():
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     assert linalg.is_unitary(u)
     assert not linalg.is_unitary(2 * u)
-
-
-def test_partial_trace_of_kron():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = np.kron(a, b)
-    np.testing.assert_allclose(linalg.partial_trace(m, (2, 3), keep=0), a * np.trace(b), atol=1e-12)
-    np.testing.assert_allclose(linalg.partial_trace(m, (2, 3), keep=1), b * np.trace(a), atol=1e-12)
-
-
-def test_partial_trace_validation():
-    m = np.eye(6)
-    with pytest.raises(ValueError):
-        linalg.partial_trace(m, (2, 2), keep=0)
-    with pytest.raises(ValueError):
-        linalg.partial_trace(m, (2, 3), keep=2)
 
 
 def test_eigendecomposition_descending_and_reconstructs():

@@ -6,21 +6,7 @@ import numpy as np
 import pytest
 
 from gatebounds import channels, metrics
-from gatebounds.channels import Channel
-
-
-def random_channel(rng, dim=2, kraus_count=2):
-    big = rng.standard_normal((kraus_count * dim, dim)) + 1j * rng.standard_normal(
-        (kraus_count * dim, dim)
-    )
-    q, _ = np.linalg.qr(big)
-    return Channel([q[k * dim : (k + 1) * dim] for k in range(kraus_count)])
-
-
-def random_density(rng, dim=2):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
+from helpers import random_channel, random_density
 
 
 def haar_states(rng, count, dim):

@@ -2,22 +2,7 @@ import numpy as np
 import pytest
 
 from gatebounds import channels, diamond, metrics, pauli
-from gatebounds.channels import Channel
-
-
-def random_pauli_channel(rng, qubits):
-    labels = pauli.pauli_labels(qubits)
-    raw = rng.random(len(labels))
-    raw /= raw.sum()
-    return pauli.PauliChannel(qubits, dict(zip(labels, raw)))
-
-
-def random_channel(rng, dim=2, kraus_count=2):
-    big = rng.standard_normal((kraus_count * dim, dim)) + 1j * rng.standard_normal(
-        (kraus_count * dim, dim)
-    )
-    q, _ = np.linalg.qr(big)
-    return Channel([q[k * dim : (k + 1) * dim] for k in range(kraus_count)])
+from helpers import random_channel, random_pauli_channel
 
 
 def test_labels():

@@ -12,15 +12,11 @@ from gatebounds import channels, diamond, kernels, refcheck
 
 def recorded_context(channel, route="choi"):
     diamond._ensure_calibrated(route)
-    ctx = refcheck._Context()
-    diamond.set_solve_recorder(ctx.records.append)
-    try:
+    with diamond.recorded_solves() as records:
         diamond.diamond_distance(channel, method="sdp")
-    finally:
-        diamond.set_solve_recorder(None)
-    assert len(ctx.records) == 1
-    assert ctx.records[0].result.route == route
-    return ctx
+    assert len(records) == 1
+    assert records[0].result.route == route
+    return refcheck._Context(records)
 
 
 def test_solver_health_passes_on_a_real_solve():
@@ -95,6 +91,20 @@ def test_solver_health_gates_fidelity_route_records():
     passed, detail = refcheck._check_solver_health(ctx)
     assert not passed
     assert detail == "solve 0: dual slack not PSD within 1e-7"
+
+
+def test_suite_inside_an_open_block_leaves_it_receiving():
+    # the suite's own block nests inside the caller's, which sees every
+    # audited solve and keeps receiving after the suite returns
+    ch = channels.amplitude_damping(0.3)
+    with diamond.recorded_solves() as records:
+        diamond.diamond_distance(ch, method="sdp")
+        results = refcheck.run_checks()
+        diamond.diamond_distance(ch, method="sdp")
+    health = results[-1]
+    assert health.name == "solver-health" and health.passed, health.detail
+    assert health.detail.startswith("116 solves:")
+    assert len(records) == 1 + 116 + 1
 
 
 TWO_PASSES = """

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from gatebounds import channels, diamond, sdp
+from helpers import random_channel, random_hermitian
 
 
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2
-
-
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
 
 
 def flat(mats):
@@ -185,19 +181,12 @@ def test_solve_is_deterministic():
     assert_identical_solutions(sdp.solve(min_eig_problem(c)), sdp.solve(min_eig_problem(c)))
 
 
-def seeded_isometry_channel(seed, d, rank):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
-    q, _ = np.linalg.qr(g)
-    return channels.Channel([q[k * d : (k + 1) * d] for k in range(rank)])
-
-
 @pytest.mark.parametrize(
     "channel, path",
     [
         (channels.amplitude_damping(0.3), "choi"),
         (channels.unitary_channel(np.diag([1.0, 1.0, np.exp(0.5j)])), "fidelity"),
-        (seeded_isometry_channel(97, 4, 12), "structured"),
+        (random_channel(np.random.default_rng(97), 4, 12), "structured"),
     ],
     ids=["d2-template", "d3-fidelity", "d4-structured"],
 )
