@@ -39,30 +39,23 @@ def _checked_phi(phi):
     return min(1.0, max(0.0, p))
 
 
-def _checked_dim(dim):
-    d = float(dim)
-    if not (d.is_integer() and d >= 2):
-        raise ValueError(f"dimension must be an integer of at least 2, got {dim!r}")
-    return int(d)
-
-
 def pauli_lower_bound(phi, dim):
     """Lower bound (1 + 1/d)(1 - phi) on the error rate; tight for Pauli channels."""
     p = _checked_phi(phi)
-    d = _checked_dim(dim)
+    d = channels.checked_dimension(dim, 2)
     return (1.0 + 1.0 / d) * (1.0 - p)
 
 
 def generic_upper_bound(phi, dim):
     """Upper bound sqrt(d(d+1)(1 - phi)); may exceed 1, see nontriviality_threshold."""
     p = _checked_phi(phi)
-    d = _checked_dim(dim)
+    d = channels.checked_dimension(dim, 2)
     return math.sqrt(d * (d + 1) * (1.0 - p))
 
 
 def nontriviality_threshold(dim):
     """Fidelity above which the generic upper bound drops below 1."""
-    d = _checked_dim(dim)
+    d = channels.checked_dimension(dim, 2)
     return 1.0 - 1.0 / (d * (d + 1))
 
 
@@ -71,7 +64,7 @@ def required_fidelity(target_error, dim):
     t = _finite(target_error, "target error rate")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"target error rate {target_error!r} outside (0, 1]")
-    d = _checked_dim(dim)
+    d = channels.checked_dimension(dim, 2)
     return 1.0 - t * t / (d * (d + 1))
 
 

@@ -74,8 +74,16 @@ class Channel:
         return f"Channel(dim={self.dim}, kraus={len(self.kraus)})"
 
 
+def checked_dimension(dim, least):
+    """``dim`` as an int, or ValueError unless it is an integer-valued real of
+    at least ``least``."""
+    if not (isinstance(dim, numbers.Real) and float(dim).is_integer() and dim >= least):
+        raise ValueError(f"dimension must be an integer of at least {least}, got {dim!r}")
+    return int(dim)
+
+
 def identity_channel(dim):
-    return Channel([np.eye(dim)])
+    return Channel([np.eye(checked_dimension(dim, 1))])
 
 
 def unitary_channel(u):
@@ -163,11 +171,10 @@ def amplitude_damping(r):
 
 def phase_matrix(dim, theta):
     """The controlled-phase style unitary diag(1, ..., 1, exp(i theta))."""
-    if not (isinstance(dim, numbers.Real) and float(dim).is_integer() and dim >= 2):
-        raise ValueError(f"dimension must be an integer of at least 2, got {dim!r}")
+    dim = checked_dimension(dim, 2)
     if not np.isfinite(theta):
         raise ValueError(f"phase angle theta must be finite, got {theta!r}")
-    diag = np.ones(int(dim), dtype=np.complex128)
+    diag = np.ones(dim, dtype=np.complex128)
     diag[-1] = np.exp(1j * theta)
     return np.diag(diag)
 

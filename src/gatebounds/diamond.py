@@ -3,8 +3,9 @@
 Unitary pairs and Pauli pairs short-circuit to closed forms.  Every other
 pair is solved as a semidefinite program over complex Hermitian blocks by
 :mod:`gatebounds.sdp`, through one of two encodings ("routes") of the same
-value eta = 1/2 ||E - F||_diamond, picked per pair from the rank r of the
-Choi matrix J = J(E - F):
+value eta = 1/2 ||E - F||_diamond.  :func:`_plan` picks one of three solve
+paths per pair, from d and the rank r of the Choi matrix J = J(E - F):
+"choi" and "structured" run the Choi route, "fidelity" the fidelity route.
 
 * The *Choi route* (Watrous, "Semidefinite programs for completely bounded
   norms", Theory of Computing 5, 2009):
@@ -13,20 +14,21 @@ Choi matrix J = J(E - F):
       subject to 0 <= W <= I_out (x) rho,   rho >= 0,   tr rho = 1,
 
   with blocks (d^2, d^2, d) and m = d^4 + 1 constraint rows.  Only the
-  objective -J depends on the channels.  At d < ``STRUCTURED_DIMENSION``
-  = 4 the constraints are built once per dimension as a read-only template
-  (:func:`_template`), an :class:`sdp.SdpProblem` that the solver steps
-  with the HKM direction against its assembled (d^4 + 1)^2 Schur matrix.
-  From d = 4 on they are a :class:`_ChoiOperator`, an
-  :class:`sdp.StructuredProblem` that applies them in O(d^4) and solves the
-  NT Newton system (Nesterov-Todd scaling; Todd, Toh and Tutuncu, SIAM J.
-  Optim. 8, 1998) through one congruence that diagonalizes the W and S
-  scalings, in O(d^6) per solve plus an O(d^8) product per iteration, with
-  no Schur matrix.  HKM has no such inverse (its operator
-  herm(X Y Z^-1) has four Kronecker terms).  Per iteration the structured
-  solve took 2.8 ms against 9.3 ms at d = 4 and lost at d = 3, 2.0 against
-  1.7 ms (medians of six interleaved runs over ten random isometry pairs,
-  one BLAS thread), so d = 2 and 3 stay assembled.
+  objective -J depends on the channels.  On the "choi" path, below
+  ``STRUCTURED_DIMENSION`` = 4, the constraints are built once per dimension
+  as a read-only template (:func:`_template`), an :class:`sdp.SdpProblem`
+  that the solver steps with the HKM direction against its assembled
+  (d^4 + 1)^2 Schur matrix.  On the "structured" path, from d = 4 on, they
+  are a :class:`_ChoiOperator`, an :class:`sdp.StructuredProblem` that
+  applies them in O(d^4) and solves the NT Newton system (Nesterov-Todd
+  scaling; Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) through one
+  congruence that diagonalizes the W and S scalings, in O(d^6) per solve
+  plus an O(d^8) product per iteration, with no Schur matrix.  HKM has no
+  such inverse (its operator herm(X Y Z^-1) has four Kronecker terms).  Per
+  iteration the structured solve took 2.8 ms against 9.3 ms at d = 4 and
+  lost at d = 3, 2.0 against 1.7 ms (medians of six interleaved runs over
+  ten random isometry pairs, one BLAS thread), so d = 2 and 3 stay
+  assembled.
 * The *fidelity route* (Kitaev's characterization by the complementary maps,
   as an SDP in Watrous, "Simpler semidefinite programs for completely
   bounded norms", Chicago J. Theoretical Computer Science 2013,
@@ -40,30 +42,32 @@ Choi matrix J = J(E - F):
   where G_A(rho)_ij = tr(A_i rho A_j^dagger), G_B = S G_A S with
   S = diag(s_k), and F(P, Q) = max Re tr Y subject to [[P, Y], [Y^dagger, Q]]
   >= 0.  Its blocks are (2r, d, d) and it has m = 2 r^2 + 2 rows; the
-  constraints depend on the pair, so there is no template.  It runs on the
-  assembled HKM path.
+  constraints depend on the pair, so there is no template.  The "fidelity"
+  path solves it with the HKM direction against its assembled Schur matrix.
 
 *Rule.*  Eigenvalues of J at or below the rank cut 2 d^3 eps (d^2 rounding
 units of ||J_E||_1 + ||J_F||_1 = 2d, far below any physical eigenvalue) are
-dropped from the fidelity route, and r counts the rest.  The fidelity route
-is taken at d >= 3 when 0 < r and 2 r^2 + 2 <= 7 d^2: up to r = 5 at d = 3,
-r = 7 at d = 4, r = 9 at d = 5 and r = 14 at d = 8.  That is where it was
-measured faster (one BLAS thread, random isometry-channel pairs, the mean
-of two pairs per rank): against the assembled Choi route at d = 3 it ties
-at r = 6 (74 rows against 82); against the structured Choi route it took
-29 against 34 ms at r = 7 and 49 against 33 ms at r = 8 at d = 4, 47
-against 47 ms at r = 8 and 65 against 57 ms at r = 9 at d = 5, and 373
-against 418 ms at r = 14 and 730 against 387 ms at r = 16 at d = 8.  At
-d = 2 the two programs (10 or 20 rows against 17) took the same time, and
-every d = 2 pair stays on the Choi route.
+dropped from the fidelity route, and r counts the rest.  :func:`_plan` takes
+the "fidelity" path at d >= 3 when 0 < r and 2 r^2 + 2 <= 7 d^2: up to r = 5
+at d = 3, r = 7 at d = 4, r = 9 at d = 5 and r = 14 at d = 8.  Otherwise it
+takes the "structured" path from d = 4 on and the "choi" path below.  The
+fidelity route was measured faster in that range (one BLAS thread, random
+isometry-channel pairs, the mean of two pairs per rank): against the "choi"
+path at d = 3 it ties at r = 6 (74 rows against 82); against the
+"structured" path it took 29 against 34 ms at r = 7 and 49 against 33 ms at
+r = 8 at d = 4, 47 against 47 ms at r = 8 and 65 against 57 ms at r = 9 at
+d = 5, and 373 against 418 ms at r = 14 and 730 against 387 ms at r = 16 at
+d = 8.  At d = 2 the two programs (10 or 20 rows against 17) took the same
+time, and every d = 2 pair takes the "choi" path.
 
-*Cap.*  A route whose largest array would have more than ``MAX_ENTRIES`` =
-2^25 complex entries (512 MiB) raises ``ValueError`` before anything is
-built: the (m, 2 (m - 2) + 2 d^2) constraint matrix on the fidelity route,
-the (d^4 + 1, 2 d^4 + d^2) template on the assembled Choi route, and the
-(d^2, d^2, d^2) stack of the structured solve, d^6 entries, on the
-structured Choi route.  So every pair up to d = 17 runs, and so does a
-low-rank pair of any dimension whose fidelity route fits.
+*Cap.*  :func:`_plan` also counts the complex entries of the largest array
+its path would allocate, and a count above ``MAX_ENTRIES`` = 2^25 (512 MiB)
+raises ``ValueError`` before anything is built: the (m, 2 (m - 2) + 2 d^2)
+constraint matrix on the "fidelity" path, the (d^4 + 1, 2 d^4 + d^2)
+template on the "choi" path, and the (d^2, d^2, d^2) stack of the
+structured solve, d^6 entries, on the "structured" path.  So every pair up
+to d = 17 runs, and so does a low-rank pair of any dimension whose
+"fidelity" path fits.
 
 *Certificate.*  Both routes end in one certificate (:func:`_certify`),
 derived without tuned margins:
@@ -89,9 +93,9 @@ derived without tuned margins:
 
 The returned value is the solver's primal value, clipped into the interval.
 
-Each route's encoder normalization, and the structured Choi operator's, is
-calibrated once per process, on its first use, against the unitary closed
-form, outside every :func:`recorded_solves` block; a mismatch aborts with
+Each path's encoder normalization is calibrated once per process, on the
+path's first use, against the unitary closed form, outside every
+:func:`recorded_solves` block; a mismatch aborts with
 :class:`CalibrationError` since it would mean the package is miswired, not
 that an input is bad.
 """
@@ -245,8 +249,8 @@ def _template(d):
 
     The operator's flat objective, rows and rhs pass to
     :class:`sdp.SdpProblem` as they are.  Only the objective depends on the
-    channels, so :func:`_encode` keeps the template of each assembled
-    dimension, d < ``STRUCTURED_DIMENSION``, for the life of the process; its
+    channels, so the "choi" path (:func:`_encoding`) keeps the template of
+    each dimension it runs at, d = 2 and 3, for the life of the process; its
     read-only constraint matrix has m = d^4 + 1 rows and 2 d^4 + d^2 complex
     columns, about 10 KB at d = 2 and 0.2 MB at d = 3.
     """
@@ -408,18 +412,6 @@ class _ChoiOperator(sdp.StructuredProblem):
         return solve
 
 
-def _encode(j_delta, d):
-    """The Choi route's SDP for the maximization above, in minimization form.
-
-    A :class:`_ChoiOperator`, whose flat objective is the one definition of
-    the route's objective: -J (its Hermitian part) on the W block and zero
-    on S and rho.  Below ``STRUCTURED_DIMENSION`` that objective goes onto
-    the constraints of :func:`_template` (shared, not copied).
-    """
-    op = _ChoiOperator(j_delta, d)
-    return op if d >= STRUCTURED_DIMENSION else _template(d).with_objective(op.c)
-
-
 def _rank_cut(d):
     """Eigenvalues of J(E - F) at or below this are dropped by the fidelity
     route: d^2 rounding units of ||J_E||_1 + ||J_F||_1 = 2d."""
@@ -466,7 +458,8 @@ def _encode_fidelity(ops, signs):
 
 
 class _Encoding(NamedTuple):
-    """One route's SDP for one pair, with what its certificate reads.
+    """One path's SDP for one pair, with its route and what its certificate
+    reads.
 
     At the optimum, eta = -``scale`` <C, X> up to ``dropped`` (half the
     summed |eigenvalues| cut from J).  ``trace_bounds`` pairs block indices
@@ -482,17 +475,6 @@ class _Encoding(NamedTuple):
     witness: int
     transpose: bool
     dropped: float = 0.0
-
-
-def _choi_encoding(j_delta, d):
-    return _Encoding(
-        route="choi",
-        problem=_encode(j_delta, d),
-        scale=1.0,
-        trace_bounds=(((0, 1), float(d)), ((2,), 1.0)),
-        witness=2,
-        transpose=False,
-    )
 
 
 def _signed_operators(j_delta, d):
@@ -516,21 +498,37 @@ def _signed_operators(j_delta, d):
     return ops, np.sign(lam), 0.5 * cut_norm
 
 
-def _fidelity_encoding(j_delta, d):
-    ops, signs, dropped = _signed_operators(j_delta, d)
-    gram_max = float(np.linalg.eigvalsh(np.einsum("kba,kbc->ac", ops.conj(), ops))[-1])
+def _encoding(j_delta, d, path):
+    """The SDP of J(E - F) on ``path`` (:func:`_plan`), in minimization form.
+
+    Both Choi paths share the objective of one :class:`_ChoiOperator`, the
+    one definition of the Choi route's objective: -J (its Hermitian part) on
+    the W block and zero on S and rho.  The "structured" path solves the
+    operator itself; the "choi" path puts its objective onto the constraints
+    of :func:`_template` (shared, not copied).  Both report the route
+    "choi".
+    """
+    if path == "fidelity":
+        ops, signs, dropped = _signed_operators(j_delta, d)
+        gram_max = float(np.linalg.eigvalsh(np.einsum("kba,kbc->ac", ops.conj(), ops))[-1])
+        return _Encoding(
+            route="fidelity",
+            problem=_encode_fidelity(ops, signs),
+            scale=0.5,
+            trace_bounds=(((0,), 2.0 * gram_max), ((1,), 1.0), ((2,), 1.0)),
+            witness=1,
+            transpose=True,
+            dropped=dropped,
+        )
+    op = _ChoiOperator(j_delta, d)
     return _Encoding(
-        route="fidelity",
-        problem=_encode_fidelity(ops, signs),
-        scale=0.5,
-        trace_bounds=(((0,), 2.0 * gram_max), ((1,), 1.0), ((2,), 1.0)),
-        witness=1,
-        transpose=True,
-        dropped=dropped,
+        route="choi",
+        problem=op if path == "structured" else _template(d).with_objective(op.c),
+        scale=1.0,
+        trace_bounds=(((0, 1), float(d)), ((2,), 1.0)),
+        witness=2,
+        transpose=False,
     )
-
-
-_ENCODINGS = {"choi": _choi_encoding, "fidelity": _fidelity_encoding}
 
 
 def _rank(j_delta, d):
@@ -538,29 +536,22 @@ def _rank(j_delta, d):
     return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(j_delta)) > _rank_cut(d)))
 
 
-def _route(j_delta, d):
-    """The route for J(E - F) and its row count: "fidelity" at d >= 3 where
-    it has at most 7 d^2 rows (module docstring)."""
+def _plan(j_delta, d):
+    """The solve path for J(E - F) and the complex entries of the largest
+    array a solve on it allocates (module docstring, *Rule* and *Cap*).
+
+    "fidelity" at d >= 3 where its 2 r^2 + 2 rows are at most 7 d^2, with
+    its constraint matrix; otherwise the Choi program, "structured" from
+    d = ``STRUCTURED_DIMENSION`` on with its (d^2, d^2, d^2) stack and
+    "choi" below with its assembled constraint matrix.
+    """
     r = _rank(j_delta, d)
-    rows = {"fidelity": 2 * r * r + 2, "choi": d**4 + 1}
-    route = "fidelity" if d > 2 and 0 < r and rows["fidelity"] <= 7 * d * d else "choi"
-    return route, rows[route]
-
-
-def _largest_array(route, rows, d):
-    """Complex entries of the largest array a solve on ``route`` allocates
-    (module docstring, *Cap*)."""
-    if route == "fidelity":
-        return rows * (2 * (rows - 2) + 2 * d * d)
+    m = 2 * r * r + 2
+    if d > 2 and 0 < r and m <= 7 * d * d:
+        return "fidelity", m * (2 * (m - 2) + 2 * d * d)
     if d >= STRUCTURED_DIMENSION:
-        return d**6
-    return rows * (2 * d**4 + d * d)
-
-
-def _path(route, d):
-    """The solve path of a pair: its route, or "structured" for the Choi
-    route's structured operator."""
-    return "structured" if route == "choi" and d >= STRUCTURED_DIMENSION else route
+        return "structured", d**6
+    return "choi", (d**4 + 1) * (2 * d**4 + d * d)
 
 
 def _outputs(j_delta, d, psi):
@@ -619,29 +610,27 @@ def _ensure_calibrated(path):
     # a call that raises is not cached, so the next use of the path retries it
     theta = 0.5
     d = STRUCTURED_DIMENSION if path == "structured" else 2
-    route = "choi" if path == "structured" else path
     u = np.diag([1.0] * (d - 1) + [np.exp(1j * theta)])
-    *_, got = _solve(Channel([u]).choi - identity_channel(d).choi, d, route)
+    *_, got = _solve(Channel([u]).choi - identity_channel(d).choi, d, path)
     want = math.sin(theta / 2.0)
     if abs(got.value - want) > 1e-6:
-        name = "choi route (structured operator)" if path == "structured" else f"{route} route"
         raise CalibrationError(
-            f"diamond encoder calibration failed on the {name}: got {got.value!r}, "
+            f"diamond encoder calibration failed on the {path} path: got {got.value!r}, "
             f"expected {want!r}"
         )
 
 
-def _solve(j_delta, d, route):
-    """Encode J(E - F) on ``route``, solve, verify and certify.
+def _solve(j_delta, d, path):
+    """Encode J(E - F) on ``path``, solve, verify and certify.
 
     Returns the encoding, the solution, the verification figures and the
     DiamondResult; an unconverged solve raises :class:`sdp.SolverError`.
     """
-    encoding = _ENCODINGS[route](j_delta, d)
+    encoding = _encoding(j_delta, d, path)
     solution = sdp.solve(encoding.problem)
     if solution.status is not sdp.SdpStatus.CONVERGED:
         raise sdp.SolverError(
-            f"diamond SDP ({route} route) stopped unconverged ({solution.status.value}) after "
+            f"diamond SDP ({path} path) stopped unconverged ({solution.status.value}) after "
             f"{solution.iterations} iterations (gap {solution.gap:.3e})"
         )
     checked = sdp.verify_solution(encoding.problem, solution)
@@ -662,11 +651,11 @@ def diamond_distance(e, f=None, method="auto"):
     """Diamond distance between two channels (second defaults to identity).
 
     ``method`` is "auto" (closed form when one applies, SDP otherwise) or
-    "sdp" to force the solver, which cross-checks use.  The SDP route is
-    picked from the rank of J(E - F), and a route whose largest array has
-    more than ``MAX_ENTRIES`` entries raises ``ValueError`` (module
-    docstring).
-    A solve that does not converge raises :class:`sdp.SolverError`.
+    "sdp" to force the solver, which cross-checks use.  The SDP's path is
+    picked from d and the rank of J(E - F), and a path whose largest array
+    has more than ``MAX_ENTRIES`` entries raises ``ValueError`` (module
+    docstring).  A solve that does not converge raises
+    :class:`sdp.SolverError`.
     """
     f = _second(e, f)
     if method not in ("auto", "sdp"):
@@ -686,15 +675,14 @@ def diamond_distance(e, f=None, method="auto"):
             return _exact(_pauli_pair_value(pe, pf), DiamondMethod.PAULI_CLOSED_FORM)
 
     j_delta = e.choi - f.choi
-    route, rows = _route(j_delta, e.dim)
-    entries = _largest_array(route, rows, e.dim)
+    path, entries = _plan(j_delta, e.dim)
     if entries > MAX_ENTRIES:
         raise ValueError(
-            f"dimension {e.dim} diamond SDP on the {route} route needs an array of {entries} "
+            f"dimension {e.dim} diamond SDP on the {path} path needs an array of {entries} "
             f"entries, above the cap of {MAX_ENTRIES}"
         )
-    _ensure_calibrated(_path(route, e.dim))
-    *_, checked, result = _solve(j_delta, e.dim, route)
+    _ensure_calibrated(path)
+    *_, checked, result = _solve(j_delta, e.dim, path)
     blocks = _open_records.get()
     if blocks:
         record = SolveRecord(e, f, checked, result)

@@ -5,7 +5,7 @@
 (and so behind ``trace_norm`` and ``min_hermitian_eigenvalue``).  Other
 eigenvalues call LAPACK directly, so a count of ``eigh_kernel`` calls
 covers only that path: the solver's step lengths (``sdp._max_steps``), the
-rank that picks a diamond route (``diamond._route``), the witness
+rank that picks a diamond solve path (``diamond._plan``), the witness
 certificate (``diamond._witness_value``), the input-state ascent
 (``diamond.ascent_lower_bound``), the fidelity route's Gram bound, and the
 batched QR and ``eigvalsh`` of ``pair_scan_kernel``.

@@ -4,7 +4,7 @@ Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Functions validate shape and (where required) hermiticity, and raise
 ``ValueError`` on bad input.  Eigenvalues come from numpy's LAPACK: the
 Hermitian ones here through :func:`gatebounds.kernels.eigh_kernel`, after a
-Hermiticity check.  The solver's step lengths, the diamond route's rank and
+Hermiticity check.  The solver's step lengths, the diamond path's rank and
 certificate, and the brute-force scan call ``np.linalg.eigvalsh``/``eigh``
 directly, without that check (see :mod:`gatebounds.kernels`).
 """
@@ -25,9 +25,9 @@ def as_complex_matrix(m, name="matrix"):
     return a
 
 
-def is_hermitian(m, tol=HERMITIAN_TOL):
+def is_hermitian(m):
     a = as_complex_matrix(m)
-    return float(np.abs(a - a.conj().T).max()) <= tol
+    return float(np.abs(a - a.conj().T).max()) <= HERMITIAN_TOL
 
 
 def is_unitary(m):
@@ -37,23 +37,23 @@ def is_unitary(m):
     return float(np.abs(a.conj().T @ a - eye).max()) <= UNITARY_TOL
 
 
-def hermitian_eigendecomposition(m, tol=HERMITIAN_TOL):
+def hermitian_eigendecomposition(m):
     """Eigenvalues (descending) and matching eigenvector columns.
 
-    Input must be Hermitian within ``tol``; the strictly Hermitian part is
-    what gets diagonalized, so roundoff-level asymmetry is harmless.
+    Input must be Hermitian within ``HERMITIAN_TOL``; the strictly Hermitian
+    part is what gets diagonalized, so roundoff-level asymmetry is harmless.
     """
     a = as_complex_matrix(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         defect = float(np.abs(a - a.conj().T).max())
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}, tol {tol:.3e})")
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}, tol {HERMITIAN_TOL:.3e})")
     h = (a + a.conj().T) / 2
     w, v = kernels.eigh_kernel(h)
     return w[::-1], v[:, ::-1]
 
 
-def min_hermitian_eigenvalue(m, tol=HERMITIAN_TOL):
-    w, _ = hermitian_eigendecomposition(m, tol)
+def min_hermitian_eigenvalue(m):
+    w, _ = hermitian_eigendecomposition(m)
     return float(w[-1])
 
 

@@ -25,11 +25,11 @@ def total_variation_distance(mu, nu):
 
 def _check_density(rho, name):
     a = linalg.as_complex_matrix(rho, name)
-    if not linalg.is_hermitian(a, DENSITY_TOL):
+    if not linalg.is_hermitian(a):
         raise ValueError(f"{name} is not Hermitian")
     if abs(a.trace().real - 1.0) > DENSITY_TOL or abs(a.trace().imag) > DENSITY_TOL:
         raise ValueError(f"{name} does not have unit trace")
-    if linalg.min_hermitian_eigenvalue(a, DENSITY_TOL) < -DENSITY_TOL:
+    if linalg.min_hermitian_eigenvalue(a) < -DENSITY_TOL:
         raise ValueError(f"{name} is not positive semidefinite")
     return a
 

@@ -14,7 +14,7 @@ Two kinds of problem supply two Newton systems:
 * :class:`StructuredProblem` applies its constraints without a matrix and
   uses the Nesterov-Todd (NT) direction, whose Newton matrix
   M = A(W A*(.) W), W the NT scaling point, keeps a congruence structure
-  that a problem can invert cheaply (the diamond SDP's Choi route does, in
+  that a problem can invert cheaply (the diamond SDP's "structured" path does, in
   :mod:`gatebounds.diamond`).  HKM's operator herm(X A*(.) Z^-1) has no
   such inverse.  The problem's solve may be inexact: each one is refined
   against the exact operator until its residual is within ``REFINE_TOL``
@@ -622,11 +622,11 @@ def verify_solution(problem, solution):
     """
     x = _flat(solution.x)
     primal_residual = float(np.abs(problem.apply(x) - problem.b).max(initial=0.0))
-    x_min_eig = min(linalg.min_hermitian_eigenvalue(xb, tol=1e-6) for xb in solution.x)
+    x_min_eig = min(linalg.min_hermitian_eigenvalue(xb) for xb in solution.x)
     slack = problem.blocks(problem.c - problem.adjoint(solution.y))
     z_eig_ranges = []
     for zb in slack:
-        w, _ = linalg.hermitian_eigendecomposition(zb, tol=1e-6)
+        w, _ = linalg.hermitian_eigendecomposition(zb)
         z_eig_ranges.append((float(w[-1]), float(w[0])))
     z_min_eig = min(lo for lo, _ in z_eig_ranges)
     pobj = _inner(problem.c, x)

@@ -29,6 +29,18 @@ def test_bound_input_validation():
         bounds.pauli_lower_bound(-0.1, 2)
     with pytest.raises(ValueError):
         bounds.generic_upper_bound(0.9, 1)
+    # a dimension is an integer-valued real, not a string that parses as one
+    for dim in ("3", "2"):
+        message = f"dimension must be an integer of at least 2, got '{dim}'"
+        for call in (
+            lambda: bounds.pauli_lower_bound(0.99, dim),
+            lambda: bounds.generic_upper_bound(0.99, dim),
+            lambda: bounds.nontriviality_threshold(dim),
+            lambda: bounds.required_fidelity(0.01, dim),
+            lambda: bounds.pauli_refined_interval(0.99, dim, 0.01),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             bounds.pauli_lower_bound(bad, 2)

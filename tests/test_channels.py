@@ -196,6 +196,20 @@ def test_phase_matrix_rejects_a_non_integer_dimension(bad):
         channels.lambda_mixture(bad, 0.2)
 
 
+@pytest.mark.parametrize("dim", [1, 2.0, np.int64(3)])
+def test_identity_channel_takes_an_integer_valued_dimension(dim):
+    ch = channels.identity_channel(dim)
+    assert ch.dim == dim
+    np.testing.assert_array_equal(ch.kraus[0], np.eye(int(dim)))
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.5, np.inf, np.nan, "2", None])
+def test_identity_channel_rejects_a_non_integer_dimension(bad):
+    message = f"dimension must be an integer of at least 1, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        channels.identity_channel(bad)
+
+
 def test_lambda_mixture_returns_pair():
     actual, ideal = channels.lambda_mixture(3, 0.2)
     np.testing.assert_allclose(ideal, channels.phase_matrix(3, np.pi), atol=1e-15)

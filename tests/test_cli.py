@@ -335,9 +335,8 @@ print(routes, sorted({"gatebounds.cli", "numba", "scipy"} & set(sys.modules)))
 
 
 def test_library_imports_neither_cli_nor_numba():
-    # one SDP on each solve path: the assembled Choi route at d = 2, the
-    # fidelity route at d = 3 and the structured Choi route at d = 4; none of
-    # them may pull in the CLI, numba or scipy
+    # one SDP on each solve path: "choi" at d = 2, "fidelity" at d = 3 and
+    # "structured" at d = 4; none of them may pull in the CLI, numba or scipy
     env = dict(os.environ, PYTHONPATH=str(Path(gatebounds.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", LIBRARY_SOLVES], capture_output=True, text=True, env=env, check=True
@@ -466,7 +465,7 @@ def test_analyze_exits_2_on_unconverged_fidelity_route_solve(tmp_path, capsys, m
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     path = named_file(tmp_path, "mix.json", 3, "lambda_mixture", {"lambda": 0.1})
     assert cli.main(["analyze", path]) == 2
-    assert "fidelity route) stopped unconverged" in capsys.readouterr().err
+    assert "fidelity path) stopped unconverged" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

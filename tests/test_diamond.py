@@ -303,15 +303,15 @@ def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys)
     monkeypatch.setattr(diamond, "_ChoiOperator", refuse_to_build)
     monkeypatch.setattr(diamond, "_encode_fidelity", refuse_to_build)
     rng = np.random.default_rng(99)
-    # the real cap: a high-rank d = 18 pair (r = 36) is the structured Choi
-    # route, whose (d^2, d^2, d^2) stack has 18^6 entries
+    # the real cap: a high-rank d = 18 pair (r = 36) is the structured path,
+    # whose (d^2, d^2, d^2) stack has 18^6 entries
     wide = random_channel(rng, 18, 18), random_channel(rng, 18, 18)
-    with pytest.raises(ValueError, match=r"choi route needs an array of 34012224 entries, above the cap of 33554432"):
+    with pytest.raises(ValueError, match=r"structured path needs an array of 34012224 entries, above the cap of 33554432"):
         diamond.diamond_distance(*wide)
     # a lowered cap refuses a high-rank d = 4 pair (r = 13, 4^6 entries)
     monkeypatch.setattr(diamond, "MAX_ENTRIES", 4095)
     ch = random_channel(rng, 4, 12)
-    message = r"dimension 4 diamond SDP on the choi route needs an array of 4096 entries, above the cap of 4095"
+    message = r"dimension 4 diamond SDP on the structured path needs an array of 4096 entries, above the cap of 4095"
     with pytest.raises(ValueError, match=message):
         diamond.diamond_distance(ch)
     with pytest.raises(ValueError, match=message):
@@ -321,10 +321,10 @@ def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys)
     path.write_text(json.dumps({"dim": 4, "kind": "kraus", "kraus": kraus}))
     assert cli.main(["analyze", str(path)]) == 1
     assert re.search(message, capsys.readouterr().err)
-    # the fidelity route counts its (m, 2 (m - 2) + 2 d^2) constraint matrix:
+    # the fidelity path counts its (m, 2 (m - 2) + 2 d^2) constraint matrix:
     # r = 2 at d = 3 is 10 rows and 340 entries
     monkeypatch.setattr(diamond, "MAX_ENTRIES", 339)
-    with pytest.raises(ValueError, match=r"fidelity route needs an array of 340 entries"):
+    with pytest.raises(ValueError, match=r"fidelity path needs an array of 340 entries"):
         diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp")
     # the closed forms are dispatched before the check
     assert diamond.diamond_distance(channels.generalized_cphase(4, 0.4)).route is None
@@ -415,26 +415,26 @@ def test_recorded_solves_see_only_their_own_thread():
 
 
 def test_calibration_completes_after_first_sdp_use():
-    # each route calibrates on its own first use: a d = 2 pair takes the Choi
-    # route, a low-rank d = 3 pair the fidelity route
+    # each path calibrates on its own first use: a d = 2 pair takes the
+    # "choi" path, a low-rank d = 3 pair the "fidelity" path
     diamond._ensure_calibrated.cache_clear()
     diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
     assert diamond._ensure_calibrated.cache_info().currsize == 1
     res = diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp")
     assert res.route == "fidelity"
     assert diamond._ensure_calibrated.cache_info().currsize == 2
-    # the Choi route's structured operator (d >= 4) calibrates on its own
+    # the "structured" path (d >= 4) calibrates on its own
     res = diamond.diamond_distance(random_channel(np.random.default_rng(96), 4, 12))
     assert res.route == "choi"
     assert diamond._ensure_calibrated.cache_info().currsize == 3
 
 
-def check_failed_calibration_is_retried(monkeypatch, channel, route):
+def check_failed_calibration_is_retried(monkeypatch, channel, path, route):
     diamond._ensure_calibrated.cache_clear()
     wrong = DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP, route)
     with monkeypatch.context() as m:
-        m.setattr(diamond, "_solve", lambda j_delta, d, route: (None, None, None, wrong))
-        with pytest.raises(diamond.CalibrationError, match=f"calibration failed on the {route} route"):
+        m.setattr(diamond, "_solve", lambda j_delta, d, path: (None, None, None, wrong))
+        with pytest.raises(diamond.CalibrationError, match=f"calibration failed on the {path} path"):
             diamond.diamond_distance(channel, method="sdp")
     assert diamond._ensure_calibrated.cache_info().currsize == 0
     res = diamond.diamond_distance(channel, method="sdp")
@@ -444,22 +444,22 @@ def check_failed_calibration_is_retried(monkeypatch, channel, route):
 
 
 def test_failed_calibration_raises_and_is_retried(monkeypatch):
-    check_failed_calibration_is_retried(monkeypatch, channels.amplitude_damping(0.1), "choi")
+    check_failed_calibration_is_retried(monkeypatch, channels.amplitude_damping(0.1), "choi", "choi")
 
 
 def test_failed_fidelity_calibration_raises_and_is_retried(monkeypatch):
-    check_failed_calibration_is_retried(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity")
+    check_failed_calibration_is_retried(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity", "fidelity")
 
 
 def test_failed_structured_calibration_raises_and_is_retried(monkeypatch):
     channel = random_channel(np.random.default_rng(96), 4, 12)
-    check_failed_calibration_is_retried(monkeypatch, channel, "choi")
+    check_failed_calibration_is_retried(monkeypatch, channel, "structured", "choi")
 
 
-def check_unconverged_solve_raises(monkeypatch, channel, route):
-    diamond._ensure_calibrated(route)
+def check_unconverged_solve_raises(monkeypatch, channel, path):
+    diamond._ensure_calibrated(path)
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-    with pytest.raises(sdp.SolverError, match=rf"\({route} route\) stopped unconverged \(max_iterations\)"):
+    with pytest.raises(sdp.SolverError, match=rf"\({path} path\) stopped unconverged \(max_iterations\)"):
         diamond.diamond_distance(channel, method="sdp")
 
 
@@ -491,18 +491,19 @@ def random_choi_difference(rng, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_encode_matches_a_from_scratch_problem(d):
-    # equal entry for entry up to the sign of zero: the adjoint writes +0.0
-    # where -Tr_1 F writes -0.0
+    # both Choi paths, equal entry for entry up to the sign of zero: the
+    # adjoint writes +0.0 where -Tr_1 F writes -0.0
+    path = "structured" if d == 4 else "choi"
     rng = np.random.default_rng(80 + d)
     j = random_choi_difference(rng, d)
-    got, want = diamond._encode(j, d), from_scratch_encoding(j, d)
+    got, want = diamond._encoding(j, d, path).problem, from_scratch_encoding(j, d)
     assert got.block_dims == want.block_dims and got.runs == want.runs
-    names = ("a", "b", "c") if d < diamond.STRUCTURED_DIMENSION else ("b",)
+    names = ("a", "b", "c") if path == "choi" else ("b",)
     for name in names:
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w), name
-    if d < diamond.STRUCTURED_DIMENSION:
+    if path == "choi":
         return
     # the structured operator: its objective and both directions of its
     # constraint operator
@@ -569,8 +570,8 @@ def test_hermitian_basis_is_orthonormal(n):
 
 def test_encodings_share_one_read_only_template():
     rng = np.random.default_rng(82)
-    first = diamond._encode(random_choi_difference(rng, 2), 2)
-    second = diamond._encode(random_choi_difference(rng, 2), 2)
+    first = diamond._encoding(random_choi_difference(rng, 2), 2, "choi").problem
+    second = diamond._encoding(random_choi_difference(rng, 2), 2, "choi").problem
     assert np.shares_memory(first.a, second.a) and np.shares_memory(first.b, second.b)
     assert not np.shares_memory(first.c, second.c)
     with pytest.raises(ValueError, match="read-only"):
@@ -592,16 +593,18 @@ def test_repeated_solves_build_one_template():
 
 
 def test_template_cache_keeps_only_small_dimensions():
-    # from d = 4 on, the Choi route is the structured operator: no template
+    # from d = 4 on, the Choi program is the structured path: no template
     diamond._template.cache_clear()
     for d in (4, 5):
-        problem = diamond._encode(np.zeros((d * d, d * d)), d)
+        j = np.zeros((d * d, d * d))
+        problem = diamond._encoding(j, d, diamond._plan(j, d)[0]).problem
         assert isinstance(problem, diamond._ChoiOperator)
         assert problem.num_constraints == d**4 + 1
     info = diamond._template.cache_info()
     assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
     for d in (2, 3):
-        assert isinstance(diamond._encode(np.zeros((d * d, d * d)), d), sdp.SdpProblem)
+        j = np.zeros((d * d, d * d))
+        assert isinstance(diamond._encoding(j, d, diamond._plan(j, d)[0]).problem, sdp.SdpProblem)
     assert diamond._template.cache_info().currsize == 2
 
 
@@ -625,9 +628,10 @@ def route_pairs(d, rng):
 def test_routes_agree_when_forced(d):
     # both encodings of the same pair: the intervals overlap, and each value
     # lies inside the other route's interval up to the solver tolerance
+    choi_path = "structured" if d == 4 else "choi"
     rng = np.random.default_rng(90 + d)
     for e, f in route_pairs(d, rng):
-        *_, choi = diamond._solve(e.choi - f.choi, d, "choi")
+        *_, choi = diamond._solve(e.choi - f.choi, d, choi_path)
         *_, fid = diamond._solve(e.choi - f.choi, d, "fidelity")
         assert (choi.route, fid.route) == ("choi", "fidelity")
         assert choi.lower_certificate <= fid.upper_certificate
@@ -636,13 +640,13 @@ def test_routes_agree_when_forced(d):
             assert b.lower_certificate - 1e-8 <= a.value <= b.upper_certificate + 1e-8
 
 
-@pytest.mark.parametrize("route", ["choi", "fidelity"])
-def test_witness_never_exceeds_upper_certificate(route):
+@pytest.mark.parametrize("path", ["choi", "fidelity"])
+def test_witness_never_exceeds_upper_certificate(path):
     rng = np.random.default_rng(95)
     for d in (2, 3):
         for e, f in route_pairs(d, rng):
             j = e.choi - f.choi
-            encoding, solution, _, res = diamond._solve(j, d, route)
+            encoding, solution, _, res = diamond._solve(j, d, path)
             witness = diamond._witness_value(
                 j, d, solution.x[encoding.witness], encoding.transpose
             )
@@ -654,23 +658,39 @@ def test_witness_never_exceeds_upper_certificate(route):
 
 def test_route_follows_the_rank_of_the_choi_difference():
     rng = np.random.default_rng(97)
-    # r = 3 and 2 r^2 + 2 rows on the fidelity route, d^4 + 1 on the Choi route
+    # r = 3 at d = 4 takes the fidelity path
     low = random_channel(rng, 4, 2)
-    assert diamond._route(low.choi - channels.identity_channel(4).choi, 4) == ("fidelity", 20)
-    # the Pauli twirl of a Haar unitary has all 16 Pauli terms
+    assert diamond._plan(low.choi - channels.identity_channel(4).choi, 4)[0] == "fidelity"
+    # the Pauli twirl of a Haar unitary has all 16 Pauli terms; the
+    # structured path counts its (d^2, d^2, d^2) stack
     twirled = pauli.pauli_twirl(channels.unitary_channel(random_unitary(rng, 4)))
-    assert diamond._route(twirled.choi - channels.identity_channel(4).choi, 4) == ("choi", 257)
-    # every d = 2 pair stays on the Choi route, and so does J = 0
+    assert diamond._plan(twirled.choi - channels.identity_channel(4).choi, 4) == ("structured", 4**6)
+    # every d = 2 pair takes the "choi" path, and so does J = 0 at d = 3
     e, f = random_channel(rng, 2, 1), channels.identity_channel(2)
-    assert diamond._route(e.choi - f.choi, 2) == ("choi", 17)
-    assert diamond._route(np.zeros((9, 9)), 3) == ("choi", 82)
-    # the fidelity route while 2 r^2 + 2 <= 7 d^2: r = 5 at d = 3, 7 at d = 4,
+    assert diamond._plan(e.choi - f.choi, 2)[0] == "choi"
+    assert diamond._plan(np.zeros((9, 9)), 3)[0] == "choi"
+    # the fidelity path while 2 r^2 + 2 <= 7 d^2: r = 5 at d = 3, 7 at d = 4,
     # 14 at d = 8
     for d, top in ((3, 5), (4, 7), (8, 14)):
-        for r, route in ((top, "fidelity"), (top + 1, "choi")):
+        for r, path in ((top, "fidelity"), (top + 1, "choi" if d == 3 else "structured")):
             q = random_unitary(rng, d * d)[:, :r]
             j = (q * rng.choice([-0.1, 0.1], r)) @ q.conj().T
-            assert diamond._route(j, d) == (route, 2 * r * r + 2 if route == "fidelity" else d**4 + 1)
+            assert diamond._plan(j, d)[0] == path
+
+
+@pytest.mark.parametrize(
+    "d, rank, path",
+    [(2, 1, "choi"), (3, 9, "choi"), (3, 2, "fidelity"), (4, 3, "fidelity"), (4, 7, "fidelity"), (8, 14, "fidelity")],
+)
+def test_plan_counts_the_array_its_path_builds(d, rank, path):
+    # the cap's count is the constraint matrix that _encoding allocates, on
+    # the fidelity path and on the assembled "choi" path
+    rng = np.random.default_rng(140 + 10 * d + rank)
+    q = random_unitary(rng, d * d)[:, :rank]
+    j = (q * rng.choice([-0.1, 0.1], rank)) @ q.conj().T
+    planned, entries = diamond._plan(j, d)
+    assert planned == path
+    assert entries == diamond._encoding(j, d, path).problem.a.size
 
 
 def test_three_qubit_low_rank_pairs_take_the_fidelity_route():
@@ -720,11 +740,10 @@ def test_closed_forms_report_no_route():
 
 
 def test_five_dimensional_high_rank_pair_runs_without_a_flag():
-    # r = 24: the Choi route with 5^4 + 1 rows, on the structured operator
+    # r = 24: the Choi route with 5^4 + 1 rows, on the structured path
     rng = np.random.default_rng(100)
     e, f = random_channel(rng, 5, 12), random_channel(rng, 5, 12)
-    assert diamond._route(e.choi - f.choi, 5) == ("choi", 626)
-    assert isinstance(diamond._encode(e.choi - f.choi, 5), diamond._ChoiOperator)
+    assert diamond._plan(e.choi - f.choi, 5) == ("structured", 5**6)
     res = diamond.diamond_distance(e, f)
     assert (res.method, res.route) == (DiamondMethod.SDP, "choi")
     assert res.upper_certificate - res.lower_certificate <= 1e-7
@@ -733,7 +752,7 @@ def test_five_dimensional_high_rank_pair_runs_without_a_flag():
 
 
 def test_sixteen_dimensional_low_rank_pairs_bracket_their_closed_forms():
-    # four qubits on the fidelity route: a diagonal unitary (r = 2, 10 rows)
+    # four qubits on the fidelity path: a diagonal unitary (r = 2, 10 rows)
     # and a three-term Pauli channel (r = 3, 20 rows)
     rng = np.random.default_rng(101)
     u = channels.unitary_channel(np.diag(np.exp(1j * rng.uniform(-0.6, 0.6, 16))))
@@ -741,7 +760,9 @@ def test_sixteen_dimensional_low_rank_pairs_bracket_their_closed_forms():
     for channel, rows in ((u, 10), (sparse, 20)):
         closed = diamond.diamond_distance(channel)
         assert closed.method is not DiamondMethod.SDP
-        assert diamond._route(channel.choi - channels.identity_channel(16).choi, 16) == ("fidelity", rows)
+        j = channel.choi - channels.identity_channel(16).choi
+        assert diamond._plan(j, 16)[0] == "fidelity"
+        assert diamond._encoding(j, 16, "fidelity").problem.num_constraints == rows
         res = diamond.diamond_distance(channel, method="sdp")
         assert res.route == "fidelity"
         assert res.lower_certificate <= closed.value <= res.upper_certificate
@@ -790,7 +811,7 @@ def test_structured_newton_solve_matches_the_assembled_nt_matrix(d):
 @pytest.mark.parametrize("d", [4, 8])
 def test_structured_route_brackets_closed_forms(d):
     # a diagonal unitary (distance below 1) and a sparse Pauli channel,
-    # forced through the Choi route, which is the structured operator here
+    # forced through the structured path
     rng = np.random.default_rng(130 + d)
     u = channels.unitary_channel(np.diag(np.exp(1j * rng.uniform(-0.6, 0.6, d))))
     labels = {4: ("II", "XZ", "YY"), 8: ("III", "XZI", "YYZ")}[d]
@@ -800,8 +821,8 @@ def test_structured_route_brackets_closed_forms(d):
         closed = diamond.diamond_distance(channel)
         assert closed.method is not DiamondMethod.SDP
         j = channel.choi - identity.choi
-        assert isinstance(diamond._encode(j, d), diamond._ChoiOperator)
-        *_, res = diamond._solve(j, d, "choi")
+        encoding, *_, res = diamond._solve(j, d, "structured")
+        assert isinstance(encoding.problem, diamond._ChoiOperator)
         assert res.route == "choi"
         assert res.lower_certificate <= closed.value <= res.upper_certificate
         assert res.upper_certificate - res.lower_certificate <= 1e-8
@@ -819,7 +840,7 @@ def test_inaccurate_structured_newton_solve_raises(monkeypatch):
 
     monkeypatch.setattr(diamond._ChoiOperator, "nt_solver", degraded)
     channel = random_channel(np.random.default_rng(97), 4, 12)
-    with pytest.raises(sdp.SolverError, match=r"\(choi route\) stopped unconverged \(numerical_failure\)"):
+    with pytest.raises(sdp.SolverError, match=r"\(structured path\) stopped unconverged \(numerical_failure\)"):
         diamond.diamond_distance(channel)
 
 
@@ -830,6 +851,6 @@ def test_structured_solve_takes_the_corrector_step():
     identity = channels.identity_channel(4)
     for _ in range(3):
         j = random_channel(rng, 4, 12).choi - identity.choi
-        _, solution, _, _ = diamond._solve(j, 4, "choi")
+        _, solution, _, _ = diamond._solve(j, 4, "structured")
         assert solution.status is sdp.SdpStatus.CONVERGED
         assert solution.iterations <= 20

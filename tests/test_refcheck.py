@@ -11,7 +11,6 @@ from gatebounds import channels, diamond, kernels, refcheck
 
 
 def recorded_context(channel, route="choi"):
-    diamond._ensure_calibrated(route)
     with diamond.recorded_solves() as records:
         diamond.diamond_distance(channel, method="sdp")
     assert len(records) == 1

@@ -195,9 +195,8 @@ def test_diamond_solves_repeat_bit_for_bit(channel, path):
     # the same iterate to the last bit
     d = channel.dim
     j = channel.choi - channels.identity_channel(d).choi
-    route, _ = diamond._route(j, d)
-    assert diamond._path(route, d) == path
-    problem = diamond._ENCODINGS[route](j, d).problem
+    assert diamond._plan(j, d)[0] == path
+    problem = diamond._encoding(j, d, path).problem
     first, second = sdp.solve(problem), sdp.solve(problem)
     assert first.status is sdp.SdpStatus.CONVERGED
     assert_identical_solutions(first, second)
@@ -317,7 +316,7 @@ def test_solve_leaves_the_problem_untouched():
     # a problem that a caller keeps (the reproduction suite keeps every
     # solved one) gains no attributes and keeps its data
     j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
-    prob = diamond._encode(j, 2)
+    prob = diamond._encoding(j, 2, "choi").problem
     before = dict(vars(prob))
     data = [prob.a.copy(), prob.b.copy(), prob.c.copy()]
     assert sdp.solve(prob).status is sdp.SdpStatus.CONVERGED
@@ -331,7 +330,7 @@ def test_two_schur_solves_per_iteration(monkeypatch):
     # the Schur Cholesky only tests definiteness; each of the two directions
     # is then a single solve against the Schur matrix
     j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
-    prob = diamond._encode(j, 2)
+    prob = diamond._encoding(j, 2, "choi").problem
     m = prob.num_constraints
     assert m not in prob.block_dims
     shapes = []
@@ -491,7 +490,7 @@ def test_indefinite_iterate_reports_numerical_failure(monkeypatch):
     # overshooting the boundary leaves one block of an X and Z stack
     # indefinite; its run's factorization fails and the solve stops there
     j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
-    prob = diamond._encode(j, 2)
+    prob = diamond._encoding(j, 2, "choi").problem
     outcomes = []
     real = sdp._inverse_cholesky
 
@@ -524,7 +523,7 @@ def test_one_cholesky_per_block_per_iteration(monkeypatch, two_blocks):
 
 def test_diamond_sdp_lapack_calls_per_iteration(monkeypatch):
     j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
-    prob = diamond._encode(j, 2)
+    prob = diamond._encoding(j, 2, "choi").problem
     assert prob.runs == [(2, 4), (1, 2)]
     check_lapack_calls(monkeypatch, prob)
 
@@ -568,7 +567,8 @@ def test_runs_group_consecutive_equal_sizes():
 def test_diamond_template_has_two_runs(d):
     # the assembled template at d = 2 and the structured operator at d = 4
     # share the block layout (W, S, rho)
-    problem = diamond._encode(np.zeros((d * d, d * d)), d)
+    j = np.zeros((d * d, d * d))
+    problem = diamond._encoding(j, d, diamond._plan(j, d)[0]).problem
     assert problem.runs == [(2, d * d), (1, d)]
     assert isinstance(problem, sdp.SdpProblem if d < 4 else sdp.StructuredProblem)
 
