@@ -36,7 +36,6 @@ from .channels import (
     unitary_error,
 )
 from .diamond import (
-    CalibrationError,
     DiamondMethod,
     DiamondResult,
     ascent_lower_bound,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport",
-    "CalibrationError",
     "Channel",
     "ChannelValidationError",
     "DiamondMethod",

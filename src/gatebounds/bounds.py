@@ -100,16 +100,24 @@ def round_significant(x, figures, mode=decimal.ROUND_HALF_EVEN):
     """Round to the given count of significant figures (half-even default).
 
     ``figures`` is a positive integer, or a float of integer value.
+    ``Decimal(x)`` is exact, so at least as many figures as it has digits
+    return ``x`` unchanged, and fewer round at that digit count's precision.
     """
-    if not (isinstance(figures, numbers.Real) and float(figures).is_integer() and figures >= 1):
+    if isinstance(figures, bool) or not (
+        isinstance(figures, numbers.Real)
+        and figures >= 1
+        and (isinstance(figures, numbers.Integral) or float(figures).is_integer())
+    ):
         raise ValueError(f"significant figures must be an integer of at least 1, got {figures!r}")
-    figures = int(figures)
     v = float(x)
     if v == 0.0 or not math.isfinite(v):
         return v
     d = decimal.Decimal(v)
-    q = decimal.Decimal(1).scaleb(d.adjusted() - figures + 1)
-    return float(d.quantize(q, rounding=mode))
+    digits = len(d.as_tuple().digits)
+    if figures >= digits:
+        return v
+    q = decimal.Decimal(1).scaleb(d.adjusted() - int(figures) + 1)
+    return float(d.quantize(q, rounding=mode, context=decimal.Context(prec=digits)))
 
 
 def ceil_significant(x, figures):

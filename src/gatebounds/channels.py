@@ -5,6 +5,7 @@ are immutable (the stored arrays are marked read-only) and cache their Choi
 matrix on first use, so they are safe to share between threads.
 """
 
+import math
 import numbers
 from functools import cached_property
 
@@ -74,11 +75,15 @@ class Channel:
         return f"Channel(dim={self.dim}, kraus={len(self.kraus)})"
 
 
-def checked_dimension(dim, least):
-    """``dim`` as an int, or ValueError unless it is an integer-valued real of
-    at least ``least``."""
-    if not (isinstance(dim, numbers.Real) and float(dim).is_integer() and dim >= least):
-        raise ValueError(f"dimension must be an integer of at least {least}, got {dim!r}")
+def checked_dimension(dim, least, what="dimension"):
+    """``dim`` as an int, or ValueError unless it is an integer-valued real
+    from ``least`` to 2**53, above which a float no longer holds every
+    integer.  A bool is refused: it is a flag, not a count."""
+    real = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
+    if real and 2**53 < dim < math.inf:
+        raise ValueError(f"{what} must be an integer of at most 2**53, got {dim!r}")
+    if not (real and dim >= least and float(dim).is_integer()):
+        raise ValueError(f"{what} must be an integer of at least {least}, got {dim!r}")
     return int(dim)
 
 

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, channels, diamond, linalg, sdp
+from . import bounds, channels, linalg, sdp
 from .channels import Channel
 
 SWEEP_HEADER = ",".join(f.name for f in dataclasses.fields(bounds.SweepRecord))
@@ -401,7 +401,7 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (diamond.CalibrationError, sdp.SolverError) as exc:
+    except sdp.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

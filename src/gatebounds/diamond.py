@@ -91,13 +91,13 @@ derived without tuned margins:
   eigensolver on an n x n matrix M; the few products that form M round at
   order eps ||M|| too.
 
-The returned value is the solver's primal value, clipped into the interval.
-
-Each path's encoder normalization is calibrated once per process, on the
-path's first use, against the unitary closed form, outside every
-:func:`recorded_solves` block; a mismatch aborts with
-:class:`CalibrationError` since it would mean the package is miswired, not
-that an input is bad.
+*Check.*  The two ends are compared before they are clipped into [0, 1],
+and a witness lower end above the dual upper end raises
+:class:`sdp.SolverError`.  Each end already carries its own rounding
+allowance, so a crossing means a wrong encoding or solve, such as an
+encoder that under-reports eta by a wrong scale, sign or row; the clip
+would hide it, since an upper end below 0 reads as 0.  The returned value
+is the solver's primal value, clipped into the interval.
 """
 
 import contextlib
@@ -119,10 +119,6 @@ MAX_ENTRIES = 2**25
 ASCENT_STARTS = 4
 ASCENT_STEPS = 30
 EPS = float(np.finfo(float).eps)
-
-
-class CalibrationError(RuntimeError):
-    """Encoder self-test against the unitary closed form failed."""
 
 
 class DiamondMethod(Enum):
@@ -175,8 +171,7 @@ def recorded_solves():
 
     Blocks nest, and a solve reaches every block open around it.  Blocks are
     confined to the current context, so a solve made in another thread is
-    not recorded; neither are closed forms or the one-time calibration
-    solves.
+    not recorded; neither are closed forms.
     """
     records = []
     token = _open_records.set((*_open_records.get(), records))
@@ -587,8 +582,9 @@ def _witness_value(j_delta, d, rho, transpose):
     return float(_output_value(np.linalg.eigvalsh(_outputs(j_delta, d, psi)), d * d))
 
 
-def _certify(encoding, solution, checked, j_delta, d):
-    """The certified interval of a converged solve, as a DiamondResult."""
+def _certify(encoding, solution, checked, j_delta, d, path):
+    """The certified interval of a converged solve on ``path``, as a
+    DiamondResult; a crossed interval raises :class:`sdp.SolverError`."""
     lower = _witness_value(j_delta, d, solution.x[encoding.witness], encoding.transpose)
     # lambda_min of each dual slack block, less its rounding allowance
     least = [
@@ -599,32 +595,23 @@ def _certify(encoding, solution, checked, j_delta, d):
     for blocks, trace in encoding.trace_bounds:
         bound += min(0.0, *(least[b] for b in blocks)) * trace
     upper = -encoding.scale * bound + encoding.dropped
+    if lower > upper:
+        raise sdp.SolverError(
+            f"diamond SDP ({path} path) certified a crossed interval: witness lower end "
+            f"{lower!r} above dual upper end {upper!r}"
+        )
     lower = min(1.0, max(0.0, lower))
     upper = min(1.0, max(0.0, upper))
     value = min(upper, max(lower, -encoding.scale * checked["primal_value"]))
     return DiamondResult(value, lower, upper, DiamondMethod.SDP, encoding.route)
 
 
-@functools.cache
-def _ensure_calibrated(path):
-    # a call that raises is not cached, so the next use of the path retries it
-    theta = 0.5
-    d = STRUCTURED_DIMENSION if path == "structured" else 2
-    u = np.diag([1.0] * (d - 1) + [np.exp(1j * theta)])
-    *_, got = _solve(Channel([u]).choi - identity_channel(d).choi, d, path)
-    want = math.sin(theta / 2.0)
-    if abs(got.value - want) > 1e-6:
-        raise CalibrationError(
-            f"diamond encoder calibration failed on the {path} path: got {got.value!r}, "
-            f"expected {want!r}"
-        )
-
-
 def _solve(j_delta, d, path):
     """Encode J(E - F) on ``path``, solve, verify and certify.
 
     Returns the encoding, the solution, the verification figures and the
-    DiamondResult; an unconverged solve raises :class:`sdp.SolverError`.
+    DiamondResult; an unconverged solve or a crossed interval raises
+    :class:`sdp.SolverError`.
     """
     encoding = _encoding(j_delta, d, path)
     solution = sdp.solve(encoding.problem)
@@ -634,7 +621,7 @@ def _solve(j_delta, d, path):
             f"{solution.iterations} iterations (gap {solution.gap:.3e})"
         )
     checked = sdp.verify_solution(encoding.problem, solution)
-    return encoding, solution, checked, _certify(encoding, solution, checked, j_delta, d)
+    return encoding, solution, checked, _certify(encoding, solution, checked, j_delta, d, path)
 
 
 def _second(e, f):
@@ -654,7 +641,8 @@ def diamond_distance(e, f=None, method="auto"):
     "sdp" to force the solver, which cross-checks use.  The SDP's path is
     picked from d and the rank of J(E - F), and a path whose largest array
     has more than ``MAX_ENTRIES`` entries raises ``ValueError`` (module
-    docstring).  A solve that does not converge raises
+    docstring).  A solve that does not converge, or whose certified
+    interval crosses (module docstring, *Check*), raises
     :class:`sdp.SolverError`.
     """
     f = _second(e, f)
@@ -681,7 +669,6 @@ def diamond_distance(e, f=None, method="auto"):
             f"dimension {e.dim} diamond SDP on the {path} path needs an array of {entries} "
             f"entries, above the cap of {MAX_ENTRIES}"
         )
-    _ensure_calibrated(path)
     *_, checked, result = _solve(j_delta, e.dim, path)
     blocks = _open_records.get()
     if blocks:

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .channels import Channel
+from .channels import Channel, checked_dimension
 
 PAULI_TOL = 1e-9
 
@@ -20,9 +20,8 @@ PAULI_MATRICES = {
 
 def pauli_labels(qubits):
     """All length-n Pauli labels in lexicographic I, X, Y, Z order."""
-    if qubits < 1:
-        raise ValueError("need at least one qubit")
-    return ["".join(p) for p in product("IXYZ", repeat=qubits)]
+    n = checked_dimension(qubits, 1, "qubit count")
+    return ["".join(p) for p in product("IXYZ", repeat=n)]
 
 
 def pauli_operator(label):

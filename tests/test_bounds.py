@@ -41,6 +41,23 @@ def test_bound_input_validation():
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+    # a bool is a flag, not a count; above 2**53 a float no longer holds
+    # every integer, and 10**300 overflowed inside the bound
+    for dim, message in (
+        (True, "dimension must be an integer of at least 2, got True"),
+        (2**53 + 1, r"dimension must be an integer of at most 2\*\*53, got 9007199254740993"),
+        (10**300, r"dimension must be an integer of at most 2\*\*53, got 1000"),
+    ):
+        for call in (
+            lambda: bounds.pauli_lower_bound(0.99, dim),
+            lambda: bounds.generic_upper_bound(0.99, dim),
+            lambda: bounds.nontriviality_threshold(dim),
+            lambda: bounds.required_fidelity(0.01, dim),
+            lambda: bounds.pauli_refined_interval(0.99, dim, 0.01),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert bounds.nontriviality_threshold(2**53) == 1.0
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             bounds.pauli_lower_bound(bad, 2)
@@ -147,7 +164,14 @@ def test_round_significant():
     # an integer-valued float or numpy integer counts as that many figures
     assert bounds.round_significant(0.24494, 3.0) == 0.245
     assert bounds.round_significant(1.75, np.int64(2)) == 1.8
-    for bad in (0, 0.0, -1, 1.5, math.nan, math.inf, "3", None):
+    # Decimal(x) is exact: past the 28 digits of the default decimal context
+    # the rounding still works, and at or past x's own digit count x returns
+    assert bounds.round_significant(0.1, 29) == 0.1
+    assert bounds.round_significant(2.0 / 3.0, 29) == 2.0 / 3.0
+    assert bounds.ceil_significant(0.1, 40) == 0.1
+    assert bounds.round_significant(1.2345, 10**400) == 1.2345
+    assert bounds.round_significant(5e-324, 751) == 5e-324
+    for bad in (0, 0.0, -1, 1.5, math.nan, math.inf, "3", None, True, False):
         message = f"significant figures must be an integer of at least 1, got {re.escape(repr(bad))}"
         with pytest.raises(ValueError, match=message):
             bounds.round_significant(1.0, bad)

@@ -185,7 +185,7 @@ def test_phase_matrix_rejects_non_finite_theta(bad):
         channels.generalized_cphase(4, bad)
 
 
-@pytest.mark.parametrize("bad", [1, 2.5, np.inf, np.nan, "2"])
+@pytest.mark.parametrize("bad", [1, 2.5, np.inf, np.nan, "2", True])
 def test_phase_matrix_rejects_a_non_integer_dimension(bad):
     message = f"dimension must be an integer of at least 2, got {re.escape(repr(bad))}"
     with pytest.raises(ValueError, match=message):
@@ -203,7 +203,7 @@ def test_identity_channel_takes_an_integer_valued_dimension(dim):
     np.testing.assert_array_equal(ch.kraus[0], np.eye(int(dim)))
 
 
-@pytest.mark.parametrize("bad", [0, -2, 2.5, np.inf, np.nan, "2", None])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, np.inf, np.nan, "2", None, True, False])
 def test_identity_channel_rejects_a_non_integer_dimension(bad):
     message = f"dimension must be an integer of at least 1, got {re.escape(repr(bad))}"
     with pytest.raises(ValueError, match=message):

@@ -14,6 +14,7 @@ import pytest
 
 import gatebounds
 from gatebounds import channels, cli, diamond, pauli, sdp
+from test_diamond import scale_encoder
 
 
 def mat(m):
@@ -109,7 +110,6 @@ def test_analyze_named_depolarizing(tmp_path, capsys):
 
 
 def test_analyze_exits_2_on_unconverged_solve(tmp_path, capsys, monkeypatch):
-    diamond._ensure_calibrated("choi")
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     path = named_file(tmp_path, "ad.json", 2, "amplitude_damping", {"r": 0.1})
     assert cli.main(["analyze", path]) == 2
@@ -293,6 +293,14 @@ def test_bounds_command_rounds_the_percentages(capsys):
     assert "nontrivial           no" in capsys.readouterr().out
 
 
+def test_bounds_command_rejects_a_dimension_above_2_to_the_53(capsys):
+    # it overflowed to a float inside the bound before
+    assert cli.main(["bounds", "--fidelity", "0.99", "--dim", "1" + "0" * 400]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: dimension must be an integer of at most 2**53")
+    assert captured.out == ""
+
+
 def test_bounds_command_rejects_non_finite_fidelity(capsys):
     for bad in ("nan", "inf"):
         assert cli.main(["bounds", "--fidelity", bad, "--dim", "2"]) == 1
@@ -461,11 +469,18 @@ def test_analyze_json_names_the_route(tmp_path, capsys):
 
 
 def test_analyze_exits_2_on_unconverged_fidelity_route_solve(tmp_path, capsys, monkeypatch):
-    diamond._ensure_calibrated("fidelity")
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     path = named_file(tmp_path, "mix.json", 3, "lambda_mixture", {"lambda": 0.1})
     assert cli.main(["analyze", path]) == 2
     assert "fidelity path) stopped unconverged" in capsys.readouterr().err
+
+
+def test_analyze_exits_2_on_a_crossed_interval(tmp_path, capsys, monkeypatch):
+    # an encoder with half its scale under-reports eta on every solve
+    scale_encoder(monkeypatch, 0.5)
+    path = named_file(tmp_path, "ad.json", 2, "amplitude_damping", {"r": 0.1})
+    assert cli.main(["analyze", path]) == 2
+    assert "choi path) certified a crossed interval" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

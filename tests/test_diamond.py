@@ -15,7 +15,7 @@ import pytest
 
 from gatebounds import bounds, channels, cli, diamond, kernels, pauli, sdp
 from gatebounds.channels import Channel
-from gatebounds.diamond import DiamondMethod, DiamondResult
+from gatebounds.diamond import DiamondMethod
 from helpers import random_channel, random_hermitian, random_pauli_channel, random_unitary
 from test_sdp import flat_problem
 
@@ -296,8 +296,7 @@ def refuse_to_build(*args, **kwargs):
 
 
 def test_row_cap_refuses_before_anything_is_built(monkeypatch, tmp_path, capsys):
-    # nothing may be built for a refused pair, nor calibrated before the check
-    diamond._ensure_calibrated.cache_clear()
+    # nothing may be built for a refused pair
     monkeypatch.setattr(sdp, "solve", refuse_to_build)
     monkeypatch.setattr(diamond, "_template", refuse_to_build)
     monkeypatch.setattr(diamond, "_ChoiOperator", refuse_to_build)
@@ -345,8 +344,6 @@ def test_argument_validation():
 
 
 def test_recorded_solves_see_each_solve():
-    # the one-time calibration solve that this call pays is not recorded
-    diamond._ensure_calibrated.cache_clear()
     with diamond.recorded_solves() as records:
         ch = channels.amplitude_damping(0.25)
         res = diamond.diamond_distance(ch, method="sdp")
@@ -393,15 +390,6 @@ def test_no_record_is_built_outside_a_block(monkeypatch):
     assert res.method is DiamondMethod.SDP
 
 
-def test_calibration_solves_reach_no_block():
-    diamond._ensure_calibrated.cache_clear()
-    with diamond.recorded_solves() as records:
-        for path in ("choi", "fidelity", "structured"):
-            diamond._ensure_calibrated(path)
-    assert diamond._ensure_calibrated.cache_info().currsize == 3
-    assert records == []
-
-
 def test_recorded_solves_see_only_their_own_thread():
     # a new thread starts in an empty context, outside the block
     ch = channels.amplitude_damping(0.25)
@@ -414,50 +402,7 @@ def test_recorded_solves_see_only_their_own_thread():
     assert records == []
 
 
-def test_calibration_completes_after_first_sdp_use():
-    # each path calibrates on its own first use: a d = 2 pair takes the
-    # "choi" path, a low-rank d = 3 pair the "fidelity" path
-    diamond._ensure_calibrated.cache_clear()
-    diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp")
-    assert diamond._ensure_calibrated.cache_info().currsize == 1
-    res = diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp")
-    assert res.route == "fidelity"
-    assert diamond._ensure_calibrated.cache_info().currsize == 2
-    # the "structured" path (d >= 4) calibrates on its own
-    res = diamond.diamond_distance(random_channel(np.random.default_rng(96), 4, 12))
-    assert res.route == "choi"
-    assert diamond._ensure_calibrated.cache_info().currsize == 3
-
-
-def check_failed_calibration_is_retried(monkeypatch, channel, path, route):
-    diamond._ensure_calibrated.cache_clear()
-    wrong = DiamondResult(0.5, 0.5, 0.5, DiamondMethod.SDP, route)
-    with monkeypatch.context() as m:
-        m.setattr(diamond, "_solve", lambda j_delta, d, path: (None, None, None, wrong))
-        with pytest.raises(diamond.CalibrationError, match=f"calibration failed on the {path} path"):
-            diamond.diamond_distance(channel, method="sdp")
-    assert diamond._ensure_calibrated.cache_info().currsize == 0
-    res = diamond.diamond_distance(channel, method="sdp")
-    assert res.method is DiamondMethod.SDP
-    assert res.route == route
-    assert diamond._ensure_calibrated.cache_info().currsize == 1
-
-
-def test_failed_calibration_raises_and_is_retried(monkeypatch):
-    check_failed_calibration_is_retried(monkeypatch, channels.amplitude_damping(0.1), "choi", "choi")
-
-
-def test_failed_fidelity_calibration_raises_and_is_retried(monkeypatch):
-    check_failed_calibration_is_retried(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity", "fidelity")
-
-
-def test_failed_structured_calibration_raises_and_is_retried(monkeypatch):
-    channel = random_channel(np.random.default_rng(96), 4, 12)
-    check_failed_calibration_is_retried(monkeypatch, channel, "structured", "choi")
-
-
 def check_unconverged_solve_raises(monkeypatch, channel, path):
-    diamond._ensure_calibrated(path)
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     with pytest.raises(sdp.SolverError, match=rf"\({path} path\) stopped unconverged \(max_iterations\)"):
         diamond.diamond_distance(channel, method="sdp")
@@ -469,6 +414,85 @@ def test_unconverged_solve_raises(monkeypatch):
 
 def test_unconverged_fidelity_route_solve_raises(monkeypatch):
     check_unconverged_solve_raises(monkeypatch, channels.generalized_cphase(3, 0.4), "fidelity")
+
+
+def scale_encoder(monkeypatch, factor):
+    # a miswired encoder: every encoding reads eta off the solver's value
+    # with the wrong scale
+    real = diamond._encoding
+
+    def wrong(j_delta, d, path):
+        encoding = real(j_delta, d, path)
+        return encoding._replace(scale=factor * encoding.scale)
+
+    monkeypatch.setattr(diamond, "_encoding", wrong)
+
+
+@pytest.mark.parametrize(
+    "channel, path",
+    [
+        (channels.amplitude_damping(0.1), "choi"),
+        (channels.generalized_cphase(3, 0.4), "fidelity"),
+        (random_channel(np.random.default_rng(96), 4, 12), "structured"),
+    ],
+    ids=["choi", "fidelity", "structured"],
+)
+def test_halved_encoder_scale_crosses_the_interval(monkeypatch, channel, path):
+    # an encoder that under-reports puts the dual upper end below the witness
+    # lower end, which the encoder does not touch, on every solve
+    scale_encoder(monkeypatch, 0.5)
+    with pytest.raises(sdp.SolverError, match=rf"\({path} path\) certified a crossed interval: witness lower end"):
+        diamond.diamond_distance(channel, method="sdp")
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["choi", "fidelity"])
+def test_doubled_encoder_scale_leaves_a_valid_interval_and_a_wrong_value(monkeypatch, dim):
+    # an encoder that over-reports leaves a valid but wide interval, so only
+    # a comparison of the value with an exact one catches it
+    channel = channels.generalized_cphase(dim, 0.4)
+    exact = diamond.diamond_distance(channel).value
+    scale_encoder(monkeypatch, 2.0)
+    res = diamond.diamond_distance(channel, method="sdp")
+    assert res.lower_certificate <= exact <= res.upper_certificate
+    assert res.value == pytest.approx(2.0 * exact, rel=1e-6)
+
+
+FIRST_CALLS = """
+import numpy as np
+from gatebounds import channels, diamond, sdp
+from helpers import random_channel
+
+real = sdp.solve
+calls = []
+
+
+def counted(*args, **kwargs):
+    calls.append(args)
+    return real(*args, **kwargs)
+
+
+sdp.solve = counted
+pairs = [
+    channels.amplitude_damping(0.1),
+    channels.generalized_cphase(3, 0.4),
+    random_channel(np.random.default_rng(96), 4, 12),
+]
+for channel in pairs:
+    before = len(calls)
+    e = channel.choi - channels.identity_channel(channel.dim).choi
+    path = diamond._plan(e, channel.dim)[0]
+    diamond.diamond_distance(channel, method="sdp")
+    print(path, len(calls) - before)
+"""
+
+
+def test_first_solve_on_each_path_is_the_only_solve():
+    # no hidden solve: in a fresh process, the first SDP on each path solves
+    # exactly once
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(diamond.__file__).parent.parent), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", FIRST_CALLS], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["choi 1", "fidelity 1", "structured 1"]
 
 
 def from_scratch_encoding(j_delta, d):
@@ -584,7 +608,6 @@ def test_encodings_share_one_read_only_template():
 
 
 def test_repeated_solves_build_one_template():
-    diamond._ensure_calibrated("choi")
     diamond._template.cache_clear()
     for p in (0.1, 0.2, 0.3):
         diamond.diamond_distance(channels.amplitude_damping(p), method="sdp")
@@ -831,7 +854,6 @@ def test_structured_route_brackets_closed_forms(d):
 def test_inaccurate_structured_newton_solve_raises(monkeypatch):
     # a base solve three times too long never shrinks its residual under
     # refinement: the solve stops as a numerical failure, never as a result
-    diamond._ensure_calibrated("structured")
     real = diamond._ChoiOperator.nt_solver
 
     def degraded(self, ws):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,11 @@ def test_labels():
     two = pauli.pauli_labels(2)
     assert len(two) == 16
     assert two[0] == "II" and two[1] == "IX" and two[-1] == "ZZ"
-    with pytest.raises(ValueError):
-        pauli.pauli_labels(0)
+    # the qubit count is checked as a dimension of at least 1
+    assert pauli.pauli_labels(2.0) == two
+    for bad in (0, 1.5, True, "2", 2**53 + 1):
+        with pytest.raises(ValueError, match=f"qubit count must be an integer of at (least 1|most 2\\*\\*53), got {re.escape(repr(bad))}"):
+            pauli.pauli_labels(bad)
 
 
 def test_operators_square_to_identity():

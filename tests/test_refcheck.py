@@ -115,8 +115,8 @@ print(passes[0][-1][2])
 
 
 def test_suite_passes_agree_in_a_fresh_process():
-    # the first pass pays the calibration solves; they must not reach the
-    # solver-health audit, or the first pass counts more solves than the next
+    # the first pass fills the per-process caches (templates, coordinates);
+    # that must not change what the solver-health audit counts or finds
     env = dict(os.environ, PYTHONPATH=str(Path(gatebounds.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", TWO_PASSES], capture_output=True, text=True, env=env, check=True
