@@ -76,8 +76,8 @@ def pauli_refined_interval(phi, dim, pauli_dist):
     larger) and the upper end capped by the generic bound and by 1.
     """
     delta = float(pauli_dist)
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"Pauli distance {pauli_dist!r} is not a finite nonnegative number")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"Pauli distance {pauli_dist!r} outside [0, 1]")
     eta_p = pauli_lower_bound(phi, dim)
     lo = max(eta_p, abs(delta - eta_p))
     hi = min(1.0, delta + eta_p, generic_upper_bound(phi, dim))
@@ -232,8 +232,8 @@ def _damping_from_phi(phi):
 
 
 def _depolarizing_from_phi(phi):
-    # phi = 1 - r/2
-    r = 2.0 * (1.0 - phi)
+    # phi = 1 - r/2; at phi = 1/3 rounding lands r one ulp above 4/3
+    r = min(4.0 / 3.0, 2.0 * (1.0 - phi))
     return r, channels.depolarizing(r)
 
 

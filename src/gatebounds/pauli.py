@@ -5,7 +5,6 @@ from itertools import product
 
 import numpy as np
 
-from . import linalg
 from .channels import Channel, checked_dimension
 
 PAULI_TOL = 1e-9
@@ -81,30 +80,10 @@ class PauliChannel:
         return Channel(kraus)
 
 
-def pauli_twirl(channel):
-    """Average the channel over conjugation by every Pauli operator.
-
-    The exact 4^n term sum: the twirled channel has Kraus operators
-    P_k A_m P_k / 2^n over all pairs.  The result is always a Pauli channel.
-    """
-    n = _qubit_count(channel.dim)
-    scale = 1.0 / 2**n
-    kraus = []
-    for label in pauli_labels(n):
-        p = pauli_operator(label)
-        kraus.extend(scale * (p @ a @ p) for a in channel.kraus)
-    return Channel(kraus)
-
-
-def as_pauli_channel(channel):
-    """Extract Pauli probabilities from a channel that is Pauli within
-    ``PAULI_TOL``.
-
-    Conjugating the Choi matrix into the basis of flattened Pauli operators
-    makes a Pauli channel exactly diagonal, with p_k * dim on the diagonal.
-    Any off-diagonal entry above ``PAULI_TOL`` means the channel is not Pauli
-    and a ``ValueError`` is raised.
-    """
+def _projection(channel):
+    """The Pauli channel of diag(T).real / d, clipped at 0 and renormalized,
+    and the largest |off-diagonal| entry of T = B^dagger J B, the process
+    matrix in the basis B = [vec(P_k) / sqrt(d)]: diagonal iff Pauli."""
     n = _qubit_count(channel.dim)
     d = channel.dim
     labels = pauli_labels(n)
@@ -112,12 +91,26 @@ def as_pauli_channel(channel):
     transformed = basis.conj().T @ channel.choi @ basis
     off = transformed - np.diag(np.diag(transformed))
     worst = float(np.abs(off).max())
-    if worst > PAULI_TOL:
-        raise ValueError(
-            f"channel is not Pauli: off-diagonal Choi weight {worst:.3e} exceeds {PAULI_TOL:.3e}"
-        )
     raw = np.diag(transformed).real / d
     probs = {label: float(max(0.0, p)) for label, p in zip(labels, raw)}
     total = sum(probs.values())
     probs = {label: p / total for label, p in probs.items()}
-    return PauliChannel(n, probs)
+    return PauliChannel(n, probs), worst
+
+
+def pauli_twirl(channel):
+    """Average the channel over conjugation by every Pauli operator: the
+    Pauli channel on the diagonal of its process matrix (``_projection``),
+    with at most 4^n Kraus operators sqrt(p_k) P_k."""
+    return _projection(channel)[0].as_channel()
+
+
+def as_pauli_channel(channel):
+    """The Pauli twirl's probabilities, or ValueError unless the channel is
+    Pauli: an off-diagonal process-matrix entry above ``PAULI_TOL``."""
+    pc, worst = _projection(channel)
+    if worst > PAULI_TOL:
+        raise ValueError(
+            f"channel is not Pauli: off-diagonal Choi weight {worst:.3e} exceeds {PAULI_TOL:.3e}"
+        )
+    return pc

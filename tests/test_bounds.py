@@ -104,6 +104,10 @@ def test_refined_interval_floors_and_caps():
     for bad in (-0.01, math.nan, math.inf):
         with pytest.raises(ValueError):
             bounds.pauli_refined_interval(0.99, 2, bad)
+    # delta above 1 would cross the bracket: lo = delta - eta_pauli > hi
+    with pytest.raises(ValueError, match="Pauli distance 5.0 outside"):
+        bounds.pauli_refined_interval(0.99, 2, 5.0)
+    assert bounds.pauli_refined_interval(0.5, 2, 1.0) == (0.75, 1.0)
     with pytest.raises(ValueError):
         bounds.pauli_refined_interval(math.nan, 2, 0.004)
 
@@ -277,3 +281,12 @@ def test_sweep_rows_rejects_non_finite_fidelity_by_name(bad):
     with pytest.raises(ValueError, match="fidelity must be finite") as info:
         bounds.sweep_rows("depolarizing", [0.9, bad])
     assert "attainable range" not in str(info.value)
+
+
+@pytest.mark.parametrize("model", sorted(bounds.SWEEP_MODELS))
+def test_sweep_rows_accepts_both_ends_of_each_range(model):
+    _, lo, hi = bounds.SWEEP_MODELS[model]
+    rows = bounds.sweep_rows(model, [lo, hi])
+    assert [row.fidelity for row in rows] == pytest.approx([lo, hi], abs=1e-12)
+    for row in rows:
+        assert row.refined_lo <= row.eta + 1e-9 and row.eta <= row.refined_hi + 1e-9

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through ``cli.main``."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -350,6 +351,25 @@ def test_library_imports_neither_cli_nor_numba():
         [sys.executable, "-c", LIBRARY_SOLVES], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "['choi', 'fidelity', 'choi'] []"
+
+
+def test_library_modules_use_every_name_they_import():
+    # a name counts as used when it appears anywhere outside the import
+    # statements, so a string annotation such as "DiamondResult" counts
+    unused = []
+    for path in sorted(Path(gatebounds.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        imports = [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        lines = source.splitlines()
+        for node in imports:
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+        rest = "\n".join(lines)
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if not re.search(rf"\b{re.escape(name)}\b", rest):
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_threshold_command_prints_full_precision(capsys):

@@ -84,6 +84,34 @@ def test_twirl_output_is_pauli_and_idempotent():
         assert float(np.abs(twice.choi - tw.choi).max()) <= 1e-10
 
 
+def reference_twirl_choi(ch):
+    # the definition: (1/4^n) sum_P sum_m (P A_m P)(.)(P A_m P)^dagger, whose
+    # Kraus operators P A_m P / 2^n give the Choi matrix sum vec(K) vec(K)^dagger
+    ops = [pauli.pauli_operator(label) for label in pauli.pauli_labels(ch.dim.bit_length() - 1)]
+    vecs = np.array([(p @ a @ p).ravel() for p in ops for a in ch.kraus]) / ch.dim
+    return vecs.T @ vecs.conj()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_twirl_matches_the_conjugation_average(dim):
+    rng = np.random.default_rng(57 + dim)
+    for _ in range(3):
+        ch = random_channel(rng, dim=dim, kraus_count=3)
+        tw = pauli.pauli_twirl(ch)
+        assert len(tw.kraus) <= dim * dim
+        assert float(np.abs(tw.choi - reference_twirl_choi(ch)).max()) <= 1e-15 * dim
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_twirl_leaves_a_pauli_channel_unchanged(qubits):
+    pc = random_pauli_channel(np.random.default_rng(60 + qubits), qubits)
+    tw = pauli.pauli_twirl(pc.as_channel())
+    assert float(np.abs(tw.choi - pc.as_channel().choi).max()) <= 1e-15 * pc.dim
+    back = pauli.as_pauli_channel(tw)
+    for label in pauli.pauli_labels(qubits):
+        assert back.probs[label] == pytest.approx(pc.probs[label], abs=1e-15)
+
+
 def test_twirl_preserves_fidelity():
     rng = np.random.default_rng(53)
     for _ in range(3):
