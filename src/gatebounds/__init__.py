@@ -41,7 +41,6 @@ from .diamond import (
     ascent_lower_bound,
     brute_force_lower_bound,
     diamond_distance,
-    pauli_diamond_distance,
     pauli_distance,
     unitary_diamond_distance,
 )
@@ -59,7 +58,7 @@ from .pauli import (
     pauli_operator,
     pauli_twirl,
 )
-from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverError, solve
+from .sdp import SolverError
 
 __version__ = "0.1.0"
 
@@ -71,9 +70,6 @@ __all__ = [
     "DiamondResult",
     "EXACT",
     "PauliChannel",
-    "SdpProblem",
-    "SdpSolution",
-    "SdpStatus",
     "SolverError",
     "amplitude_damping",
     "as_pauli_channel",
@@ -94,7 +90,6 @@ __all__ = [
     "lambda_mixture",
     "mix",
     "nontriviality_threshold",
-    "pauli_diamond_distance",
     "pauli_distance",
     "pauli_labels",
     "pauli_lower_bound",
@@ -104,7 +99,6 @@ __all__ = [
     "phase_matrix",
     "required_fidelity",
     "round_significant",
-    "solve",
     "total_variation_distance",
     "trace_distance",
     "unitary_channel",

@@ -73,14 +73,22 @@ def pauli_refined_interval(phi, dim, pauli_dist):
 
     The triangle inequality gives |delta - eta_pauli| <= eta <= delta +
     eta_pauli; the lower end is floored at eta_pauli (always valid and often
-    larger) and the upper end capped by the generic bound and by 1.
+    larger) and the upper end capped by the generic bound and by 1.  No
+    channel has delta - eta_pauli above the generic bound, since delta <=
+    eta + eta_pauli, so such a delta is rejected rather than bracketed.
     """
     delta = float(pauli_dist)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"Pauli distance {pauli_dist!r} outside [0, 1]")
     eta_p = pauli_lower_bound(phi, dim)
+    generic = generic_upper_bound(phi, dim)
+    if delta - eta_p > generic:
+        raise ValueError(
+            f"Pauli distance {delta!r} exceeds the generic upper bound plus eta_pauli "
+            f"at fidelity {phi!r} and dimension {dim!r}"
+        )
     lo = max(eta_p, abs(delta - eta_p))
-    hi = min(1.0, delta + eta_p, generic_upper_bound(phi, dim))
+    hi = min(1.0, delta + eta_p, generic)
     return lo, hi
 
 

@@ -15,9 +15,14 @@ from . import linalg
 
 CPTP_TOL = 1e-9
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# the single-qubit Paulis, public as pauli.PAULI_MATRICES; kept here because
+# pauli builds on Channel and depolarizing builds on them
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
 
 
 class ChannelValidationError(ValueError):
@@ -147,15 +152,8 @@ def depolarizing(r):
     """Single-qubit depolarizing channel with depolarization weight r."""
     if not 0.0 <= r <= 4.0 / 3.0:
         raise ValueError(f"depolarizing weight must lie in [0, 4/3], got {r!r}")
-    eye = np.eye(2, dtype=np.complex128)
-    return Channel(
-        [
-            np.sqrt(1.0 - 3.0 * r / 4.0) * eye,
-            np.sqrt(r / 4.0) * _SIGMA_X,
-            np.sqrt(r / 4.0) * _SIGMA_Y,
-            np.sqrt(r / 4.0) * _SIGMA_Z,
-        ]
-    )
+    weights = {"I": 1.0 - 3.0 * r / 4.0, "X": r / 4.0, "Y": r / 4.0, "Z": r / 4.0}
+    return Channel([np.sqrt(w) * PAULI_MATRICES[k] for k, w in weights.items()])
 
 
 def unitary_error(theta):

@@ -210,16 +210,6 @@ def _pauli_pair_value(p, q):
     return 0.5 * sum(abs(p.probs.get(k, 0.0) - q.probs.get(k, 0.0)) for k in labels)
 
 
-def pauli_diamond_distance(p):
-    """Diamond distance of a Pauli channel from the identity: 1 - p_identity.
-
-    Pauli channels achieve the diamond norm on a maximally entangled state,
-    where the output differences are orthogonal, so the distance collapses
-    to the total variation distance of the probability vectors.
-    """
-    return _exact(p.error_rate, DiamondMethod.PAULI_CLOSED_FORM)
-
-
 def _single_unitary(channel):
     if len(channel.kraus) != 1:
         return None
@@ -678,9 +668,9 @@ def diamond_distance(e, f=None, method="auto"):
     return result
 
 
-def pauli_distance(c, method="auto"):
+def pauli_distance(c):
     """Diamond distance between a channel and its Pauli twirl."""
-    return diamond_distance(c, pauli.pauli_twirl(c), method=method)
+    return diamond_distance(c, pauli.pauli_twirl(c))
 
 
 def brute_force_lower_bound(e, f=None, samples=2000, seed=0):

@@ -5,16 +5,9 @@ from itertools import product
 
 import numpy as np
 
-from .channels import Channel, checked_dimension
+from .channels import PAULI_MATRICES, Channel, checked_dimension
 
 PAULI_TOL = 1e-9
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 def pauli_labels(qubits):

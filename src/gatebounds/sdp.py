@@ -35,7 +35,14 @@ same code path.  Transposes are conjugate transposes throughout.
 The tolerances are module constants, because the certificates downstream
 are judged against them.  A solve is converged once the primal and dual
 residuals are within ``FEAS_TOL`` and the normalized duality gap is within
-``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.
+``GAP_TOL``; it gives up after ``MAX_ITERATIONS`` iterations.  A solve
+returns only what its loop computed: the status, the last iterate's X
+blocks and y, and that iterate's gap and iteration count
+(:class:`SdpSolution`).  :func:`verify_solution` is the one check from
+scratch: residual, eigenvalues of X and of the dual slack C - sum y_i A_i,
+both objective values and the gap, from the problem and (x, y) alone.  The
+package's top level re-exports only :class:`SolverError`; the solver
+itself is reached as ``gatebounds.sdp``.
 
 The problem data is one flat operator.  Every block-diagonal matrix is a
 complex vector of length N = sum n_b^2, block b in its own range as a
@@ -291,14 +298,16 @@ class SdpProblem(BlockLayout):
         return (total + total.T) / 2
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SdpSolution:
+    """The iterate a solve ended on: the primal blocks ``x``, the dual
+    vector ``y``, and the normalized duality gap and iteration count of its
+    last evaluation.  :func:`verify_solution` recomputes everything else
+    from ``x``, ``y`` and the problem."""
+
     status: SdpStatus
     x: list
     y: np.ndarray
-    z: list
-    primal_value: float
-    dual_value: float
     gap: float
     iterations: int
 
@@ -525,9 +534,10 @@ def solve(problem):
     The problem supplies its Newton system each iteration
     (``problem.newton_system``): HKM against the assembled Schur matrix for
     an :class:`SdpProblem`, NT through the structured operator for a
-    :class:`StructuredProblem`.  The returned dual slack ``z`` is recomputed
-    exactly as C - sum y_i A_i, so dual feasibility can be re-verified from
-    scratch by the caller.
+    :class:`StructuredProblem`.  The solution holds the last iterate and the
+    gap and iteration count its loop evaluated; a solve stopped by
+    ``MAX_ITERATIONS`` reports the gap of the iterate it returns, converged
+    or not.  :func:`verify_solution` checks the iterate from scratch.
     """
     dims = problem.block_dims
     ntot = sum(dims)
@@ -538,19 +548,20 @@ def solve(problem):
     x = scale * _flat([np.eye(n, dtype=np.complex128) for n in dims])
     z = x.copy()
     y = np.zeros(m)
-
-    status = SdpStatus.MAX_ITERATIONS
     iterations = 0
 
-    for iterations in range(MAX_ITERATIONS):
+    while True:
+        pobj = _inner(c, x)
+        gap = abs(pobj - float(b @ y)) / (1.0 + abs(pobj))
+        if iterations == MAX_ITERATIONS:
+            status = SdpStatus.MAX_ITERATIONS
+            break
+        iterations += 1
         rp = b - problem.apply(x)
         rd = c - problem.adjoint(y) - z
         mu = _inner(x, z) / ntot
-        pobj = _inner(c, x)
-        dobj = float(b @ y)
         pinf = float(np.abs(rp).max(initial=0.0))
         dinf = float(np.abs(rd).max(initial=0.0))
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj))
 
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and gap <= GAP_TOL:
             status = SdpStatus.CONVERGED
@@ -594,21 +605,7 @@ def solve(problem):
         y = y + ad * dy
         z = z + ad * dz
 
-    # exact dual slack for independently checkable certificates
-    z_exact = c - problem.adjoint(y)
-    pobj = _inner(c, x)
-    dobj = float(b @ y)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-    return SdpSolution(
-        status=status,
-        x=problem.blocks(x),
-        y=y,
-        z=problem.blocks(z_exact),
-        primal_value=pobj,
-        dual_value=dobj,
-        gap=gap,
-        iterations=iterations + 1,
-    )
+    return SdpSolution(status, problem.blocks(x), y, gap, iterations)
 
 
 def verify_solution(problem, solution):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gatebounds import bounds, channels, diamond, metrics
+from gatebounds import bounds, channels, diamond, metrics, pauli
 from gatebounds.diamond import DiamondMethod
 
 
@@ -108,6 +108,14 @@ def test_refined_interval_floors_and_caps():
     with pytest.raises(ValueError, match="Pauli distance 5.0 outside"):
         bounds.pauli_refined_interval(0.99, 2, 5.0)
     assert bounds.pauli_refined_interval(0.5, 2, 1.0) == (0.75, 1.0)
+    # a delta in [0, 1] that no channel of this fidelity has: delta - eta_pauli
+    # = 0.985 lies above the generic bound 0.2449..., so the bracket would cross
+    with pytest.raises(ValueError, match=r"Pauli distance 1\.0 .* fidelity 0\.99 and dimension 2"):
+        bounds.pauli_refined_interval(0.99, 2, 1.0)
+    # at the largest delta a channel can have, the bracket closes on the generic bound
+    delta_max = bounds.generic_upper_bound(0.99, 2) + bounds.pauli_lower_bound(0.99, 2)
+    lo, hi = bounds.pauli_refined_interval(0.99, 2, delta_max)
+    assert lo <= hi == bounds.generic_upper_bound(0.99, 2)
     with pytest.raises(ValueError):
         bounds.pauli_refined_interval(math.nan, 2, 0.004)
 
@@ -254,7 +262,7 @@ def test_audit_explicit_switches():
     # runs on the fidelity route (r = 8, 130 rows), within the row cap
     report = bounds.audit(ch8, np.eye(8), compute_delta=True)
     assert report.error_rate is None
-    want = diamond.pauli_distance(ch8, method="sdp")
+    want = diamond.diamond_distance(ch8, pauli.pauli_twirl(ch8), method="sdp")
     assert want.route == "fidelity"
     assert want.lower_certificate - 1e-9 <= report.pauli_distance <= want.upper_certificate + 1e-9
     lo, hi = report.refined_interval

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -331,13 +332,14 @@ LIBRARY_SOLVES = """
 import sys
 import numpy as np
 import gatebounds.refcheck
-from gatebounds import channels, diamond
+from gatebounds import channels, diamond, pauli
 rng = np.random.default_rng(5)
 u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+gate = channels.unitary_channel(u)
 routes = [
     diamond.diamond_distance(channels.amplitude_damping(0.1), method="sdp").route,
     diamond.diamond_distance(channels.generalized_cphase(3, 0.4), method="sdp").route,
-    diamond.pauli_distance(channels.unitary_channel(u), method="sdp").route,
+    diamond.diamond_distance(gate, pauli.pauli_twirl(gate), method="sdp").route,
 ]
 print(routes, sorted({"gatebounds.cli", "numba", "scipy"} & set(sys.modules)))
 """
@@ -370,6 +372,19 @@ def test_library_modules_use_every_name_they_import():
                 if not re.search(rf"\b{re.escape(name)}\b", rest):
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_package_all_lists_exactly_the_public_names():
+    names = gatebounds.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(gatebounds, name), name
+    public = {
+        name
+        for name, value in vars(gatebounds).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
 
 
 def test_threshold_command_prints_full_precision(capsys):

@@ -61,7 +61,9 @@ def test_pauli_closed_form_is_total_variation():
     res = diamond.diamond_distance(p.as_channel(), q.as_channel())
     assert res.method is DiamondMethod.PAULI_CLOSED_FORM
     assert res.value == pytest.approx(0.1, abs=1e-12)
-    assert diamond.pauli_diamond_distance(p).value == pytest.approx(0.15, abs=1e-12)
+    from_identity = diamond.diamond_distance(p.as_channel())
+    assert from_identity.method is DiamondMethod.PAULI_CLOSED_FORM
+    assert from_identity.value == pytest.approx(0.15, abs=1e-12)
 
 
 def test_auto_dispatch_selects_methods():
