@@ -28,7 +28,14 @@ paths per pair, from d and the rank r of the Choi matrix J = J(E - F):
   iteration the structured solve took 2.8 ms against 9.3 ms at d = 4 and
   lost at d = 3, 2.0 against 1.7 ms (medians of six interleaved runs over
   ten random isometry pairs, one BLAS thread), so d = 2 and 3 stay
-  assembled.
+  assembled.  The "choi" path starts the solver from an analytic point of
+  the program that is feasible on both sides and scaled by ||J||_2
+  (:func:`_choi_start`), where the solver's default scaled identity is
+  infeasible on both.  Over the 343 d = 2 and 3 "choi" solves of one
+  reproduction-suite pass, the 96 benchmark audits and 50 forced pairs, it
+  took 2649 iterations against 3385, with every solve converged; a pair
+  with J = 0 is certified at the start itself.  The "structured" and
+  "fidelity" paths keep the default start.
 * The *fidelity route* (Kitaev's characterization by the complementary maps,
   as an SDP in Watrous, "Simpler semidefinite programs for completely
   bounded norms", Chicago J. Theoretical Computer Science 2013,
@@ -362,7 +369,7 @@ class _ChoiOperator(sdp.StructuredProblem):
             g_r = np.linalg.cholesky(w_r)
         except np.linalg.LinAlgError:
             return None
-        l_inv = np.linalg.solve(lower, np.eye(n))
+        l_inv = np.linalg.inv(lower)
         _, q = np.linalg.eigh(l_inv @ w_w @ l_inv.conj().T)
         t_inv = q.conj().T @ l_inv
         g_w = np.einsum("ij,ij->i", t_inv @ w_w, t_inv.conj()).real
@@ -450,7 +457,8 @@ class _Encoding(NamedTuple):
     summed |eigenvalues| cut from J).  ``trace_bounds`` pairs block indices
     with a bound on their total trace over the feasible set.  ``witness``
     is the index of the input-state block rho, and ``transpose`` takes the
-    witness from rho^T.
+    witness from rho^T.  ``start`` is the solver's (x, y, z) start, None for
+    its default.
     """
 
     route: str
@@ -460,6 +468,7 @@ class _Encoding(NamedTuple):
     witness: int
     transpose: bool
     dropped: float = 0.0
+    start: "tuple | None" = None
 
 
 def _signed_operators(j_delta, d):
@@ -506,14 +515,61 @@ def _encoding(j_delta, d, path):
             dropped=dropped,
         )
     op = _ChoiOperator(j_delta, d)
+    if path == "structured":
+        problem, start = op, None
+    else:
+        problem = _template(d).with_objective(op.c)
+        start = _choi_start(problem, op)
     return _Encoding(
         route="choi",
-        problem=op if path == "structured" else _template(d).with_objective(op.c),
+        problem=problem,
         scale=1.0,
         trace_bounds=(((0, 1), float(d)), ((2,), 1.0)),
         witness=2,
         transpose=False,
+        start=start,
     )
+
+
+def _choi_start(problem, op):
+    """A strictly feasible primal-dual start (x, y, z) for the Choi program
+    ``problem``, whose constraints are those of :class:`_ChoiOperator` ``op``.
+
+    Primal: rho = I/d and W = S = (I (x) rho)/2.  Then W + S = I (x) rho and
+    tr rho = 1 hold exactly, and all three blocks are positive definite.
+
+    Dual: y sets U = -kappa I on the W/S coordinates and y_last = -d kappa
+    - beta.  The adjoint is (U, U, -Tr_1 U + y_last I), so the slack
+    Z = C - A*(y) has the blocks kappa I - J_h on W (J_h the Hermitian part
+    of J, the objective being -J_h), kappa I on S, and d kappa I + y_last I
+    = beta I on rho.  With s = ||J_h||_2, kappa = 1.5 s and beta = s/2, Z is
+    positive definite: its W block has eigenvalues in [s/2, 5s/2].
+
+    Centrality: with tr J_h = 0 (both channels trace preserving), <X, Z> =
+    d kappa + beta, so mu = s (3d + 1) / (2d (2d + 1)), 0.35 s at d = 2 and
+    0.24 s at d = 3.  The products X_b Z_b have eigenvalues in
+    (s/2d) [1/2, 5/2] on W, 3s/4d on S and s/2d on rho, all between mu/3
+    and 2 mu at every d.
+
+    s is floored at the rank cut (:func:`_rank_cut`), so J = 0 keeps Z
+    positive definite.  Such a start already meets the convergence test:
+    its duality gap is d kappa + beta = (1.5 d + 0.5) 2 d^3 eps, 1.2e-14 at
+    d = 2.
+
+    z is computed as C - A*(y) through the problem's own adjoint, so the
+    dual residual of the start is exactly zero.
+    """
+    d = op.d
+    n = d * d
+    s = max(float(np.abs(np.linalg.eigvalsh(problem.blocks(problem.c)[0])).max()), _rank_cut(d))
+    kappa, beta = 1.5 * s, 0.5 * s
+    x = np.zeros(problem.size, dtype=np.complex128)
+    w, slack, rho = problem.blocks(x)
+    rho[...] = np.eye(d) / d
+    # (I (x) rho)/2 = I/(2d)
+    w[...] = slack[...] = np.eye(n) / (2 * d)
+    y = np.append(op._coordinates_of(-kappa * np.eye(n, dtype=np.complex128)), -d * kappa - beta)
+    return x, y, problem.c - problem.adjoint(y)
 
 
 def _rank(j_delta, d):
@@ -604,7 +660,7 @@ def _solve(j_delta, d, path):
     :class:`sdp.SolverError`.
     """
     encoding = _encoding(j_delta, d, path)
-    solution = sdp.solve(encoding.problem)
+    solution = sdp.solve(encoding.problem, encoding.start)
     if solution.status is not sdp.SdpStatus.CONVERGED:
         raise sdp.SolverError(
             f"diamond SDP ({path} path) stopped unconverged ({solution.status.value}) after "

@@ -5,10 +5,17 @@
 (and so behind ``trace_norm`` and ``min_hermitian_eigenvalue``).  Other
 eigenvalues call LAPACK directly, so a count of ``eigh_kernel`` calls
 covers only that path: the solver's step lengths (``sdp._max_steps``), the
-rank that picks a diamond solve path (``diamond._plan``), the witness
+rank that picks a diamond solve path (``diamond._plan``), the ||J||_2 that
+scales the "choi" path's start (``diamond._choi_start``), the witness
 certificate (``diamond._witness_value``), the input-state ascent
-(``diamond.ascent_lower_bound``), the fidelity route's Gram bound, and the
-batched QR and ``eigvalsh`` of ``pair_scan_kernel``.
+(``diamond.ascent_lower_bound``), the fidelity route's Gram bound, the
+structured Newton solve's congruence (``diamond._ChoiOperator.nt_solver``),
+and the batched QR and ``eigvalsh`` of ``pair_scan_kernel``.  The solver's
+factorizations call LAPACK directly too: per iteration, one batched
+Cholesky and one batched ``inv`` per run for the inverse factors
+(``sdp._inverse_cholesky``), the Schur matrix's Cholesky test and its two
+solves on the HKM path, and one batched SVD per run for the NT scaling
+(``sdp._nt_scaling``).
 
 ``pair_scan_kernel`` is the vectorized sampled trace-norm scan behind the
 brute-force diamond-distance lower bound.  Its only remaining callers are

@@ -1,5 +1,6 @@
 """Pauli operators, Pauli channels, and twirling."""
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,6 +25,20 @@ def pauli_operator(label):
     for ch in label[1:]:
         op = np.kron(op, PAULI_MATRICES[ch])
     return op
+
+
+@functools.cache
+def _operators(qubits):
+    """The read-only (4^n, d, d) stack of the n-qubit Pauli operators in
+    :func:`pauli_labels` order, each as :func:`pauli_operator` builds it.
+
+    Kept for the life of the process, one stack per qubit count (4 KB at
+    n = 2, 64 KB at n = 3), so a projection or a channel of Pauli operators
+    builds no Kronecker product.
+    """
+    stack = np.stack([pauli_operator(label) for label in pauli_labels(qubits)])
+    stack.flags.writeable = False
+    return stack
 
 
 def _qubit_count(dim):
@@ -65,11 +80,8 @@ class PauliChannel:
         return 1.0 - self.probs.get("I" * self.qubits, 0.0)
 
     def as_channel(self):
-        kraus = [
-            np.sqrt(p) * pauli_operator(label)
-            for label, p in sorted(self.probs.items())
-            if p > 0.0
-        ]
+        ops = dict(zip(pauli_labels(self.qubits), _operators(self.qubits)))
+        kraus = [np.sqrt(p) * ops[label] for label, p in sorted(self.probs.items()) if p > 0.0]
         return Channel(kraus)
 
 
@@ -80,7 +92,8 @@ def _projection(channel):
     n = _qubit_count(channel.dim)
     d = channel.dim
     labels = pauli_labels(n)
-    basis = np.column_stack([pauli_operator(label).ravel() for label in labels]) / np.sqrt(d)
+    ops = _operators(n)
+    basis = ops.reshape(len(ops), d * d).T / np.sqrt(d)
     transformed = basis.conj().T @ channel.choi @ basis
     off = transformed - np.diag(np.diag(transformed))
     worst = float(np.abs(off).max())

@@ -2,9 +2,12 @@
 
 Standard form: minimize <C, X> over block-diagonal complex Hermitian X >= 0
 subject to <A_i, X> = b_i, with the real inner product <A, B> = Re tr(A B).
-The solver runs a Mehrotra predictor-corrector step from scaled identity
-iterates, and asks the problem for its Newton system every iteration.
-Two kinds of problem supply two Newton systems:
+The solver runs a Mehrotra predictor-corrector step, in one loop for every
+kind of problem, and asks the problem for its Newton system every
+iteration.  It starts from the caller's (x, y, z), with X and Z interior,
+or by default from the scaled identity X = Z = s I, y = 0 with
+s = 1 + max |b_i| + max |C| (:func:`solve`).  Two kinds of problem supply
+two Newton systems:
 
 * :class:`SdpProblem` holds its constraints as one matrix and uses the HKM
   direction: the Schur matrix M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1)
@@ -24,9 +27,9 @@ Two kinds of problem supply two Newton systems:
   iteration counts (60 diamond solves of audit inputs, one BLAS thread), so
   :class:`SdpProblem` keeps HKM.
 
-The iterate path is deterministic: no randomness, fixed initialization, and
-plain NumPy arithmetic, so repeated solves of the same problem produce
-identical iterates.
+The iterate path is deterministic: no randomness, a start fixed by the
+problem and the caller, and plain NumPy arithmetic, so repeated solves of
+the same problem from the same start produce identical iterates.
 
 Every block is complex Hermitian, whatever the data's dtype: real symmetric
 problems enter as Hermitian matrices with zero imaginary part and run on the
@@ -71,33 +74,44 @@ constraints, which is how the diamond SDP reuses one set of constraints per
 dimension.  ``schur`` works by the same runs as the rest of the iteration:
 per run, one batched product X_r A_jr Z_r^-1 over all rows and members, and
 one real GEMM against the run's constraint columns.
-``newton_system(x, inv_l)`` returns the HKM system of an iterate.  A solve
-only reads the problem's data, which a caller may share or keep after the
-solve.
+``newton_system(xs, inv_l, rd)`` returns the HKM system of an iterate.  A
+solve only reads the problem's data and its start, which a caller may share
+or keep after the solve.
+
+Each iteration forms its per-run views once and passes them on: the stacks
+of X and Z, which the factorization and ``newton_system`` read, and the
+stacks of R_d, which the Newton system reads when it is built.  The system
+forms its products with R_d once (X R_d for HKM, W R_d W for NT), for the
+predictor and the corrector alike.  Each direction (:class:`_Direction`)
+returns its flat dx, dy and dz together with the per-run stacks of dx and
+dz, which the step lengths and the corrector's cross term read without
+slicing again.
 
 Each step length is the exact distance to the boundary of the cone, read off
 the smallest eigenvalue of the direction in the frame of the iterate's
 Cholesky factor (as in SDPA and SDPT3), and damped by ``STEP_FRACTION``.
 Every iteration factors the X and Z blocks of a run together: one batched
 Cholesky call on their concatenated (2k, n, n) stack, then one batched
-solve for the inverse factors, which give Z^-1 and all four step lengths.
+``inv`` for the inverse factors, which give Z^-1 and all four step lengths.
 Each direction's primal and dual step lengths of a run come from one
 batched ``eigvalsh``; the two minima are taken separately.
 NumPy's batched linear algebra runs the same LAPACK routine on each member,
 so a run gives the numbers that one call per block gives; a problem whose
 blocks all differ in size has runs of one.  The diamond SDP's blocks
 (d^2, d^2, d) form two runs, so an assembled iteration makes three
-Cholesky calls, four solves and four ``eigvalsh`` calls.  The Schur matrix
-is real symmetric; it is factored by Cholesky only to test that it is
-positive definite (with one jittered retry), and each of the two directions
-per iteration is then one ``np.linalg.solve`` against it.  The NT scaling
-reuses the same inverse Cholesky factors: one batched SVD per run gives it.
+Cholesky calls, two ``inv`` calls, two solves and four ``eigvalsh`` calls.
+The Schur matrix is real symmetric; it is factored by Cholesky only to test
+that it is positive definite (with one jittered retry), and each of the two
+directions per iteration is then one ``np.linalg.solve`` against it.  The
+NT scaling reuses the same inverse Cholesky factors: one batched SVD per run
+gives it.
 """
 
 import copy
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,10 +165,6 @@ class BlockLayout:
             self._run_slices.append(slice(start, start + k * n * n))
             start += k * n * n
         self.size = size
-
-    @property
-    def num_constraints(self):
-        return self.b.size
 
     def blocks(self, v):
         """The (n, n) block views of a flat vector, or the (k, n, n) block
@@ -227,6 +237,10 @@ class SdpProblem(BlockLayout):
         derived.c = self._checked(c, (self.size,), "objective")
         return derived
 
+    @property
+    def num_constraints(self):
+        return self.b.size
+
     def _checked(self, data, shape, label):
         """A read-only complex copy of ``data``, whose rows are flat vectors
         of this layout, with each block replaced by its Hermitian part.
@@ -260,8 +274,9 @@ class SdpProblem(BlockLayout):
         """The adjoint operator as a flat vector: block b is sum_i y_i A_ib."""
         return (y @ self._a_real).view(np.complex128)
 
-    def newton_system(self, x, inv_l):
-        """The HKM Newton system at the iterate with primal part ``x``, or
+    def newton_system(self, xs, inv_l, rd):
+        """The HKM Newton system at the iterate whose X blocks are the
+        per-run stacks ``xs`` and whose dual residual is the flat ``rd``, or
         None when its Schur matrix is not numerically positive definite.
 
         ``inv_l`` holds per run the inverse Cholesky factors of the X blocks
@@ -271,13 +286,13 @@ class SdpProblem(BlockLayout):
         is then one ``np.linalg.solve`` against the matrix.
         """
         zinv = [f[k:].conj().mT @ f[k:] for f, (k, _) in zip(inv_l, self.runs)]
-        schur = self.schur(self.stacks(x), zinv)
+        schur = self.schur(xs, zinv)
         if _chol_or_none(schur) is None:
             m = self.num_constraints
             schur.flat[:: m + 1] += 1e-13 * max(1.0, float(np.abs(np.diag(schur)).max()))
             if _chol_or_none(schur) is None:
                 return None
-        return _HkmSystem(self, self.stacks(x), zinv, schur)
+        return _HkmSystem(self, xs, zinv, schur, rd)
 
     def schur(self, xs, zinvs):
         """Schur complement M[i, j] = sum_b Re tr(A_ib X_b A_jb Z_b^-1),
@@ -334,12 +349,13 @@ def _inverse_cholesky(mats):
     matrix is positive definite.
 
     ``mats`` is one matrix or a (k, n, n) stack; a stack takes one batched
-    Cholesky call and one batched solve.
+    Cholesky call and one batched ``inv`` (LAPACK's solve against the
+    identity, built inside the call).
     """
     lower = _chol_or_none(mats)
     if lower is None:
         return None
-    return np.linalg.solve(lower, np.eye(mats.shape[-1]))
+    return np.linalg.inv(lower)
 
 
 def _max_steps(inv_factors, dxs, dzs, cap):
@@ -358,54 +374,73 @@ def _max_steps(inv_factors, dxs, dzs, cap):
     for inv_l, dx, dz in zip(inv_factors, dxs, dzs):
         frame = inv_l @ np.concatenate((dx, dz)) @ inv_l.conj().mT
         lam = np.linalg.eigvalsh(frame)[:, 0]
-        for side, half in enumerate((lam[: len(dx)], lam[len(dx) :])):
-            negative = half[half < 0.0]
-            if negative.size:
-                steps[side] = min(steps[side], -1.0 / negative.min())
+        for side, least in enumerate((lam[: len(dx)].min(), lam[len(dx) :].min())):
+            if least < 0.0:
+                steps[side] = min(steps[side], -1.0 / least)
     return tuple(steps)
+
+
+class _Direction(NamedTuple):
+    """A search direction: the flat dx, dy and dz, and the per-run (k, n, n)
+    stacks of dx and dz that the step lengths and the corrector read."""
+
+    dx: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    dxs: list
+    dzs: list
+
+
+def _hermitian_direction(raw, dy, dz, dzs):
+    """The direction whose dx is the Hermitian part of the per-run ``raw``."""
+    dxs = [(r + r.conj().mT) / 2 for r in raw]
+    return _Direction(_flat(dxs), dy, dz, dxs, dzs)
 
 
 class _HkmSystem:
     """The HKM direction of an :class:`SdpProblem` against its assembled
-    Schur matrix.
+    Schur matrix, at one iterate with dual residual R_d.
 
     The linearized complementarity is X dZ + dX Z = nu I - X Z - cross, with
     ``cross`` = dX_aff dZ_aff of the predictor for the corrector, and dX is
     the Hermitian part of its solution.  The right-hand side of the Schur
     solve is written with b, not with the primal residual: with dX = -X -
     (X dZ + cross - nu I) Z^-1, A(dX) = b - A(X) is M dy = b + A((X R_d +
-    cross - nu I) Z^-1).
+    cross - nu I) Z^-1).  The products X R_d are formed once, for both
+    directions of the iteration.
     """
 
-    def __init__(self, problem, xs, zinv, schur):
-        self.problem, self.xs, self.zinv, self.schur = problem, xs, zinv, schur
+    def __init__(self, problem, xs, zinv, schur, rd):
+        self.problem, self.xs, self.zinv, self.schur, self.rd = problem, xs, zinv, schur, rd
+        self.x_rd = [xr @ r for xr, r in zip(xs, problem.stacks(rd))]
 
     def _times_zinv(self, prods, nu, cross):
         # (P + cross - nu*I) Z^-1 per run: complementarity target nu*I,
-        # optional second-order correction
+        # optional second-order correction; the shared X R_d stay as they are
         out = []
         for r, (p, zi) in enumerate(zip(prods, self.zinv)):
             if cross is not None:
-                p += cross[r]
+                p = p + cross[r]
+            elif nu != 0.0:
+                p = p.copy()
             if nu != 0.0:
                 p.reshape(len(p), -1)[:, :: p.shape[-1] + 1] -= nu
             out.append(p @ zi)
         return out
 
-    def direction(self, rp, rd, nu, affine):
-        """(dx, dy, dz) towards the target nu; ``affine`` is the predictor's
-        (dx, dz) for the corrector, or None.  Never fails."""
+    def direction(self, rp, nu, affine):
+        """The :class:`_Direction` towards the target nu; ``affine`` is the
+        predictor's direction for the corrector, or None.  Never fails."""
         problem, xs = self.problem, self.xs
         cross = None
         if affine is not None:
-            cross = [dxr @ dzr for dxr, dzr in zip(*(problem.stacks(v) for v in affine))]
-        inner = self._times_zinv([xr @ r for xr, r in zip(xs, problem.stacks(rd))], nu, cross)
+            cross = [dxr @ dzr for dxr, dzr in zip(affine.dxs, affine.dzs)]
+        inner = self._times_zinv(self.x_rd, nu, cross)
         dy = np.linalg.solve(self.schur, problem.b + problem.apply(_flat(inner)))
-        dz = rd - problem.adjoint(dy)
-        steps = self._times_zinv([xr @ dzr for xr, dzr in zip(xs, problem.stacks(dz))], nu, cross)
-        raw = [-xr - s for xr, s in zip(xs, steps)]
-        dx = _flat([(r + r.conj().mT) / 2 for r in raw])
-        return dx, dy, dz
+        dz = self.rd - problem.adjoint(dy)
+        dzs = problem.stacks(dz)
+        steps = self._times_zinv([xr @ dzr for xr, dzr in zip(xs, dzs)], nu, cross)
+        return _hermitian_direction([-xr - s for xr, s in zip(xs, steps)], dy, dz, dzs)
 
 
 class StructuredProblem(BlockLayout):
@@ -421,17 +456,22 @@ class StructuredProblem(BlockLayout):
     operator's structure where the HKM matrix A(X A*(.) Z^-1) does not.
     """
 
-    def newton_system(self, x, inv_l):
-        """The NT Newton system at the iterate, or None when its scaling or
-        its base solve cannot be built."""
-        scaling = _nt_scaling(self.stacks(x), inv_l)
+    @property
+    def num_constraints(self):
+        return self.b.size
+
+    def newton_system(self, xs, inv_l, rd):
+        """The NT Newton system at the iterate whose X blocks are the per-run
+        stacks ``xs`` and whose dual residual is the flat ``rd``, or None
+        when its scaling or its base solve cannot be built."""
+        scaling = _nt_scaling(xs, inv_l)
         if scaling is None:
             return None
         ws = [g @ g.conj().mT for g, _, _ in scaling]
         base = self.nt_solver([wb for w in ws for wb in w])
         if base is None:
             return None
-        return _NtSystem(self, scaling, ws, base)
+        return _NtSystem(self, scaling, ws, base, rd)
 
 
 def _nt_scaling(xs, inv_l):
@@ -487,11 +527,13 @@ class _NtSystem:
     herm(Lambda D) = nu I - Lambda^2 - herm(dX~_aff dZ~_aff) for
     D = dX~ + dZ~, solved entrywise.  Back in the original frame
     dX + W dZ W = T with T = G D G^H, so M dy = R_p - A(T - W R_d W) with
-    M = A(W A*(.) W), dZ = R_d - A*(dy) and dX = T - W dZ W.
+    M = A(W A*(.) W), dZ = R_d - A*(dy) and dX = T - W dZ W.  W R_d W is
+    formed once, for both directions of the iteration.
     """
 
-    def __init__(self, problem, scaling, ws, base):
-        self.problem, self.scaling, self.ws, self.base = problem, scaling, ws, base
+    def __init__(self, problem, scaling, ws, base, rd):
+        self.problem, self.scaling, self.ws, self.base, self.rd = problem, scaling, ws, base, rd
+        self.w_rd = self._scaled(rd)
 
     def _scaled(self, v):
         """W V W of a flat vector, run by run."""
@@ -500,54 +542,54 @@ class _NtSystem:
     def _operator(self, y):
         return self.problem.apply(self._scaled(self.problem.adjoint(y)))
 
-    def direction(self, rp, rd, nu, affine):
-        """(dx, dy, dz) towards the target nu; ``affine`` is the predictor's
-        (dx, dz) for the corrector, or None.  None when the Newton solve
-        stays inaccurate."""
+    def direction(self, rp, nu, affine):
+        """The :class:`_Direction` towards the target nu; ``affine`` is the
+        predictor's direction for the corrector, or None.  None when the
+        Newton solve stays inaccurate."""
         problem = self.problem
-        affine = [problem.stacks(v) for v in affine] if affine is not None else None
         targets = []
         for r, (g, ginv, lam) in enumerate(self.scaling):
             k, n = lam.shape
             rhs = np.zeros((k, n, n), dtype=np.complex128)
             rhs.reshape(k, -1)[:, :: n + 1] = nu - lam * lam
             if affine is not None:
-                dxs = ginv @ affine[0][r] @ ginv.conj().mT
-                dzs = g.conj().mT @ affine[1][r] @ g
-                prod = dxs @ dzs
+                scaled_dx = ginv @ affine.dxs[r] @ ginv.conj().mT
+                scaled_dz = g.conj().mT @ affine.dzs[r] @ g
+                prod = scaled_dx @ scaled_dz
                 rhs -= (prod + prod.conj().mT) / 2
             rhs *= 2.0 / (lam[:, :, None] + lam[:, None, :])
             targets.append(g @ rhs @ g.conj().mT)
         t = _flat(targets)
-        dy = _refined(self.base, self._operator, rp - problem.apply(t - self._scaled(rd)))
+        dy = _refined(self.base, self._operator, rp - problem.apply(t - self.w_rd))
         if dy is None:
             return None
-        dz = rd - problem.adjoint(dy)
-        raw = [tr - w @ dzr @ w for tr, w, dzr in zip(targets, self.ws, problem.stacks(dz))]
-        dx = _flat([(r + r.conj().mT) / 2 for r in raw])
-        return dx, dy, dz
+        dz = self.rd - problem.adjoint(dy)
+        dzs = problem.stacks(dz)
+        raw = [tr - w @ dzr @ w for tr, w, dzr in zip(targets, self.ws, dzs)]
+        return _hermitian_direction(raw, dy, dz, dzs)
 
 
-def solve(problem):
+def solve(problem, start=None):
     """Run the interior-point iteration and return an :class:`SdpSolution`.
 
-    The problem supplies its Newton system each iteration
-    (``problem.newton_system``): HKM against the assembled Schur matrix for
-    an :class:`SdpProblem`, NT through the structured operator for a
-    :class:`StructuredProblem`.  The solution holds the last iterate and the
-    gap and iteration count its loop evaluated; a solve stopped by
-    ``MAX_ITERATIONS`` reports the gap of the iterate it returns, converged
-    or not.  :func:`verify_solution` checks the iterate from scratch.
+    ``start`` is the flat (x, y, z) to start from, with x and z interior;
+    None starts from the scaled identity (module docstring).  The problem
+    supplies its Newton system each iteration (``problem.newton_system``):
+    HKM against the assembled Schur matrix for an :class:`SdpProblem`, NT
+    through the structured operator for a :class:`StructuredProblem`.  The
+    solution holds the last iterate and the gap and iteration count its
+    loop evaluated; a solve stopped by ``MAX_ITERATIONS`` reports the gap of
+    the iterate it returns, converged or not.  :func:`verify_solution`
+    checks the iterate from scratch.
     """
-    dims = problem.block_dims
-    ntot = sum(dims)
-    m = problem.num_constraints
+    ntot = sum(problem.block_dims)
     b, c = problem.b, problem.c
-
-    scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(c).max(initial=0.0))
-    x = scale * _flat([np.eye(n, dtype=np.complex128) for n in dims])
-    z = x.copy()
-    y = np.zeros(m)
+    if start is None:
+        scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(c).max(initial=0.0))
+        x = scale * _flat([np.eye(n, dtype=np.complex128) for n in problem.block_dims])
+        y, z = np.zeros(problem.num_constraints), x.copy()
+    else:
+        x, y, z = start
     iterations = 0
 
     while True:
@@ -569,41 +611,36 @@ def solve(problem):
 
         # one Cholesky call per run factors its X and Z blocks together; the
         # factors serve the Newton system and all four step lengths
-        inv_l = [
-            _inverse_cholesky(np.concatenate((xr, zr)))
-            for xr, zr in zip(problem.stacks(x), problem.stacks(z))
-        ]
+        xs = problem.stacks(x)
+        inv_l = [_inverse_cholesky(np.concatenate(run)) for run in zip(xs, problem.stacks(z))]
         if any(f is None for f in inv_l):
             status = SdpStatus.NUMERICAL_FAILURE
             break
-        system = problem.newton_system(x, inv_l)
-        affine = system.direction(rp, rd, 0.0, None) if system is not None else None
+        system = problem.newton_system(xs, inv_l, rd)
+        affine = system.direction(rp, 0.0, None) if system is not None else None
         if affine is None:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        dx_aff, _, dz_aff = affine
-        ap_aff, ad_aff = _max_steps(inv_l, problem.stacks(dx_aff), problem.stacks(dz_aff), 1.0)
-        mu_aff = _inner(x + ap_aff * dx_aff, z + ad_aff * dz_aff) / ntot
+        ap_aff, ad_aff = _max_steps(inv_l, affine.dxs, affine.dzs, 1.0)
+        mu_aff = _inner(x + ap_aff * affine.dx, z + ad_aff * affine.dz) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        step = system.direction(rp, rd, sigma * mu, (dx_aff, dz_aff))
+        step = system.direction(rp, sigma * mu, affine)
         if step is None:
             status = SdpStatus.NUMERICAL_FAILURE
             break
-        dx, dy, dz = step
 
-        limit = 1.0 / STEP_FRACTION
-        ap, ad = _max_steps(inv_l, problem.stacks(dx), problem.stacks(dz), limit)
+        ap, ad = _max_steps(inv_l, step.dxs, step.dzs, 1.0 / STEP_FRACTION)
         ap = min(1.0, STEP_FRACTION * ap)
         ad = min(1.0, STEP_FRACTION * ad)
         if ap < 1e-10 and ad < 1e-10:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        x = x + ap * dx
-        y = y + ad * dy
-        z = z + ad * dz
+        x = x + ap * step.dx
+        y = y + ad * step.dy
+        z = z + ad * step.dz
 
     return SdpSolution(status, problem.blocks(x), y, gap, iterations)
 

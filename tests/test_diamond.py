@@ -758,6 +758,75 @@ def test_equal_channels_give_a_zero_interval(d):
     assert 0.0 <= res.value <= res.upper_certificate <= 1e-8
 
 
+def start_case(d, kind):
+    # a seeded J(E - F) on the "choi" path, and its closed form where one
+    # exists: a random channel against the identity, a unitary, and J = 0
+    rng = np.random.default_rng(99 + d)
+    identity = channels.identity_channel(d)
+    if kind == "channel":
+        return random_channel(rng, d, 2).choi - identity.choi, None
+    if kind == "unitary":
+        u = short_arc_unitary(rng, d, 1.0)
+        return channels.unitary_channel(u).choi - identity.choi, diamond.unitary_diamond_distance(u).value
+    return np.zeros((d * d, d * d)), 0.0
+
+
+@pytest.mark.parametrize("kind", ["channel", "unitary", "zero"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_choi_start_is_strictly_feasible_and_centred(d, kind):
+    j, closed = start_case(d, kind)
+    enc = diamond._encoding(j, d, "choi")
+    problem = enc.problem
+    x, y, z = enc.start
+    xs, zs = problem.blocks(x), problem.blocks(z)
+    # X > 0 and Z > 0, block by block
+    for block in xs + zs:
+        assert np.linalg.eigvalsh(block).min() > 0.0
+    # the primal residual is rounding only, and the dual one is zero, since
+    # z is C - A*(y) through the problem's own adjoint
+    assert np.abs(problem.b - problem.apply(x)).max() <= 4 * diamond.EPS
+    assert not np.any(problem.c - problem.adjoint(y) - z)
+    # every eigenvalue of every X_b Z_b lies within a factor 3 of mu
+    mu = sdp._inner(x, z) / sum(problem.block_dims)
+    for xb, zb in zip(xs, zs):
+        lam = np.linalg.eigvals(xb @ zb).real
+        assert (mu / 3 <= lam).all() and (lam <= 3 * mu).all()
+    _, sol, _, res = diamond._solve(j, d, "choi")
+    assert sol.status is sdp.SdpStatus.CONVERGED
+    if closed is not None:
+        assert res.lower_certificate <= closed <= res.upper_certificate
+    if kind == "zero":
+        # the start already meets the convergence test, a gap of a few
+        # rounding units from the answer
+        assert sol.iterations == 1
+        assert res.lower_certificate == 0.0 and res.upper_certificate <= 1e-13
+
+
+def iteration_pairs():
+    # 24 seeded d = 2 pairs: random channel pairs, and random channels mixed
+    # into the identity at weight 1e-3 to 1e-1 against the identity
+    rng = np.random.default_rng(2024)
+    identity = channels.identity_channel(2)
+    for k in range(24):
+        e = random_channel(rng, 2, 1 + k % 3)
+        if k % 2:
+            f = random_channel(rng, 2, 1 + k % 2)
+        else:
+            eps = 10.0 ** rng.uniform(-3.0, -1.0)
+            e, f = channels.mix([(1.0 - eps, identity), (eps, e)]), identity
+        yield e.choi - f.choi
+
+
+def test_choi_start_keeps_its_iteration_total():
+    # a regression guard on the "choi" path's start: 221 iterations in all,
+    # against 267 from the solver's scaled-identity default
+    total = 0
+    for j in iteration_pairs():
+        _, sol, _, _ = diamond._solve(j, 2, "choi")
+        total += sol.iterations
+    assert total <= 228
+
+
 def test_closed_forms_report_no_route():
     assert diamond.diamond_distance(channels.unitary_error(0.3)).route is None
     assert diamond.diamond_distance(channels.depolarizing(0.2)).route is None

@@ -158,3 +158,36 @@ def test_error_rate_equals_diamond_distance():
         pc = random_pauli_channel(rng, 1)
         via_sdp = diamond.diamond_distance(pc.as_channel(), method="sdp").value
         assert via_sdp == pytest.approx(pc.error_rate, abs=1e-6)
+
+
+def kron_projection(ch):
+    # the projection as it was written before the operator cache: every
+    # Pauli operator rebuilt by Kronecker products, as basis columns
+    d = ch.dim
+    labels = pauli.pauli_labels(d.bit_length() - 1)
+    basis = np.column_stack([pauli.pauli_operator(label).ravel() for label in labels]) / np.sqrt(d)
+    raw = np.diag(basis.conj().T @ ch.choi @ basis).real / d
+    probs = {label: float(max(0.0, p)) for label, p in zip(labels, raw)}
+    total = sum(probs.values())
+    return {label: p / total for label, p in probs.items()}
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_cached_operators_give_the_kronecker_results_to_the_bit(qubits):
+    rng = np.random.default_rng(64 + qubits)
+    d = 2**qubits
+    ops = pauli._operators(qubits)
+    assert ops is pauli._operators(qubits) and not ops.flags.writeable
+    for label, op in zip(pauli.pauli_labels(qubits), ops):
+        assert np.array_equal(op, pauli.pauli_operator(label))
+    # pauli_operator still hands out a fresh, writable array
+    fresh = pauli.pauli_operator("X" * qubits)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, ops)
+    for k in range(4):
+        ch = random_channel(rng, dim=d, kraus_count=1 + k)
+        assert pauli._projection(ch)[0].probs == kron_projection(ch)
+        pc = random_pauli_channel(rng, qubits)
+        want = [np.sqrt(p) * pauli.pauli_operator(label) for label, p in sorted(pc.probs.items()) if p > 0.0]
+        got = pc.as_channel().kraus
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -201,8 +201,9 @@ def test_diamond_solves_repeat_bit_for_bit(channel, path):
     d = channel.dim
     j = channel.choi - channels.identity_channel(d).choi
     assert diamond._plan(j, d)[0] == path
-    problem = diamond._encoding(j, d, path).problem
-    first, second = sdp.solve(problem), sdp.solve(problem)
+    enc = diamond._encoding(j, d, path)
+    assert (enc.start is not None) == (path == "choi")
+    first, second = sdp.solve(enc.problem, enc.start), sdp.solve(enc.problem, enc.start)
     assert first.status is sdp.SdpStatus.CONVERGED
     assert_identical_solutions(first, second)
 
@@ -325,25 +326,42 @@ def test_solve_leaves_the_problem_untouched():
         assert np.array_equal(arr, saved)
 
 
+def count_linalg_calls(monkeypatch, names):
+    # wraps each named np.linalg function; returns the argument shapes of
+    # every call, per name
+    shapes = {name: [] for name in names}
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counting(mat, *args, _name=name, _real=real, **kwargs):
+            shapes[_name].append(np.shape(mat))
+            return _real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
 def test_two_schur_solves_per_iteration(monkeypatch):
     # the Schur Cholesky only tests definiteness; each of the two directions
-    # is then a single solve against the Schur matrix
+    # is then a single solve against the Schur matrix, and the inverse
+    # Cholesky factors are one ``inv`` per run, with no solve against an
+    # identity
     j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
-    prob = diamond._encoding(j, 2, "choi").problem
+    enc = diamond._encoding(j, 2, "choi")
+    prob = enc.problem
     m = prob.num_constraints
     assert m not in prob.block_dims
-    shapes = []
-    real = np.linalg.solve
-
-    def counting(a, b):
-        shapes.append(np.shape(a))
-        return real(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    sol = sdp.solve(prob)
+    shapes = count_linalg_calls(monkeypatch, ("solve", "inv", "eigvalsh"))
+    sol = sdp.solve(prob, enc.start)
     assert sol.status is sdp.SdpStatus.CONVERGED
     # the last iteration only tests convergence
-    assert shapes.count((m, m)) <= 2 * (sol.iterations - 1)
+    steps = sol.iterations - 1
+    assert steps > 0
+    assert shapes["solve"] == [(m, m)] * (2 * steps)
+    runs = [(2 * k, n, n) for k, n in prob.runs]
+    assert shapes["inv"] == runs * steps
+    # one eigvalsh per run for each of the two directions
+    assert shapes["eigvalsh"] == runs * (2 * steps)
 
 
 def test_verify_solution_matches_solution_fields():
@@ -567,22 +585,35 @@ def test_diamond_sdp_lapack_calls_per_iteration(monkeypatch):
 
 
 def check_lapack_calls(monkeypatch, prob):
-    calls = {"cholesky": 0, "eigvalsh": 0}
-    for name in calls:
-        real = getattr(np.linalg, name)
-
-        def counting(mat, *args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    calls = count_linalg_calls(monkeypatch, ("cholesky", "eigvalsh", "solve", "inv"))
     sol = sdp.solve(prob)
     assert sol.status is sdp.SdpStatus.CONVERGED
     runs = len(prob.runs)
-    # per run one factorization of its X and Z blocks together, plus the
-    # Schur factor and its jitter retry; one eigvalsh per run and direction
-    assert calls["cholesky"] <= (runs + 2) * sol.iterations
-    assert calls["eigvalsh"] <= 2 * runs * sol.iterations
+    # per run one factorization of its X and Z blocks together and one
+    # inverse of the factor, plus the Schur factor and its jitter retry; one
+    # eigvalsh per run and direction, and one Schur solve per direction
+    assert len(calls["cholesky"]) <= (runs + 2) * sol.iterations
+    assert len(calls["inv"]) <= runs * sol.iterations
+    assert len(calls["eigvalsh"]) <= 2 * runs * sol.iterations
+    assert len(calls["solve"]) <= 2 * sol.iterations
+
+
+def test_constraint_count_is_defined_where_the_rhs_is():
+    # a bare layout has no rhs, so it has no constraint count either: the
+    # property lives on the two problem classes, which set b
+    assert not hasattr(sdp.BlockLayout, "num_constraints")
+    assert min_eig_problem(np.eye(3)).num_constraints == 1
+    assert diamond._ChoiOperator(np.zeros((4, 4)), 2).num_constraints == 17
+
+
+def test_solve_from_a_start_leaves_it_untouched():
+    j = channels.amplitude_damping(0.3).choi - channels.identity_channel(2).choi
+    enc = diamond._encoding(j, 2, "choi")
+    saved = [v.copy() for v in enc.start]
+    first = sdp.solve(enc.problem, enc.start)
+    assert first.status is sdp.SdpStatus.CONVERGED
+    assert all(np.array_equal(v, w) for v, w in zip(enc.start, saved))
+    assert_identical_solutions(first, sdp.solve(enc.problem, enc.start))
 
 
 def test_runs_group_consecutive_equal_sizes():
