@@ -26,6 +26,10 @@ PHI_SLOP = 1e-12
 
 
 def _finite(value, what):
+    """``value`` as a float, or ValueError naming ``what`` unless it is a
+    finite real number; a numeric string is refused, as for a dimension."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x!r}")
@@ -77,7 +81,7 @@ def pauli_refined_interval(phi, dim, pauli_dist):
     channel has delta - eta_pauli above the generic bound, since delta <=
     eta + eta_pauli, so such a delta is rejected rather than bracketed.
     """
-    delta = float(pauli_dist)
+    delta = _finite(pauli_dist, "Pauli distance")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"Pauli distance {pauli_dist!r} outside [0, 1]")
     eta_p = pauli_lower_bound(phi, dim)
@@ -98,9 +102,11 @@ def decomposition_upper_bound(phi, dim, deltas):
     Applies when the discrepancy channel is a sum of CP terms with the given
     weighted Pauli distances; never beats the single-term refinement.
     """
-    ds = [float(x) for x in deltas]
-    if not all(0.0 <= x < math.inf for x in ds):
-        raise ValueError("Pauli distances must be finite and nonnegative")
+    if isinstance(deltas, (str, bytes)):
+        raise ValueError(f"Pauli distances must be a collection of numbers, got {deltas!r}")
+    ds = [_finite(x, "Pauli distance") for x in deltas]
+    if min(ds, default=0.0) < 0.0:
+        raise ValueError("Pauli distances must be nonnegative")
     return pauli_lower_bound(phi, dim) + sum(ds)
 
 
@@ -170,8 +176,9 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None):
 
     ``compute_eta`` and ``compute_delta`` are bools, or None for the
     default: on for d <= 4 and off above (SDP cost); ``compute_delta``
-    additionally requires a qubit dimension.  A diamond SDP whose largest
-    array would exceed ``diamond.MAX_ENTRIES`` entries raises ``ValueError``.
+    additionally requires a qubit dimension, so it defaults on at d = 2 and
+    4.  A diamond SDP whose largest array would exceed
+    ``diamond.MAX_ENTRIES`` entries raises ``ValueError``.
     """
     for name, flag in (("compute_eta", compute_eta), ("compute_delta", compute_delta)):
         if flag is not None and not isinstance(flag, bool):
@@ -181,7 +188,7 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None):
     if compute_eta is None:
         compute_eta = d <= 4
     if compute_delta is None:
-        compute_delta = d <= 4 and (d & (d - 1)) == 0
+        compute_delta = d in (2, 4)
     return _report(disc, compute_eta, compute_delta)
 
 

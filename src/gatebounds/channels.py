@@ -41,8 +41,8 @@ class Channel:
             a = a.copy()
             a.flags.writeable = False
             ops.append(a)
-        if not ops:
-            raise ChannelValidationError("need at least one Kraus operator")
+        if not ops or not ops[0].size:
+            raise ChannelValidationError("need at least one Kraus operator, of dimension at least 1")
         dim = ops[0].shape[0]
         if any(a.shape[0] != dim for a in ops):
             raise ChannelValidationError("Kraus operators differ in dimension")

@@ -67,14 +67,9 @@ def _channel_from_choi(j, dim):
     if not linalg.is_hermitian(j):
         raise SpecFileError("choi matrix is not Hermitian within tolerance")
     w, v = linalg.hermitian_eigendecomposition(j)
-    kraus = []
-    for k in range(len(w)):
-        if w[k] < -1e-9:
-            raise SpecFileError(
-                f"choi matrix is not completely positive (eigenvalue {w[k]:.3e})"
-            )
-        if w[k] > 0.0:
-            kraus.append(math.sqrt(w[k]) * v[:, k].reshape(dim, dim))
+    if w[0] < -1e-9:
+        raise SpecFileError(f"choi matrix is not completely positive (eigenvalue {w[0]:.3e})")
+    kraus = [math.sqrt(wk) * v[:, k].reshape(dim, dim) for k, wk in enumerate(w) if wk > 0.0]
     if not kraus:
         raise SpecFileError("choi matrix is zero")
     return Channel(kraus)

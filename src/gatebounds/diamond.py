@@ -118,7 +118,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, linalg, pauli, sdp
+from . import kernels, linalg, metrics, pauli, sdp
 from .channels import Channel, identity_channel
 
 STRUCTURED_DIMENSION = 4
@@ -212,17 +212,15 @@ def unitary_diamond_distance(u):
 
 
 def _pauli_pair_value(p, q):
-    # summed in sorted label order: a set's order follows the string-hash seed
+    # aligned in sorted label order: a set's order follows the string-hash seed
     labels = sorted(set(p.probs) | set(q.probs))
-    return 0.5 * sum(abs(p.probs.get(k, 0.0) - q.probs.get(k, 0.0)) for k in labels)
+    mu, nu = ([c.probs.get(k, 0.0) for k in labels] for c in (p, q))
+    return metrics.total_variation_distance(mu, nu)
 
 
 def _single_unitary(channel):
-    if len(channel.kraus) != 1:
-        return None
-    k = channel.kraus[0]
-    if linalg.is_unitary(k):
-        return k
+    if len(channel.kraus) == 1 and linalg.is_unitary(channel.kraus[0]):
+        return channel.kraus[0]
     return None
 
 
@@ -474,14 +472,13 @@ class _Encoding(NamedTuple):
 def _signed_operators(j_delta, d):
     """The minimal signed operators of J(E - F) under the rank cut.
 
-    With J = sum_k lambda_k v_k v_k^dagger (eigenvalues descending), returns
-    the operators A_k = sqrt|lambda_k| v_k reshaped row-major to d x d for
-    the eigenvalues above :func:`_rank_cut`, their signs s_k, and
-    ``dropped``: half a bound on ||J - J_kept||_1, which bounds how far
-    1/2 ||(map x id)(X)||_1 can move on a state X when the map is read
-    through the kept terms only.
+    With J = sum_k lambda_k v_k v_k^dagger, returns the operators
+    A_k = sqrt|lambda_k| v_k reshaped row-major to d x d for the eigenvalues
+    above :func:`_rank_cut`, their signs s_k, and ``dropped``: half a bound
+    on ||J - J_kept||_1, which bounds how far 1/2 ||(map x id)(X)||_1 can
+    move on a state X when the map is read through the kept terms only.
     """
-    lam, vecs = linalg.hermitian_eigendecomposition(j_delta)
+    lam, vecs = np.linalg.eigh(j_delta)
     keep = np.abs(lam) > _rank_cut(d)
     # the eigensolver's backward error, n eps ||J||_2 per eigenvalue, joins
     # the cut terms: ||J - J_kept||_1 <= sum |lambda_dropped| + n^2 eps ||J||_2

@@ -1,21 +1,14 @@
 """The two dense numeric kernels, both on numpy's LAPACK.
 
 ``eigh_kernel`` is the Hermitian eigendecomposition behind
-:func:`gatebounds.linalg.hermitian_eigendecomposition`, its only caller
-(and so behind ``trace_norm`` and ``min_hermitian_eigenvalue``).  Other
-eigenvalues call LAPACK directly, so a count of ``eigh_kernel`` calls
-covers only that path: the solver's step lengths (``sdp._max_steps``), the
-rank that picks a diamond solve path (``diamond._plan``), the ||J||_2 that
-scales the "choi" path's start (``diamond._choi_start``), the witness
-certificate (``diamond._witness_value``), the input-state ascent
-(``diamond.ascent_lower_bound``), the fidelity route's Gram bound, the
-structured Newton solve's congruence (``diamond._ChoiOperator.nt_solver``),
-and the batched QR and ``eigvalsh`` of ``pair_scan_kernel``.  The solver's
-factorizations call LAPACK directly too: per iteration, one batched
-Cholesky and one batched ``inv`` per run for the inverse factors
-(``sdp._inverse_cholesky``), the Schur matrix's Cholesky test and its two
-solves on the HKM path, and one batched SVD per run for the NT scaling
-(``sdp._nt_scaling``).
+:func:`gatebounds.linalg.hermitian_eigendecomposition`, its only caller,
+and so behind ``linalg``'s checked helpers, which serve only matrices that
+arrive from outside the package (CLI Choi files, ``metrics`` density
+matrices).  The rule for everything else: a matrix the package builds
+itself (solver iterates and slacks, Choi differences, outputs, scalings)
+goes straight to numpy's LAPACK, in numpy's ascending order and without a
+Hermiticity check.  So a count of ``eigh_kernel`` calls covers outside
+input only; a diamond distance or an audit makes none.
 
 ``pair_scan_kernel`` is the vectorized sampled trace-norm scan behind the
 brute-force diamond-distance lower bound.  Its only remaining callers are

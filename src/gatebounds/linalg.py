@@ -2,11 +2,15 @@
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Functions validate shape and (where required) hermiticity, and raise
-``ValueError`` on bad input.  Eigenvalues come from numpy's LAPACK: the
-Hermitian ones here through :func:`gatebounds.kernels.eigh_kernel`, after a
-Hermiticity check.  The solver's step lengths, the diamond path's rank and
-certificate, and the brute-force scan call ``np.linalg.eigvalsh``/``eigh``
-directly, without that check (see :mod:`gatebounds.kernels`).
+``ValueError`` on bad input.  The checked Hermitian helpers
+(:func:`hermitian_eigendecomposition`, :func:`min_hermitian_eigenvalue`,
+:func:`trace_norm`) serve matrices that arrive from outside the package:
+Choi matrices read by the CLI, and the density matrices of
+:func:`gatebounds.metrics.trace_distance`.  Their eigenvalues come from
+numpy's LAPACK through :func:`gatebounds.kernels.eigh_kernel`, in numpy's
+ascending order.  Matrices the package builds itself go straight to
+``np.linalg`` in the same order, without the check (see
+:mod:`gatebounds.kernels`).
 """
 
 import numpy as np
@@ -38,23 +42,22 @@ def is_unitary(m):
 
 
 def hermitian_eigendecomposition(m):
-    """Eigenvalues (descending) and matching eigenvector columns.
+    """Eigenvalues in numpy's ascending order and matching eigenvector columns.
 
     Input must be Hermitian within ``HERMITIAN_TOL``; the strictly Hermitian
     part is what gets diagonalized, so roundoff-level asymmetry is harmless.
     """
     a = as_complex_matrix(m)
-    if not is_hermitian(a):
-        defect = float(np.abs(a - a.conj().T).max())
+    adj = a.conj().T
+    defect = float(np.abs(a - adj).max())
+    if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}, tol {HERMITIAN_TOL:.3e})")
-    h = (a + a.conj().T) / 2
-    w, v = kernels.eigh_kernel(h)
-    return w[::-1], v[:, ::-1]
+    return kernels.eigh_kernel((a + adj) / 2)
 
 
 def min_hermitian_eigenvalue(m):
     w, _ = hermitian_eigendecomposition(m)
-    return float(w[-1])
+    return float(w[0])
 
 
 def trace_norm(m):

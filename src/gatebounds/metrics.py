@@ -12,12 +12,18 @@ EXACT = "exact"
 
 
 def total_variation_distance(mu, nu):
-    """Half the l1 distance between two probability vectors."""
+    """Half the l1 distance between two probability vectors, each checked
+    with :class:`gatebounds.pauli.PauliChannel`'s tolerances: no entry
+    below -1e-12 and a sum within 1e-12 of 1."""
     p = np.asarray(mu, dtype=float)
     q = np.asarray(nu, dtype=float)
     for name, v in (("mu", p), ("nu", q)):
         if not np.isfinite(v).all():
             raise ValueError(f"distribution {name} has a non-finite entry")
+        if v.size and v.min() < -1e-12:
+            raise ValueError(f"distribution {name} has a negative entry {float(v.min())!r}")
+        if abs(v.sum() - 1.0) > 1e-12:
+            raise ValueError(f"distribution {name} sums to {float(v.sum())!r}, not 1")
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"distributions must be equal-length vectors, got {p.shape} and {q.shape}")
     return float(0.5 * np.abs(p - q).sum())

@@ -43,8 +43,8 @@ def _operators(qubits):
 
 def _qubit_count(dim):
     n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
+    if n < 1 or 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two of at least 2")
     return n
 
 

@@ -45,7 +45,8 @@ blocks and y, and that iterate's gap and iteration count
 scratch: residual, eigenvalues of X and of the dual slack C - sum y_i A_i,
 both objective values and the gap, from the problem and (x, y) alone.  The
 package's top level re-exports only :class:`SolverError`; the solver
-itself is reached as ``gatebounds.sdp``.
+itself is reached as ``gatebounds.sdp``, and it imports nothing from the
+package: only numpy and the standard library.
 
 The problem data is one flat operator.  Every block-diagonal matrix is a
 complex vector of length N = sum n_b^2, block b in its own range as a
@@ -94,12 +95,16 @@ Every iteration factors the X and Z blocks of a run together: one batched
 Cholesky call on their concatenated (2k, n, n) stack, then one batched
 ``inv`` for the inverse factors, which give Z^-1 and all four step lengths.
 Each direction's primal and dual step lengths of a run come from one
-batched ``eigvalsh``; the two minima are taken separately.
+batched ``eigvalsh``; the two minima are taken separately.  The verify
+reads its spectra the same way: one ``eigvalsh`` per run on the stack of
+its X blocks then its slack blocks.  Every eigenvalue the module reads
+comes from ``eigvalsh``, in ascending order.
 NumPy's batched linear algebra runs the same LAPACK routine on each member,
 so a run gives the numbers that one call per block gives; a problem whose
 blocks all differ in size has runs of one.  The diamond SDP's blocks
 (d^2, d^2, d) form two runs, so an assembled iteration makes three
-Cholesky calls, two ``inv`` calls, two solves and four ``eigvalsh`` calls.
+Cholesky calls, two ``inv`` calls, two solves and four ``eigvalsh`` calls,
+and a verify two ``eigvalsh`` calls.
 The Schur matrix is real symmetric; it is factored by Cholesky only to test
 that it is positive definite (with one jittered retry), and each of the two
 directions per iteration is then one ``np.linalg.solve`` against it.  The
@@ -114,8 +119,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-
-from . import linalg
 
 HERMITIAN_TOL = 1e-12
 MAX_ITERATIONS = 200
@@ -651,17 +654,19 @@ def verify_solution(problem, solution):
     Uses only the problem data and the returned (x, y): primal residual,
     minimum eigenvalues of the primal blocks and of C - sum y_i A_i, and the
     normalized duality gap.  ``z_eig_ranges`` holds the (smallest, largest)
-    eigenvalue of each block of C - sum y_i A_i, for dual bounds that weigh
-    each block's negativity separately; ``z_min_eig`` is the least of them.
+    eigenvalue of each block of C - sum y_i A_i, in block order, for dual
+    bounds that weigh each block's negativity separately; ``z_min_eig`` is
+    the least of them.  Per run, one ``eigvalsh`` call on the (2k, n, n)
+    stack of its X blocks then its slack blocks gives both spectra, in
+    ascending order, as in the step lengths.
     """
     x = _flat(solution.x)
     primal_residual = float(np.abs(problem.apply(x) - problem.b).max(initial=0.0))
-    x_min_eig = min(linalg.min_hermitian_eigenvalue(xb) for xb in solution.x)
-    slack = problem.blocks(problem.c - problem.adjoint(solution.y))
-    z_eig_ranges = []
-    for zb in slack:
-        w, _ = linalg.hermitian_eigendecomposition(zb)
-        z_eig_ranges.append((float(w[-1]), float(w[0])))
+    slack = problem.c - problem.adjoint(solution.y)
+    runs = zip(problem.runs, problem.stacks(x), problem.stacks(slack))
+    spectra = [(k, np.linalg.eigvalsh(np.concatenate((xr, zr)))) for (k, _), xr, zr in runs]
+    x_min_eig = min(float(lam[:k, 0].min()) for k, lam in spectra)
+    z_eig_ranges = [(float(w[0]), float(w[-1])) for k, lam in spectra for w in lam[k:]]
     z_min_eig = min(lo for lo, _ in z_eig_ranges)
     pobj = _inner(problem.c, x)
     dobj = float(problem.b @ solution.y)

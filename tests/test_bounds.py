@@ -65,6 +65,24 @@ def test_bound_input_validation():
             bounds.generic_upper_bound(bad, 2)
     # values inside rounding slop of the endpoints are clamped, not rejected
     assert bounds.pauli_lower_bound(1.0 + 1e-13, 2) == 0.0
+    # a real-valued input is a real number, not a string that parses as one,
+    # just as a dimension is
+    for call, what, value in (
+        (lambda: bounds.pauli_lower_bound("0.99", 2), "fidelity", "'0.99'"),
+        (lambda: bounds.required_fidelity("0.01", 4), "target error rate", "'0.01'"),
+        (lambda: bounds.pauli_refined_interval(0.99, 2, "0.1"), "Pauli distance", "'0.1'"),
+        (lambda: bounds.decomposition_upper_bound(0.99, 2, [0.1, b"0.2"]), "Pauli distance", "b'0.2'"),
+        (lambda: bounds.sweep_rows("depolarizing", ["0.9"]), "fidelity", "'0.9'"),
+    ):
+        with pytest.raises(ValueError, match=f"{what} must be a real number, got {value}"):
+            call()
+    # a string of distances is refused whole, not read digit by digit
+    for deltas in ("12", b"12"):
+        with pytest.raises(ValueError, match="Pauli distances must be a collection of numbers"):
+            bounds.decomposition_upper_bound(0.99, 2, deltas)
+    # numpy scalars are real numbers
+    assert bounds.pauli_lower_bound(np.float64(0.99), np.int64(2)) == bounds.pauli_lower_bound(0.99, 2)
+    assert bounds.decomposition_upper_bound(0.99, 2, np.array([0.001, 0.002])) == pytest.approx(0.018)
 
 
 def test_nontriviality_threshold():

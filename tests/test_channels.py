@@ -25,6 +25,9 @@ def test_validation_rejects_empty_and_mixed_dims():
         Channel([])
     with pytest.raises(ChannelValidationError):
         Channel([np.eye(2), np.eye(3)])
+    # a 0 x 0 operator is refused before any reduction over its entries
+    with pytest.raises(ChannelValidationError, match="of dimension at least 1"):
+        Channel([np.zeros((0, 0))])
 
 
 def test_kraus_arrays_are_read_only():

@@ -25,21 +25,26 @@ def test_hermitian_and_unitary_predicates():
     assert not linalg.is_unitary(2 * u)
 
 
-def test_eigendecomposition_descending_and_reconstructs():
+def test_eigendecomposition_ascending_and_reconstructs():
+    # numpy's order, as every eigen-solve of the package's own matrices
     rng = np.random.default_rng(3)
     for n in (2, 4, 7):
         h = random_hermitian(rng, n, scale=3.0)
         w, v = linalg.hermitian_eigendecomposition(h)
-        assert np.all(np.diff(w) <= 0)
+        assert np.all(np.diff(w) >= 0)
+        assert linalg.min_hermitian_eigenvalue(h) == w[0]
         scale = float(np.abs(h).max())
         assert float(np.abs(v @ np.diag(w) @ v.conj().T - h).max()) <= 1e-10 * scale
         assert float(np.abs(v.conj().T @ v - np.eye(n)).max()) <= 1e-10
-        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(h), atol=1e-10 * max(1.0, scale))
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-10 * max(1.0, scale))
 
 
 def test_eigendecomposition_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect 1\.000e\+00, tol 1\.000e-09\)"):
         linalg.hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a NaN defect is no defect within tolerance
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.hermitian_eigendecomposition(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_min_eigenvalue():

@@ -27,6 +27,16 @@ def test_total_variation_distance_validation():
         metrics.total_variation_distance([[0.5, 0.5]], [[0.5, 0.5]])
 
 
+def test_total_variation_distance_rejects_non_distributions_by_name():
+    # a negative entry that the sum hides, and a vector that is not normalized
+    with pytest.raises(ValueError, match="distribution mu has a negative entry -0.5"):
+        metrics.total_variation_distance([1.5, -0.5], [1.0, 0.0])
+    with pytest.raises(ValueError, match="distribution nu sums to 0.9, not 1"):
+        metrics.total_variation_distance([1.0, 0.0], [0.5, 0.4])
+    # within PauliChannel's tolerances, 1e-12 on each entry and on the sum
+    assert metrics.total_variation_distance([1.0 + 5e-13, -5e-13], [1.0, 0.0]) == pytest.approx(5e-13)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_total_variation_distance_rejects_non_finite_entries_by_name(bad):
     # checked before the shapes: a NaN or an infinity never reaches the sum

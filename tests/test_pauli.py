@@ -132,8 +132,10 @@ def test_twirl_of_rotation_mixes_identity_and_z():
 
 
 def test_twirl_rejects_non_qubit_dimension():
-    with pytest.raises(ValueError, match="power of two"):
-        pauli.pauli_twirl(channels.identity_channel(3))
+    # the message names the channel's dimension, not a derived qubit count
+    for dim in (1, 3):
+        with pytest.raises(ValueError, match=f"dimension {dim} is not a power of two of at least 2"):
+            pauli.pauli_twirl(channels.identity_channel(dim))
 
 
 @pytest.mark.parametrize("qubits", [1, 2])

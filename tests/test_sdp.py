@@ -1,5 +1,9 @@
 """Interior-point solver on problems with independently known optima."""
 
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,7 +190,8 @@ def test_solve_is_deterministic():
     assert_identical_solutions(sdp.solve(min_eig_problem(c)), sdp.solve(min_eig_problem(c)))
 
 
-@pytest.mark.parametrize(
+# one channel per diamond solve path, each against the identity
+DIAMOND_PATHS = pytest.mark.parametrize(
     "channel, path",
     [
         (channels.amplitude_damping(0.3), "choi"),
@@ -195,13 +200,20 @@ def test_solve_is_deterministic():
     ],
     ids=["d2-template", "d3-fidelity", "d4-structured"],
 )
-def test_diamond_solves_repeat_bit_for_bit(channel, path):
-    # each kind of diamond problem, solved twice from its encoding, gives
-    # the same iterate to the last bit
+
+
+def diamond_encoding(channel, path):
     d = channel.dim
     j = channel.choi - channels.identity_channel(d).choi
     assert diamond._plan(j, d)[0] == path
-    enc = diamond._encoding(j, d, path)
+    return diamond._encoding(j, d, path)
+
+
+@DIAMOND_PATHS
+def test_diamond_solves_repeat_bit_for_bit(channel, path):
+    # each kind of diamond problem, solved twice from its encoding, gives
+    # the same iterate to the last bit
+    enc = diamond_encoding(channel, path)
     assert (enc.start is not None) == (path == "choi")
     first, second = sdp.solve(enc.problem, enc.start), sdp.solve(enc.problem, enc.start)
     assert first.status is sdp.SdpStatus.CONVERGED
@@ -362,6 +374,51 @@ def test_two_schur_solves_per_iteration(monkeypatch):
     assert shapes["inv"] == runs * steps
     # one eigvalsh per run for each of the two directions
     assert shapes["eigvalsh"] == runs * (2 * steps)
+
+
+def backward_error(w):
+    # the bound n eps ||M||_2 of a Hermitian eigensolver on M with spectrum w
+    return len(w) * np.finfo(float).eps * np.abs(w).max()
+
+
+def check_verify_against_eigh(monkeypatch, prob, sol):
+    # the reference: every block's spectrum from its own np.linalg.eigh call
+    x_ref = [np.linalg.eigh(xb)[0] for xb in sol.x]
+    z_ref = [np.linalg.eigh(zb)[0] for zb in prob.blocks(prob.c - prob.adjoint(sol.y))]
+    calls = count_linalg_calls(monkeypatch, ("eigvalsh", "eigh"))
+    checked = sdp.verify_solution(prob, sol)
+    # one eigvalsh per run on its X blocks then its slack blocks, no eigh
+    assert calls == {"eigvalsh": [(2 * k, n, n) for k, n in prob.runs], "eigh": []}
+    assert len(checked["z_eig_ranges"]) == len(z_ref)
+    for (lo, hi), w in zip(checked["z_eig_ranges"], z_ref):
+        assert abs(lo - w[0]) <= backward_error(w) and abs(hi - w[-1]) <= backward_error(w)
+    least = min(w[0] for w in x_ref)
+    assert abs(checked["x_min_eig"] - least) <= max(backward_error(w) for w in x_ref)
+    assert checked["z_min_eig"] == min(lo for lo, _ in checked["z_eig_ranges"])
+
+
+@DIAMOND_PATHS
+def test_verify_spectra_match_per_block_eigh_on_diamond_paths(monkeypatch, channel, path):
+    enc = diamond_encoding(channel, path)
+    sol = sdp.solve(enc.problem, enc.start)
+    assert sol.status is sdp.SdpStatus.CONVERGED
+    check_verify_against_eigh(monkeypatch, enc.problem, sol)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "correlation", "real", "complex", "two-blocks"])
+def test_verify_spectra_match_per_block_eigh_on_generic_problems(monkeypatch, kind):
+    rng = np.random.default_rng(79)
+    e00, e11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    prob = {
+        "scalar": lambda: sdp.SdpProblem([1], [3.0], [[1.0]], [2.0]),
+        "correlation": lambda: flat_problem([2], [np.fliplr(np.eye(2))], [[e00], [e11]], [1.0, 1.0]),
+        "real": lambda: min_eig_problem(random_symmetric(rng, 5)),
+        "complex": lambda: min_eig_problem(random_hermitian(rng, 4)),
+        "two-blocks": lambda: decoupled_problem(random_symmetric(rng, 3), random_hermitian(rng, 3)),
+    }[kind]()
+    sol = sdp.solve(prob)
+    assert sol.status is sdp.SdpStatus.CONVERGED
+    check_verify_against_eigh(monkeypatch, prob, sol)
 
 
 def test_verify_solution_matches_solution_fields():
@@ -596,6 +653,19 @@ def check_lapack_calls(monkeypatch, prob):
     assert len(calls["inv"]) <= runs * sol.iterations
     assert len(calls["eigvalsh"]) <= 2 * runs * sol.iterations
     assert len(calls["solve"]) <= 2 * sol.iterations
+
+
+def test_solver_imports_only_numpy_and_the_standard_library():
+    # the solver stands alone: a relative import names a module "" here
+    tree = ast.parse(Path(sdp.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("" if node.level else node.module.split(".")[0])
+    assert "numpy" in modules
+    assert modules <= set(sys.stdlib_module_names) | {"numpy"}
 
 
 def test_constraint_count_is_defined_where_the_rhs_is():
