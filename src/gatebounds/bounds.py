@@ -25,22 +25,9 @@ from .metrics import EXACT
 PHI_SLOP = 1e-12
 
 
-def _finite(value, what):
-    """``value`` as a float, or ValueError naming ``what`` unless it is a
-    finite real number; a numeric string is refused, as for a dimension."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {x!r}")
-    return x
-
-
 def _checked_phi(phi):
-    p = _finite(phi, "fidelity")
-    if not (-PHI_SLOP <= p <= 1.0 + PHI_SLOP):
-        raise ValueError(f"fidelity {p!r} outside [0, 1]")
-    return min(1.0, max(0.0, p))
+    # rounding slop at either end is clamped, not rejected
+    return min(1.0, max(0.0, channels.checked_real(phi, "fidelity", -PHI_SLOP, 1.0 + PHI_SLOP)))
 
 
 def pauli_lower_bound(phi, dim):
@@ -65,9 +52,9 @@ def nontriviality_threshold(dim):
 
 def required_fidelity(target_error, dim):
     """Fidelity needed before the upper bound certifies the target error rate."""
-    t = _finite(target_error, "target error rate")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"target error rate {target_error!r} outside (0, 1]")
+    t = channels.checked_real(target_error, "target error rate", 0, 1)
+    if t == 0.0:
+        raise ValueError(f"target error rate {t!r} outside (0, 1]")
     d = channels.checked_dimension(dim, 2)
     return 1.0 - t * t / (d * (d + 1))
 
@@ -81,9 +68,7 @@ def pauli_refined_interval(phi, dim, pauli_dist):
     channel has delta - eta_pauli above the generic bound, since delta <=
     eta + eta_pauli, so such a delta is rejected rather than bracketed.
     """
-    delta = _finite(pauli_dist, "Pauli distance")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"Pauli distance {pauli_dist!r} outside [0, 1]")
+    delta = channels.checked_real(pauli_dist, "Pauli distance", 0, 1)
     eta_p = pauli_lower_bound(phi, dim)
     generic = generic_upper_bound(phi, dim)
     if delta - eta_p > generic:
@@ -104,9 +89,7 @@ def decomposition_upper_bound(phi, dim, deltas):
     """
     if isinstance(deltas, (str, bytes)):
         raise ValueError(f"Pauli distances must be a collection of numbers, got {deltas!r}")
-    ds = [_finite(x, "Pauli distance") for x in deltas]
-    if min(ds, default=0.0) < 0.0:
-        raise ValueError("Pauli distances must be nonnegative")
+    ds = [channels.checked_real(x, "Pauli distance", 0) for x in deltas]
     return pauli_lower_bound(phi, dim) + sum(ds)
 
 
@@ -264,7 +247,7 @@ def sweep_rows(model, phis):
     if model not in SWEEP_MODELS:
         raise ValueError(f"unknown sweep model {model!r}")
     build, lo, hi = SWEEP_MODELS[model]
-    values = sorted(_finite(p, "fidelity") for p in phis)
+    values = sorted(channels.checked_real(p, "fidelity") for p in phis)
     for phi in values:
         if not lo <= phi <= hi:
             raise ValueError(

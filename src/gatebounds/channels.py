@@ -7,6 +7,7 @@ matrix on first use, so they are safe to share between threads.
 
 import math
 import numbers
+from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +70,8 @@ class Channel:
     def apply(self, rho):
         """Apply the map to a density (or any square) matrix."""
         a = linalg.as_complex_matrix(rho, "state")
+        if not np.isfinite(a).all():
+            raise ValueError("state has a non-finite entry")
         if a.shape[0] != self.dim:
             raise ValueError(f"state dimension {a.shape[0]} does not match channel dimension {self.dim}")
         out = np.zeros_like(a)
@@ -90,6 +93,59 @@ def checked_dimension(dim, least, what="dimension"):
     if not (real and dim >= least and float(dim).is_integer()):
         raise ValueError(f"{what} must be an integer of at least {least}, got {dim!r}")
     return int(dim)
+
+
+def checked_real(value, what, lo=-math.inf, hi=math.inf):
+    """``value`` as a finite float in [lo, hi], or ValueError naming ``what``.
+
+    Refused: a bool (a flag, not a quantity), anything that is not a
+    ``numbers.Real`` (text, None, a complex value), NaN, an infinity, and an
+    integer beyond the float range, which ``float()`` cannot convert.  The
+    range is closed and has no slop; a caller that allows rounding slop
+    widens it.
+    """
+    x = value
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{what} must be a real number, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ValueError(f"{what} must be finite, got an integer beyond the float range") from None
+    if lo <= x <= hi and math.isfinite(x):
+        return x
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    raise ValueError(f"{what} {x!r} outside [{lo!r}, {hi!r}]")
+
+
+def checked_distribution(entries, what):
+    """The entries of a probability vector as a list of floats, or
+    ValueError naming ``what``.
+
+    ``entries`` is a mapping (label to probability) or a sequence.  Each
+    entry passes :func:`checked_real` with no entry below -1e-12, named
+    ``what[label]`` or ``what[index]``, and the sum lies within 1e-12 of 1.
+    Text is refused whole rather than read character by character.
+    """
+    if isinstance(entries, Mapping):
+        items = entries.items()
+    elif isinstance(entries, (str, bytes)) or not np.iterable(entries):
+        raise ValueError(f"{what} must be a collection of numbers, got {entries!r}")
+    else:
+        items = enumerate(entries)
+    values = []
+    for key, p in items:
+        try:
+            values.append(checked_real(p, what, lo=-1e-12))
+        except ValueError:
+            # an entry is named only once it fails: naming each costs more
+            # than checking it
+            checked_real(p, f"{what}[{key!r}]", lo=-1e-12)
+    total = math.fsum(values)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"the sum of {what} is {total!r}, not 1")
+    return values
 
 
 def identity_channel(dim):
@@ -115,21 +171,13 @@ def mix(terms):
     terms = list(terms)
     if not terms:
         raise ValueError("empty mixture")
-    weights = np.array([w for w, _ in terms], dtype=float)
-    finite = np.isfinite(weights)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"mixture weight {i} is not finite: {terms[i][0]!r}")
-    if weights.min() < 0:
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
+    weights = checked_distribution([w for w, _ in terms], "mixture weights")
     dim = terms[0][1].dim
     if any(ch.dim != dim for _, ch in terms):
         raise ValueError("mixture channels differ in dimension")
     kraus = []
-    for w, ch in terms:
-        if w == 0.0:
+    for w, (_, ch) in zip(weights, terms):
+        if w <= 0.0:
             continue
         root = np.sqrt(w)
         kraus.extend(root * a for a in ch.kraus)
@@ -150,23 +198,20 @@ def discrepancy(actual, ideal):
 
 def depolarizing(r):
     """Single-qubit depolarizing channel with depolarization weight r."""
-    if not 0.0 <= r <= 4.0 / 3.0:
-        raise ValueError(f"depolarizing weight must lie in [0, 4/3], got {r!r}")
+    r = checked_real(r, "depolarizing weight", 0, 4.0 / 3.0)
     weights = {"I": 1.0 - 3.0 * r / 4.0, "X": r / 4.0, "Y": r / 4.0, "Z": r / 4.0}
     return Channel([np.sqrt(w) * PAULI_MATRICES[k] for k, w in weights.items()])
 
 
 def unitary_error(theta):
     """Single-qubit unitary with eigenvalues exp(+i theta), exp(-i theta)."""
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"rotation angle must lie in [0, pi], got {theta!r}")
+    theta = checked_real(theta, "rotation angle", 0, math.pi)
     return Channel([np.diag([np.exp(1j * theta), np.exp(-1j * theta)])])
 
 
 def amplitude_damping(r):
     """Single-qubit amplitude damping with decay probability r."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"decay probability must lie in [0, 1], got {r!r}")
+    r = checked_real(r, "decay probability", 0, 1)
     a0 = np.array([[1, 0], [0, np.sqrt(1.0 - r)]], dtype=np.complex128)
     a1 = np.array([[0, np.sqrt(r)], [0, 0]], dtype=np.complex128)
     return Channel([a0, a1])
@@ -175,8 +220,7 @@ def amplitude_damping(r):
 def phase_matrix(dim, theta):
     """The controlled-phase style unitary diag(1, ..., 1, exp(i theta))."""
     dim = checked_dimension(dim, 2)
-    if not np.isfinite(theta):
-        raise ValueError(f"phase angle theta must be finite, got {theta!r}")
+    theta = checked_real(theta, "phase angle theta")
     diag = np.ones(dim, dtype=np.complex128)
     diag[-1] = np.exp(1j * theta)
     return np.diag(diag)
@@ -194,8 +238,7 @@ def lambda_mixture(dim, lam):
     phase gate.  The discrepancy of this pair has error rate exactly lam, at
     every dimension, while its fidelity defect shrinks like 1/dim^2.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"idle probability must lie in [0, 1], got {lam!r}")
+    lam = checked_real(lam, "idle probability", 0, 1)
     u = phase_matrix(dim, np.pi)
     actual = mix([(1.0 - lam, unitary_channel(u)), (lam, identity_channel(len(u)))])
     return actual, u

@@ -86,10 +86,7 @@ def _require_params(named, allowed):
             f"named.params must have exactly {sorted(allowed)}; "
             f"missing {missing}, unexpected {extra}"
         )
-    for k in allowed:
-        if not isinstance(params[k], (int, float)) or isinstance(params[k], bool):
-            raise SpecFileError(f"named.params.{k} must be a number")
-    return {k: float(params[k]) for k in allowed}
+    return {k: channels.checked_real(params[k], f"named.params.{k}") for k in allowed}
 
 
 def _named_channel(named, dim):
@@ -271,8 +268,7 @@ def cmd_sweep(args):
     if args.points < 1:
         raise ValueError("--points must be at least 1")
     for flag, value in (("--phi-min", args.phi_min), ("--phi-max", args.phi_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
+        channels.checked_real(value, flag)
     if args.phi_min >= args.phi_max:
         raise ValueError("--phi-min must be strictly below --phi-max")
     phis = np.linspace(args.phi_min, args.phi_max, args.points)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from . import linalg
+from .channels import checked_distribution, checked_real
 
 DENSITY_TOL = 1e-9
 
@@ -13,24 +14,18 @@ EXACT = "exact"
 
 def total_variation_distance(mu, nu):
     """Half the l1 distance between two probability vectors, each checked
-    with :class:`gatebounds.pauli.PauliChannel`'s tolerances: no entry
-    below -1e-12 and a sum within 1e-12 of 1."""
-    p = np.asarray(mu, dtype=float)
-    q = np.asarray(nu, dtype=float)
-    for name, v in (("mu", p), ("nu", q)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"distribution {name} has a non-finite entry")
-        if v.size and v.min() < -1e-12:
-            raise ValueError(f"distribution {name} has a negative entry {float(v.min())!r}")
-        if abs(v.sum() - 1.0) > 1e-12:
-            raise ValueError(f"distribution {name} sums to {float(v.sum())!r}, not 1")
-    if p.shape != q.shape or p.ndim != 1:
+    by :func:`gatebounds.channels.checked_distribution`."""
+    p = np.array(checked_distribution(mu, "distribution mu"))
+    q = np.array(checked_distribution(nu, "distribution nu"))
+    if p.shape != q.shape:
         raise ValueError(f"distributions must be equal-length vectors, got {p.shape} and {q.shape}")
     return float(0.5 * np.abs(p - q).sum())
 
 
 def _check_density(rho, name):
     a = linalg.as_complex_matrix(rho, name)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if not linalg.is_hermitian(a):
         raise ValueError(f"{name} is not Hermitian")
     if abs(a.trace().real - 1.0) > DENSITY_TOL or abs(a.trace().imag) > DENSITY_TOL:
@@ -64,8 +59,7 @@ def average_gate_fidelity(channel):
 
 def inverse_infidelity(fidelity):
     """1/(1 - fidelity); the sentinel ``EXACT`` when fidelity is exactly 1."""
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity!r}")
+    fidelity = checked_real(fidelity, "fidelity", 0, 1)
     if fidelity == 1.0:
         return EXACT
     return 1.0 / (1.0 - fidelity)

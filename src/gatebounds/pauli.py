@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import PAULI_MATRICES, Channel, checked_dimension
+from .channels import PAULI_MATRICES, Channel, checked_dimension, checked_distribution
 
 PAULI_TOL = 1e-9
 
@@ -60,15 +60,7 @@ class PauliChannel:
         if set(self.probs) - labels:
             bad = sorted(set(self.probs) - labels)
             raise ValueError(f"labels {bad} are not {self.qubits}-qubit Paulis")
-        values = np.array(list(self.probs.values()), dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            label = list(self.probs)[np.flatnonzero(~finite)[0]]
-            raise ValueError(f"Pauli probability of {label!r} is not finite")
-        if values.size and values.min() < -1e-12:
-            raise ValueError("Pauli probabilities must be nonnegative")
-        if abs(values.sum() - 1.0) > 1e-12:
-            raise ValueError(f"Pauli probabilities sum to {values.sum()!r}, not 1")
+        checked_distribution(self.probs, "Pauli probabilities")
 
     @property
     def dim(self):

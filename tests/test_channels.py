@@ -78,6 +78,15 @@ def test_apply_dimension_check():
         channels.identity_channel(2).apply(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_apply_rejects_a_non_finite_state_by_name(bad):
+    # one such entry would spread through every Kraus product
+    rho = np.eye(2, dtype=np.complex128) / 2
+    rho[0, 1] = bad
+    with pytest.raises(ValueError, match="state has a non-finite entry"):
+        channels.depolarizing(0.1).apply(rho)
+
+
 def test_compose_of_unitaries_is_product():
     rng = np.random.default_rng(33)
     a = np.diag(np.exp(1j * rng.standard_normal(2)))
@@ -130,9 +139,9 @@ def test_mix_validation():
 def test_mix_rejects_non_finite_weights_by_name(bad):
     # NaN passes both comparisons of the weight checks, so it is named first
     ident = channels.identity_channel(2)
-    with pytest.raises(ValueError, match=r"mixture weight 0 is not finite"):
+    with pytest.raises(ValueError, match=rf"mixture weights\[0\] must be finite, got {bad!r}"):
         channels.mix([(bad, ident), (1.0, channels.depolarizing(0.1))])
-    with pytest.raises(ValueError, match=r"mixture weight 1 is not finite"):
+    with pytest.raises(ValueError, match=rf"mixture weights\[1\] must be finite, got {bad!r}"):
         channels.mix([(1.0, ident), (bad, channels.depolarizing(0.1))])
 
 

@@ -209,7 +209,7 @@ def test_analyze_choi_clips_tiny_negative_eigenvalues(tmp_path, capsys):
         ),
         (
             {"dim": 2, "kind": "named", "named": {"name": "depolarizing", "params": {"r": True}}},
-            "must be a number",
+            "named.params.r must be a real number, got True",
         ),
         ({"dim": 2, "kind": "named", "named": {"name": "bogus", "params": {}}}, "unknown named channel"),
         ({"dim": 4, "kind": "named", "named": {"name": "depolarizing", "params": {"r": 0.1}}}, "requires dim 2"),
@@ -229,6 +229,15 @@ def test_analyze_rejects_malformed_descriptions(tmp_path, capsys, payload, fragm
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert fragment in captured.err
+
+
+def test_analyze_rejects_a_named_parameter_beyond_the_float_range(tmp_path, capsys):
+    # JSON integers are unbounded; float() of this one raises OverflowError
+    path = named_file(tmp_path, "huge.json", 2, "depolarizing", {"r": 10**400})
+    assert cli.main(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: named.params.r must be finite")
 
 
 def test_analyze_rejects_broken_json_and_missing_files(tmp_path, capsys):

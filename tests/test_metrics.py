@@ -29,9 +29,9 @@ def test_total_variation_distance_validation():
 
 def test_total_variation_distance_rejects_non_distributions_by_name():
     # a negative entry that the sum hides, and a vector that is not normalized
-    with pytest.raises(ValueError, match="distribution mu has a negative entry -0.5"):
+    with pytest.raises(ValueError, match=r"distribution mu\[1\] -0\.5 outside \[-1e-12, inf\]"):
         metrics.total_variation_distance([1.5, -0.5], [1.0, 0.0])
-    with pytest.raises(ValueError, match="distribution nu sums to 0.9, not 1"):
+    with pytest.raises(ValueError, match="the sum of distribution nu is 0.9, not 1"):
         metrics.total_variation_distance([1.0, 0.0], [0.5, 0.4])
     # within PauliChannel's tolerances, 1e-12 on each entry and on the sum
     assert metrics.total_variation_distance([1.0 + 5e-13, -5e-13], [1.0, 0.0]) == pytest.approx(5e-13)
@@ -40,9 +40,9 @@ def test_total_variation_distance_rejects_non_distributions_by_name():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_total_variation_distance_rejects_non_finite_entries_by_name(bad):
     # checked before the shapes: a NaN or an infinity never reaches the sum
-    with pytest.raises(ValueError, match="distribution mu has a non-finite entry"):
+    with pytest.raises(ValueError, match=rf"distribution mu\[0\] must be finite, got {bad!r}"):
         metrics.total_variation_distance([bad, 1.0], [0.5, 0.5])
-    with pytest.raises(ValueError, match="distribution nu has a non-finite entry"):
+    with pytest.raises(ValueError, match=rf"distribution nu\[0\] must be finite, got {bad!r}"):
         metrics.total_variation_distance([0.5, 0.5], [bad])
 
 
@@ -63,6 +63,18 @@ def test_trace_distance_validation():
         metrics.trace_distance(np.diag([1.5, -0.5]), good)
     with pytest.raises(ValueError, match="dimension"):
         metrics.trace_distance(good, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_distance_rejects_a_non_finite_state_by_name(bad):
+    # named before the Hermitian test, which a NaN fails for another reason
+    good = np.eye(2) / 2
+    broken = good.copy()
+    broken[1, 1] = bad
+    with pytest.raises(ValueError, match="rho has a non-finite entry"):
+        metrics.trace_distance(broken, good)
+    with pytest.raises(ValueError, match="sigma has a non-finite entry"):
+        metrics.trace_distance(good, broken)
 
 
 def test_trace_distance_dominates_projective_measurements():

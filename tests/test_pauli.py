@@ -49,7 +49,7 @@ def test_pauli_channel_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pauli_channel_rejects_non_finite_probabilities(bad):
     # NaN slips through both the sign test and the sum test
-    with pytest.raises(ValueError, match="probability of 'X' is not finite"):
+    with pytest.raises(ValueError, match=rf"Pauli probabilities\['X'\] must be finite, got {bad!r}"):
         pauli.PauliChannel(1, {"I": 1.0, "X": bad})
 
 

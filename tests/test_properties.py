@@ -6,14 +6,15 @@ Examples are derandomized so that every run checks the same inputs.
 import dataclasses
 import io
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatebounds import bounds, channels, cli, diamond, metrics
+from gatebounds import bounds, channels, cli, diamond, metrics, pauli
 from gatebounds.channels import Channel, ChannelValidationError
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=12)
@@ -25,6 +26,44 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max, -sys.float_info.max]
 FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 SWEEP_NUMBERS = len(dataclasses.fields(bounds.SweepRecord)) - 1
+
+# what no real-valued input accepts: flags, text, None, complex values,
+# integers beyond the float range, and the non-finite floats
+NOT_REAL = st.one_of(
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(0.01, 2.0) | st.floats(-2.0, -0.01)),
+    st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024)),
+    NON_FINITE,
+)
+
+_IDENTITY = channels.identity_channel(2)
+
+# every public entry point that reads a real or a probability vector: how to
+# pass it the bad value x, and the name its ValueError must give
+REAL_INPUTS = {
+    "pauli_lower_bound": (lambda x: bounds.pauli_lower_bound(x, 2), "fidelity"),
+    "generic_upper_bound": (lambda x: bounds.generic_upper_bound(x, 2), "fidelity"),
+    "required_fidelity": (lambda x: bounds.required_fidelity(x, 2), "target error rate"),
+    "pauli_refined_interval-phi": (lambda x: bounds.pauli_refined_interval(x, 2, 0.1), "fidelity"),
+    "pauli_refined_interval-delta": (lambda x: bounds.pauli_refined_interval(0.99, 2, x), "Pauli distance"),
+    "decomposition_upper_bound": (lambda x: bounds.decomposition_upper_bound(0.99, 2, [0.1, x]), "Pauli distance"),
+    "sweep_rows": (lambda x: bounds.sweep_rows("depolarizing", [0.9, x]), "fidelity"),
+    "depolarizing": (channels.depolarizing, "depolarizing weight"),
+    "unitary_error": (channels.unitary_error, "rotation angle"),
+    "amplitude_damping": (channels.amplitude_damping, "decay probability"),
+    "generalized_cphase": (lambda x: channels.generalized_cphase(2, x), "phase angle theta"),
+    "lambda_mixture": (lambda x: channels.lambda_mixture(2, x), "idle probability"),
+    "mix": (lambda x: channels.mix([(1.0, _IDENTITY), (x, _IDENTITY)]), "mixture weights[1]"),
+    "inverse_infidelity": (metrics.inverse_infidelity, "fidelity"),
+    "total_variation_distance": (
+        lambda x: metrics.total_variation_distance([1.0, 0.0], [x, 0.0]),
+        "distribution nu[0]",
+    ),
+    "PauliChannel": (lambda x: pauli.PauliChannel(1, {"I": x}), "Pauli probabilities['I']"),
+    "cli-named-params": (lambda x: cli._require_params({"params": {"r": x}}, ("r",)), "named.params.r"),
+}
 
 
 @st.composite
@@ -73,6 +112,23 @@ def test_bounds_reject_non_finite_pauli_distance_and_dimension(bad, phi, dim):
         bounds.pauli_refined_interval(phi, dim, bad)
     with pytest.raises(ValueError, match="dimension"):
         bounds.generic_upper_bound(phi, bad)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_INPUTS))
+@settings(derandomize=True, database=None, max_examples=25)
+@given(NOT_REAL)
+@example(True)
+@example("1")
+@example(None)
+@example(0.5 + 1j)
+@example(2**1024)
+@example(math.nan)
+def test_real_inputs_refuse_what_is_not_a_finite_real_by_name(entry, bad):
+    call, quantity = REAL_INPUTS[entry]
+    # a ValueError, never an OverflowError or a TypeError, and it names the
+    # quantity at the start of its message
+    with pytest.raises(ValueError, match=f"^{re.escape(quantity)} must be (a real number|finite), got "):
+        call(bad)
 
 
 @settings(derandomize=True, database=None)
