@@ -39,6 +39,7 @@ from .diamond import (
     DiamondMethod,
     DiamondResult,
     ascent_lower_bound,
+    ascent_lower_bounds,
     brute_force_lower_bound,
     diamond_distance,
     pauli_distance,
@@ -74,6 +75,7 @@ __all__ = [
     "amplitude_damping",
     "as_pauli_channel",
     "ascent_lower_bound",
+    "ascent_lower_bounds",
     "audit",
     "average_gate_fidelity",
     "brute_force_lower_bound",

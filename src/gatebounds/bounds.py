@@ -96,17 +96,25 @@ def decomposition_upper_bound(phi, dim, deltas):
 def round_significant(x, figures, mode=decimal.ROUND_HALF_EVEN):
     """Round to the given count of significant figures (half-even default).
 
-    ``figures`` is a positive integer, or a float of integer value.
-    ``Decimal(x)`` is exact, so at least as many figures as it has digits
-    return ``x`` unchanged, and fewer round at that digit count's precision.
+    ``x`` is a real number; 0, ±inf and NaN return as they are.  A bool,
+    text, None, a complex value and an integer beyond the float range raise
+    ValueError.  ``figures`` is a positive integer, or a float of integer
+    value.  ``Decimal(x)`` is exact, so at least as many figures as it has
+    digits return ``x`` unchanged, and fewer round at that digit count's
+    precision.
     """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"value to round must be a real number, got {x!r}")
     if isinstance(figures, bool) or not (
         isinstance(figures, numbers.Real)
         and figures >= 1
         and (isinstance(figures, numbers.Integral) or float(figures).is_integer())
     ):
         raise ValueError(f"significant figures must be an integer of at least 1, got {figures!r}")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise ValueError("value to round must fit a float, got an integer beyond the float range") from None
     if v == 0.0 or not math.isfinite(v):
         return v
     d = decimal.Decimal(v)

@@ -7,10 +7,12 @@ the final solver-health check audits each one.  It gates the figures that
 :func:`gatebounds.sdp.verify_solution` recomputed from the raw matrices when
 the certificates were built (the record's ``checked``): primal residual,
 normalized duality gap and block eigenvalues.  It then computes an
-input-state ascent lower bound (:func:`gatebounds.diamond.ascent_lower_bound`),
-which must lie below both the solver value (within 1e-8) and the certified
-upper end of the returned interval (within 1e-12, the ascent's own
-rounding).
+input-state ascent lower bound for every record in one call
+(:func:`gatebounds.diamond.ascent_lower_bounds`, record i from seed
+9000 + i), which steps the records' ascents in stacks and stops each on its
+own test, so each bound is the one its pair gives alone.  Each bound must
+lie below both the solver value (within 1e-8) and the certified upper end
+of the returned interval (within 1e-12, the ascent's own rounding).
 
 A check that raises is reported as failed, not skipped; the suite always
 returns one result per registered check, in registration order.
@@ -323,7 +325,9 @@ def _check_solver_health(ctx):
     worst_gap = 0.0
     worst_residual = 0.0
     worst_excess = -math.inf
-    for i, rec in enumerate(ctx.records):
+    pairs = [(rec.e, rec.f) for rec in ctx.records]
+    lowers = diamond.ascent_lower_bounds(pairs, [9000 + i for i in range(len(pairs))])
+    for i, (rec, lower) in enumerate(zip(ctx.records, lowers)):
         checked = rec.checked
         worst_gap = max(worst_gap, checked["gap"])
         worst_residual = max(worst_residual, checked["primal_residual"])
@@ -334,7 +338,6 @@ def _check_solver_health(ctx):
         )
         t.check(checked["x_min_eig"] >= -1e-7, f"solve {i}: primal block not PSD within 1e-7")
         t.check(checked["z_min_eig"] >= -1e-7, f"solve {i}: dual slack not PSD within 1e-7")
-        lower = diamond.ascent_lower_bound(rec.e, rec.f, seed=9000 + i)
         worst_excess = max(worst_excess, lower - rec.result.value)
         t.check(
             lower <= rec.result.value + 1e-8,

@@ -207,6 +207,29 @@ def test_round_significant():
             bounds.round_significant(1.0, bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, "1.55", None, 1 + 2j, 10**400, -(10**400)],
+    ids=["true", "false", "text", "none", "complex", "huge", "huge-negative"],
+)
+def test_round_and_ceil_significant_refuse_a_value_that_is_not_a_float(bad):
+    for fn in (bounds.round_significant, bounds.ceil_significant):
+        with pytest.raises(ValueError, match="^value to round must") as info:
+            fn(bad, 2)
+        if isinstance(bad, int) and not isinstance(bad, bool):
+            assert str(info.value).endswith("an integer beyond the float range")
+        else:
+            assert str(info.value).endswith(f"must be a real number, got {bad!r}")
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float32(math.inf), np.float32(math.nan)])
+def test_round_and_ceil_significant_pass_non_finite_reals_through(x):
+    for fn in (bounds.round_significant, bounds.ceil_significant):
+        got = fn(x, 2)
+        assert type(got) is float
+        assert math.isnan(got) if math.isnan(x) else got == x
+
+
 def test_ceil_significant():
     assert bounds.ceil_significant(24.49, 2) == 25.0
     assert bounds.ceil_significant(44.72, 2) == 45.0

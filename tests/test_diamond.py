@@ -269,7 +269,66 @@ def test_ascent_rejects_a_dimension_mismatch_like_the_scan():
         diamond.brute_force_lower_bound(*pair)
     with pytest.raises(ValueError) as ascent:
         diamond.ascent_lower_bound(*pair)
-    assert str(ascent.value) == str(scan.value) == "channels differ in dimension"
+    with pytest.raises(ValueError) as batch:
+        diamond.ascent_lower_bounds([(channels.depolarizing(0.1), None), pair], [0, 1])
+    assert str(ascent.value) == str(scan.value) == str(batch.value) == "channels differ in dimension"
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "a", None, -1, np.int64(-2)])
+def test_ascent_and_scan_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    ch = channels.amplitude_damping(0.3)
+    calls = (
+        lambda: diamond.ascent_lower_bound(ch, seed=seed),
+        lambda: diamond.ascent_lower_bounds([(ch, None), (ch, None)], [0, seed]),
+        lambda: diamond.brute_force_lower_bound(ch, samples=10, seed=seed),
+    )
+    message = f"seed must be a non-negative integer, got {re.escape(repr(seed))}"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_ascent_batch_refuses_a_seed_count_that_differs_from_the_pairs():
+    ch = channels.amplitude_damping(0.3)
+    with pytest.raises(ValueError, match="pairs and seeds differ in length: 1 against 2"):
+        diamond.ascent_lower_bounds([(ch, None)], [0, 1])
+    with pytest.raises(ValueError, match="pairs and seeds differ in length: 2 against 0"):
+        diamond.ascent_lower_bounds([(ch, None), (ch, None)], [])
+
+
+def test_ascent_batch_equals_each_pair_alone(monkeypatch):
+    rng = np.random.default_rng(50)
+    ch = random_channel(rng, 2, 3)
+    v = random_unitary(rng, 3)
+    mixed = Channel([sum(v[i, j] * k for j, k in enumerate(ch.kraus)) for i in range(3)])
+    # rank 0 (no ascent), then a pair that stops on its rise test and one
+    # still rising at the step cap
+    early, capped = (channels.amplitude_damping(0.3), None), (random_channel(rng, 3, 1), None)
+    pairs, seeds = [(ch, mixed), early, capped], [0, 7, 7]
+    # 38 pairs at d = 2 fill more than one stack of 32, 5 at d = 4 three of 2
+    for d, count in ((2, 36), (3, 4), (4, 5)):
+        for i in range(count):
+            other = None if i % 2 else random_channel(rng, d, 1)
+            pairs.append((random_channel(rng, d, 1 + i % 3), other))
+            seeds.append(int(rng.integers(2**32)))
+    alone = [diamond.ascent_lower_bound(e, f, seed=s) for (e, f), s in zip(pairs, seeds)]
+    assert alone[0] == 0.0
+    # the batch gets the dimensions interleaved and half the seeds as numpy integers
+    order = rng.permutation(len(pairs))
+    batch_pairs = [pairs[i] for i in order]
+    batch_seeds = [np.int64(seeds[i]) if i % 2 else seeds[i] for i in order]
+    for entries in (diamond.ASCENT_STACK_ENTRIES, 2**20):
+        monkeypatch.setattr(diamond, "ASCENT_STACK_ENTRIES", entries)
+        assert diamond.ascent_lower_bounds(batch_pairs, batch_seeds) == [alone[i] for i in order]
+    assert diamond.ascent_lower_bounds([], []) == []
+
+    def bounds_at(steps):
+        monkeypatch.setattr(diamond, "ASCENT_STEPS", steps)
+        return diamond.ascent_lower_bounds([early, capped], [7, 7])
+
+    cap = diamond.ASCENT_STEPS
+    last, at_cap, doubled = bounds_at(cap - 1), bounds_at(cap), bounds_at(2 * cap)
+    assert at_cap[0] == doubled[0] and at_cap[1] > last[1]
 
 
 PAULI_DISTANCE = """
