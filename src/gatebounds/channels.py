@@ -1,8 +1,16 @@
 """Completely positive trace-preserving maps in Kraus form.
 
-A :class:`Channel` wraps a validated tuple of Kraus operators.  Instances
-are immutable (the stored arrays are marked read-only) and cache their Choi
+A :class:`Channel` wraps a tuple of Kraus operators.  Instances are
+immutable (the stored arrays are marked read-only) and cache their Choi
 matrix on first use, so they are safe to share between threads.
+
+Each input is checked once, where it enters: ``Channel(kraus)`` tests Kraus
+operators from outside for shape, finiteness and trace preservation, and
+:func:`unitary_channel` and :func:`discrepancy` test their matrix for
+unitarity.  A channel derived from checked input (:func:`compose`,
+:func:`mix`, :func:`discrepancy`, the named constructors, a Pauli
+channel's Kraus form) is stored without a second test, so the rounding of
+a derivation never turns accepted inputs into a refusal.
 """
 
 import math
@@ -31,17 +39,23 @@ class ChannelValidationError(ValueError):
 
 
 class Channel:
-    """A CPTP map, stored as Kraus operators of a fixed dimension."""
+    """A CPTP map, stored as Kraus operators of a fixed dimension.
+
+    ``Channel(kraus)`` is for Kraus operators from outside the package: each
+    must be a square, finite matrix, all of one dimension, with
+    sum_k A_k^dagger A_k within ``CPTP_TOL`` of the identity, or
+    :class:`ChannelValidationError` names what is wrong.  Channels the
+    package derives from checked ones are built by ``Channel._derived``,
+    without that test.
+    """
 
     def __init__(self, kraus):
         ops = []
         for k, op in enumerate(kraus):
-            a = linalg.as_complex_matrix(op, f"Kraus operator {k}")
-            if not np.isfinite(a).all():
-                raise ChannelValidationError(f"Kraus operator {k} has a non-finite entry")
-            a = a.copy()
-            a.flags.writeable = False
-            ops.append(a)
+            try:
+                ops.append(linalg.as_complex_matrix(op, f"Kraus operator {k}"))
+            except ValueError as exc:
+                raise ChannelValidationError(str(exc)) from None
         if not ops or not ops[0].size:
             raise ChannelValidationError("need at least one Kraus operator, of dimension at least 1")
         dim = ops[0].shape[0]
@@ -53,8 +67,23 @@ class Channel:
             raise ChannelValidationError(
                 f"Kraus operators are not trace preserving: defect {defect:.3e} exceeds {CPTP_TOL:.3e}"
             )
-        self.dim = dim
-        self.kraus = tuple(ops)
+        self._store(ops)
+
+    @classmethod
+    def _derived(cls, kraus):
+        """The channel of Kraus operators derived from checked channels or
+        matrices (at least one, square, of one dimension), stored without
+        the CPTP test."""
+        channel = cls.__new__(cls)
+        channel._store(kraus)
+        return channel
+
+    def _store(self, kraus):
+        """Keep read-only complex128 copies of the Kraus operators."""
+        self.kraus = tuple(np.array(a, dtype=np.complex128, order="C") for a in kraus)
+        for a in self.kraus:
+            a.flags.writeable = False
+        self.dim = self.kraus[0].shape[0]
 
     @cached_property
     def choi(self):
@@ -70,8 +99,6 @@ class Channel:
     def apply(self, rho):
         """Apply the map to a density (or any square) matrix."""
         a = linalg.as_complex_matrix(rho, "state")
-        if not np.isfinite(a).all():
-            raise ValueError("state has a non-finite entry")
         if a.shape[0] != self.dim:
             raise ValueError(f"state dimension {a.shape[0]} does not match channel dimension {self.dim}")
         out = np.zeros_like(a)
@@ -149,21 +176,21 @@ def checked_distribution(entries, what):
 
 
 def identity_channel(dim):
-    return Channel([np.eye(checked_dimension(dim, 1))])
+    return Channel._derived([np.eye(checked_dimension(dim, 1))])
 
 
 def unitary_channel(u):
     a = linalg.as_complex_matrix(u, "unitary")
     if not linalg.is_unitary(a):
         raise ChannelValidationError("matrix is not unitary within tolerance")
-    return Channel([a])
+    return Channel._derived([a])
 
 
 def compose(outer, inner):
     """Channel applying ``inner`` first, then ``outer``."""
     if outer.dim != inner.dim:
         raise ValueError("cannot compose channels of different dimension")
-    return Channel([a @ b for a in outer.kraus for b in inner.kraus])
+    return Channel._derived([a @ b for a in outer.kraus for b in inner.kraus])
 
 
 def mix(terms):
@@ -181,7 +208,7 @@ def mix(terms):
             continue
         root = np.sqrt(w)
         kraus.extend(root * a for a in ch.kraus)
-    return Channel(kraus)
+    return Channel._derived(kraus)
 
 
 def discrepancy(actual, ideal):
@@ -193,20 +220,22 @@ def discrepancy(actual, ideal):
     u = linalg.as_complex_matrix(ideal, "ideal gate")
     if u.shape[0] != actual.dim:
         raise ValueError("ideal gate dimension does not match the channel")
-    return compose(actual, unitary_channel(u.conj().T))
+    if not linalg.is_unitary(u):
+        raise ChannelValidationError("ideal gate is not unitary within tolerance")
+    return compose(actual, Channel._derived([u.conj().T]))
 
 
 def depolarizing(r):
     """Single-qubit depolarizing channel with depolarization weight r."""
     r = checked_real(r, "depolarizing weight", 0, 4.0 / 3.0)
     weights = {"I": 1.0 - 3.0 * r / 4.0, "X": r / 4.0, "Y": r / 4.0, "Z": r / 4.0}
-    return Channel([np.sqrt(w) * PAULI_MATRICES[k] for k, w in weights.items()])
+    return Channel._derived([np.sqrt(w) * PAULI_MATRICES[k] for k, w in weights.items()])
 
 
 def unitary_error(theta):
     """Single-qubit unitary with eigenvalues exp(+i theta), exp(-i theta)."""
     theta = checked_real(theta, "rotation angle", 0, math.pi)
-    return Channel([np.diag([np.exp(1j * theta), np.exp(-1j * theta)])])
+    return Channel._derived([np.diag([np.exp(1j * theta), np.exp(-1j * theta)])])
 
 
 def amplitude_damping(r):
@@ -214,7 +243,7 @@ def amplitude_damping(r):
     r = checked_real(r, "decay probability", 0, 1)
     a0 = np.array([[1, 0], [0, np.sqrt(1.0 - r)]], dtype=np.complex128)
     a1 = np.array([[0, np.sqrt(r)], [0, 0]], dtype=np.complex128)
-    return Channel([a0, a1])
+    return Channel._derived([a0, a1])
 
 
 def phase_matrix(dim, theta):
@@ -228,7 +257,7 @@ def phase_matrix(dim, theta):
 
 def generalized_cphase(dim, theta):
     """Unitary channel of the dim-level phase gate diag(1, ..., e^{i theta})."""
-    return Channel([phase_matrix(dim, theta)])
+    return Channel._derived([phase_matrix(dim, theta)])
 
 
 def lambda_mixture(dim, lam):

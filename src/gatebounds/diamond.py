@@ -202,7 +202,11 @@ def unitary_diamond_distance(u):
     The minimal covering arc is 2 pi minus the largest gap between adjacent
     sorted phases.
     """
-    phases = linalg.unitary_eigenphases(u)
+    return _arc_distance(linalg.unitary_eigenphases(u))
+
+
+def _arc_distance(phases):
+    """The unitary closed form from ascending eigenphases in [-pi, pi]."""
     gaps = np.diff(phases)
     wrap = 2.0 * np.pi - (phases[-1] - phases[0])
     largest = max(float(gaps.max(initial=0.0)), float(wrap))
@@ -217,12 +221,6 @@ def _pauli_pair_value(p, q):
     labels = sorted(set(p.probs) | set(q.probs))
     mu, nu = ([c.probs.get(k, 0.0) for k in labels] for c in (p, q))
     return metrics.total_variation_distance(mu, nu)
-
-
-def _single_unitary(channel):
-    if len(channel.kraus) == 1 and linalg.is_unitary(channel.kraus[0]):
-        return channel.kraus[0]
-    return None
 
 
 @functools.cache
@@ -696,10 +694,12 @@ def diamond_distance(e, f=None, method="auto"):
         raise ValueError(f"unknown method {method!r}")
 
     if method == "auto":
-        ue = _single_unitary(e)
-        uf = _single_unitary(f)
-        if ue is not None and uf is not None:
-            return unitary_diamond_distance(uf.conj().T @ ue)
+        # a channel with one Kraus operator is unitary: Channel's test of
+        # one operator is is_unitary's, and the package derives such
+        # channels only from unitaries, so U_f^dagger U_e is not re-tested
+        if len(e.kraus) == len(f.kraus) == 1:
+            w = f.kraus[0].conj().T @ e.kraus[0]
+            return _arc_distance(np.sort(np.angle(np.linalg.eigvals(w))))
         try:
             pe = pauli.as_pauli_channel(e)
             pf = pauli.as_pauli_channel(f)

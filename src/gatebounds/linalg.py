@@ -1,15 +1,17 @@
 """Dense complex matrix helpers shared by the channel and norm code.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
-Functions validate shape and (where required) hermiticity, and raise
-``ValueError`` on bad input.  The checked Hermitian helpers
-(:func:`hermitian_eigendecomposition`, :func:`min_hermitian_eigenvalue`,
-:func:`trace_norm`) serve matrices that arrive from outside the package:
-Choi matrices read by the CLI, and the density matrices of
+:func:`as_complex_matrix` is the one gate for a matrix from outside the
+package: it refuses a non-square shape and a non-finite entry with a
+``ValueError`` that names the matrix.  Every helper here passes its input
+through that gate, then tests Hermiticity or unitarity once, within
+``HERMITIAN_TOL`` or ``UNITARY_TOL``.  The checked Hermitian helpers
+(:func:`hermitian_eigendecomposition`, :func:`trace_norm`) serve Choi
+matrices read by the CLI and the density matrices of
 :func:`gatebounds.metrics.trace_distance`.  Their eigenvalues come from
 numpy's LAPACK through :func:`gatebounds.kernels.eigh_kernel`, in numpy's
-ascending order.  Matrices the package builds itself go straight to
-``np.linalg`` in the same order, without the check (see
+ascending order.  Matrices the package derives from checked input go
+straight to ``np.linalg`` in the same order, without a second test (see
 :mod:`gatebounds.kernels`).
 """
 
@@ -22,16 +24,14 @@ UNITARY_TOL = 1e-9
 
 
 def as_complex_matrix(m, name="matrix"):
-    """Coerce to a square complex128 array, rejecting non-square input."""
+    """``m`` as a square complex128 array, or ValueError naming ``name`` for
+    a non-square shape or a non-finite entry."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return a
-
-
-def is_hermitian(m):
-    a = as_complex_matrix(m)
-    return float(np.abs(a - a.conj().T).max()) <= HERMITIAN_TOL
 
 
 def is_unitary(m):
@@ -41,23 +41,19 @@ def is_unitary(m):
     return float(np.abs(a.conj().T @ a - eye).max()) <= UNITARY_TOL
 
 
-def hermitian_eigendecomposition(m):
+def hermitian_eigendecomposition(m, name="matrix"):
     """Eigenvalues in numpy's ascending order and matching eigenvector columns.
 
     Input must be Hermitian within ``HERMITIAN_TOL``; the strictly Hermitian
     part is what gets diagonalized, so roundoff-level asymmetry is harmless.
+    ``name`` names the matrix in the ``ValueError`` for bad input.
     """
-    a = as_complex_matrix(m)
+    a = as_complex_matrix(m, name)
     adj = a.conj().T
     defect = float(np.abs(a - adj).max())
-    if not defect <= HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}, tol {HERMITIAN_TOL:.3e})")
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e}, tol {HERMITIAN_TOL:.3e})")
     return kernels.eigh_kernel((a + adj) / 2)
-
-
-def min_hermitian_eigenvalue(m):
-    w, _ = hermitian_eigendecomposition(m)
-    return float(w[0])
 
 
 def trace_norm(m):

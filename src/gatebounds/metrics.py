@@ -24,13 +24,10 @@ def total_variation_distance(mu, nu):
 
 def _check_density(rho, name):
     a = linalg.as_complex_matrix(rho, name)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    if not linalg.is_hermitian(a):
-        raise ValueError(f"{name} is not Hermitian")
+    w, _ = linalg.hermitian_eigendecomposition(a, name)
     if abs(a.trace().real - 1.0) > DENSITY_TOL or abs(a.trace().imag) > DENSITY_TOL:
         raise ValueError(f"{name} does not have unit trace")
-    if linalg.min_hermitian_eigenvalue(a) < -DENSITY_TOL:
+    if w[0] < -DENSITY_TOL:
         raise ValueError(f"{name} is not positive semidefinite")
     return a
 

@@ -56,10 +56,11 @@ class PauliChannel:
     probs: dict
 
     def __post_init__(self):
-        labels = set(pauli_labels(self.qubits))
-        if set(self.probs) - labels:
-            bad = sorted(set(self.probs) - labels)
-            raise ValueError(f"labels {bad} are not {self.qubits}-qubit Paulis")
+        n = checked_dimension(self.qubits, 1, "qubit count")
+        # each key on its own: the 4^n labels cannot all be listed at large n
+        bad = [k for k in self.probs if not isinstance(k, str) or len(k) != n or set(k) - set("IXYZ")]
+        if bad:
+            raise ValueError(f"labels {sorted(bad)} are not {self.qubits}-qubit Paulis")
         checked_distribution(self.probs, "Pauli probabilities")
 
     @property
@@ -74,7 +75,7 @@ class PauliChannel:
     def as_channel(self):
         ops = dict(zip(pauli_labels(self.qubits), _operators(self.qubits)))
         kraus = [np.sqrt(p) * ops[label] for label, p in sorted(self.probs.items()) if p > 0.0]
-        return Channel(kraus)
+        return Channel._derived(kraus)
 
 
 def _projection(channel):

@@ -257,6 +257,16 @@ def test_audit_of_perfect_gate():
     assert report.refined_interval == (0.0, 0.0)
 
 
+def test_audit_of_gate_and_ideal_each_within_tolerance():
+    # both pass alone with defect 9.0e-10; their discrepancy, with defect
+    # 1.8e-9, is derived and not tested again
+    s = 1 + 0.45e-9
+    u = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    report = bounds.audit(channels.Channel([s * u]), s * np.eye(2))
+    assert report.error_rate.method is DiamondMethod.UNITARY_CLOSED_FORM
+    assert report.error_rate.value == 0.2955202066613394 == pytest.approx(math.sin(0.3), abs=1e-15)
+
+
 def test_audit_report_invariants():
     report = bounds.audit(channels.amplitude_damping(0.2), np.eye(2))
     eta = report.error_rate.value

@@ -1,11 +1,14 @@
 """Channel construction, Choi conventions, and the channel algebra."""
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatebounds import channels
+import gatebounds
+from gatebounds import channels, pauli
 from gatebounds.channels import Channel, ChannelValidationError
 from helpers import random_channel, random_density
 
@@ -235,3 +238,49 @@ def test_lambda_mixture_returns_pair():
 def test_unitary_channel_rejects_non_unitary():
     with pytest.raises(ChannelValidationError):
         channels.unitary_channel(np.diag([1.0, 2.0]))
+
+
+def test_channel_is_called_only_where_kraus_operators_arrive_from_outside():
+    # the CPTP test runs once, at entry: every other channel is derived
+    callers = set()
+    for path in sorted(Path(gatebounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost enclosing function: walk() meets outer
+        # functions first, so inner ones overwrite them
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = node.func
+                name = called.id if isinstance(called, ast.Name) else getattr(called, "attr", None)
+                if name == "Channel":
+                    callers.add(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert callers == {"cli.load_channel_file", "cli._channel_from_choi", "refcheck._random_channel"}
+
+
+def test_derived_channels_skip_the_cptp_test(monkeypatch):
+    rng = np.random.default_rng(35)
+    noise = random_channel(rng, dim=2, kraus_count=2)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+
+    def refuse(self, kraus):
+        raise AssertionError("Channel.__init__ called")
+
+    monkeypatch.setattr(Channel, "__init__", refuse)
+    derived = [
+        channels.compose(noise, noise),
+        channels.mix([(0.5, noise), (0.5, channels.identity_channel(2))]),
+        channels.discrepancy(noise, u),
+        channels.unitary_channel(u),
+        pauli.pauli_twirl(noise),
+        channels.depolarizing(0.1),
+        channels.unitary_error(0.3),
+        channels.amplitude_damping(0.2),
+        channels.generalized_cphase(3, 0.4),
+        channels.lambda_mixture(3, 0.2)[0],
+    ]
+    for ch in derived:
+        assert all(not a.flags.writeable and a.flags.c_contiguous for a in ch.kraus)
+        assert float(np.abs(sum(a.conj().T @ a for a in ch.kraus) - np.eye(ch.dim)).max()) <= 1e-12

@@ -55,6 +55,16 @@ def test_unitary_closed_form_ignores_global_phase():
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+def test_unitary_pair_within_tolerance_takes_the_closed_form():
+    # each channel alone passes Channel's test with defect 9.0e-10, and
+    # U_f^dagger U_e compounds it to 1.8e-9: the closed form still applies
+    s = 1 + 0.45e-9
+    u = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    res = diamond.diamond_distance(Channel([s * u]), Channel([s * np.eye(2)]))
+    assert res.method is DiamondMethod.UNITARY_CLOSED_FORM
+    assert res.value == 0.2955202066613394 == pytest.approx(math.sin(0.3), abs=1e-15)
+
+
 def test_pauli_closed_form_is_total_variation():
     p = pauli.PauliChannel(1, {"I": 0.85, "X": 0.05, "Y": 0.05, "Z": 0.05})
     q = pauli.PauliChannel(1, {"I": 0.9, "X": 0.1})

@@ -46,6 +46,20 @@ def test_pauli_channel_validation():
         pauli.PauliChannel(1, {"I": 1.2, "X": -0.2})
 
 
+def test_pauli_channel_checks_each_label_without_enumerating_labels(monkeypatch):
+    def refuse(qubits):
+        raise AssertionError("pauli_labels called")
+
+    # 4^40 labels could never be listed; each key is checked on its own
+    monkeypatch.setattr(pauli, "pauli_labels", refuse)
+    big = pauli.PauliChannel(40, {"I" * 40: 0.75, "XZ" * 20: 0.25})
+    assert big.dim == 2**40 and big.error_rate == 0.25
+    with pytest.raises(ValueError, match=re.escape("labels ['IQ', 'X'] are not 2-qubit Paulis")):
+        pauli.PauliChannel(2, {"X": 0.5, "IQ": 0.25, "ZZ": 0.25})
+    with pytest.raises(ValueError, match="^qubit count must be an integer of at least 1, got 0$"):
+        pauli.PauliChannel(0, {"": 1.0})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pauli_channel_rejects_non_finite_probabilities(bad):
     # NaN slips through both the sign test and the sum test

@@ -8,13 +8,14 @@ import io
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatebounds import bounds, channels, cli, diamond, metrics, pauli
+from gatebounds import bounds, channels, cli, diamond, linalg, metrics, pauli
 from gatebounds.channels import Channel, ChannelValidationError
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=12)
@@ -63,6 +64,26 @@ REAL_INPUTS = {
     ),
     "PauliChannel": (lambda x: pauli.PauliChannel(1, {"I": x}), "Pauli probabilities['I']"),
     "cli-named-params": (lambda x: cli._require_params({"params": {"r": x}}, ("r",)), "named.params.r"),
+}
+
+
+_HALF = np.eye(2) / 2
+
+# every public entry point that reads a matrix: how to pass it the bad 2 x 2
+# matrix m, and the name its ValueError must give
+MATRIX_INPUTS = {
+    "Channel": (lambda m: Channel([m]), "Kraus operator 0"),
+    "Channel.apply": (_IDENTITY.apply, "state"),
+    "unitary_channel": (channels.unitary_channel, "unitary"),
+    "discrepancy": (lambda m: channels.discrepancy(_IDENTITY, m), "ideal gate"),
+    "audit": (lambda m: bounds.audit(_IDENTITY, m), "ideal gate"),
+    "unitary_diamond_distance": (diamond.unitary_diamond_distance, "unitary"),
+    "trace_distance-rho": (lambda m: metrics.trace_distance(m, _HALF), "rho"),
+    "trace_distance-sigma": (lambda m: metrics.trace_distance(_HALF, m), "sigma"),
+    "hermitian_eigendecomposition": (linalg.hermitian_eigendecomposition, "matrix"),
+    "trace_norm": (linalg.trace_norm, "matrix"),
+    "unitary_eigenphases": (linalg.unitary_eigenphases, "unitary"),
+    "is_unitary": (linalg.is_unitary, "matrix"),
 }
 
 
@@ -138,6 +159,25 @@ def test_channel_rejects_non_finite_kraus_entries(bad, k, flat, imaginary):
     ops[k][divmod(flat, 2)] = complex(0.0, bad) if imaginary else bad
     with pytest.raises(ChannelValidationError, match=f"Kraus operator {k} has a non-finite entry"):
         Channel(ops)
+
+
+@pytest.mark.parametrize("entry", sorted(MATRIX_INPUTS))
+@settings(derandomize=True, database=None, max_examples=25)
+@given(NON_FINITE, st.integers(0, 3), st.booleans())
+@example(math.inf, 1, False)
+@example(-math.inf, 2, True)
+@example(math.nan, 0, True)
+def test_matrix_inputs_refuse_a_non_finite_entry_by_name(entry, bad, flat, imaginary):
+    call, name = MATRIX_INPUTS[entry]
+    m = _HALF.astype(np.complex128)
+    i, j = divmod(flat, 2)
+    m[i, j] = complex(m[i, j].real, bad) if imaginary else complex(bad, m[i, j].imag)
+    # a ValueError naming the matrix, raised before any arithmetic on it
+    # could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} has a non-finite entry$"):
+            call(m)
 
 
 @settings(derandomize=True, database=None, max_examples=20)
