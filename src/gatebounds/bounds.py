@@ -33,20 +33,20 @@ def _checked_phi(phi):
 def pauli_lower_bound(phi, dim):
     """Lower bound (1 + 1/d)(1 - phi) on the error rate; tight for Pauli channels."""
     p = _checked_phi(phi)
-    d = channels.checked_dimension(dim, 2)
+    d = channels.checked_integer(dim, "dimension", 2, 2**53)
     return (1.0 + 1.0 / d) * (1.0 - p)
 
 
 def generic_upper_bound(phi, dim):
     """Upper bound sqrt(d(d+1)(1 - phi)); may exceed 1, see nontriviality_threshold."""
     p = _checked_phi(phi)
-    d = channels.checked_dimension(dim, 2)
+    d = channels.checked_integer(dim, "dimension", 2, 2**53)
     return math.sqrt(d * (d + 1) * (1.0 - p))
 
 
 def nontriviality_threshold(dim):
     """Fidelity above which the generic upper bound drops below 1."""
-    d = channels.checked_dimension(dim, 2)
+    d = channels.checked_integer(dim, "dimension", 2, 2**53)
     return 1.0 - 1.0 / (d * (d + 1))
 
 
@@ -55,7 +55,7 @@ def required_fidelity(target_error, dim):
     t = channels.checked_real(target_error, "target error rate", 0, 1)
     if t == 0.0:
         raise ValueError(f"target error rate {t!r} outside (0, 1]")
-    d = channels.checked_dimension(dim, 2)
+    d = channels.checked_integer(dim, "dimension", 2, 2**53)
     return 1.0 - t * t / (d * (d + 1))
 
 
@@ -98,30 +98,23 @@ def round_significant(x, figures, mode=decimal.ROUND_HALF_EVEN):
 
     ``x`` is a real number; 0, ±inf and NaN return as they are.  A bool,
     text, None, a complex value and an integer beyond the float range raise
-    ValueError.  ``figures`` is a positive integer, or a float of integer
-    value.  ``Decimal(x)`` is exact, so at least as many figures as it has
-    digits return ``x`` unchanged, and fewer round at that digit count's
-    precision.
+    ValueError.  ``figures`` is an integer of at least 1 (an integer-valued
+    float is one).  ``Decimal(x)`` is exact, so at least as many figures as
+    it has digits return ``x`` unchanged, and fewer round at that digit
+    count's precision.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"value to round must be a real number, got {x!r}")
-    if isinstance(figures, bool) or not (
-        isinstance(figures, numbers.Real)
-        and figures >= 1
-        and (isinstance(figures, numbers.Integral) or float(figures).is_integer())
-    ):
-        raise ValueError(f"significant figures must be an integer of at least 1, got {figures!r}")
-    try:
-        v = float(x)
-    except OverflowError:
-        raise ValueError("value to round must fit a float, got an integer beyond the float range") from None
-    if v == 0.0 or not math.isfinite(v):
+    figures = channels.checked_integer(figures, "significant figures", 1)
+    # a comparison, not math.isfinite, which overflows on a huge int
+    if isinstance(x, numbers.Real) and (x != x or abs(x) == math.inf):
+        return float(x)
+    v = channels.checked_real(x, "value to round")
+    if v == 0.0:
         return v
     d = decimal.Decimal(v)
     digits = len(d.as_tuple().digits)
     if figures >= digits:
         return v
-    q = decimal.Decimal(1).scaleb(d.adjusted() - int(figures) + 1)
+    q = decimal.Decimal(1).scaleb(d.adjusted() - figures + 1)
     return float(d.quantize(q, rounding=mode, context=decimal.Context(prec=digits)))
 
 

@@ -110,16 +110,32 @@ class Channel:
         return f"Channel(dim={self.dim}, kraus={len(self.kraus)})"
 
 
-def checked_dimension(dim, least, what="dimension"):
-    """``dim`` as an int, or ValueError unless it is an integer-valued real
-    from ``least`` to 2**53, above which a float no longer holds every
-    integer.  A bool is refused: it is a flag, not a count."""
-    real = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
-    if real and 2**53 < dim < math.inf:
-        raise ValueError(f"{what} must be an integer of at most 2**53, got {dim!r}")
-    if not (real and dim >= least and float(dim).is_integer()):
-        raise ValueError(f"{what} must be an integer of at least {least}, got {dim!r}")
-    return int(dim)
+def checked_integer(value, what, lo, hi=math.inf):
+    """``value`` as an int in [lo, hi], or ValueError naming ``what``.
+
+    An integer argument is an integer-valued real: an int, a numpy integer
+    or an integer-valued float.  Refused: a bool (a flag, not a count),
+    anything that is not a ``numbers.Real`` (text, None, a complex value),
+    NaN, an infinity and a non-integer.  Dimensions cap ``hi`` at 2**53,
+    above which a float no longer holds every integer; seeds and counts
+    pass no cap, so an integer of any size is read exactly.
+    """
+    n = value
+    if type(n) is not int:
+        real = isinstance(n, numbers.Real) and not isinstance(n, bool)
+        try:
+            n = int(n) if real else None
+        except (ValueError, OverflowError):  # NaN, an infinity
+            n = None
+        if n is None or n != value:
+            raise ValueError(f"{what} must be an integer of at least {lo}, got {value!r}")
+    if lo <= n <= hi:
+        return n
+    if n > hi:
+        k = hi.bit_length() - 1
+        cap = f"2**{k}" if hi == 1 << k else hi
+        raise ValueError(f"{what} must be an integer of at most {cap}, got {value!r}")
+    raise ValueError(f"{what} must be an integer of at least {lo}, got {value!r}")
 
 
 def checked_real(value, what, lo=-math.inf, hi=math.inf):
@@ -176,7 +192,7 @@ def checked_distribution(entries, what):
 
 
 def identity_channel(dim):
-    return Channel._derived([np.eye(checked_dimension(dim, 1))])
+    return Channel._derived([np.eye(checked_integer(dim, "dimension", 1, 2**53))])
 
 
 def unitary_channel(u):
@@ -248,7 +264,7 @@ def amplitude_damping(r):
 
 def phase_matrix(dim, theta):
     """The controlled-phase style unitary diag(1, ..., 1, exp(i theta))."""
-    dim = checked_dimension(dim, 2)
+    dim = checked_integer(dim, "dimension", 2, 2**53)
     theta = checked_real(theta, "phase angle theta")
     diag = np.ones(dim, dtype=np.complex128)
     diag[-1] = np.exp(1j * theta)

@@ -109,16 +109,16 @@ def _named_channel(named, dim):
 
 
 def _read_spec(path):
-    """The top-level object of a description file and its ``dim``, checked
-    to be a positive integer."""
+    """The top-level object of a description file and its ``dim``, an
+    integer of at least 1."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise SpecFileError(f"{path}: top level must be an object")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise SpecFileError(f"{path}: dim must be a positive integer")
-    return data, dim
+    try:
+        return data, channels.checked_integer(data.get("dim"), f"{path}: dim", 1)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
 
 
 def load_channel_file(path):
@@ -263,8 +263,7 @@ def write_sweep_csv(rows, fh):
 
 
 def cmd_sweep(args):
-    if args.points < 1:
-        raise ValueError("--points must be at least 1")
+    channels.checked_integer(args.points, "--points", 1)
     for flag, value in (("--phi-min", args.phi_min), ("--phi-max", args.phi_max)):
         channels.checked_real(value, flag)
     if args.phi_min >= args.phi_max:

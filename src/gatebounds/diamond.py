@@ -111,7 +111,6 @@ import contextlib
 import contextvars
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -119,7 +118,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, linalg, metrics, pauli, sdp
-from .channels import Channel, identity_channel
+from .channels import Channel, checked_integer, identity_channel
 
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
@@ -729,14 +728,6 @@ def pauli_distance(c):
     return diamond_distance(c, pauli.pauli_twirl(c))
 
 
-def _checked_seed(seed):
-    """``seed`` for ``np.random.default_rng``, or ValueError unless it is a
-    non-negative integer.  A bool is refused: it is a flag, not a seed."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
 def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     """Sampled lower bound on the diamond distance.
 
@@ -747,14 +738,14 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     cut allowance ``dropped`` is subtracted and the result clipped at 0, so
     it is at most the true distance up to the eigensolver's rounding of the
     sampled outputs; a pair whose J keeps no term gives 0.0.  A useful
-    independent check on the SDP.  ``samples`` is a positive integer and
-    ``seed`` a non-negative one.
+    independent check on the SDP.  ``samples`` is an integer of at least 1
+    and ``seed`` one of at least 0; an integer-valued float is an integer
+    (:func:`channels.checked_integer`).
     """
     f = _second(e, f)
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    samples = checked_integer(samples, "samples", 1)
     d = e.dim
-    rng = np.random.default_rng(_checked_seed(seed))
+    rng = np.random.default_rng(checked_integer(seed, "seed", 0))
     raw = rng.standard_normal((samples, d * d)) + 1j * rng.standard_normal((samples, d * d))
     psis = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     ops, signs, dropped = _signed_operators(e.choi - f.choi, d)
@@ -812,7 +803,8 @@ def ascent_lower_bounds(pairs, seeds):
     ascent took 0.089 s against 0.186 s pair by pair (best of 7 and of 5
     calls, one BLAS thread).  One stack of all 113 d = 2 pairs ran as fast
     but raised the benchmark's paper-check peak RSS by 1.6-1.8 % over the
-    capped stacks.  Seeds are non-negative integers, one per pair.
+    capped stacks.  Seeds are integers of at least 0, one per pair; an
+    integer-valued float is an integer (:func:`channels.checked_integer`).
     """
     pairs, seeds = list(pairs), list(seeds)
     if len(pairs) != len(seeds):
@@ -820,7 +812,7 @@ def ascent_lower_bounds(pairs, seeds):
     groups = {}
     for i, ((e, f), seed) in enumerate(zip(pairs, seeds)):
         f = _second(e, f)
-        groups.setdefault(e.dim, []).append((i, e.choi - f.choi, _checked_seed(seed)))
+        groups.setdefault(e.dim, []).append((i, e.choi - f.choi, checked_integer(seed, "seed", 0)))
     lower = [0.0] * len(pairs)
     for d, members in groups.items():
         index, js, group_seeds = zip(*members)

@@ -6,14 +6,14 @@ from itertools import product
 
 import numpy as np
 
-from .channels import PAULI_MATRICES, Channel, checked_dimension, checked_distribution
+from .channels import PAULI_MATRICES, Channel, checked_distribution, checked_integer
 
 PAULI_TOL = 1e-9
 
 
 def pauli_labels(qubits):
     """All length-n Pauli labels in lexicographic I, X, Y, Z order."""
-    n = checked_dimension(qubits, 1, "qubit count")
+    n = checked_integer(qubits, "qubit count", 1, 2**53)
     return ["".join(p) for p in product("IXYZ", repeat=n)]
 
 
@@ -23,7 +23,10 @@ def pauli_operator(label):
         raise ValueError(f"invalid Pauli label {label!r}")
     op = PAULI_MATRICES[label[0]]
     for ch in label[1:]:
-        op = np.kron(op, PAULI_MATRICES[ch])
+        # np.kron's products, without the generic reshaping that takes most
+        # of a small kron's time
+        m = len(op)
+        op = (op[:, None, :, None] * PAULI_MATRICES[ch][None, :, None, :]).reshape(2 * m, 2 * m)
     return op
 
 
@@ -56,7 +59,9 @@ class PauliChannel:
     probs: dict
 
     def __post_init__(self):
-        n = checked_dimension(self.qubits, 1, "qubit count")
+        n = checked_integer(self.qubits, "qubit count", 1, 2**53)
+        # frozen: store the count as the int it was read as
+        object.__setattr__(self, "qubits", n)
         # each key on its own: the 4^n labels cannot all be listed at large n
         bad = [k for k in self.probs if not isinstance(k, str) or len(k) != n or set(k) - set("IXYZ")]
         if bad:
@@ -73,8 +78,8 @@ class PauliChannel:
         return 1.0 - self.probs.get("I" * self.qubits, 0.0)
 
     def as_channel(self):
-        ops = dict(zip(pauli_labels(self.qubits), _operators(self.qubits)))
-        kraus = [np.sqrt(p) * ops[label] for label, p in sorted(self.probs.items()) if p > 0.0]
+        # one operator per stored label: the 4^n stack would cost 16^n entries
+        kraus = [np.sqrt(p) * pauli_operator(label) for label, p in sorted(self.probs.items()) if p > 0.0]
         return Channel._derived(kraus)
 
 

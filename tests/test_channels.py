@@ -260,6 +260,18 @@ def test_channel_is_called_only_where_kraus_operators_arrive_from_outside():
     assert callers == {"cli.load_channel_file", "cli._channel_from_choi", "refcheck._random_channel"}
 
 
+def test_only_channels_tests_whether_a_number_is_an_integer():
+    # one integer rule, checked_integer: no other module tests for
+    # numbers.Integral or calls float.is_integer
+    testers = set()
+    for path in sorted(Path(gatebounds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("Integral", "is_integer"):
+                testers.add(path.stem)
+    assert testers <= {"channels"}
+
+
 def test_derived_channels_skip_the_cptp_test(monkeypatch):
     rng = np.random.default_rng(35)
     noise = random_channel(rng, dim=2, kraus_count=2)

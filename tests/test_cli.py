@@ -214,8 +214,8 @@ def test_analyze_choi_clips_tiny_negative_eigenvalues(tmp_path, capsys):
         ({"dim": 2, "kind": "named", "named": {"name": "bogus", "params": {}}}, "unknown named channel"),
         ({"dim": 4, "kind": "named", "named": {"name": "depolarizing", "params": {"r": 0.1}}}, "requires dim 2"),
         ({"dim": 2, "kind": "spectral"}, "kind must be one of"),
-        ({"dim": True, "kind": "kraus", "kraus": [mat(X)]}, "positive integer"),
-        ({"dim": 0, "kind": "kraus", "kraus": [mat(X)]}, "positive integer"),
+        ({"dim": True, "kind": "kraus", "kraus": [mat(X)]}, "dim must be an integer of at least 1, got True"),
+        ({"dim": 0, "kind": "kraus", "kraus": [mat(X)]}, "dim must be an integer of at least 1, got 0"),
         ({"dim": 2, "kind": "kraus", "kraus": [mat(X)], "choi": mat(np.eye(4))}, "exactly the field"),
         ({"dim": 2, "kind": "kraus", "kraus": []}, "nonempty"),
         ({"dim": 2, "kind": "kraus", "kraus": [[[1, 0], [0, 1]]]}, "[0][0]"),

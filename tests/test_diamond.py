@@ -183,10 +183,13 @@ def test_brute_force_never_exceeds_closed_form():
 
 def test_brute_force_validation():
     ch = channels.identity_channel(2)
-    for bad in (0, -3, True, False, np.True_, 2.5, 3.0, math.nan, math.inf, -math.inf, "10", None):
+    for bad in (0, -3, True, False, np.True_, 2.5, math.nan, math.inf, -math.inf, "10", None):
         with pytest.raises(ValueError, match="samples"):
             diamond.brute_force_lower_bound(ch, samples=bad)
     assert diamond.brute_force_lower_bound(ch, samples=np.int64(3)) == 0.0
+    # an integer-valued float is an integer
+    noisy = channels.amplitude_damping(0.3)
+    assert diamond.brute_force_lower_bound(noisy, samples=3.0) == diamond.brute_force_lower_bound(noisy, samples=3)
     with pytest.raises(ValueError):
         diamond.brute_force_lower_bound(
             channels.identity_channel(2), channels.identity_channel(3)
@@ -284,7 +287,7 @@ def test_ascent_rejects_a_dimension_mismatch_like_the_scan():
     assert str(ascent.value) == str(scan.value) == str(batch.value) == "channels differ in dimension"
 
 
-@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "a", None, -1, np.int64(-2)])
+@pytest.mark.parametrize("seed", [True, False, 1.5, math.inf, "a", None, -1, np.int64(-2)])
 def test_ascent_and_scan_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
     ch = channels.amplitude_damping(0.3)
     calls = (
@@ -292,7 +295,7 @@ def test_ascent_and_scan_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
         lambda: diamond.ascent_lower_bounds([(ch, None), (ch, None)], [0, seed]),
         lambda: diamond.brute_force_lower_bound(ch, samples=10, seed=seed),
     )
-    message = f"seed must be a non-negative integer, got {re.escape(repr(seed))}"
+    message = f"^seed must be an integer of at least 0, got {re.escape(repr(seed))}$"
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()

@@ -37,6 +37,16 @@ def test_operator_tensor_structure():
         pauli.pauli_operator("")
 
 
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_operator_equals_the_kronecker_product_to_the_bit(qubits):
+    for label in pauli.pauli_labels(qubits):
+        want = pauli.PAULI_MATRICES[label[0]]
+        for ch in label[1:]:
+            want = np.kron(want, pauli.PAULI_MATRICES[ch])
+        # compared as bit patterns, so signed zeros must agree too
+        assert np.array_equal(pauli.pauli_operator(label).view(np.int64), want.view(np.int64))
+
+
 def test_pauli_channel_validation():
     with pytest.raises(ValueError):
         pauli.PauliChannel(1, {"XX": 1.0})
@@ -58,6 +68,28 @@ def test_pauli_channel_checks_each_label_without_enumerating_labels(monkeypatch)
         pauli.PauliChannel(2, {"X": 0.5, "IQ": 0.25, "ZZ": 0.25})
     with pytest.raises(ValueError, match="^qubit count must be an integer of at least 1, got 0$"):
         pauli.PauliChannel(0, {"": 1.0})
+
+
+def test_pauli_channel_stores_an_integer_valued_qubit_count_as_an_int():
+    # a float count made dim the float 4.0 and error_rate a TypeError
+    pc = pauli.PauliChannel(2.0, {"II": 1.0})
+    assert pc.qubits == 2 and type(pc.qubits) is int
+    assert pc.dim == 4 and type(pc.dim) is int
+    assert pc.error_rate == 0.0
+    assert pc == pauli.PauliChannel(2, {"II": 1.0})
+
+
+def test_as_channel_builds_only_the_stored_labels(monkeypatch):
+    def refuse(qubits):
+        raise AssertionError("all 4^n Pauli operators built")
+
+    # the 4^8 stack of 256 x 256 complex operators would take about 69 GB
+    monkeypatch.setattr(pauli, "_operators", refuse)
+    monkeypatch.setattr(pauli, "pauli_labels", refuse)
+    ch = pauli.PauliChannel(8, {"I" * 8: 0.75, "XZ" * 4: 0.25}).as_channel()
+    assert ch.dim == 256 and len(ch.kraus) == 2
+    np.testing.assert_array_equal(ch.kraus[0], np.sqrt(0.75) * np.eye(256))
+    np.testing.assert_array_equal(ch.kraus[1], np.sqrt(0.25) * pauli.pauli_operator("XZ" * 4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,9 +6,11 @@ Examples are derandomized so that every run checks the same inputs.
 import dataclasses
 import io
 import math
+import pickle
 import re
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,6 +89,69 @@ MATRIX_INPUTS = {
 }
 
 
+_DAMPING = channels.amplitude_damping(0.3)
+
+
+def _spec_dim(x):
+    # a description file whose JSON reads as {"dim": x, ...}; the reader
+    # must name the field after the file
+    spec = {"dim": x, "kind": "named", "named": {"name": "generalized_cphase", "params": {"theta": 0.3}}}
+    with mock.patch.object(cli.json, "load", return_value=spec):
+        return cli.load_channel_file(__file__)[0].kraus
+
+
+# every public entry point that reads an integer: how to pass it x, the name
+# its ValueError must give, the least value it takes, and one value k it
+# takes
+INTEGER_INPUTS = {
+    "pauli_lower_bound": (lambda x: bounds.pauli_lower_bound(0.9, x), "dimension", 2, 3),
+    "generic_upper_bound": (lambda x: bounds.generic_upper_bound(0.9, x), "dimension", 2, 3),
+    "nontriviality_threshold": (bounds.nontriviality_threshold, "dimension", 2, 3),
+    "required_fidelity": (lambda x: bounds.required_fidelity(0.1, x), "dimension", 2, 3),
+    "pauli_refined_interval": (lambda x: bounds.pauli_refined_interval(0.99, x, 0.01), "dimension", 2, 3),
+    "decomposition_upper_bound": (lambda x: bounds.decomposition_upper_bound(0.99, x, [0.01]), "dimension", 2, 3),
+    "round_significant": (lambda x: bounds.round_significant(2.0 / 3.0, x), "significant figures", 1, 3),
+    "ceil_significant": (lambda x: bounds.ceil_significant(2.0 / 3.0, x), "significant figures", 1, 3),
+    "identity_channel": (lambda x: channels.identity_channel(x).kraus, "dimension", 1, 3),
+    "phase_matrix": (lambda x: channels.phase_matrix(x, 0.3), "dimension", 2, 3),
+    "generalized_cphase": (lambda x: channels.generalized_cphase(x, 0.3).kraus, "dimension", 2, 3),
+    "lambda_mixture": (
+        lambda x: (lambda actual, ideal: (actual.kraus, ideal))(*channels.lambda_mixture(x, 0.2)),
+        "dimension",
+        2,
+        3,
+    ),
+    "pauli_labels": (pauli.pauli_labels, "qubit count", 1, 2),
+    "PauliChannel": (lambda x: pauli.PauliChannel(x, {"II": 0.75, "XZ": 0.25}), "qubit count", 1, 2),
+    "ascent_lower_bound": (lambda x: diamond.ascent_lower_bound(_DAMPING, seed=x), "seed", 0, 3),
+    "ascent_lower_bounds": (lambda x: diamond.ascent_lower_bounds([(_DAMPING, None)], [x]), "seed", 0, 3),
+    "brute_force_lower_bound-seed": (
+        lambda x: diamond.brute_force_lower_bound(_DAMPING, samples=20, seed=x),
+        "seed",
+        0,
+        3,
+    ),
+    "brute_force_lower_bound-samples": (
+        lambda x: diamond.brute_force_lower_bound(_DAMPING, samples=x),
+        "samples",
+        1,
+        20,
+    ),
+    "cli-spec-dim": (_spec_dim, f"{__file__}: dim", 1, 3),
+}
+
+# what no integer input accepts: flags, text, None, complex values, the
+# non-finite floats and finite floats with a fractional part
+NOT_INTEGER = st.one_of(
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.01, 2.0) | st.floats(-2.0, -0.01)),
+    NON_FINITE,
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+)
+
+
 @st.composite
 def qubit_channels(draw):
     # (1 - w) id + w N, N a Haar isometry cut into 1-3 Kraus blocks
@@ -150,6 +215,43 @@ def test_real_inputs_refuse_what_is_not_a_finite_real_by_name(entry, bad):
     # quantity at the start of its message
     with pytest.raises(ValueError, match=f"^{re.escape(quantity)} must be (a real number|finite), got "):
         call(bad)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+@settings(derandomize=True, database=None, max_examples=25)
+@given(NOT_INTEGER)
+@example(True)
+@example(np.True_)
+@example("2")
+@example(None)
+@example(2 + 0j)
+@example(2.5)
+@example(math.nan)
+@example(math.inf)
+def test_integer_inputs_refuse_what_is_not_an_integer_by_name(entry, bad):
+    call, name, lo, _ = INTEGER_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer of at least {lo}, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+@settings(derandomize=True, database=None, max_examples=10)
+@given(st.integers(min_value=1))
+@example(1)
+def test_integer_inputs_refuse_a_value_below_their_range_by_name(entry, gap):
+    call, name, lo, _ = INTEGER_INPUTS[entry]
+    for below in (lo - gap, np.int64(lo - 1), float(lo - gap)):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer of at least {lo}, got "):
+            call(below)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+def test_integer_inputs_take_numpy_integers_and_integer_valued_floats_as_ints(entry):
+    call, _, _, k = INTEGER_INPUTS[entry]
+    # pickled, so the results must agree in type as well as bit for bit
+    want = pickle.dumps(call(k))
+    for same in (np.int64(k), float(k)):
+        assert pickle.dumps(call(same)) == want
 
 
 @settings(derandomize=True, database=None)
