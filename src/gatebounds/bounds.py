@@ -22,24 +22,17 @@ from . import channels, diamond, metrics
 from .diamond import DiamondResult
 from .metrics import EXACT
 
-PHI_SLOP = 1e-12
-
-
-def _checked_phi(phi):
-    # rounding slop at either end is clamped, not rejected
-    return min(1.0, max(0.0, channels.checked_real(phi, "fidelity", -PHI_SLOP, 1.0 + PHI_SLOP)))
-
 
 def pauli_lower_bound(phi, dim):
     """Lower bound (1 + 1/d)(1 - phi) on the error rate; tight for Pauli channels."""
-    p = _checked_phi(phi)
+    p = channels.checked_fidelity(phi)
     d = channels.checked_integer(dim, "dimension", 2, 2**53)
     return (1.0 + 1.0 / d) * (1.0 - p)
 
 
 def generic_upper_bound(phi, dim):
     """Upper bound sqrt(d(d+1)(1 - phi)); may exceed 1, see nontriviality_threshold."""
-    p = _checked_phi(phi)
+    p = channels.checked_fidelity(phi)
     d = channels.checked_integer(dim, "dimension", 2, 2**53)
     return math.sqrt(d * (d + 1) * (1.0 - p))
 
@@ -67,18 +60,23 @@ def pauli_refined_interval(phi, dim, pauli_dist):
     larger) and the upper end capped by the generic bound and by 1.  No
     channel has delta - eta_pauli above the generic bound, since delta <=
     eta + eta_pauli, so such a delta is rejected rather than bracketed.
+    The comparison allows the fidelity's rounding, ``channels.SLOP``, and
+    a crossing within it collapses the bracket to [lo, lo].  Nor has any
+    channel a fidelity below 1/(d+1), where eta_pauli exceeds 1, so one is
+    refused too (within the same slop) rather than bracketed above 1.
     """
     delta = channels.checked_real(pauli_dist, "Pauli distance", 0, 1)
     eta_p = pauli_lower_bound(phi, dim)
     generic = generic_upper_bound(phi, dim)
-    if delta - eta_p > generic:
+    if eta_p > 1.0 + channels.SLOP:
+        raise ValueError(f"fidelity below 1/(d+1) at dimension {dim!r}: eta_pauli {eta_p!r} exceeds 1")
+    if delta - eta_p > generic + channels.SLOP:
         raise ValueError(
             f"Pauli distance {delta!r} exceeds the generic upper bound plus eta_pauli "
             f"at fidelity {phi!r} and dimension {dim!r}"
         )
     lo = max(eta_p, abs(delta - eta_p))
-    hi = min(1.0, delta + eta_p, generic)
-    return lo, hi
+    return lo, max(lo, min(1.0, delta + eta_p, generic))
 
 
 def decomposition_upper_bound(phi, dim, deltas):
@@ -178,9 +176,10 @@ def audit(actual, ideal, compute_eta=None, compute_delta=None):
 
 def _report(disc, compute_eta, compute_delta):
     """The :class:`BoundsReport` of a discrepancy channel: the one place that
-    computes its fidelity, eta, delta and refined interval."""
+    computes its fidelity (clamped into [0, 1] by
+    ``channels.checked_fidelity``), eta, delta and refined interval."""
     d = disc.dim
-    phi = metrics.average_gate_fidelity(disc)
+    phi = channels.checked_fidelity(metrics.average_gate_fidelity(disc))
     upper = generic_upper_bound(phi, d)
     report = {
         "dim": d,
@@ -248,7 +247,7 @@ def sweep_rows(model, phis):
     if model not in SWEEP_MODELS:
         raise ValueError(f"unknown sweep model {model!r}")
     build, lo, hi = SWEEP_MODELS[model]
-    values = sorted(channels.checked_real(p, "fidelity") for p in phis)
+    values = sorted(channels.checked_fidelity(p) for p in phis)
     for phi in values:
         if not lo <= phi <= hi:
             raise ValueError(

@@ -22,16 +22,20 @@ import numpy as np
 
 from . import linalg
 
-CPTP_TOL = 1e-9
+# The rounding allowance of a fidelity or a probability: how far outside
+# [0, 1] (or a sum away from 1) an entry may lie and still be read as a
+# rounding error.  Matrices from outside have their own, linalg.TOLERANCE.
+SLOP = 1e-12
 
-# the single-qubit Paulis, public as pauli.PAULI_MATRICES; kept here because
-# pauli builds on Channel and depolarizing builds on them
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+# the single-qubit Paulis I, X, Y, Z, public as pauli.PAULI_MATRICES; kept
+# here because pauli builds on Channel and depolarizing builds on them.  Each
+# is a view of one read-only stack, so no caller can change them for every
+# later channel.
+_PAULI_STACK = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
+)
+_PAULI_STACK.flags.writeable = False
+PAULI_MATRICES = dict(zip("IXYZ", _PAULI_STACK))
 
 
 class ChannelValidationError(ValueError):
@@ -43,7 +47,7 @@ class Channel:
 
     ``Channel(kraus)`` is for Kraus operators from outside the package: each
     must be a square, finite matrix, all of one dimension, with
-    sum_k A_k^dagger A_k within ``CPTP_TOL`` of the identity, or
+    sum_k A_k^dagger A_k within ``linalg.TOLERANCE`` of the identity, or
     :class:`ChannelValidationError` names what is wrong.  Channels the
     package derives from checked ones are built by ``Channel._derived``,
     without that test.
@@ -63,9 +67,9 @@ class Channel:
             raise ChannelValidationError("Kraus operators differ in dimension")
         total = sum(a.conj().T @ a for a in ops)
         defect = float(np.abs(total - np.eye(dim)).max())
-        if not defect <= CPTP_TOL:
+        if not defect <= linalg.TOLERANCE:
             raise ChannelValidationError(
-                f"Kraus operators are not trace preserving: defect {defect:.3e} exceeds {CPTP_TOL:.3e}"
+                f"Kraus operators are not trace preserving: defect {defect:.3e}, tol {linalg.TOLERANCE:.3e}"
             )
         self._store(ops)
 
@@ -144,8 +148,8 @@ def checked_real(value, what, lo=-math.inf, hi=math.inf):
     Refused: a bool (a flag, not a quantity), anything that is not a
     ``numbers.Real`` (text, None, a complex value), NaN, an infinity, and an
     integer beyond the float range, which ``float()`` cannot convert.  The
-    range is closed and has no slop; a caller that allows rounding slop
-    widens it.
+    range is closed and has no slop; a fidelity or a probability allows
+    ``SLOP`` (:func:`checked_fidelity`, :func:`checked_distribution`).
     """
     x = value
     if type(x) is not float:
@@ -162,14 +166,26 @@ def checked_real(value, what, lo=-math.inf, hi=math.inf):
     raise ValueError(f"{what} {x!r} outside [{lo!r}, {hi!r}]")
 
 
+def checked_fidelity(value):
+    """``value`` as a float in [0, 1], or ValueError naming "fidelity".
+
+    The one reading of a fidelity: :func:`checked_real` on
+    [-SLOP, 1 + SLOP], then clamped into [0, 1].  Near 1 the generic bound
+    sqrt(d(d+1)(1 - phi)) has an infinite slope, so a fidelity computed one
+    rounding above 1 (a perfect gate) reads as 1 rather than as an error.
+    """
+    return min(1.0, max(0.0, checked_real(value, "fidelity", -SLOP, 1.0 + SLOP)))
+
+
 def checked_distribution(entries, what):
     """The entries of a probability vector as a list of floats, or
     ValueError naming ``what``.
 
     ``entries`` is a mapping (label to probability) or a sequence.  Each
-    entry passes :func:`checked_real` with no entry below -1e-12, named
-    ``what[label]`` or ``what[index]``, and the sum lies within 1e-12 of 1.
-    Text is refused whole rather than read character by character.
+    entry passes :func:`checked_real` with no entry below -SLOP, named
+    ``what[label]`` or ``what[index]``, and the sum lies within ``SLOP`` of
+    1.  Entries are returned as they are, not clamped.  Text is refused
+    whole rather than read character by character.
     """
     if isinstance(entries, Mapping):
         items = entries.items()
@@ -180,13 +196,13 @@ def checked_distribution(entries, what):
     values = []
     for key, p in items:
         try:
-            values.append(checked_real(p, what, lo=-1e-12))
+            values.append(checked_real(p, what, lo=-SLOP))
         except ValueError:
             # an entry is named only once it fails: naming each costs more
             # than checking it
-            checked_real(p, f"{what}[{key!r}]", lo=-1e-12)
+            checked_real(p, f"{what}[{key!r}]", lo=-SLOP)
     total = math.fsum(values)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > SLOP:
         raise ValueError(f"the sum of {what} is {total!r}, not 1")
     return values
 

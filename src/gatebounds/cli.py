@@ -65,7 +65,7 @@ def _parse_complex_matrix(obj, size, what):
 
 def _channel_from_choi(j, dim):
     w, v = linalg.hermitian_eigendecomposition(j, "choi matrix")
-    if w[0] < -1e-9:
+    if w[0] < -linalg.TOLERANCE:
         raise SpecFileError(f"choi matrix is not completely positive (eigenvalue {w[0]:.3e})")
     kraus = [math.sqrt(wk) * v[:, k].reshape(dim, dim) for k, wk in enumerate(w) if wk > 0.0]
     if not kraus:

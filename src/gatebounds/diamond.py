@@ -215,13 +215,6 @@ def _arc_distance(phases):
     return _exact(math.sin(arc / 2.0), DiamondMethod.UNITARY_CLOSED_FORM)
 
 
-def _pauli_pair_value(p, q):
-    # aligned in sorted label order: a set's order follows the string-hash seed
-    labels = sorted(set(p.probs) | set(q.probs))
-    mu, nu = ([c.probs.get(k, 0.0) for k in labels] for c in (p, q))
-    return metrics.total_variation_distance(mu, nu)
-
-
 @functools.cache
 def _template(d):
     """The Choi route's constraints for dimension d, with a zero objective.
@@ -694,18 +687,19 @@ def diamond_distance(e, f=None, method="auto"):
 
     if method == "auto":
         # a channel with one Kraus operator is unitary: Channel's test of
-        # one operator is is_unitary's, and the package derives such
-        # channels only from unitaries, so U_f^dagger U_e is not re-tested
+        # one operator is is_unitary's, both within linalg.TOLERANCE, and
+        # the package derives such channels only from unitaries, so
+        # U_f^dagger U_e is not re-tested
         if len(e.kraus) == len(f.kraus) == 1:
             w = f.kraus[0].conj().T @ e.kraus[0]
             return _arc_distance(np.sort(np.angle(np.linalg.eigvals(w))))
         try:
-            pe = pauli.as_pauli_channel(e)
-            pf = pauli.as_pauli_channel(f)
+            pe = pauli.as_pauli_channel(e).probs
+            pf = pauli.as_pauli_channel(f).probs
         except ValueError:
             pass
         else:
-            return _exact(_pauli_pair_value(pe, pf), DiamondMethod.PAULI_CLOSED_FORM)
+            return _exact(metrics.total_variation_distance(pe, pf), DiamondMethod.PAULI_CLOSED_FORM)
 
     j_delta = e.choi - f.choi
     path, entries = _plan(j_delta, e.dim)

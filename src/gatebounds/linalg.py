@@ -5,7 +5,7 @@ Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 package: it refuses a non-square shape and a non-finite entry with a
 ``ValueError`` that names the matrix.  Every helper here passes its input
 through that gate, then tests Hermiticity or unitarity once, within
-``HERMITIAN_TOL`` or ``UNITARY_TOL``.  The checked Hermitian helpers
+``TOLERANCE``.  The checked Hermitian helpers
 (:func:`hermitian_eigendecomposition`, :func:`trace_norm`) serve Choi
 matrices read by the CLI and the density matrices of
 :func:`gatebounds.metrics.trace_distance`.  Their eigenvalues come from
@@ -19,8 +19,12 @@ import numpy as np
 
 from . import kernels
 
-HERMITIAN_TOL = 1e-9
-UNITARY_TOL = 1e-9
+# The one tolerance of a matrix from outside the package: Hermiticity and
+# unitarity here, trace preservation in channels.Channel, a density's trace
+# and positivity in metrics.trace_distance, and a CLI Choi file's
+# positivity.  Sharing it keeps diamond_distance's unitary fast path sound.
+# pauli.PAULI_TOL and sdp.HERMITIAN_TOL stay apart; their comments say why.
+TOLERANCE = 1e-9
 
 
 def as_complex_matrix(m, name="matrix"):
@@ -35,30 +39,29 @@ def as_complex_matrix(m, name="matrix"):
 
 
 def is_unitary(m):
-    """Whether m^dagger m is the identity within ``UNITARY_TOL`` entrywise."""
+    """Whether m^dagger m is the identity within ``TOLERANCE`` entrywise."""
     a = as_complex_matrix(m)
-    eye = np.eye(a.shape[0])
-    return float(np.abs(a.conj().T @ a - eye).max()) <= UNITARY_TOL
+    return float(np.abs(a.conj().T @ a - np.eye(len(a))).max()) <= TOLERANCE
 
 
 def hermitian_eigendecomposition(m, name="matrix"):
     """Eigenvalues in numpy's ascending order and matching eigenvector columns.
 
-    Input must be Hermitian within ``HERMITIAN_TOL``; the strictly Hermitian
+    Input must be Hermitian within ``TOLERANCE``; the strictly Hermitian
     part is what gets diagonalized, so roundoff-level asymmetry is harmless.
     ``name`` names the matrix in the ``ValueError`` for bad input.
     """
     a = as_complex_matrix(m, name)
     adj = a.conj().T
     defect = float(np.abs(a - adj).max())
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e}, tol {HERMITIAN_TOL:.3e})")
+    if defect > TOLERANCE:
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e}, tol {TOLERANCE:.3e})")
     return kernels.eigh_kernel((a + adj) / 2)
 
 
 def trace_norm(m):
     """Sum of absolute eigenvalues; defined here for input that is Hermitian
-    within ``HERMITIAN_TOL`` only."""
+    within ``TOLERANCE`` only."""
     w, _ = hermitian_eigendecomposition(m)
     return float(np.abs(w).sum())
 

@@ -8,6 +8,10 @@ import numpy as np
 
 from .channels import PAULI_MATRICES, Channel, checked_distribution, checked_integer
 
+# largest off-diagonal process-matrix entry of a channel read as Pauli.  It
+# classifies channels the package derived and decides whether a closed form
+# applies, so it stays apart from linalg.TOLERANCE, which accepts or refuses
+# a matrix from outside.
 PAULI_TOL = 1e-9
 
 
@@ -18,10 +22,11 @@ def pauli_labels(qubits):
 
 
 def pauli_operator(label):
-    """Tensor product of single-qubit Paulis named by ``label``."""
+    """Tensor product of single-qubit Paulis named by ``label``, as a fresh,
+    writable array: the stored ``PAULI_MATRICES`` are read-only."""
     if not label or any(ch not in PAULI_MATRICES for ch in label):
         raise ValueError(f"invalid Pauli label {label!r}")
-    op = PAULI_MATRICES[label[0]]
+    op = PAULI_MATRICES[label[0]].copy()
     for ch in label[1:]:
         # np.kron's products, without the generic reshaping that takes most
         # of a small kron's time

@@ -120,6 +120,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# relative Hermiticity of a problem's data; the solver's own, apart from
+# gatebounds.linalg.TOLERANCE because this module imports nothing from the
+# package
 HERMITIAN_TOL = 1e-12
 MAX_ITERATIONS = 200
 FEAS_TOL = 1e-8

@@ -8,6 +8,7 @@ import pytest
 
 from gatebounds import bounds, channels, diamond, metrics, pauli
 from gatebounds.diamond import DiamondMethod
+from helpers import random_unitary
 
 
 def test_pauli_lower_bound_values():
@@ -138,6 +139,36 @@ def test_refined_interval_floors_and_caps():
         bounds.pauli_refined_interval(math.nan, 2, 0.004)
 
 
+def test_refined_interval_allows_the_fidelity_slop():
+    # at fidelity 1 both bounds are 0: a Pauli distance within channels.SLOP
+    # of them is rounding and closes the bracket on it, one beyond is refused
+    for delta in (1e-17, channels.SLOP):
+        assert bounds.pauli_refined_interval(1.0, 2, delta) == (delta, delta)
+    with pytest.raises(ValueError, match=r"Pauli distance 1e-11 exceeds"):
+        bounds.pauli_refined_interval(1.0, 2, 1e-11)
+    # a crossing within the slop collapses to [lo, lo], never comes back crossed
+    generic = bounds.generic_upper_bound(0.99, 2)
+    eta_p = bounds.pauli_lower_bound(0.99, 2)
+    lo, hi = bounds.pauli_refined_interval(0.99, 2, generic + eta_p + 0.5 * channels.SLOP)
+    assert lo == hi > generic
+
+
+def test_refined_interval_refuses_a_fidelity_no_channel_has():
+    # below 1/(d+1) eta_pauli exceeds 1, and the bracket would lie above 1
+    with pytest.raises(ValueError, match=r"^fidelity below 1/\(d\+1\) at dimension 2: eta_pauli 1\.5 exceeds 1$"):
+        bounds.pauli_refined_interval(0.0, 2, 0.0)
+    for dim in (2, 3, 4):
+        floor = 1.0 / (dim + 1)
+        with pytest.raises(ValueError, match="^fidelity below 1/"):
+            bounds.pauli_refined_interval(floor - 1e-11, dim, 0.5)
+        # at 1/(d+1) itself (a gate that maps every pure state to an
+        # orthogonal one) the bracket closes on 1, within the slop
+        for phi in (floor, math.nextafter(floor, 0.0)):
+            lo, hi = bounds.pauli_refined_interval(phi, dim, 0.0)
+            assert lo == hi == pytest.approx(1.0, abs=channels.SLOP)
+            assert hi <= 1.0 + channels.SLOP
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -255,6 +286,26 @@ def test_audit_of_perfect_gate():
     assert report.inverse_error_rate is metrics.EXACT
     assert report.pauli_distance == 0.0
     assert report.refined_interval == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_audit_of_perfect_haar_gates(dim):
+    # U^dagger U rounds away from the identity: the fidelity lands a few ulps
+    # above 1 and the Pauli distance just above 0, both within channels.SLOP
+    rng = np.random.default_rng(dim)
+    clamped = 0
+    for _ in range(40):
+        u = random_unitary(rng, dim)
+        phi = metrics.average_gate_fidelity(channels.discrepancy(channels.unitary_channel(u), u))
+        report = bounds.audit(channels.unitary_channel(u), u)
+        assert report.fidelity == min(phi, 1.0)
+        lo, hi = report.refined_interval
+        assert 0.0 <= lo <= hi <= 1e-15
+        if phi >= 1.0:
+            clamped += 1
+            assert report.inverse_infidelity is metrics.EXACT
+            assert report.generic_upper == report.pauli_lower == 0.0
+    assert clamped
 
 
 def test_audit_of_gate_and_ideal_each_within_tolerance():

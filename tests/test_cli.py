@@ -16,6 +16,7 @@ import pytest
 
 import gatebounds
 from gatebounds import channels, cli, diamond, pauli, sdp
+from helpers import random_unitary
 from test_diamond import scale_encoder
 
 
@@ -183,6 +184,22 @@ def test_analyze_text_report_mentions_every_section(tmp_path, capsys):
     ):
         assert label in out
     assert "certified [" in out
+
+
+def test_analyze_exits_0_on_perfect_gate_pairs(tmp_path, capsys):
+    # gate and ideal file hold one Haar unitary: the fidelity rounds a few
+    # ulps above 1 and the Pauli distance just above 0, within channels.SLOP
+    rng = np.random.default_rng(1)
+    for k, dim in enumerate([2, 4] * 3):
+        u = random_unitary(rng, dim)
+        gate = kraus_file(tmp_path, f"gate{k}.json", dim, [u])
+        ideal = write_json(tmp_path, f"ideal{k}.json", {"dim": dim, "unitary": mat(u)})
+        assert cli.main(["analyze", gate, ideal]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", gate, ideal, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["fidelity"] <= 1.0
+        assert data["refined_interval"][0] <= data["refined_interval"][1]
 
 
 def test_analyze_choi_clips_tiny_negative_eigenvalues(tmp_path, capsys):

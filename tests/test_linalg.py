@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from gatebounds import linalg
+from gatebounds import channels, cli, linalg, metrics
 from helpers import random_hermitian, random_unitary
 
 
@@ -100,3 +102,57 @@ def test_eigenphases_recover_known_phases_in_random_bases():
 def test_eigenphases_reject_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         linalg.unitary_eigenphases(np.diag([1.0, 2.0]))
+
+
+def _choi_file(tmp_path, j):
+    path = tmp_path / "choi.json"
+    rows = [[[float(e.real), float(e.imag)] for e in row] for row in j]
+    path.write_text(json.dumps({"dim": 2, "kind": "choi", "choi": rows}))
+    return cli.load_channel_file(str(path))
+
+
+_EYE = np.eye(2)
+_CHOI = channels.identity_channel(2).choi
+# a unit vector orthogonal to the identity's Choi vector
+_OFF = np.array([0.0, 1.0, 0.0, 0.0])
+
+# every gate for a matrix from outside: how to pass it a matrix perturbed by
+# eps, and what its refusal says
+MATRIX_GATES = {
+    "Channel": (lambda eps, _: channels.Channel([(1 + eps) * _EYE]), "not trace preserving"),
+    "unitary_channel": (lambda eps, _: channels.unitary_channel((1 + eps) * _EYE), "not unitary"),
+    "discrepancy-ideal": (
+        lambda eps, _: channels.discrepancy(channels.identity_channel(2), (1 + eps) * _EYE),
+        "ideal gate is not unitary",
+    ),
+    "cli-choi-hermiticity": (
+        lambda eps, tmp: _choi_file(tmp, _CHOI + eps * np.outer(_OFF, [1, 0, 0, 0])),
+        "choi matrix is not Hermitian",
+    ),
+    "cli-choi-positivity": (
+        lambda eps, tmp: _choi_file(tmp, _CHOI - eps * np.outer(_OFF, _OFF)),
+        "not completely positive",
+    ),
+    "trace_distance-trace": (
+        lambda eps, _: metrics.trace_distance(np.diag([0.5 + eps, 0.5]), _EYE / 2),
+        "rho does not have unit trace",
+    ),
+    "trace_distance-positivity": (
+        lambda eps, _: metrics.trace_distance(_EYE / 2, np.diag([1 + eps, -eps])),
+        "sigma is not positive semidefinite",
+    ),
+    "trace_distance-hermiticity": (
+        lambda eps, _: metrics.trace_distance(_EYE / 2 + [[0, eps], [0, 0]], _EYE / 2),
+        "rho is not Hermitian",
+    ),
+}
+
+
+@pytest.mark.parametrize(("gate", "reason"), MATRIX_GATES.values(), ids=MATRIX_GATES)
+def test_one_tolerance_governs_every_matrix_gate(gate, reason, tmp_path, monkeypatch):
+    # linalg.TOLERANCE is read by every gate at call time: no module keeps a
+    # copy of its own
+    with pytest.raises(ValueError, match=reason):
+        gate(1e-6, tmp_path)
+    monkeypatch.setattr(linalg, "TOLERANCE", 1e-3)
+    gate(1e-6, tmp_path)

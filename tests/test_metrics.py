@@ -37,6 +37,24 @@ def test_total_variation_distance_rejects_non_distributions_by_name():
     assert metrics.total_variation_distance([1.0 + 5e-13, -5e-13], [1.0, 0.0]) == pytest.approx(5e-13)
 
 
+def test_total_variation_distance_aligns_labelled_distributions():
+    # two mappings meet over the sorted union of their labels, not by position
+    assert metrics.total_variation_distance({"a": 0.9, "b": 0.1}, {"b": 0.1, "a": 0.9}) == 0.0
+    assert metrics.total_variation_distance({"a": 0.9, "b": 0.1}, {"c": 0.9, "d": 0.1}) == pytest.approx(1.0)
+    # a label missing from one side reads 0
+    assert metrics.total_variation_distance({"a": 1.0}, {"b": 0.5, "a": 0.5}) == 0.5
+
+
+def test_total_variation_distance_refuses_mixed_and_unsortable_labels():
+    mixed = "distributions mu and nu must both be mappings"
+    with pytest.raises(ValueError, match=mixed):
+        metrics.total_variation_distance({"a": 1.0}, [1.0])
+    with pytest.raises(ValueError, match=mixed):
+        metrics.total_variation_distance([0.5, 0.5], {0: 0.5, 1: 0.5})
+    with pytest.raises(ValueError, match="labels of distributions mu and nu cannot be sorted"):
+        metrics.total_variation_distance({"a": 0.5, 1: 0.5}, {"a": 1.0})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_total_variation_distance_rejects_non_finite_entries_by_name(bad):
     # checked before the shapes: a NaN or an infinity never reaches the sum
@@ -143,7 +161,9 @@ def test_inverse_infidelity():
     assert metrics.inverse_infidelity(0.75) == pytest.approx(4.0)
     assert metrics.inverse_infidelity(0.0) == pytest.approx(1.0)
     assert metrics.inverse_infidelity(1.0) is metrics.EXACT
-    with pytest.raises(ValueError):
-        metrics.inverse_infidelity(1.0 + 1e-12)
-    with pytest.raises(ValueError):
+    # within channels.SLOP of 1 the fidelity clamps to 1; beyond it, refused
+    assert metrics.inverse_infidelity(1.0 + 1e-12) is metrics.EXACT
+    with pytest.raises(ValueError, match="fidelity"):
+        metrics.inverse_infidelity(1.0 + 1e-11)
+    with pytest.raises(ValueError, match="fidelity"):
         metrics.inverse_infidelity(-0.1)

@@ -37,6 +37,20 @@ def test_operator_tensor_structure():
         pauli.pauli_operator("")
 
 
+def test_single_qubit_paulis_are_read_only():
+    # a write into a stored Pauli would change every later depolarizing
+    # channel and twirl; pauli_operator hands out a copy to write into
+    before = channels.depolarizing(0.3).choi
+    for label, m in pauli.PAULI_MATRICES.items():
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+        op = pauli.pauli_operator(label)
+        op[0, 0] = 5.0
+        assert not np.shares_memory(op, m)
+    assert np.array_equal(pauli.PAULI_MATRICES["X"], [[0, 1], [1, 0]])
+    assert np.array_equal(channels.depolarizing(0.3).choi, before)
+
+
 @pytest.mark.parametrize("qubits", [2, 3])
 def test_operator_equals_the_kronecker_product_to_the_bit(qubits):
     for label in pauli.pauli_labels(qubits):

@@ -6,13 +6,14 @@ its tracer read-only (not run.py, which sets BLAS variables at import) and
 makes the calls it makes.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatebounds import bounds, channels, diamond, kernels
+from gatebounds import bounds, channels, diamond, kernels, refcheck
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,14 +29,23 @@ def tracing():
 
 
 def test_every_traced_target_is_a_callable(tracing):
+    assert tracing.TARGETS
     for module, attr, name, _ in tracing.TARGETS:
-        assert callable(getattr(module, attr, None)), name
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
 
 
 def test_environment_report_names_exist():
-    assert isinstance(kernels.HAVE_NUMBA, bool)
+    # no compiler backend is installed, so the report reads numpy
+    assert kernels.HAVE_NUMBA is False
     assert isinstance(kernels.ENV_VAR, str)
-    kernels.active_backend()
+    assert kernels.active_backend() == "numpy"
+
+
+def test_check_registry_the_tracer_wraps():
+    # the tracer swaps refcheck._CHECKS in place, one timed span per check
+    assert isinstance(refcheck._CHECKS, list)
+    assert [name for name, _ in refcheck._CHECKS] == refcheck.list_checks()
+    assert all(callable(fn) for _, fn in refcheck._CHECKS)
 
 
 def test_traced_audit_runs_every_span_info_extractor(tracing):
@@ -49,6 +59,7 @@ def test_traced_audit_runs_every_span_info_extractor(tracing):
 
 
 def test_oracle_brute_force_call():
+    assert "samples" in inspect.signature(diamond.brute_force_lower_bound).parameters
     actual = channels.mix([(0.95, channels.identity_channel(2)), (0.05, channels.amplitude_damping(1.0))])
     disc = channels.discrepancy(actual, np.eye(2))
     sampled = diamond.brute_force_lower_bound(disc, samples=2000)

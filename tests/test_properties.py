@@ -68,6 +68,17 @@ REAL_INPUTS = {
     "cli-named-params": (lambda x: cli._require_params({"params": {"r": x}}, ("r",)), "named.params.r"),
 }
 
+# every reader of a fidelity: how to pass it phi
+FIDELITY_READERS = {
+    "pauli_lower_bound": lambda phi: bounds.pauli_lower_bound(phi, 2),
+    "generic_upper_bound": lambda phi: bounds.generic_upper_bound(phi, 2),
+    "pauli_refined_interval": lambda phi: bounds.pauli_refined_interval(phi, 2, 0.0),
+    "decomposition_upper_bound": lambda phi: bounds.decomposition_upper_bound(phi, 2, [0.0]),
+    "inverse_infidelity": metrics.inverse_infidelity,
+    "sweep_rows": lambda phi: bounds.sweep_rows("depolarizing", [phi]),
+}
+SLOP = channels.SLOP
+
 
 _HALF = np.eye(2) / 2
 
@@ -215,6 +226,41 @@ def test_real_inputs_refuse_what_is_not_a_finite_real_by_name(entry, bad):
     # quantity at the start of its message
     with pytest.raises(ValueError, match=f"^{re.escape(quantity)} must be (a real number|finite), got "):
         call(bad)
+
+
+def _outcome(call, x):
+    # what a reader returns, pickled to compare bit for bit, or the text of
+    # the ValueError it raises
+    try:
+        return pickle.dumps(call(x))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("entry", sorted(FIDELITY_READERS))
+@PROPERTY_SETTINGS
+@given(st.floats(-SLOP, 0.0) | st.floats(1.0, 1.0 + SLOP))
+@example(-SLOP)
+@example(1.0 + SLOP)
+def test_fidelity_readers_clamp_a_fidelity_within_the_slop(entry, phi):
+    # a fidelity within channels.SLOP of [0, 1] reads as its clamped value
+    call = FIDELITY_READERS[entry]
+    assert _outcome(call, phi) == _outcome(call, min(1.0, max(0.0, phi)))
+
+
+@pytest.mark.parametrize("entry", sorted(FIDELITY_READERS))
+@PROPERTY_SETTINGS
+@given(
+    st.floats(max_value=-SLOP, exclude_max=True, allow_infinity=False)
+    | st.floats(min_value=1.0 + SLOP, exclude_min=True, allow_infinity=False)
+)
+@example(1.0 + 1e-11)
+@example(-1e-11)
+@example(math.nextafter(1.0 + SLOP, 2.0))
+@example(math.nextafter(-SLOP, -1.0))
+def test_fidelity_readers_refuse_a_fidelity_beyond_the_slop_by_name(entry, phi):
+    with pytest.raises(ValueError, match=r"^fidelity \S+ outside \[-1e-12, 1\.000000000001\]$"):
+        FIDELITY_READERS[entry](phi)
 
 
 @pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
