@@ -42,6 +42,7 @@ from .diamond import (
     ascent_lower_bounds,
     brute_force_lower_bound,
     diamond_distance,
+    diamond_distances,
     pauli_distance,
     unitary_diamond_distance,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "decomposition_upper_bound",
     "depolarizing",
     "diamond_distance",
+    "diamond_distances",
     "discrepancy",
     "generalized_cphase",
     "generic_upper_bound",

@@ -173,12 +173,14 @@ def _check_pauli_saturation(ctx):
     rng = np.random.default_rng(601)
     t = _Tally()
     worst = 0.0
+    chans = []
     for _ in range(20):
         probs = rng.random(4)
         probs /= probs.sum()
-        p = pauli.PauliChannel(1, dict(zip(pauli.pauli_labels(1), probs)))
-        ch = p.as_channel()
-        got = diamond.diamond_distance(ch, method="sdp").value
+        chans.append(pauli.PauliChannel(1, dict(zip(pauli.pauli_labels(1), probs))).as_channel())
+    results = diamond.diamond_distances([(ch, None) for ch in chans], method="sdp")
+    for ch, result in zip(chans, results):
+        got = result.value
         want = bounds.pauli_lower_bound(metrics.average_gate_fidelity(ch), 2)
         worst = max(worst, abs(got - want))
         t.check(
@@ -192,12 +194,14 @@ def _check_pauli_saturation(ctx):
 def _check_twirl_sandwich(ctx):
     rng = np.random.default_rng(701)
     t = _Tally()
-    for i in range(20):
+    pairs = []
+    for _ in range(20):
         ch = _random_channel(rng)
         twirled = pauli.pauli_twirl(ch)
-        eta = diamond.diamond_distance(ch, method="sdp").value
-        delta = diamond.diamond_distance(ch, twirled, method="sdp").value
-        eta_p = diamond.diamond_distance(twirled, method="sdp").value
+        pairs += [(ch, None), (ch, twirled), (twirled, None)]
+    results = [r.value for r in diamond.diamond_distances(pairs, method="sdp")]
+    for i in range(20):
+        eta, delta, eta_p = results[3 * i : 3 * i + 3]
         t.check(
             abs(delta - eta_p) - 2e-7 <= eta <= delta + eta_p + 2e-7,
             f"channel {i}: eta {eta!r} outside [|{delta!r} - {eta_p!r}|, sum] sandwich",
@@ -304,11 +308,13 @@ def _check_properties(ctx):
         float(np.abs(mixed.choi - choi_linear).max()) <= 1e-12,
         "Choi matrix is not linear under mixing",
     )
-    for i in range(3):
+    pairs = []
+    for _ in range(3):
         a, b, c = (_random_channel(rng) for _ in range(3))
-        d_ac = diamond.diamond_distance(a, c).value
-        d_ab = diamond.diamond_distance(a, b).value
-        d_bc = diamond.diamond_distance(b, c).value
+        pairs += [(a, c), (a, b), (b, c)]
+    results = [r.value for r in diamond.diamond_distances(pairs)]
+    for i in range(3):
+        d_ac, d_ab, d_bc = results[3 * i : 3 * i + 3]
         t.check(
             d_ac <= d_ab + d_bc + 1e-7,
             f"triple {i}: triangle inequality violated ({d_ac!r} > {d_ab!r} + {d_bc!r})",

@@ -400,3 +400,25 @@ def test_sweep_rows_accepts_both_ends_of_each_range(model):
     assert [row.fidelity for row in rows] == pytest.approx([lo, hi], abs=1e-12)
     for row in rows:
         assert row.refined_lo <= row.eta + 1e-9 and row.eta <= row.refined_hi + 1e-9
+
+
+def test_sweep_rows_solve_each_row_as_an_audit_does(monkeypatch):
+    # one diamond_distances call per sweep, with every row's eta then delta
+    # in submission order; each row equals the report of its own pair
+    calls = []
+    real = diamond.diamond_distances
+
+    def recording(pairs, method="auto"):
+        calls.append([(e, f) for e, f in pairs])
+        return real(pairs, method)
+
+    monkeypatch.setattr(diamond, "diamond_distances", recording)
+    phis = [0.95, 0.9, 0.99]
+    rows = bounds.sweep_rows("amplitude-damping", phis)
+    assert len(calls) == 1 and len(calls[0]) == 2 * len(phis)
+    for row, (eta_pair, delta_pair) in zip(rows, zip(calls[0][::2], calls[0][1::2])):
+        channel = eta_pair[0]
+        assert eta_pair[1] is None and delta_pair[0] is channel
+        report = bounds._report(channel, diamond.diamond_distance(channel), diamond.pauli_distance(channel))
+        assert (row.eta, row.pauli_distance) == (report.error_rate.value, report.pauli_distance)
+        assert (row.refined_lo, row.refined_hi) == report.refined_interval

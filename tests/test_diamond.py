@@ -476,6 +476,131 @@ def test_recorded_solves_see_only_their_own_thread():
     assert records == []
 
 
+def solve_counts(monkeypatch):
+    # the iteration counts of every solution the loop returns, in order
+    counts = []
+    real = sdp.solve_batch
+
+    def counting(*args, **kwargs):
+        solutions = real(*args, **kwargs)
+        counts.extend(sol.iterations for sol in solutions)
+        return solutions
+
+    monkeypatch.setattr(sdp, "solve_batch", counting)
+    return counts
+
+
+def batch_pairs():
+    # eight d = 2 pairs on the "choi" path, with different iteration counts
+    rng = np.random.default_rng(41)
+    pairs = [(random_channel(rng, 2, 2 + i % 2), None if i % 2 else random_channel(rng, 2, 1)) for i in range(6)]
+    pairs.append((channels.amplitude_damping(0.3), None))
+    pairs.append((channels.amplitude_damping(0.05), channels.depolarizing(0.1)))
+    return pairs
+
+
+def test_a_batch_mate_changes_nothing(monkeypatch):
+    # a pair solved alone and inside a batch, in two orders and two stack
+    # sizes: the same value, both certificate ends, verification figures
+    # and iteration count, to the last bit
+    pairs = batch_pairs()
+    counts = solve_counts(monkeypatch)
+    with diamond.recorded_solves() as records:
+        alone = [diamond.diamond_distance(e, f, method="sdp") for e, f in pairs]
+    alone_counts, alone_checked = list(counts), [rec.checked for rec in records]
+    assert len(set(alone_counts)) > 1
+    for order in (list(range(len(pairs))), [5, 2, 7, 0, 3, 6, 1, 4]):
+        for entries in (diamond.CHOI_STACK_ENTRIES, 3 * 612):
+            monkeypatch.setattr(diamond, "CHOI_STACK_ENTRIES", entries)
+            counts.clear()
+            with diamond.recorded_solves() as records:
+                batch = diamond.diamond_distances([pairs[i] for i in order], method="sdp")
+            assert batch == [alone[i] for i in order]
+            assert [rec.checked for rec in records] == [alone_checked[i] for i in order]
+            # stacks of 3 return their members in submission order too
+            assert counts == [alone_counts[i] for i in order]
+
+
+def test_a_batch_stacks_choi_pairs_under_the_entry_cap(monkeypatch):
+    # (d^4 + 1)(2 d^4 + d^2) = 612 entries per d = 2 pair: a cap of 3 pairs
+    # makes stacks of 3, 3 and 2; closed forms and other paths stay out
+    sizes = []
+    real = sdp.solve_batch
+
+    def sizing(problem, start=None):
+        sizes.append(len(problem.c) if problem.c.ndim == 2 else 1)
+        return real(problem, start)
+
+    monkeypatch.setattr(sdp, "solve_batch", sizing)
+    monkeypatch.setattr(diamond, "CHOI_STACK_ENTRIES", 3 * 612 + 611)
+    pairs = batch_pairs()
+    fidelity = (channels.mix([(0.9, channels.generalized_cphase(3, 0.4)), (0.1, channels.identity_channel(3))]), None)
+    unitary = (channels.unitary_error(0.3), None)
+    got = diamond.diamond_distances(pairs[:4] + [unitary, fidelity] + pairs[4:])
+    assert sizes == [3, 3, 2, 1]
+    assert got[4].method is DiamondMethod.UNITARY_CLOSED_FORM and got[5].route == "fidelity"
+
+
+def test_a_failing_batch_member_raises_its_own_error(monkeypatch):
+    # a cap between two members' iteration counts: the slow pair raises the
+    # error it raises alone, once the fast pair before it is recorded with
+    # the result it has alone
+    pairs = batch_pairs()
+    counts = solve_counts(monkeypatch)
+    for e, f in pairs:
+        diamond.diamond_distance(e, f, method="sdp")
+    fast, slow = pairs[int(np.argmin(counts))], pairs[int(np.argmax(counts))]
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", min(counts))
+    want = diamond.diamond_distance(*fast, method="sdp")
+    with pytest.raises(sdp.SolverError) as alone:
+        diamond.diamond_distance(*slow, method="sdp")
+    assert "(choi path) stopped unconverged (max_iterations)" in str(alone.value)
+    with diamond.recorded_solves() as records:
+        with pytest.raises(sdp.SolverError) as batched:
+            diamond.diamond_distances([fast, slow], method="sdp")
+    assert str(batched.value) == str(alone.value)
+    assert [rec.result for rec in records] == [want]
+    with diamond.recorded_solves() as records:
+        with pytest.raises(sdp.SolverError, match=re.escape(str(alone.value))):
+            diamond.diamond_distances([slow, fast], method="sdp")
+    assert records == []
+
+
+def test_distances_check_their_arguments_like_one_distance(monkeypatch):
+    assert diamond.diamond_distances([]) == []
+    two, three = channels.identity_channel(2), channels.identity_channel(3)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        diamond.diamond_distances([(two, None)], method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        diamond.diamond_distances([], method="bogus")
+    # a bad pair anywhere refuses the call before anything is solved
+    monkeypatch.setattr(sdp, "solve_batch", None)
+    with pytest.raises(ValueError, match="channels differ in dimension"):
+        diamond.diamond_distances([(channels.amplitude_damping(0.3), None), (two, three)])
+    monkeypatch.setattr(diamond, "MAX_ENTRIES", 611)
+    with pytest.raises(ValueError, match="dimension 2 diamond SDP on the choi path needs an array of 612"):
+        diamond.diamond_distances([(channels.unitary_error(0.3), None), (channels.amplitude_damping(0.3), None)])
+
+
+def test_distances_record_their_solves_in_submission_order():
+    # closed forms are not recorded; the SDP pairs reach the block in the
+    # order they were submitted, whatever their path and stack
+    rng = np.random.default_rng(43)
+    d2 = [(random_channel(rng, 2, 2), random_channel(rng, 2, 1)) for _ in range(3)]
+    fidelity = (channels.mix([(0.9, channels.generalized_cphase(3, 0.4)), (0.1, channels.identity_channel(3))]), None)
+    structured = (random_channel(rng, 4, 12), None)
+    closed = [(channels.unitary_error(0.3), None), (channels.depolarizing(0.1), channels.depolarizing(0.2))]
+    pairs = [d2[0], closed[0], fidelity, d2[1], structured, closed[1], d2[2]]
+    with diamond.recorded_solves() as records:
+        results = diamond.diamond_distances(pairs)
+    assert [r.route for r in results] == ["choi", None, "fidelity", "choi", "choi", None, "choi"]
+    solved = [0, 2, 3, 4, 6]
+    assert [rec.result for rec in records] == [results[i] for i in solved]
+    for rec, i in zip(records, solved):
+        e, f = pairs[i]
+        assert rec.e is e and (rec.f is f if f is not None else rec.f.dim == e.dim)
+
+
 def check_unconverged_solve_raises(monkeypatch, channel, path):
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     with pytest.raises(sdp.SolverError, match=rf"\({path} path\) stopped unconverged \(max_iterations\)"):

@@ -64,3 +64,21 @@ def test_oracle_brute_force_call():
     disc = channels.discrepancy(actual, np.eye(2))
     sampled = diamond.brute_force_lower_bound(disc, samples=2000)
     assert 0.0 < sampled <= diamond.diamond_distance(disc).upper_certificate
+
+
+def test_audit_reaches_the_tapped_distance_for_both_solves(monkeypatch):
+    # the result tap wraps diamond.diamond_distance only: an audit must make
+    # its eta and delta solves through it, one pair at a time, or the width
+    # guard and the SDP share would not see them
+    seen = []
+    real = diamond.diamond_distance
+
+    def tapped(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(diamond, "diamond_distance", tapped)
+    report = bounds.audit(channels.amplitude_damping(0.05), np.eye(2))
+    assert [r.method for r in seen] == [diamond.DiamondMethod.SDP] * 2
+    assert seen[0] is report.error_rate and seen[1].value == report.pauli_distance

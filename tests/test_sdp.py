@@ -220,6 +220,60 @@ def test_diamond_solves_repeat_bit_for_bit(channel, path):
     assert_identical_solutions(first, second)
 
 
+# d = 2 pairs on the "choi" path whose solves take different iteration
+# counts
+STACK_CHANNELS = [
+    channels.amplitude_damping(0.3),
+    random_channel(np.random.default_rng(98), 2, 3),
+    channels.mix([(0.7, channels.identity_channel(2)), (0.3, channels.amplitude_damping(1.0))]),
+]
+
+
+def stacked_encodings(encodings):
+    # one problem with the stacked objectives of "choi" encodings, and their
+    # stacked starts
+    stack = diamond._template(2).with_objective(np.stack([enc.problem.c for enc in encodings]))
+    return stack, tuple(np.stack(part) for part in zip(*(enc.start for enc in encodings)))
+
+
+def test_a_stack_member_solves_as_it_does_alone():
+    # each member's iterate, gap and iteration count, to the last bit, in
+    # either order of the stack
+    encodings = [diamond_encoding(ch, "choi") for ch in STACK_CHANNELS]
+    alone = [sdp.solve(enc.problem, enc.start) for enc in encodings]
+    assert len({sol.iterations for sol in alone}) > 1
+    for order in ([0, 1, 2], [2, 0, 1]):
+        stack, start = stacked_encodings([encodings[i] for i in order])
+        for i, sol in zip(order, sdp.solve_batch(stack, start)):
+            assert_identical_solutions(sol, alone[i])
+    # the default start too: each member from its own scaled identity
+    stack, _ = stacked_encodings(encodings)
+    for sol, enc in zip(sdp.solve_batch(stack), encodings):
+        assert_identical_solutions(sol, sdp.solve(enc.problem))
+
+
+def test_a_stuck_member_leaves_the_others_untouched(monkeypatch):
+    # a cap between two members' iteration counts stops the slow one where
+    # it stops alone, and the fast one converges as it does alone
+    encodings = [diamond_encoding(ch, "choi") for ch in STACK_CHANNELS]
+    counts = [sdp.solve(enc.problem, enc.start).iterations for enc in encodings]
+    fast, slow = int(np.argmin(counts)), int(np.argmax(counts))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", counts[fast])
+    alone = [sdp.solve(encodings[i].problem, encodings[i].start) for i in (fast, slow)]
+    assert [sol.status for sol in alone] == [sdp.SdpStatus.CONVERGED, sdp.SdpStatus.MAX_ITERATIONS]
+    stack, start = stacked_encodings([encodings[slow], encodings[fast]])
+    got = sdp.solve_batch(stack, start)
+    assert_identical_solutions(got[0], alone[1])
+    assert_identical_solutions(got[1], alone[0])
+
+
+def test_solve_refuses_a_stack():
+    encodings = [diamond_encoding(ch, "choi") for ch in STACK_CHANNELS]
+    stack, start = stacked_encodings(encodings)
+    with pytest.raises(ValueError, match="a stack of objectives is solved by solve_batch"):
+        sdp.solve(stack)
+
+
 def test_iteration_cap_reported(monkeypatch):
     rng = np.random.default_rng(65)
     c = random_symmetric(rng, 4)
@@ -315,6 +369,44 @@ def test_with_objective_shares_constraints_and_checks_the_objective():
             prob.with_objective(flat([eye3, np.diag([bad, 1.0])]))
 
 
+def test_with_objective_checks_a_stack_in_one_pass(monkeypatch):
+    # a (B, N) stack of objectives: one validation over its rows, whose
+    # messages name the first bad row, and one member problem per row that
+    # views its row and shares the constraints
+    rng = np.random.default_rng(78)
+    dims = (3, 2)
+    prob = random_problem(rng, dims, 4)[0]
+    objectives = [flat([random_hermitian(rng, n) for n in dims]) for _ in range(3)]
+    calls = []
+    real = sdp.SdpProblem._checked
+
+    def counting(self, data, shape, label):
+        calls.append(label)
+        return real(self, data, shape, label)
+
+    monkeypatch.setattr(sdp.SdpProblem, "_checked", counting)
+    derived = prob.with_objective(np.stack(objectives))
+    assert calls == ["objective {}"]
+    assert derived.c.shape == (3, 13) and not derived.c.flags.writeable
+    assert derived.a is prob.a and derived._run_stacks is prob._run_stacks
+    members = derived.members()
+    assert len(members) == 3
+    for member, objective in zip(members, objectives):
+        assert np.array_equal(member.c, objective) and np.shares_memory(member.c, derived.c)
+        assert member.a is prob.a and member.b is prob.b
+    assert np.array_equal(prob.with_objective(objectives[1]).c, members[1].c)
+
+    eye3 = np.eye(3)
+    good = flat([eye3, np.eye(2)])
+    with pytest.raises(ValueError, match=r"objective matrix has shape \(2, 9\), expected \(2, 13\)"):
+        prob.with_objective(np.stack([flat([eye3])] * 2))
+    with pytest.raises(ValueError, match="objective 1 block is not Hermitian"):
+        prob.with_objective(np.stack([good, flat([eye3, np.array([[1.0, 1j], [1j, 1.0]])]), good]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="objective 2 block has a non-finite"):
+            prob.with_objective(np.stack([good, good, flat([eye3, np.diag([bad, 1.0])])]))
+
+
 def test_problem_data_is_read_only():
     prob = min_eig_problem(np.eye(2))
     for arr in (prob.a, prob.b, prob.c, prob._a_real):
@@ -374,6 +466,26 @@ def test_two_schur_solves_per_iteration(monkeypatch):
     assert shapes["inv"] == runs * steps
     # one eigvalsh per run for each of the two directions
     assert shapes["eigvalsh"] == runs * (2 * steps)
+
+
+def test_a_stack_makes_the_calls_of_one_solve(monkeypatch):
+    # the members of a stack share every LAPACK call of an iteration: the
+    # call counts are those of the stack's longest solve, and each call
+    # covers the members still running
+    encodings = [diamond_encoding(ch, "choi") for ch in STACK_CHANNELS]
+    stack, start = stacked_encodings(encodings)
+    m = stack.num_constraints
+    shapes = count_linalg_calls(monkeypatch, ("solve", "inv", "eigvalsh"))
+    solutions = sdp.solve_batch(stack, start)
+    assert all(sol.status is sdp.SdpStatus.CONVERGED for sol in solutions)
+    counts = sorted(sol.iterations for sol in solutions)
+    assert counts[0] < counts[-1]
+    steps = counts[-1] - 1
+    running = [sum(sol.iterations - 1 > i for sol in solutions) for i in range(steps)]
+    assert running[0] == len(solutions) and running[-1] == 1
+    assert shapes["solve"] == [(b, m, m) for b in running for _ in range(2)]
+    assert shapes["inv"] == [(b, 2 * k, n, n) for b in running for k, n in stack.runs]
+    assert shapes["eigvalsh"] == [(b, 2 * k, n, n) for b in running for _ in range(2) for k, n in stack.runs]
 
 
 def backward_error(w):
