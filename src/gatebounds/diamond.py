@@ -98,24 +98,32 @@ derived without tuned margins:
   eigensolver on an n x n matrix M; the few products that form M round at
   order eps ||M|| too.
 
-*Stacks.*  :func:`diamond_distances` solves many pairs in one call.
-Closed forms are taken pair by pair.  Pairs on the "choi" path share the
-template of their dimension and differ only in the objective -J, so they
-are grouped by d and solved in stacks, one :func:`sdp.solve_batch` per
-stack: the stack of objectives is validated in one pass, and each member
-keeps its own start, step lengths and stopping test.  A stack holds at
-most ``CHOI_STACK_ENTRIES`` = 2^14 complex entries, counted as the
-(d^4 + 1)(2 d^4 + d^2) entries of one member's Schur product stack (the
-template's size, as :func:`_plan` counts it): 26 pairs at d = 2, and one
-at d = 3.  A pair left alone in its stack, like every d = 3 pair, is a
-single solve on flat vectors, as are the "fidelity" and "structured"
-paths, which share no constraints.  Encoding, verification
-and certificate stay per pair, so every pair's result and record equal
-its own :func:`diamond_distance` bit for bit.  Stacks of up to 26, 53 and
-107 d = 2 pairs ran a reproduction-suite pass in 0.262, 0.255 and 0.231 s,
-against 0.51-0.67 s pair by pair (medians of 8 passes, one BLAS thread).
-A cap of 2^15 (53 pairs) raised the benchmark's paper-check peak RSS by
-6 % over pair-by-pair solves, this cap by about 2 %.
+*Stacks.*  One rule cuts every stack of the module: like members are
+grouped and cut, in submission order, into stacks of at most
+``STACK_ENTRIES`` = 2^14 complex entries and of at least one member
+(:func:`_stacks`).  The SDP pairs of :func:`diamond_distances` are grouped
+by path and d.  Only "choi" pairs share constraints, the template of their
+dimension, differing only in the objective -J, and only they count their
+entries: the (d^4 + 1)(2 d^4 + d^2) of one member's Schur product stack
+(the template's size, as :func:`_plan` counts it).  Every other path gets
+stacks of one.  A stack of one is one :func:`sdp.solve` on flat vectors; a
+larger stack is one :func:`sdp.solve_batch`, which validates the stacked
+objectives in one pass and keeps each member's own start, step lengths and
+stopping test.  The ascents of :func:`ascent_lower_bounds` are grouped by
+d, each pair counting the 4 d^4 entries of its ``ASCENT_STARTS`` output
+matrices.  Members per stack:
+
+    d           2     3     4     5     6     7     8
+    SDP        26     1     1     1     1     1     1
+    ascent    256    50    16     6     3     1     1
+
+Encoding, verification and certificate stay per pair, and every ascent
+takes its own steps and stopping test, so each result equals the pair's
+own run bit for bit at any budget.  SDP stacks of up to 26, 53 and 107
+d = 2 pairs ran a reproduction-suite pass in 0.262, 0.255 and 0.231 s,
+against 0.51-0.67 s pair by pair (medians of 8 passes, one BLAS thread); a
+budget of 2^15 (53 pairs) raised the benchmark's paper-check peak RSS by
+6 % over pair-by-pair solves, this one by about 2 %.
 
 *Check.*  The two ends are compared before they are clipped into [0, 1],
 and a witness lower end above the dual upper end raises
@@ -141,10 +149,9 @@ from .channels import Channel, checked_integer, identity_channel
 
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
+STACK_ENTRIES = 2**14
 ASCENT_STARTS = 4
 ASCENT_STEPS = 30
-ASCENT_STACK_ENTRIES = 2**11
-CHOI_STACK_ENTRIES = 2**14
 EPS = float(np.finfo(float).eps)
 
 
@@ -666,45 +673,43 @@ def _certify(encoding, solution, checked, j_delta, d, path):
     return DiamondResult(value, lower, upper, DiamondMethod.SDP, encoding.route)
 
 
-def _solve(j_delta, d, path):
-    """Encode J(E - F) on ``path``, solve, verify and certify.
+def _stacks(members, entries):
+    """``members`` cut in order into stacks of at most ``STACK_ENTRIES``
+    complex entries, at ``entries`` per member, and of at least one member
+    each (module docstring, *Stacks*)."""
+    size = max(1, STACK_ENTRIES // entries)
+    return [members[k : k + size] for k in range(0, len(members), size)]
 
-    Returns the encoding, the solution, the verification figures and the
-    DiamondResult; an unconverged solve or a crossed interval raises
-    :class:`sdp.SolverError`.
+
+def _solve(js, d, path):
+    """Encode, solve, verify and certify a stack of Choi differences ``js``
+    at dimension d on ``path``.
+
+    A stack of one is one :func:`sdp.solve` on flat vectors.  A larger
+    stack, on the "choi" path only, is one :func:`sdp.solve_batch` over its
+    objectives on the shared template, each member from its own start.
+    Returns per member its encoding, solution, verification figures and
+    DiamondResult, or the :class:`sdp.SolverError` of an unconverged solve
+    or a crossed interval.
     """
-    encoding = _encoding(j_delta, d, path)
-    solution = sdp.solve(encoding.problem, encoding.start)
-    return (encoding, solution, *_finish(encoding, solution, j_delta, d, path))
-
-
-def _finish(encoding, solution, j_delta, d, path):
-    """The verification figures and the DiamondResult of a solve; an
-    unconverged solve or a crossed interval raises :class:`sdp.SolverError`."""
-    if solution.status is not sdp.SdpStatus.CONVERGED:
-        raise sdp.SolverError(
-            f"diamond SDP ({path} path) stopped unconverged ({solution.status.value}) after "
-            f"{solution.iterations} iterations (gap {solution.gap:.3e})"
-        )
-    checked = sdp.verify_solution(encoding.problem, solution)
-    return checked, _certify(encoding, solution, checked, j_delta, d, path)
-
-
-def _solve_choi_stack(js, d):
-    """The "choi" path for a stack of Choi differences ``js`` at dimension
-    d: one :func:`sdp.solve_batch` over their objectives on the shared
-    template, then each member verified and certified as :func:`_solve`
-    does.  Returns per member its (checked, DiamondResult), or the
-    :class:`sdp.SolverError` its own solve would raise."""
-    ops = [_ChoiOperator(j, d) for j in js]
-    stacked = _template(d).with_objective(np.stack([op.c for op in ops]))
-    problems = stacked.members()
-    starts = [_choi_start(problem, op) for problem, op in zip(problems, ops)]
-    solutions = sdp.solve_batch(stacked, tuple(np.stack(part) for part in zip(*starts)))
+    if len(js) == 1:
+        encodings = [_encoding(js[0], d, path)]
+        solutions = [sdp.solve(encodings[0].problem, encodings[0].start)]
+    else:
+        ops = [_ChoiOperator(j, d) for j in js]
+        stacked = _template(d).with_objective(np.stack([op.c for op in ops]))
+        encodings = [_choi_encoding(p, d, _choi_start(p, op)) for p, op in zip(stacked.members(), ops)]
+        solutions = sdp.solve_batch(stacked, tuple(np.stack(part) for part in zip(*(e.start for e in encodings))))
     out = []
-    for j, problem, start, solution in zip(js, problems, starts, solutions):
+    for j_delta, encoding, solution in zip(js, encodings, solutions):
         try:
-            out.append(_finish(_choi_encoding(problem, d, start), solution, j, d, "choi"))
+            if solution.status is not sdp.SdpStatus.CONVERGED:
+                raise sdp.SolverError(
+                    f"diamond SDP ({path} path) stopped unconverged ({solution.status.value}) after "
+                    f"{solution.iterations} iterations (gap {solution.gap:.3e})"
+                )
+            checked = sdp.verify_solution(encoding.problem, solution)
+            out.append((encoding, solution, checked, _certify(encoding, solution, checked, j_delta, d, path)))
         except sdp.SolverError as exc:
             out.append(exc)
     return out
@@ -758,20 +763,21 @@ def diamond_distances(pairs, method="auto"):
     one DiamondResult per pair, in order, each the one
     :func:`diamond_distance` returns for the pair alone.
 
-    Every pair is checked before anything is solved, with the errors of
-    :func:`diamond_distance`.  Closed forms are taken pair by pair; pairs on
-    the "choi" path are grouped by d and solved in stacks through one
-    :func:`sdp.solve_batch` each (module docstring, *Stacks*); pairs on the
-    "fidelity" and "structured" paths are solved one at a time.  Each SDP
-    pair is verified and certified by itself, and reaches the open
-    :func:`recorded_solves` blocks in submission order.  A pair whose solve
-    does not converge or whose interval crosses raises its own
-    :class:`sdp.SolverError` once the pairs before it are recorded.
+    Three passes.  Every pair is checked and planned: a closed form, or its
+    path, d and entries, with the errors of :func:`diamond_distance`.  The
+    SDP pairs are cut into stacks (module docstring, *Stacks*), and every
+    stack is solved, each pair verified and certified by itself.  Then the
+    pairs are walked in submission order: each SDP pair reaches the open
+    :func:`recorded_solves` blocks, and a pair whose solve did not converge
+    or whose interval crossed raises its own :class:`sdp.SolverError` once
+    the pairs before it are recorded.  The pairs after a failing one are
+    solved before its error is raised: that costs their time, and no
+    result.
     """
     if method not in ("auto", "sdp"):
         raise ValueError(f"unknown method {method!r}")
     pairs = [(e, _second(e, f)) for e, f in pairs]
-    closed, single, stacks = [], {}, {}
+    closed, groups = [], {}
     for i, (e, f) in enumerate(pairs):
         closed.append(_closed_form(e, f) if method == "auto" else None)
         if closed[i] is None:
@@ -782,29 +788,21 @@ def diamond_distances(pairs, method="auto"):
                     f"dimension {e.dim} diamond SDP on the {path} path needs an array of {entries} "
                     f"entries, above the cap of {MAX_ENTRIES}"
                 )
-            if path == "choi":
-                stacks.setdefault((e.dim, entries), []).append((i, j_delta))
-            else:
-                single[i] = (j_delta, e.dim, path)
-    stacked = {}
-    for (d, entries), members in stacks.items():
-        size = max(1, CHOI_STACK_ENTRIES // entries)
-        for k in range(0, len(members), size):
-            index, js = zip(*members[k : k + size])
-            if len(index) == 1:
-                # a pair alone is a single solve, on flat vectors
-                single[index[0]] = (js[0], d, "choi")
-            else:
-                stacked.update(zip(index, _solve_choi_stack(js, d)))
+            groups.setdefault((path, e.dim, entries), []).append((i, j_delta))
+    solved = {}
+    for (path, d, entries), members in groups.items():
+        # only "choi" pairs share constraints, so only they stack
+        for stack in _stacks(members, entries if path == "choi" else STACK_ENTRIES):
+            index, js = zip(*stack)
+            for i, got in zip(index, _solve(js, d, path)):
+                # the figures and result only: an encoding holds its constraints
+                solved[i] = got if isinstance(got, sdp.SolverError) else got[2:]
     out, blocks = [], _open_records.get()
     for i, ((e, f), result) in enumerate(zip(pairs, closed)):
         if result is None:
-            if i in single:
-                checked, result = _solve(*single[i])[2:]
-            elif isinstance(stacked[i], sdp.SolverError):
-                raise stacked[i]
-            else:
-                checked, result = stacked[i]
+            if isinstance(solved[i], sdp.SolverError):
+                raise solved[i]
+            checked, result = solved[i]
             if blocks:
                 record = SolveRecord(e, f, checked, result)
                 for records in blocks:
@@ -881,20 +879,20 @@ def ascent_lower_bounds(pairs, seeds):
     independent check on the SDP than :func:`brute_force_lower_bound`, at
     a few eigensolves per step.
 
-    *Stacks.*  The pairs are grouped by d, and each group runs in stacks
-    that step all their pairs' starts through one set of batched ``eigh``
-    and matmul calls; a pair leaves its stack once its own test holds.  A
-    stack holds at most ``ASCENT_STACK_ENTRIES`` = 2^11 complex entries
-    over its pairs' (``ASCENT_STARTS``, d^2, d^2) output stacks: 32 pairs at
-    d = 2, 6 at d = 3, 2 at d = 4, and one pair from d = 5 on.  numpy runs
-    LAPACK and BLAS on each matrix of a stack by itself, so every bound
-    equals the pair's own run bit for bit, at any stack size.  On the 116
-    solves of one reproduction-suite pass (113 at d = 2), the stacked
-    ascent took 0.089 s against 0.186 s pair by pair (best of 7 and of 5
-    calls, one BLAS thread).  One stack of all 113 d = 2 pairs ran as fast
-    but raised the benchmark's paper-check peak RSS by 1.6-1.8 % over the
-    capped stacks.  Seeds are integers of at least 0, one per pair; an
-    integer-valued float is an integer (:func:`channels.checked_integer`).
+    *Stacks.*  The pairs are grouped by d and cut into stacks by the
+    module's one rule (module docstring, *Stacks*: 256 pairs at d = 2, 50
+    at d = 3, 16 at d = 4).  Each stack steps all its pairs' starts through
+    one set of batched ``eigh`` and matmul calls, and a pair leaves its
+    stack once its own test holds.  numpy runs LAPACK and BLAS on each
+    matrix of a stack by itself, so every bound equals the pair's own run
+    bit for bit, at any stack size.  On the 116 solves of one
+    reproduction-suite pass (113 at d = 2), stacks of 32 took 0.089 s
+    against 0.186 s pair by pair (best of 7 and of 5 calls, one BLAS
+    thread); one stack of all 113 d = 2 pairs ran as fast, and read the
+    benchmark's paper-check peak RSS 0.6 % above stacks of 32 (43.51-43.54
+    against 43.16-43.28 MB over four alternating runs).  Seeds are
+    integers of at least 0, one per pair; an integer-valued float is an
+    integer (:func:`channels.checked_integer`).
     """
     pairs, seeds = list(pairs), list(seeds)
     if len(pairs) != len(seeds):
@@ -908,9 +906,7 @@ def ascent_lower_bounds(pairs, seeds):
         index, js, group_seeds = zip(*members)
         js = np.stack(js)
         working = np.flatnonzero(_rank(js, d))
-        size = max(1, ASCENT_STACK_ENTRIES // (ASCENT_STARTS * d**4))
-        for k in range(0, len(working), size):
-            stack = working[k : k + size]
+        for stack in _stacks(working, ASCENT_STARTS * d**4):
             for t, value in zip(stack, _ascent(js[stack], d, [group_seeds[t] for t in stack])):
                 lower[index[t]] = value
     return lower

@@ -14,7 +14,7 @@ input only; a diamond distance or an audit makes none.
 brute-force diamond-distance lower bound.  Its only remaining callers are
 ``diamond.brute_force_lower_bound``, the benchmark harness (its oracle and
 tracer) and tests; the reproduction suite's solver-health check uses
-``diamond.ascent_lower_bound`` instead.  For a sampled state with d x d
+``diamond.ascent_lower_bounds`` instead.  For a sampled state with d x d
 coefficient matrix Psi_s, the output is M_s = (I x Psi_s^T) J (I x
 Psi_s^T)^dagger for the Choi matrix J of E - F (Watrous, "Semidefinite
 programs for completely bounded norms", 2009).  The scan makes its

@@ -9,8 +9,9 @@ the certificates were built (the record's ``checked``): primal residual,
 normalized duality gap and block eigenvalues.  It then computes an
 input-state ascent lower bound for every record in one call
 (:func:`gatebounds.diamond.ascent_lower_bounds`, record i from seed
-9000 + i), which steps the records' ascents in stacks and stops each on its
-own test, so each bound is the one its pair gives alone.  Each bound must
+9000 + i), which steps the records' ascents in stacks (the one stacking
+rule of :mod:`gatebounds.diamond`, module docstring, *Stacks*) and stops
+each on its own test, so each bound is the one its pair gives alone.  Each bound must
 lie below both the solver value (within 1e-8) and the certified upper end
 of the returned interval (within 1e-12, the ascent's own rounding).
 

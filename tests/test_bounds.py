@@ -318,6 +318,20 @@ def test_audit_of_gate_and_ideal_each_within_tolerance():
     assert report.error_rate.value == 0.2955202066613394 == pytest.approx(math.sin(0.3), abs=1e-15)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="ROADMAP item 13: input accepted within linalg.TOLERANCE is not normalized to a channel, "
+    "so a perfect gate scaled by 1 + 0.45e-9 has a discrepancy fidelity beyond channels.SLOP",
+)
+def test_audit_of_a_perfect_gate_scaled_within_tolerance():
+    # gate and ideal are each accepted alone; their discrepancy's fidelity
+    # 1 + 1.2e-9 is refused as "fidelity 1.0000000012 outside [...]"
+    s = 1 + 0.45e-9
+    report = bounds.audit(channels.Channel([s * np.eye(2)]), s * np.eye(2))
+    assert report.fidelity == 1.0
+
+
 def test_audit_report_invariants():
     report = bounds.audit(channels.amplitude_damping(0.2), np.eye(2))
     eta = report.error_rate.value

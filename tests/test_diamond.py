@@ -318,7 +318,8 @@ def test_ascent_batch_equals_each_pair_alone(monkeypatch):
     # still rising at the step cap
     early, capped = (channels.amplitude_damping(0.3), None), (random_channel(rng, 3, 1), None)
     pairs, seeds = [(ch, mixed), early, capped], [0, 7, 7]
-    # 38 pairs at d = 2 fill more than one stack of 32, 5 at d = 4 three of 2
+    # under 2^11 entries, 38 pairs at d = 2 fill more than one stack of 32
+    # and 5 at d = 4 three of 2; 2^14 and 2^20 leave one stack per dimension
     for d, count in ((2, 36), (3, 4), (4, 5)):
         for i in range(count):
             other = None if i % 2 else random_channel(rng, d, 1)
@@ -330,8 +331,8 @@ def test_ascent_batch_equals_each_pair_alone(monkeypatch):
     order = rng.permutation(len(pairs))
     batch_pairs = [pairs[i] for i in order]
     batch_seeds = [np.int64(seeds[i]) if i % 2 else seeds[i] for i in order]
-    for entries in (diamond.ASCENT_STACK_ENTRIES, 2**20):
-        monkeypatch.setattr(diamond, "ASCENT_STACK_ENTRIES", entries)
+    for entries in (2**11, diamond.STACK_ENTRIES, 2**20):
+        monkeypatch.setattr(diamond, "STACK_ENTRIES", entries)
         assert diamond.ascent_lower_bounds(batch_pairs, batch_seeds) == [alone[i] for i in order]
     assert diamond.ascent_lower_bounds([], []) == []
 
@@ -510,8 +511,8 @@ def test_a_batch_mate_changes_nothing(monkeypatch):
     alone_counts, alone_checked = list(counts), [rec.checked for rec in records]
     assert len(set(alone_counts)) > 1
     for order in (list(range(len(pairs))), [5, 2, 7, 0, 3, 6, 1, 4]):
-        for entries in (diamond.CHOI_STACK_ENTRIES, 3 * 612):
-            monkeypatch.setattr(diamond, "CHOI_STACK_ENTRIES", entries)
+        for entries in (diamond.STACK_ENTRIES, 3 * 612):
+            monkeypatch.setattr(diamond, "STACK_ENTRIES", entries)
             counts.clear()
             with diamond.recorded_solves() as records:
                 batch = diamond.diamond_distances([pairs[i] for i in order], method="sdp")
@@ -519,6 +520,23 @@ def test_a_batch_mate_changes_nothing(monkeypatch):
             assert [rec.checked for rec in records] == [alone_checked[i] for i in order]
             # stacks of 3 return their members in submission order too
             assert counts == [alone_counts[i] for i in order]
+
+
+def test_one_stacking_rule_cuts_both_kinds_of_stack():
+    # in order, under the budget, at least one member per stack; and the
+    # members per stack of the module docstring's table at d = 2..8
+    third = diamond.STACK_ENTRIES // 3
+    assert diamond._stacks(list(range(7)), third) == [[0, 1, 2], [3, 4, 5], [6]]
+    assert diamond._stacks(list(range(2)), diamond.STACK_ENTRIES + 1) == [[0], [1]]
+
+    def members(entries):
+        return len(diamond._stacks(list(range(300)), entries)[0])
+
+    assert [members(diamond.ASCENT_STARTS * d**4) for d in range(2, 9)] == [256, 50, 16, 6, 3, 1, 1]
+    # a full-rank J: "choi" below d = 4, where only "choi" pairs stack
+    plans = [diamond._plan(np.eye(d * d), d) for d in range(2, 9)]
+    sizes = [members(entries if path == "choi" else diamond.STACK_ENTRIES) for path, entries in plans]
+    assert sizes == [26, 1, 1, 1, 1, 1, 1]
 
 
 def test_a_batch_stacks_choi_pairs_under_the_entry_cap(monkeypatch):
@@ -532,7 +550,7 @@ def test_a_batch_stacks_choi_pairs_under_the_entry_cap(monkeypatch):
         return real(problem, start)
 
     monkeypatch.setattr(sdp, "solve_batch", sizing)
-    monkeypatch.setattr(diamond, "CHOI_STACK_ENTRIES", 3 * 612 + 611)
+    monkeypatch.setattr(diamond, "STACK_ENTRIES", 3 * 612 + 611)
     pairs = batch_pairs()
     fidelity = (channels.mix([(0.9, channels.generalized_cphase(3, 0.4)), (0.1, channels.identity_channel(3))]), None)
     unitary = (channels.unitary_error(0.3), None)
@@ -853,8 +871,8 @@ def test_routes_agree_when_forced(d):
     choi_path = "structured" if d == 4 else "choi"
     rng = np.random.default_rng(90 + d)
     for e, f in route_pairs(d, rng):
-        *_, choi = diamond._solve(e.choi - f.choi, d, choi_path)
-        *_, fid = diamond._solve(e.choi - f.choi, d, "fidelity")
+        *_, choi = diamond._solve([e.choi - f.choi], d, choi_path)[0]
+        *_, fid = diamond._solve([e.choi - f.choi], d, "fidelity")[0]
         assert (choi.route, fid.route) == ("choi", "fidelity")
         assert choi.lower_certificate <= fid.upper_certificate
         assert fid.lower_certificate <= choi.upper_certificate
@@ -868,7 +886,7 @@ def test_witness_never_exceeds_upper_certificate(path):
     for d in (2, 3):
         for e, f in route_pairs(d, rng):
             j = e.choi - f.choi
-            encoding, solution, _, res = diamond._solve(j, d, path)
+            encoding, solution, _, res = diamond._solve([j], d, path)[0]
             witness = diamond._witness_value(
                 j, d, solution.x[encoding.witness], encoding.transpose
             )
@@ -937,8 +955,8 @@ def test_cut_eigenvalues_widen_the_upper_end(monkeypatch):
     null = vecs[:, np.argmin(np.abs(lam))]
     injected = 1e-7
     monkeypatch.setattr(diamond, "_rank_cut", lambda d: 1e-6)
-    base_enc, _, _, base = diamond._solve(j, 3, "fidelity")
-    enc, _, _, wider = diamond._solve(j + injected * np.outer(null, null.conj()), 3, "fidelity")
+    base_enc, _, _, base = diamond._solve([j], 3, "fidelity")[0]
+    enc, _, _, wider = diamond._solve([j + injected * np.outer(null, null.conj())], 3, "fidelity")[0]
     assert enc.problem.num_constraints == base_enc.problem.num_constraints == 10
     assert enc.dropped - base_enc.dropped == pytest.approx(injected / 2, abs=1e-14)
     assert wider.upper_certificate - base.upper_certificate == pytest.approx(injected / 2, abs=1e-12)
@@ -988,7 +1006,7 @@ def test_choi_start_is_strictly_feasible_and_centred(d, kind):
     for xb, zb in zip(xs, zs):
         lam = np.linalg.eigvals(xb @ zb).real
         assert (mu / 3 <= lam).all() and (lam <= 3 * mu).all()
-    _, sol, _, res = diamond._solve(j, d, "choi")
+    _, sol, _, res = diamond._solve([j], d, "choi")[0]
     assert sol.status is sdp.SdpStatus.CONVERGED
     if closed is not None:
         assert res.lower_certificate <= closed <= res.upper_certificate
@@ -1019,7 +1037,7 @@ def test_choi_start_keeps_its_iteration_total():
     # against 267 from the solver's scaled-identity default
     total = 0
     for j in iteration_pairs():
-        _, sol, _, _ = diamond._solve(j, 2, "choi")
+        _, sol, _, _ = diamond._solve([j], 2, "choi")[0]
         total += sol.iterations
     assert total <= 228
 
@@ -1112,7 +1130,7 @@ def test_structured_route_brackets_closed_forms(d):
         closed = diamond.diamond_distance(channel)
         assert closed.method is not DiamondMethod.SDP
         j = channel.choi - identity.choi
-        encoding, *_, res = diamond._solve(j, d, "structured")
+        encoding, *_, res = diamond._solve([j], d, "structured")[0]
         assert isinstance(encoding.problem, diamond._ChoiOperator)
         assert res.route == "choi"
         assert res.lower_certificate <= closed.value <= res.upper_certificate
@@ -1141,6 +1159,6 @@ def test_structured_solve_takes_the_corrector_step():
     identity = channels.identity_channel(4)
     for _ in range(3):
         j = random_channel(rng, 4, 12).choi - identity.choi
-        _, solution, _, _ = diamond._solve(j, 4, "structured")
+        _, solution, _, _ = diamond._solve([j], 4, "structured")[0]
         assert solution.status is sdp.SdpStatus.CONVERGED
         assert solution.iterations <= 20

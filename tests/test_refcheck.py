@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import gatebounds
-from gatebounds import channels, diamond, kernels, refcheck
+from gatebounds import channels, diamond, kernels, refcheck, sdp
 
 
 def recorded_context(channel, route="choi"):
@@ -104,6 +104,39 @@ def test_suite_inside_an_open_block_leaves_it_receiving():
     assert health.name == "solver-health" and health.passed, health.detail
     assert health.detail.startswith("116 solves:")
     assert len(records) == 1 + 116 + 1
+
+
+def test_a_pass_reaches_the_calls_the_benchmark_taps(monkeypatch):
+    # the benchmark reads paper-check's cert_digits.min from the results of
+    # diamond.diamond_distance and traces sdp.solve, so pin how one pass
+    # reaches them: 27 tapped results (6 of them SDP) and 6 flat solves;
+    # the other 110 solves go through 7 stacks of sdp.solve_batch
+    results, flat, stacks = [], [], []
+    real_distance, real_solve, real_batch = diamond.diamond_distance, sdp.solve, sdp.solve_batch
+
+    def distance(*args, **kwargs):
+        results.append(real_distance(*args, **kwargs))
+        return results[-1]
+
+    def solve(*args, **kwargs):
+        flat.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    def solve_batch(problem, start=None):
+        if problem.c.ndim == 2:
+            stacks.append(len(problem.c))
+        return real_batch(problem, start)
+
+    monkeypatch.setattr(diamond, "diamond_distance", distance)
+    monkeypatch.setattr(sdp, "solve", solve)
+    monkeypatch.setattr(sdp, "solve_batch", solve_batch)
+    with diamond.recorded_solves() as records:
+        refcheck.run_checks()
+    assert len(results) == 27
+    assert sum(r.method is diamond.DiamondMethod.SDP for r in results) == 6
+    assert len(flat) == 6
+    assert len(stacks) == 7 and sum(stacks) == 110
+    assert len(records) == 116
 
 
 TWO_PASSES = """
