@@ -16,7 +16,10 @@ for one of the single-qubit error models in ``SWEEP_MODELS``.
 import decimal
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import channels, diamond, metrics, pauli
 from .diamond import DiamondResult
@@ -84,8 +87,10 @@ def decomposition_upper_bound(phi, dim, deltas):
 
     Applies when the discrepancy channel is a sum of CP terms with the given
     weighted Pauli distances; never beats the single-term refinement.
+    ``deltas`` is a sequence of numbers: a single number, None, text and a
+    mapping are refused.
     """
-    if isinstance(deltas, (str, bytes)):
+    if isinstance(deltas, (str, bytes, Mapping)) or not np.iterable(deltas):
         raise ValueError(f"Pauli distances must be a collection of numbers, got {deltas!r}")
     ds = [channels.checked_real(x, "Pauli distance", 0) for x in deltas]
     return pauli_lower_bound(phi, dim) + sum(ds)
@@ -156,14 +161,15 @@ def _inverse_or_exact(value):
 def audit(actual, ideal, compute_eta=None, compute_delta=None):
     """Full bounds audit of a gate implementation against its ideal unitary.
 
-    ``compute_eta`` and ``compute_delta`` are bools, or None for the
-    default: on for d <= 4 and off above (SDP cost); ``compute_delta``
-    additionally requires a qubit dimension, so it defaults on at d = 2 and
-    4.  A diamond SDP whose largest array would exceed
-    ``diamond.MAX_ENTRIES`` entries raises ``ValueError``.
+    ``compute_eta`` and ``compute_delta`` are bools (a numpy bool is one),
+    or None for the default: on for d <= 4 and off above (SDP cost);
+    ``compute_delta`` additionally requires a qubit dimension, so it
+    defaults on at d = 2 and 4.  A diamond SDP whose largest array would
+    exceed ``diamond.MAX_ENTRIES`` entries raises ``ValueError``.  ``actual``
+    is a :class:`channels.Channel`; anything else raises ``TypeError``.
     """
     for name, flag in (("compute_eta", compute_eta), ("compute_delta", compute_delta)):
-        if flag is not None and not isinstance(flag, bool):
+        if flag is not None and not isinstance(flag, (bool, np.bool_)):
             raise TypeError(f"{name} must be a bool or None, got {type(flag).__name__}")
     disc = channels.discrepancy(actual, ideal)
     d = disc.dim

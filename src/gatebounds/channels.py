@@ -7,10 +7,13 @@ matrix on first use, so they are safe to share between threads.
 Each input is checked once, where it enters: ``Channel(kraus)`` tests Kraus
 operators from outside for shape, finiteness and trace preservation, and
 :func:`unitary_channel` and :func:`discrepancy` test their matrix for
-unitarity.  A channel derived from checked input (:func:`compose`,
-:func:`mix`, :func:`discrepancy`, the named constructors, a Pauli
-channel's Kraus form) is stored without a second test, so the rounding of
-a derivation never turns accepted inputs into a refusal.
+unitarity.  An input accepted with a defect above
+``linalg.NORMALIZE_ABOVE`` is moved there to the nearest channel or
+unitary, so every later step works on a channel.  A channel derived from
+checked input (:func:`compose`, :func:`mix`, :func:`discrepancy`, the
+named constructors, a Pauli channel's Kraus form) is stored without a
+second test, so the rounding of a derivation never turns accepted inputs
+into a refusal.
 """
 
 import math
@@ -47,10 +50,12 @@ class Channel:
 
     ``Channel(kraus)`` is for Kraus operators from outside the package: each
     must be a square, finite matrix, all of one dimension, with
-    sum_k A_k^dagger A_k within ``linalg.TOLERANCE`` of the identity, or
-    :class:`ChannelValidationError` names what is wrong.  Channels the
-    package derives from checked ones are built by ``Channel._derived``,
-    without that test.
+    T = sum_k A_k^dagger A_k within ``linalg.TOLERANCE`` of the identity, or
+    :class:`ChannelValidationError` names what is wrong.  Where T is further
+    than ``linalg.NORMALIZE_ABOVE`` from the identity, the channel stores
+    A_k T^(-1/2), the trace-preserving operators nearest the input.
+    Channels the package derives from checked ones are built by
+    ``Channel._derived``, without that test.
     """
 
     def __init__(self, kraus):
@@ -71,6 +76,11 @@ class Channel:
             raise ChannelValidationError(
                 f"Kraus operators are not trace preserving: defect {defect:.3e}, tol {linalg.TOLERANCE:.3e}"
             )
+        if defect > linalg.NORMALIZE_ABOVE:
+            # A_k T^(-1/2) with T = sum_k A_k^dagger A_k is trace preserving
+            w, v = np.linalg.eigh(total)
+            root = (v / np.sqrt(w)) @ v.conj().T
+            ops = [a @ root for a in ops]
         self._store(ops)
 
     @classmethod
@@ -207,15 +217,36 @@ def checked_distribution(entries, what):
     return values
 
 
+def checked_channel(value, what):
+    """``value`` if it is a :class:`Channel`, or TypeError naming ``what``:
+    a matrix or a list of Kraus operators is not read as a channel."""
+    if not isinstance(value, Channel):
+        raise TypeError(f"{what} must be a Channel, got {type(value).__name__}")
+    return value
+
+
+def _entered_unitary(u, name, what):
+    """``u``, a matrix from outside named ``name``, as a unitary: tested
+    within ``linalg.TOLERANCE`` (a refusal names it ``what``), and replaced
+    by its polar factor W V^H from one SVD, the nearest unitary, where its
+    defect exceeds ``linalg.NORMALIZE_ABOVE``."""
+    a = linalg.as_complex_matrix(u, name)
+    defect = linalg.unitary_defect(a)
+    if not defect <= linalg.TOLERANCE:
+        raise ChannelValidationError(f"{what} is not unitary within tolerance: defect {defect:.3e}")
+    if defect > linalg.NORMALIZE_ABOVE:
+        w, _, vh = np.linalg.svd(a)
+        a = w @ vh
+    return a
+
+
 def identity_channel(dim):
     return Channel._derived([np.eye(checked_integer(dim, "dimension", 1, 2**53))])
 
 
 def unitary_channel(u):
-    a = linalg.as_complex_matrix(u, "unitary")
-    if not linalg.is_unitary(a):
-        raise ChannelValidationError("matrix is not unitary within tolerance")
-    return Channel._derived([a])
+    """The channel of the unitary ``u``, which enters here (:func:`_entered_unitary`)."""
+    return Channel._derived([_entered_unitary(u, "unitary", "matrix")])
 
 
 def compose(outer, inner):
@@ -246,14 +277,14 @@ def mix(terms):
 def discrepancy(actual, ideal):
     """Compose the implemented channel with the inverse of the ideal gate.
 
-    ``ideal`` is the target unitary as a matrix.  The result is the channel
-    whose distance from the identity is the gate's error rate.
+    ``actual`` is a :class:`Channel` and ``ideal`` the target unitary as a
+    matrix, which enters here (:func:`_entered_unitary`).  The result is the
+    channel whose distance from the identity is the gate's error rate.
     """
-    u = linalg.as_complex_matrix(ideal, "ideal gate")
+    checked_channel(actual, "actual")
+    u = _entered_unitary(ideal, "ideal gate", "ideal gate")
     if u.shape[0] != actual.dim:
         raise ValueError("ideal gate dimension does not match the channel")
-    if not linalg.is_unitary(u):
-        raise ChannelValidationError("ideal gate is not unitary within tolerance")
     return compose(actual, Channel._derived([u.conj().T]))
 
 

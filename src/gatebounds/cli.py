@@ -22,6 +22,7 @@ included), 2 solver failure.
 
 import argparse
 import dataclasses
+import enum
 import json
 import math
 import sys
@@ -157,29 +158,20 @@ def _fmt_exactable(x):
     return x if isinstance(x, str) else f"{x:.10g}"
 
 
+def _json_fields(items):
+    """The dict of the (name, value) pairs of :func:`dataclasses.asdict`,
+    with each enum written as its value."""
+    return {name: value.value if isinstance(value, enum.Enum) else value for name, value in items}
+
+
 def report_to_dict(report):
-    """BoundsReport as a JSON-ready dict, field names matching the dataclass."""
-    out = {
-        "dim": report.dim,
-        "fidelity": report.fidelity,
-        "inverse_infidelity": report.inverse_infidelity,
-        "pauli_lower": report.pauli_lower,
-        "generic_upper": report.generic_upper,
-        "inverse_upper_rate": report.inverse_upper_rate,
-    }
-    if report.error_rate is not None:
-        out["error_rate"] = {
-            "value": report.error_rate.value,
-            "lower_certificate": report.error_rate.lower_certificate,
-            "upper_certificate": report.error_rate.upper_certificate,
-            "method": report.error_rate.method.value,
-            "route": report.error_rate.route,
-        }
-        out["inverse_error_rate"] = report.inverse_error_rate
-    if report.pauli_distance is not None:
-        out["pauli_distance"] = report.pauli_distance
-        out["refined_interval"] = list(report.refined_interval)
-    out["nontrivial"] = report.nontrivial
+    """BoundsReport as a JSON-ready dict, read off the dataclass: its fields
+    and those of its DiamondResult by name (:func:`dataclasses.asdict`),
+    each enum written as its value, the fields that were switched off (None)
+    left out, and ``nontrivial`` last."""
+    fields = dataclasses.asdict(report, dict_factory=_json_fields)
+    out = {name: value for name, value in fields.items() if value is not None}
+    out["nontrivial"] = out.pop("nontrivial")
     return out
 
 

@@ -117,13 +117,15 @@ matrices.  Members per stack:
     SDP        26     1     1     1     1     1     1
     ascent    256    50    16     6     3     1     1
 
-Encoding, verification and certificate stay per pair, and every ascent
-takes its own steps and stopping test, so each result equals the pair's
-own run bit for bit at any budget.  SDP stacks of up to 26, 53 and 107
-d = 2 pairs ran a reproduction-suite pass in 0.262, 0.255 and 0.231 s,
-against 0.51-0.67 s pair by pair (medians of 8 passes, one BLAS thread); a
-budget of 2^15 (53 pairs) raised the benchmark's paper-check peak RSS by
-6 % over pair-by-pair solves, this one by about 2 %.
+A stack is encoded once (:func:`_encodings`): each member's encoding views
+its rows of the stack's objectives and start, and equals the pair's own
+encoding bit for bit.  Verification and certificate stay per pair, and
+every ascent takes its own steps and stopping test, so each result equals
+the pair's own run bit for bit at any budget.  SDP stacks of up to 26, 53
+and 107 d = 2 pairs ran a reproduction-suite pass in 0.262, 0.255 and
+0.231 s, against 0.51-0.67 s pair by pair (medians of 8 passes, one BLAS
+thread); a budget of 2^15 (53 pairs) raised the benchmark's paper-check
+peak RSS by 6 % over pair-by-pair solves, this one by about 2 %.
 
 *Check.*  The two ends are compared before they are clipped into [0, 1],
 and a witness lower end above the dual upper end raises
@@ -145,7 +147,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, linalg, metrics, pauli, sdp
-from .channels import Channel, checked_integer, identity_channel
+from .channels import Channel, checked_channel, checked_integer, identity_channel
 
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
@@ -257,9 +259,11 @@ def _template(d):
     Choi route share one definition of the constraints.
 
     The operator's flat objective, rows and rhs pass to
-    :class:`sdp.SdpProblem` as they are.  Only the objective depends on the
-    channels, so the "choi" path (:func:`_encoding`) keeps the template of
-    each dimension it runs at, d = 2 and 3, for the life of the process; its
+    :class:`sdp.SdpProblem` as they are; this is the one
+    :class:`_ChoiOperator` the "choi" path builds per dimension.  Only the
+    objective depends on the channels, so the "choi" path
+    (:func:`_encodings`) puts every stack's objectives onto the template of
+    its dimension, d = 2 or 3, kept for the life of the process; its
     read-only constraint matrix has m = d^4 + 1 rows and 2 d^4 + d^2 complex
     columns, about 10 KB at d = 2 and 0.2 MB at d = 3.
     """
@@ -313,15 +317,28 @@ def _matrices(coords, n):
     return mats
 
 
+def _objectives(js, d):
+    """The Choi route's flat objective for each Choi difference J of a
+    (..., d^2, d^2) stack: -J (its Hermitian part) on the W block and zero
+    on S and rho, so that the optimum is -eta."""
+    n = d * d
+    lead = js.shape[:-2]
+    c = np.zeros((*lead, 2 * n * n + d * d), dtype=np.complex128)
+    c[..., : n * n] = (-0.5 * (js + js.conj().mT)).reshape(*lead, n * n)
+    return c
+
+
 class _ChoiOperator(sdp.StructuredProblem):
     """The Choi route's SDP with its constraint operator in structured form.
 
-    Blocks (W, S, rho), and the one definition of the Choi route's
-    objective, rows and rhs, applied without a constraint matrix: ``apply``
-    is (coords(X_W + X_S - I (x) X_rho), tr X_rho) and ``adjoint`` is (U, U,
+    Blocks (W, S, rho), and the one definition of the Choi route's rows and
+    rhs, applied without a constraint matrix: ``apply`` is
+    (coords(X_W + X_S - I (x) X_rho), tr X_rho) and ``adjoint`` is (U, U,
     -Tr_1 U + y_last I) with U the Hermitian matrix of coordinates y
     (:func:`_matrices`), both O(d^4).  :func:`_template` assembles the same
-    rows as a matrix from one batched ``adjoint``.
+    rows as a matrix from one batched ``adjoint``.  The objective is that of
+    :func:`_objectives`, which also builds the "choi" path's stacks, so
+    that path builds no operator per pair.
 
     Its NT Newton matrix A(W A*(.) W) is L(U) = W_W U W_W + W_S U W_S on
     the W/S part plus the rho coupling I (x) W_rho (Tr_1 U) W_rho.
@@ -348,8 +365,7 @@ class _ChoiOperator(sdp.StructuredProblem):
         self.b = np.zeros(n * n + 1)
         self.b[-1] = 1.0
         self.b.flags.writeable = False
-        self.c = np.zeros(self.size, dtype=np.complex128)
-        self.c[: n * n] = (-0.5 * (j_delta + j_delta.conj().T)).ravel()
+        self.c = _objectives(j_delta, d)
         self.c.flags.writeable = False
 
     def _coordinates_of(self, mat):
@@ -474,8 +490,8 @@ class _Encoding(NamedTuple):
     summed |eigenvalues| cut from J).  ``trace_bounds`` pairs block indices
     with a bound on their total trace over the feasible set.  ``witness``
     is the index of the input-state block rho, and ``transpose`` takes the
-    witness from rho^T.  ``start`` is the solver's (x, y, z) start, None for
-    its default.
+    witness from rho^T.  ``start`` is the pair's (x, y, z) start, its rows
+    of the start of a stack, or None for the solver's default.
     """
 
     route: str
@@ -508,51 +524,51 @@ def _signed_operators(j_delta, d):
     return ops, np.sign(lam), 0.5 * cut_norm
 
 
-def _encoding(j_delta, d, path):
-    """The SDP of J(E - F) on ``path`` (:func:`_plan`), in minimization form.
+def _encodings(js, d, path):
+    """The SDP of a stack of Choi differences ``js`` at dimension d on
+    ``path`` (:func:`_plan`), in minimization form: the problem to solve,
+    its (x, y, z) start (None for the solver's default) and one
+    :class:`_Encoding` per pair.
 
-    Both Choi paths share the objective of one :class:`_ChoiOperator`, the
-    one definition of the Choi route's objective: -J (its Hermitian part) on
-    the W block and zero on S and rho.  The "structured" path solves the
-    operator itself; the "choi" path puts its objective onto the constraints
-    of :func:`_template` (shared, not copied).  Both report the route
-    "choi".
+    A stack of one is a problem on flat vectors, and only a "choi" stack
+    holds more (module docstring, *Stacks*).  Both Choi paths share the one
+    definition of the Choi route's objective, :func:`_objectives`, and
+    report the route "choi".  The "structured" path solves a
+    :class:`_ChoiOperator` itself.  The "choi" path puts the objectives, one
+    flat vector or a (B, N) stack, onto the constraints of :func:`_template`
+    (shared, not copied) and starts them in one pass (:func:`_choi_start`);
+    each pair's encoding views its row of the objectives and of the start.
     """
     if path == "fidelity":
-        ops, signs, dropped = _signed_operators(j_delta, d)
+        ops, signs, dropped = _signed_operators(js[0], d)
         gram_max = float(np.linalg.eigvalsh(np.einsum("kba,kbc->ac", ops.conj(), ops))[-1])
-        return _Encoding(
-            route="fidelity",
-            problem=_encode_fidelity(ops, signs),
-            scale=0.5,
-            trace_bounds=(((0,), 2.0 * gram_max), ((1,), 1.0), ((2,), 1.0)),
-            witness=1,
-            transpose=True,
-            dropped=dropped,
-        )
-    op = _ChoiOperator(j_delta, d)
+        problem = _encode_fidelity(ops, signs)
+        trace_bounds = (((0,), 2.0 * gram_max), ((1,), 1.0), ((2,), 1.0))
+        return problem, None, [_Encoding("fidelity", problem, 0.5, trace_bounds, 1, True, dropped)]
     if path == "structured":
-        return _choi_encoding(op, d, None)
-    problem = _template(d).with_objective(op.c)
-    return _choi_encoding(problem, d, _choi_start(problem, op))
+        problem, start = _ChoiOperator(js[0], d), None
+        members = [(problem, None)]
+    else:
+        c = _objectives(np.stack(js), d)
+        problem = _template(d).with_objective(c if len(js) > 1 else c[0])
+        start = _choi_start(problem, d)
+        members = zip(problem.members(), zip(*(part.reshape(len(js), -1) for part in start)))
+    trace_bounds = (((0, 1), float(d)), ((2,), 1.0))
+    encodings = [_Encoding("choi", member, 1.0, trace_bounds, 2, False, start=row) for member, row in members]
+    return problem, start, encodings
 
 
-def _choi_encoding(problem, d, start):
-    """The Choi route's :class:`_Encoding` of ``problem`` at dimension d."""
-    return _Encoding(
-        route="choi",
-        problem=problem,
-        scale=1.0,
-        trace_bounds=(((0, 1), float(d)), ((2,), 1.0)),
-        witness=2,
-        transpose=False,
-        start=start,
-    )
+def _encoding(j_delta, d, path):
+    """The :class:`_Encoding` of one Choi difference: the one-pair call of
+    :func:`_encodings`."""
+    return _encodings([j_delta], d, path)[2][0]
 
 
-def _choi_start(problem, op):
+def _choi_start(problem, d):
     """A strictly feasible primal-dual start (x, y, z) for the Choi program
-    ``problem``, whose constraints are those of :class:`_ChoiOperator` ``op``.
+    ``problem`` at dimension d, the constraints of :func:`_template` with one
+    flat objective or a (B, N) stack of them: one row of each of x, y and z
+    per objective.
 
     Primal: rho = I/d and W = S = (I (x) rho)/2.  Then W + S = I (x) rho and
     tr rho = 1 hold exactly, and all three blocks are positive definite.
@@ -575,19 +591,23 @@ def _choi_start(problem, op):
     its duality gap is d kappa + beta = (1.5 d + 0.5) 2 d^3 eps, 1.2e-14 at
     d = 2.
 
-    z is computed as C - A*(y) through the problem's own adjoint, so the
-    dual residual of the start is exactly zero.
+    One pass for a whole stack: one batched ``eigvalsh`` of the W blocks
+    gives every s, and -kappa is written at the diagonal-unit coordinates
+    of :func:`_coordinates`, the only nonzero coordinates of -kappa I.  z is
+    computed as C - A*(y) through the problem's own adjoint, so the dual
+    residual of the start is exactly zero.
     """
-    d = op.d
     n = d * d
-    s = max(float(np.abs(np.linalg.eigvalsh(problem.blocks(problem.c)[0])).max()), _rank_cut(d))
+    s = np.maximum(np.abs(np.linalg.eigvalsh(problem.blocks(problem.c)[0])).max(axis=-1), _rank_cut(d))
     kappa, beta = 1.5 * s, 0.5 * s
-    x = np.zeros(problem.size, dtype=np.complex128)
+    x = np.zeros(problem.c.shape, dtype=np.complex128)
     w, slack, rho = problem.blocks(x)
     rho[...] = np.eye(d) / d
     # (I (x) rho)/2 = I/(2d)
     w[...] = slack[...] = np.eye(n) / (2 * d)
-    y = np.append(op._coordinates_of(-kappa * np.eye(n, dtype=np.complex128)), -d * kappa - beta)
+    y = np.zeros((*problem.c.shape[:-1], problem.num_constraints))
+    y[..., np.flatnonzero(_coordinates(n)[4] == 1.0)] = -kappa[..., None]
+    y[..., -1] = -d * kappa - beta
     return x, y, problem.c - problem.adjoint(y)
 
 
@@ -685,21 +705,15 @@ def _solve(js, d, path):
     """Encode, solve, verify and certify a stack of Choi differences ``js``
     at dimension d on ``path``.
 
-    A stack of one is one :func:`sdp.solve` on flat vectors.  A larger
-    stack, on the "choi" path only, is one :func:`sdp.solve_batch` over its
-    objectives on the shared template, each member from its own start.
-    Returns per member its encoding, solution, verification figures and
-    DiamondResult, or the :class:`sdp.SolverError` of an unconverged solve
-    or a crossed interval.
+    The stack is encoded once (:func:`_encodings`).  A stack of one is one
+    :func:`sdp.solve` on flat vectors.  A larger stack, on the "choi" path
+    only, is one :func:`sdp.solve_batch` over its stacked objectives, each
+    member from its own start.  Returns per member its encoding, solution,
+    verification figures and DiamondResult, or the :class:`sdp.SolverError`
+    of an unconverged solve or a crossed interval.
     """
-    if len(js) == 1:
-        encodings = [_encoding(js[0], d, path)]
-        solutions = [sdp.solve(encodings[0].problem, encodings[0].start)]
-    else:
-        ops = [_ChoiOperator(j, d) for j in js]
-        stacked = _template(d).with_objective(np.stack([op.c for op in ops]))
-        encodings = [_choi_encoding(p, d, _choi_start(p, op)) for p, op in zip(stacked.members(), ops)]
-        solutions = sdp.solve_batch(stacked, tuple(np.stack(part) for part in zip(*(e.start for e in encodings))))
+    problem, start, encodings = _encodings(js, d, path)
+    solutions = [sdp.solve(problem, start)] if len(js) == 1 else sdp.solve_batch(problem, start)
     out = []
     for j_delta, encoding, solution in zip(js, encodings, solutions):
         try:
@@ -716,10 +730,11 @@ def _solve(js, d, path):
 
 
 def _second(e, f):
-    """The second channel of a pair, the identity when None, checked to
-    match the first in dimension."""
-    if f is None:
-        f = identity_channel(e.dim)
+    """The second channel of a pair, the identity when None, with both
+    checked to be channels (:func:`channels.checked_channel`) of one
+    dimension."""
+    checked_channel(e, "e")
+    f = identity_channel(e.dim) if f is None else checked_channel(f, "f")
     if e.dim != f.dim:
         raise ValueError("channels differ in dimension")
     return f

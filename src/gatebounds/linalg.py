@@ -25,6 +25,14 @@ from . import kernels
 # positivity.  Sharing it keeps diamond_distance's unitary fast path sound.
 # pauli.PAULI_TOL and sdp.HERMITIAN_TOL stay apart; their comments say why.
 TOLERANCE = 1e-9
+# Input accepted with a defect above this, the largest entry of
+# sum_k A_k^dagger A_k - I or of U^dagger U - I, is moved to the nearest
+# channel or unitary where it enters (channels.Channel,
+# channels.unitary_channel, channels.discrepancy): an input accepted at
+# TOLERANCE is no channel, and the fidelity bounds have an infinite slope at
+# a fidelity of 1.  A defect at or below it is the rounding of an exact
+# input, left as it is, so that such input keeps its numbers to the last bit.
+NORMALIZE_ABOVE = 1e-13
 
 
 def as_complex_matrix(m, name="matrix"):
@@ -38,10 +46,15 @@ def as_complex_matrix(m, name="matrix"):
     return a
 
 
+def unitary_defect(m):
+    """The largest entry of |m^dagger m - I|."""
+    a = as_complex_matrix(m)
+    return float(np.abs(a.conj().T @ a - np.eye(len(a))).max())
+
+
 def is_unitary(m):
     """Whether m^dagger m is the identity within ``TOLERANCE`` entrywise."""
-    a = as_complex_matrix(m)
-    return float(np.abs(a.conj().T @ a - np.eye(len(a))).max()) <= TOLERANCE
+    return unitary_defect(m) <= TOLERANCE
 
 
 def hermitian_eigendecomposition(m, name="matrix"):

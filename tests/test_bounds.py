@@ -8,7 +8,7 @@ import pytest
 
 from gatebounds import bounds, channels, diamond, metrics, pauli
 from gatebounds.diamond import DiamondMethod
-from helpers import random_unitary
+from helpers import random_hermitian, random_unitary
 
 
 def test_pauli_lower_bound_values():
@@ -84,6 +84,13 @@ def test_bound_input_validation():
     # numpy scalars are real numbers
     assert bounds.pauli_lower_bound(np.float64(0.99), np.int64(2)) == bounds.pauli_lower_bound(0.99, 2)
     assert bounds.decomposition_upper_bound(0.99, 2, np.array([0.001, 0.002])) == pytest.approx(0.018)
+
+
+@pytest.mark.parametrize("deltas", [0.1, None, {"a": 0.1}], ids=["number", "none", "mapping"])
+def test_decomposition_bound_refuses_a_number_none_and_a_mapping(deltas):
+    # not a TypeError from iterating, nor a mapping read by its keys
+    with pytest.raises(ValueError, match="Pauli distances must be a collection of numbers"):
+        bounds.decomposition_upper_bound(0.99, 2, deltas)
 
 
 def test_nontriviality_threshold():
@@ -309,8 +316,8 @@ def test_audit_of_perfect_haar_gates(dim):
 
 
 def test_audit_of_gate_and_ideal_each_within_tolerance():
-    # both pass alone with defect 9.0e-10; their discrepancy, with defect
-    # 1.8e-9, is derived and not tested again
+    # both pass alone with defect 9.0e-10, and each is normalized where it
+    # enters; their discrepancy is derived and not tested again
     s = 1 + 0.45e-9
     u = np.diag([np.exp(0.3j), np.exp(-0.3j)])
     report = bounds.audit(channels.Channel([s * u]), s * np.eye(2))
@@ -318,18 +325,41 @@ def test_audit_of_gate_and_ideal_each_within_tolerance():
     assert report.error_rate.value == 0.2955202066613394 == pytest.approx(math.sin(0.3), abs=1e-15)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ValueError,
-    reason="ROADMAP item 13: input accepted within linalg.TOLERANCE is not normalized to a channel, "
-    "so a perfect gate scaled by 1 + 0.45e-9 has a discrepancy fidelity beyond channels.SLOP",
-)
 def test_audit_of_a_perfect_gate_scaled_within_tolerance():
-    # gate and ideal are each accepted alone; their discrepancy's fidelity
-    # 1 + 1.2e-9 is refused as "fidelity 1.0000000012 outside [...]"
+    # gate and ideal are each accepted alone and normalized where they
+    # enter; unnormalized, their discrepancy's fidelity 1 + 1.2e-9 was
+    # refused as "fidelity 1.0000000012 outside [...]"
     s = 1 + 0.45e-9
     report = bounds.audit(channels.Channel([s * np.eye(2)]), s * np.eye(2))
     assert report.fidelity == 1.0
+
+
+SCALE = 4.5e-10
+
+
+def near_identity_gates():
+    # 40 (ideal U, gate U exp(i a H)) pairs, d = 2 and 4 alternating and
+    # a = 1e-3, 1e-4, 1e-5 in turn, with exp(i a H) from one eigh
+    rng = np.random.default_rng(13)
+    for k in range(40):
+        d, a = (2, 4)[k % 2], (1e-3, 1e-4, 1e-5)[k % 3]
+        u = random_unitary(rng, d)
+        w, v = np.linalg.eigh(random_hermitian(rng, d))
+        yield u, u @ (v * np.exp(1j * a * w)) @ v.conj().T
+
+
+def test_audits_of_inputs_accepted_within_tolerance_match_the_exact_input():
+    # each gate scaled by 1 +- 4.5e-10, or its ideal by 1 + 4.5e-10, is
+    # accepted where it enters and normalized there.  Unnormalized, 27 of
+    # these 120 audits raised: a fidelity or a Pauli distance out of range
+    # on 13 gate+ and 13 ideal+ audits, and a crossed interval on 1 gate-
+    for u, g in near_identity_gates():
+        exact = bounds.audit(channels.Channel([g]), u)
+        for gate, ideal in (((1 + SCALE) * g, u), ((1 - SCALE) * g, u), (g, (1 + SCALE) * u)):
+            report = bounds.audit(channels.Channel([gate]), ideal)
+            assert abs(report.fidelity - exact.fidelity) <= 1e-14
+            assert abs(report.error_rate.lower_certificate - exact.error_rate.lower_certificate) <= 1e-14
+            assert abs(report.error_rate.upper_certificate - exact.error_rate.upper_certificate) <= 1e-14
 
 
 def test_audit_report_invariants():
@@ -385,12 +415,23 @@ def test_audit_explicit_switches():
     assert lo <= math.sin(0.1) <= hi
 
 
-@pytest.mark.parametrize("bad", [1, 0, "yes", np.False_, 1.0])
+@pytest.mark.parametrize("bad", [1, 0, "yes", np.int64(1), 1.0])
 @pytest.mark.parametrize("name", ["compute_eta", "compute_delta"])
 def test_audit_switches_must_be_bools(name, bad):
     ch = channels.amplitude_damping(0.1)
     with pytest.raises(TypeError, match=f"{name} must be a bool or None, got"):
         bounds.audit(ch, np.eye(2), **{name: bad})
+
+
+def test_audit_reads_a_numpy_bool_as_a_bool():
+    ch = channels.amplitude_damping(0.1)
+    want = bounds.audit(ch, np.eye(2), compute_eta=True, compute_delta=False)
+    assert bounds.audit(ch, np.eye(2), compute_eta=np.bool_(True), compute_delta=np.False_) == want
+
+
+def test_audit_refuses_a_matrix_for_the_channel():
+    with pytest.raises(TypeError, match="actual must be a Channel, got ndarray"):
+        bounds.audit(np.eye(2), np.eye(2))
 
 
 def test_audit_accepts_none_only_for_the_compute_switches():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import gatebounds
-from gatebounds import channels, pauli
+from gatebounds import channels, linalg, pauli
 from gatebounds.channels import Channel, ChannelValidationError
-from helpers import random_channel, random_density
+from helpers import random_channel, random_density, random_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -233,6 +233,24 @@ def test_lambda_mixture_returns_pair():
     assert len(pure.kraus) == 1
     with pytest.raises(ValueError):
         channels.lambda_mixture(3, 1.2)
+
+
+def test_input_accepted_within_tolerance_enters_normalized():
+    # a defect above linalg.NORMALIZE_ABOVE is taken out where the input
+    # enters; an exact input is stored as it is, bit for bit
+    u = random_unitary(np.random.default_rng(7), 3)
+    assert linalg.unitary_defect(u) <= linalg.NORMALIZE_ABOVE
+    assert Channel([u]).kraus[0].tobytes() == channels.unitary_channel(u).kraus[0].tobytes() == u.tobytes()
+    for s in (1 + 4.5e-10, 1 - 4.5e-10):
+        assert linalg.unitary_defect(s * u) > linalg.NORMALIZE_ABOVE
+        for entered in (Channel([s * u]), channels.unitary_channel(s * u)):
+            assert linalg.unitary_defect(entered.kraus[0]) <= 1e-15
+        disc = channels.discrepancy(channels.unitary_channel(u), s * u)
+        assert np.abs(disc.kraus[0] - np.eye(3)).max() <= 1e-15
+    # several Kraus operators: A_k T^(-1/2) sums to the identity
+    ops = [0.6 * (1 + 4.5e-10) * np.eye(2), 0.8 * SIGMA_X]
+    total = sum(a.conj().T @ a for a in Channel(ops).kraus)
+    assert np.abs(total - np.eye(2)).max() <= 1e-15
 
 
 def test_unitary_channel_rejects_non_unitary():

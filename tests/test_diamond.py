@@ -634,15 +634,15 @@ def test_unconverged_fidelity_route_solve_raises(monkeypatch):
 
 
 def scale_encoder(monkeypatch, factor):
-    # a miswired encoder: every encoding reads eta off the solver's value
-    # with the wrong scale
-    real = diamond._encoding
+    # a miswired encoder: every encoding of every stack, on every path,
+    # reads eta off the solver's value with the wrong scale
+    real = diamond._encodings
 
-    def wrong(j_delta, d, path):
-        encoding = real(j_delta, d, path)
-        return encoding._replace(scale=factor * encoding.scale)
+    def wrong(js, d, path):
+        problem, start, encodings = real(js, d, path)
+        return problem, start, [encoding._replace(scale=factor * encoding.scale) for encoding in encodings]
 
-    monkeypatch.setattr(diamond, "_encoding", wrong)
+    monkeypatch.setattr(diamond, "_encodings", wrong)
 
 
 @pytest.mark.parametrize(
@@ -672,6 +672,78 @@ def test_doubled_encoder_scale_leaves_a_valid_interval_and_a_wrong_value(monkeyp
     res = diamond.diamond_distance(channel, method="sdp")
     assert res.lower_certificate <= exact <= res.upper_certificate
     assert res.value == pytest.approx(2.0 * exact, rel=1e-6)
+
+
+# three d = 2 pairs, which one diamond_distances call solves as one "choi"
+# stack
+STACK_PAIRS = [
+    channels.amplitude_damping(0.1),
+    channels.amplitude_damping(0.3),
+    random_channel(np.random.default_rng(97), 2, 2),
+]
+
+
+def counted_calls(monkeypatch, module, name):
+    # the argument tuples of every call of module.name from now on
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_halved_encoder_scale_crosses_every_interval_of_a_stack(monkeypatch):
+    # the one encoder hook reaches a stack too: whichever pair a call
+    # submits first raises its own crossed interval, at its own witness
+    honest = diamond.diamond_distances([(ch, None) for ch in STACK_PAIRS], method="sdp")
+    scale_encoder(monkeypatch, 0.5)
+    singles = counted_calls(monkeypatch, sdp, "solve")
+    stacks = counted_calls(monkeypatch, sdp, "solve_batch")
+    for k in range(3):
+        order = [(k + i) % 3 for i in range(3)]
+        lower = honest[order[0]].lower_certificate
+        message = f"(choi path) certified a crossed interval: witness lower end {lower!r} above"
+        with pytest.raises(sdp.SolverError, match=re.escape(message)):
+            diamond.diamond_distances([(STACK_PAIRS[i], None) for i in order], method="sdp")
+    assert not singles and [len(args[0].c) for args in stacks] == [3, 3, 3]
+
+
+def test_a_stack_member_is_encoded_as_the_pair_alone():
+    # objective row, start rows and constraints, bit for bit
+    js = [ch.choi - channels.identity_channel(2).choi for ch in STACK_PAIRS]
+    problem, start, encodings = diamond._encodings(js, 2, "choi")
+    assert problem.c.shape == (3, problem.size)
+    for i, (j, member) in enumerate(zip(js, encodings)):
+        alone = diamond._encoding(j, 2, "choi")
+        assert member.problem.c.tobytes() == alone.problem.c.tobytes() == problem.c[i].tobytes()
+        for row, own, whole in zip(member.start, alone.start, start):
+            assert row.tobytes() == own.tobytes() == whole[i].tobytes()
+        assert member.problem.a is alone.problem.a is diamond._template(2).a
+        assert member._replace(problem=None, start=None) == alone._replace(problem=None, start=None)
+
+
+def refuse_operator(*args, **kwargs):
+    raise AssertionError("a Choi operator was built for a pair on the choi path")
+
+
+def test_a_choi_stack_builds_no_operator(monkeypatch):
+    # once the d = 2 template is cached, neither a stack nor a lone pair
+    # on the "choi" path builds a _ChoiOperator
+    want = diamond.diamond_distances([(ch, None) for ch in STACK_PAIRS], method="sdp")
+    diamond._template(2)
+    monkeypatch.setattr(diamond, "_ChoiOperator", refuse_operator)
+    assert diamond.diamond_distances([(ch, None) for ch in STACK_PAIRS], method="sdp") == want
+    assert diamond.diamond_distance(STACK_PAIRS[0], method="sdp") == want[0]
+
+
+def test_distances_refuse_a_matrix_for_a_channel():
+    with pytest.raises(TypeError, match="^e must be a Channel, got ndarray$"):
+        diamond.diamond_distance(np.eye(2))
+    with pytest.raises(TypeError, match="^f must be a Channel, got ndarray$"):
+        diamond.diamond_distance(channels.depolarizing(0.1), np.eye(2))
 
 
 FIRST_CALLS = """
