@@ -23,7 +23,7 @@ import numpy as np
 
 from . import channels, diamond, metrics, pauli
 from .diamond import DiamondResult
-from .metrics import EXACT
+from .metrics import _inverse_or_exact
 
 
 def pauli_lower_bound(phi, dim):
@@ -152,10 +152,6 @@ class BoundsReport:
     inverse_error_rate: "float | str | None" = None
     pauli_distance: "float | None" = None
     refined_interval: "tuple[float, float] | None" = None
-
-
-def _inverse_or_exact(value):
-    return EXACT if value == 0.0 else 1.0 / value
 
 
 def audit(actual, ideal, compute_eta=None, compute_delta=None):

@@ -4,10 +4,15 @@ A :class:`Channel` wraps a tuple of Kraus operators.  Instances are
 immutable (the stored arrays are marked read-only) and cache their Choi
 matrix on first use, so they are safe to share between threads.
 
-Each input is checked once, where it enters: ``Channel(kraus)`` tests Kraus
-operators from outside for shape, finiteness and trace preservation, and
-:func:`unitary_channel` and :func:`discrepancy` test their matrix for
-unitarity.  An input accepted with a defect above
+Each input is checked once, where it enters: ``Channel(kraus)`` tests
+Kraus operators from outside for shape, finiteness and trace preservation,
+and :func:`unitary_channel` and :func:`discrepancy` test their matrix for
+unitarity through ``_entered_unitary``, the package's one unitarity test,
+with one message.  Every other unitary enters through them:
+``diamond.unitary_diamond_distance`` and the CLI's ideal-gate files.  A
+channel argument passes :func:`checked_channel`, which refuses anything
+but a :class:`Channel` (a matrix, a list of Kraus operators) with a
+``TypeError`` that names the argument.  An input accepted with a defect above
 ``linalg.NORMALIZE_ABOVE`` is moved there to the nearest channel or
 unitary, so every later step works on a channel.  A channel derived from
 checked input (:func:`compose`, :func:`mix`, :func:`discrepancy`, the
@@ -225,15 +230,16 @@ def checked_channel(value, what):
     return value
 
 
-def _entered_unitary(u, name, what):
-    """``u``, a matrix from outside named ``name``, as a unitary: tested
-    within ``linalg.TOLERANCE`` (a refusal names it ``what``), and replaced
-    by its polar factor W V^H from one SVD, the nearest unitary, where its
-    defect exceeds ``linalg.NORMALIZE_ABOVE``."""
+def _entered_unitary(u, name):
+    """``u``, a matrix from outside named ``name`` by the shape and
+    finiteness gate, as a unitary: tested within ``linalg.TOLERANCE``, with
+    one refusal message for every entry point, and replaced by its polar
+    factor W V^H from one SVD, the nearest unitary, where its defect exceeds
+    ``linalg.NORMALIZE_ABOVE``."""
     a = linalg.as_complex_matrix(u, name)
     defect = linalg.unitary_defect(a)
     if not defect <= linalg.TOLERANCE:
-        raise ChannelValidationError(f"{what} is not unitary within tolerance: defect {defect:.3e}")
+        raise ChannelValidationError(f"matrix is not unitary within tolerance: defect {defect:.3e}")
     if defect > linalg.NORMALIZE_ABOVE:
         w, _, vh = np.linalg.svd(a)
         a = w @ vh
@@ -246,27 +252,28 @@ def identity_channel(dim):
 
 def unitary_channel(u):
     """The channel of the unitary ``u``, which enters here (:func:`_entered_unitary`)."""
-    return Channel._derived([_entered_unitary(u, "unitary", "matrix")])
+    return Channel._derived([_entered_unitary(u, "unitary")])
 
 
 def compose(outer, inner):
     """Channel applying ``inner`` first, then ``outer``."""
-    if outer.dim != inner.dim:
+    if checked_channel(outer, "outer").dim != checked_channel(inner, "inner").dim:
         raise ValueError("cannot compose channels of different dimension")
     return Channel._derived([a @ b for a in outer.kraus for b in inner.kraus])
 
 
 def mix(terms):
-    """Convex mixture of channels given as (weight, channel) pairs."""
+    """Convex mixture of channels given as (weight, channel) pairs; the
+    channel of ``terms[k]`` is named ``terms[k][1]`` in a refusal."""
     terms = list(terms)
     if not terms:
         raise ValueError("empty mixture")
     weights = checked_distribution([w for w, _ in terms], "mixture weights")
-    dim = terms[0][1].dim
-    if any(ch.dim != dim for _, ch in terms):
+    chans = [checked_channel(ch, f"terms[{k}][1]") for k, (_, ch) in enumerate(terms)]
+    if any(ch.dim != chans[0].dim for ch in chans):
         raise ValueError("mixture channels differ in dimension")
     kraus = []
-    for w, (_, ch) in zip(weights, terms):
+    for w, ch in zip(weights, chans):
         if w <= 0.0:
             continue
         root = np.sqrt(w)
@@ -282,7 +289,7 @@ def discrepancy(actual, ideal):
     channel whose distance from the identity is the gate's error rate.
     """
     checked_channel(actual, "actual")
-    u = _entered_unitary(ideal, "ideal gate", "ideal gate")
+    u = _entered_unitary(ideal, "ideal gate")
     if u.shape[0] != actual.dim:
         raise ValueError("ideal gate dimension does not match the channel")
     return compose(actual, Channel._derived([u.conj().T]))

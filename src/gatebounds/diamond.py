@@ -147,7 +147,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, linalg, metrics, pauli, sdp
-from .channels import Channel, checked_channel, checked_integer, identity_channel
+from .channels import Channel, checked_channel, checked_integer, identity_channel, unitary_channel
 
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
@@ -229,9 +229,11 @@ def unitary_diamond_distance(u):
     With the eigenvalue phases of ``u`` covered by a minimal arc of width
     theta, the distance is sin(theta / 2) for theta < pi and 1 otherwise.
     The minimal covering arc is 2 pi minus the largest gap between adjacent
-    sorted phases.
+    sorted phases.  ``u`` enters through :func:`channels.unitary_channel`,
+    tested and normalized where every unitary is:
+    ``diamond_distance(unitary_channel(u))``.
     """
-    return _arc_distance(linalg.unitary_eigenphases(u))
+    return diamond_distance(unitary_channel(u))
 
 
 def _arc_distance(phases):
@@ -744,12 +746,11 @@ def _closed_form(e, f):
     """The closed-form DiamondResult of a pair, or None when neither the
     unitary nor the Pauli form applies."""
     # a channel with one Kraus operator is unitary: Channel's test of one
-    # operator is is_unitary's, both within linalg.TOLERANCE, and the
-    # package derives such channels only from unitaries, so U_f^dagger U_e
-    # is not re-tested
+    # operator is channels._entered_unitary's, both within linalg.TOLERANCE,
+    # and the package derives such channels only from unitaries, so
+    # U_f^dagger U_e is not re-tested (unitary_eigenphases tests no unitarity)
     if len(e.kraus) == len(f.kraus) == 1:
-        w = f.kraus[0].conj().T @ e.kraus[0]
-        return _arc_distance(np.sort(np.angle(np.linalg.eigvals(w))))
+        return _arc_distance(linalg.unitary_eigenphases(f.kraus[0].conj().T @ e.kraus[0]))
     try:
         pe = pauli.as_pauli_channel(e).probs
         pf = pauli.as_pauli_channel(f).probs
@@ -827,8 +828,9 @@ def diamond_distances(pairs, method="auto"):
 
 
 def pauli_distance(c):
-    """Diamond distance between a channel and its Pauli twirl."""
-    return diamond_distance(c, pauli.pauli_twirl(c))
+    """Diamond distance between a channel and its Pauli twirl; ``c`` must be
+    a :class:`Channel` (:func:`channels.checked_channel`)."""
+    return diamond_distance(c, pauli.pauli_twirl(checked_channel(c, "c")))
 
 
 def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
@@ -848,14 +850,21 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     f = _second(e, f)
     samples = checked_integer(samples, "samples", 1)
     d = e.dim
-    rng = np.random.default_rng(checked_integer(seed, "seed", 0))
-    raw = rng.standard_normal((samples, d * d)) + 1j * rng.standard_normal((samples, d * d))
-    psis = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    psis = _haar_states(checked_integer(seed, "seed", 0), samples, d * d)
     ops, signs, dropped = _signed_operators(e.choi - f.choi, d)
     if not len(ops):
         return 0.0
     scan = kernels.pair_scan_kernel(ops[signs > 0], ops[signs < 0], psis)
     return max(0.0, scan - dropped)
+
+
+def _haar_states(seed, count, n):
+    """``count`` Haar-random unit vectors of C^n as rows, from
+    ``default_rng(seed)``: the one seeded draw of the input-state scans
+    (:func:`brute_force_lower_bound`, :func:`_ascent`)."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 def ascent_lower_bound(e, f=None, seed=0):
@@ -932,11 +941,7 @@ def _ascent(js, d, seeds):
     (p, d^2, d^2) Choi differences ``js`` at dimension d and their seeds."""
     n = d * d
     starts = ASCENT_STARTS
-    psi = np.empty((len(seeds), starts, d, d), dtype=np.complex128)
-    for p, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((starts, n)) + 1j * rng.standard_normal((starts, n))
-        psi[p] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(starts, d, d)
+    psi = np.stack([_haar_states(seed, starts, n) for seed in seeds]).reshape(-1, starts, d, d)
     # Q(U)[(z, y), (c, b)] = sum_ax U[(x, z), (a, c)] J[(a, b), (x, y)] is one
     # product of U with rows (z, c), columns (x, a) and J with rows (x, a),
     # columns (y, b); J and J_xa keep a unit axis to broadcast over the starts

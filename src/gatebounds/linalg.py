@@ -4,8 +4,11 @@ Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 :func:`as_complex_matrix` is the one gate for a matrix from outside the
 package: it refuses a non-square shape and a non-finite entry with a
 ``ValueError`` that names the matrix.  Every helper here passes its input
-through that gate, then tests Hermiticity or unitarity once, within
-``TOLERANCE``.  The checked Hermitian helpers
+through that gate.  The Hermitian helpers then test Hermiticity once,
+within ``TOLERANCE``; unitarity is tested in one place,
+``channels._entered_unitary``, where every unitary enters, from
+:func:`unitary_defect`, so :func:`unitary_eigenphases` does not test it
+again.  The checked Hermitian helpers
 (:func:`hermitian_eigendecomposition`, :func:`trace_norm`) serve Choi
 matrices read by the CLI and the density matrices of
 :func:`gatebounds.metrics.trace_distance`.  Their eigenvalues come from
@@ -19,10 +22,10 @@ import numpy as np
 
 from . import kernels
 
-# The one tolerance of a matrix from outside the package: Hermiticity and
-# unitarity here, trace preservation in channels.Channel, a density's trace
-# and positivity in metrics.trace_distance, and a CLI Choi file's
-# positivity.  Sharing it keeps diamond_distance's unitary fast path sound.
+# The one tolerance of a matrix from outside the package: Hermiticity here,
+# unitarity and trace preservation in channels, a density's trace and
+# positivity in metrics.trace_distance, and a CLI Choi file's positivity.
+# Sharing it keeps diamond_distance's unitary fast path sound.
 # pauli.PAULI_TOL and sdp.HERMITIAN_TOL stay apart; their comments say why.
 TOLERANCE = 1e-9
 # Input accepted with a defect above this, the largest entry of
@@ -52,11 +55,6 @@ def unitary_defect(m):
     return float(np.abs(a.conj().T @ a - np.eye(len(a))).max())
 
 
-def is_unitary(m):
-    """Whether m^dagger m is the identity within ``TOLERANCE`` entrywise."""
-    return unitary_defect(m) <= TOLERANCE
-
-
 def hermitian_eigendecomposition(m, name="matrix"):
     """Eigenvalues in numpy's ascending order and matching eigenvector columns.
 
@@ -82,10 +80,9 @@ def trace_norm(m):
 def unitary_eigenphases(u):
     """Eigenvalue phases of a unitary matrix, ascending, in [-pi, pi].
 
+    Unitarity is not tested here: a unitary from outside was tested where
+    it entered (``channels.unitary_channel``, ``channels.discrepancy``).
     The eigenvalues of a unitary are perfectly conditioned, so the general
     eigensolver is accurate here.
     """
-    a = as_complex_matrix(u, "unitary")
-    if not is_unitary(a):
-        raise ValueError("matrix is not unitary within tolerance")
-    return np.sort(np.angle(np.linalg.eigvals(a)))
+    return np.sort(np.angle(np.linalg.eigvals(as_complex_matrix(u, "unitary"))))

@@ -5,7 +5,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import linalg
-from .channels import checked_distribution, checked_fidelity
+from .channels import checked_channel, checked_distribution, checked_fidelity
 
 # Sentinel for quantities of the form 1/(1 - x) at x = 1.  Reports carry it
 # through instead of an infinity.
@@ -63,13 +63,19 @@ def average_gate_fidelity(channel):
     (d + sum_k |tr A_k|^2) / (d + d^2), which equals the Haar average of
     <psi| E(|psi><psi|) |psi>.
     """
-    d = channel.dim
+    d = checked_channel(channel, "channel").dim
     total = sum(abs(np.trace(a)) ** 2 for a in channel.kraus)
     return float((d + total) / (d + d * d))
 
 
 def inverse_infidelity(fidelity):
     """1/(1 - fidelity); the sentinel ``EXACT`` when the fidelity, read by
-    :func:`gatebounds.channels.checked_fidelity`, clamps to 1."""
-    fidelity = checked_fidelity(fidelity)
-    return EXACT if fidelity == 1.0 else 1.0 / (1.0 - fidelity)
+    :func:`gatebounds.channels.checked_fidelity`, clamps to 1: in [0, 1],
+    1 - fidelity is 0 exactly when the fidelity is 1."""
+    return _inverse_or_exact(1.0 - checked_fidelity(fidelity))
+
+
+def _inverse_or_exact(value):
+    """1/value, or the sentinel ``EXACT`` when ``value`` is 0: every inverse
+    rate of the package, here and in ``bounds.audit``'s report."""
+    return EXACT if value == 0.0 else 1.0 / value

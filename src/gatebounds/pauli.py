@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import PAULI_MATRICES, Channel, checked_distribution, checked_integer
+from .channels import PAULI_MATRICES, Channel, checked_channel, checked_distribution, checked_integer
 
 # largest off-diagonal process-matrix entry of a channel read as Pauli.  It
 # classifies channels the package derived and decides whether a closed form
@@ -91,9 +91,10 @@ class PauliChannel:
 def _projection(channel):
     """The Pauli channel of diag(T).real / d, clipped at 0 and renormalized,
     and the largest |off-diagonal| entry of T = B^dagger J B, the process
-    matrix in the basis B = [vec(P_k) / sqrt(d)]: diagonal iff Pauli."""
-    n = _qubit_count(channel.dim)
-    d = channel.dim
+    matrix in the basis B = [vec(P_k) / sqrt(d)]: diagonal iff Pauli.
+    ``channel`` must be a :class:`Channel` (``channels.checked_channel``)."""
+    d = checked_channel(channel, "channel").dim
+    n = _qubit_count(d)
     labels = pauli_labels(n)
     ops = _operators(n)
     basis = ops.reshape(len(ops), d * d).T / np.sqrt(d)

@@ -1,6 +1,7 @@
 """Channel construction, Choi conventions, and the channel algebra."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import gatebounds
-from gatebounds import channels, linalg, pauli
+from gatebounds import channels, cli, linalg, pauli
 from gatebounds.channels import Channel, ChannelValidationError
 from helpers import random_channel, random_density, random_unitary
 
@@ -21,6 +22,27 @@ def test_validation_rejects_non_trace_preserving():
     for bad in (np.nan, np.inf):
         with pytest.raises(ChannelValidationError, match="non-finite entry"):
             Channel([np.array([[bad, 0.0], [0.0, 1.0]])])
+
+
+def test_every_unitary_entry_gives_one_refusal(tmp_path, capsys):
+    # one unitarity test, at entry: the same message from the library's
+    # three entry points and from an ideal-gate file
+    bad = np.diag([1.0, 1.1])
+    want = "matrix is not unitary within tolerance: defect 2.100e-01"
+    entries = (
+        channels.unitary_channel,
+        lambda m: channels.discrepancy(channels.identity_channel(2), m),
+        gatebounds.unitary_diamond_distance,
+    )
+    for enter in entries:
+        with pytest.raises(ChannelValidationError) as info:
+            enter(bad)
+        assert str(info.value) == want
+    spec, ideal = tmp_path / "x.json", tmp_path / "ideal.json"
+    spec.write_text(json.dumps({"dim": 2, "kind": "kraus", "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    ideal.write_text(json.dumps({"dim": 2, "unitary": [[[1, 0], [0, 0]], [[0, 0], [1.1, 0]]]}))
+    assert cli.main(["analyze", str(spec), str(ideal)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_validation_rejects_empty_and_mixed_dims():

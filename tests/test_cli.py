@@ -305,7 +305,18 @@ def test_analyze_rejects_non_finite_matrix_entries(tmp_path, capsys, kind, bad):
     assert cli.main(["analyze"] + args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{where} is not finite" in captured.err
+    assert f"{where} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "text"])
+def test_analyze_refuses_a_matrix_entry_that_is_not_a_real_number(tmp_path, capsys, bad):
+    # each part of an entry is read by channels.checked_real, named by the entry
+    payload = {"dim": 2, "kind": "kraus", "kraus": [mat(X)]}
+    payload["kraus"][0][0][1][0] = bad
+    assert cli.main(["analyze", write_json(tmp_path, "bad.json", payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: kraus[0]: entry [0][1] must be a real number, got {bad!r}\n"
 
 
 def test_bounds_command_rounds_the_percentages(capsys):
@@ -398,6 +409,20 @@ def test_library_modules_use_every_name_they_import():
                 if not re.search(rf"\b{re.escape(name)}\b", rest):
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_only_channels_tests_unitarity():
+    # every unitary enters through channels._entered_unitary, the package's
+    # one unitarity test: a call of linalg.unitary_defect anywhere else
+    # would be a second one
+    callers = set()
+    for path in sorted(Path(gatebounds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "unitary_defect":
+                    callers.add(path.stem)
+    assert callers == {"channels"}
 
 
 def test_package_all_lists_exactly_the_public_names():

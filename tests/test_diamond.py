@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatebounds import bounds, channels, cli, diamond, kernels, pauli, sdp
+from gatebounds import bounds, channels, cli, diamond, kernels, linalg, pauli, sdp
 from gatebounds.channels import Channel
 from gatebounds.diamond import DiamondMethod
 from helpers import random_channel, random_hermitian, random_pauli_channel, random_unitary
@@ -63,6 +63,21 @@ def test_unitary_pair_within_tolerance_takes_the_closed_form():
     res = diamond.diamond_distance(Channel([s * u]), Channel([s * np.eye(2)]))
     assert res.method is DiamondMethod.UNITARY_CLOSED_FORM
     assert res.value == 0.2955202066613394 == pytest.approx(math.sin(0.3), abs=1e-15)
+
+
+def test_unitary_closed_form_enters_through_unitary_channel():
+    # 40 Haar unitaries bent off the unitary group by an entry defect of
+    # 4e-10: unitary_diamond_distance normalizes them where unitary_channel
+    # does, so the two agree to the bit
+    rng = np.random.default_rng(13)
+    for d in (2, 4):
+        for _ in range(20):
+            u = random_unitary(rng, d)
+            h = random_hermitian(rng, d)
+            u = u @ (np.eye(d) + 2e-10 * h / np.abs(h).max())
+            assert 3.9e-10 < linalg.unitary_defect(u) < 4.1e-10
+            want = diamond.diamond_distance(channels.unitary_channel(u))
+            assert diamond.unitary_diamond_distance(u) == want
 
 
 def test_pauli_closed_form_is_total_variation():

@@ -4,6 +4,7 @@ Examples are derandomized so that every run checks the same inputs.
 """
 
 import dataclasses
+import inspect
 import io
 import math
 import pickle
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gatebounds
 from gatebounds import bounds, channels, cli, diamond, linalg, metrics, pauli
 from gatebounds.channels import Channel, ChannelValidationError
 
@@ -96,7 +98,27 @@ MATRIX_INPUTS = {
     "hermitian_eigendecomposition": (linalg.hermitian_eigendecomposition, "matrix"),
     "trace_norm": (linalg.trace_norm, "matrix"),
     "unitary_eigenphases": (linalg.unitary_eigenphases, "unitary"),
-    "is_unitary": (linalg.is_unitary, "matrix"),
+}
+
+# every public function that takes a channel: how to pass it the matrix m
+# where a channel belongs, and the argument its TypeError must name
+CHANNEL_INPUTS = {
+    "compose-outer": (lambda m: channels.compose(m, _IDENTITY), "outer"),
+    "compose-inner": (lambda m: channels.compose(_IDENTITY, m), "inner"),
+    "mix": (lambda m: channels.mix([(0.5, _IDENTITY), (0.5, m)]), "terms[1][1]"),
+    "discrepancy": (lambda m: channels.discrepancy(m, np.eye(2)), "actual"),
+    "audit": (lambda m: bounds.audit(m, np.eye(2)), "actual"),
+    "average_gate_fidelity": (metrics.average_gate_fidelity, "channel"),
+    "pauli_twirl": (pauli.pauli_twirl, "channel"),
+    "as_pauli_channel": (pauli.as_pauli_channel, "channel"),
+    "pauli_distance": (diamond.pauli_distance, "c"),
+    "diamond_distance-e": (diamond.diamond_distance, "e"),
+    "diamond_distance-f": (lambda m: diamond.diamond_distance(_IDENTITY, m), "f"),
+    "diamond_distances": (lambda m: diamond.diamond_distances([(_IDENTITY, None), (m, None)]), "e"),
+    "brute_force_lower_bound-e": (diamond.brute_force_lower_bound, "e"),
+    "brute_force_lower_bound-f": (lambda m: diamond.brute_force_lower_bound(_IDENTITY, m), "f"),
+    "ascent_lower_bound": (diamond.ascent_lower_bound, "e"),
+    "ascent_lower_bounds": (lambda m: diamond.ascent_lower_bounds([(_IDENTITY, m)], [0]), "f"),
 }
 
 
@@ -326,6 +348,25 @@ def test_matrix_inputs_refuse_a_non_finite_entry_by_name(entry, bad, flat, imagi
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=f"^{re.escape(name)} has a non-finite entry$"):
             call(m)
+
+
+@pytest.mark.parametrize("entry", sorted(CHANNEL_INPUTS))
+def test_channel_inputs_refuse_a_matrix_by_name(entry):
+    call, name = CHANNEL_INPUTS[entry]
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a Channel, got ndarray$"):
+        call(np.eye(2))
+
+
+def test_channel_table_lists_every_public_function_that_takes_a_channel():
+    # a function takes a channel when a parameter of its signature is one,
+    # or a list of channels or of pairs of them
+    takes = {"actual", "c", "channel", "e", "f", "inner", "outer", "pairs", "terms"}
+    public = {
+        name
+        for name in gatebounds.__all__
+        if inspect.isfunction(fn := getattr(gatebounds, name)) and takes & set(inspect.signature(fn).parameters)
+    }
+    assert public == {entry.split("-")[0] for entry in CHANNEL_INPUTS}
 
 
 @settings(derandomize=True, database=None, max_examples=20)
