@@ -16,7 +16,6 @@ for one of the single-qubit error models in ``SWEEP_MODELS``.
 import decimal
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,13 +86,11 @@ def decomposition_upper_bound(phi, dim, deltas):
 
     Applies when the discrepancy channel is a sum of CP terms with the given
     weighted Pauli distances; never beats the single-term refinement.
-    ``deltas`` is a sequence of numbers: a single number, None, text and a
-    mapping are refused.
+    ``deltas`` is a sequence of numbers (``channels.checked_items``): a
+    single number, None, text and a mapping are refused.
     """
-    if isinstance(deltas, (str, bytes, Mapping)) or not np.iterable(deltas):
-        raise ValueError(f"Pauli distances must be a collection of numbers, got {deltas!r}")
-    ds = [channels.checked_real(x, "Pauli distance", 0) for x in deltas]
-    return pauli_lower_bound(phi, dim) + sum(ds)
+    deltas = channels.checked_items(deltas, "Pauli distances")
+    return pauli_lower_bound(phi, dim) + sum(channels.checked_real(x, "Pauli distance", 0) for x in deltas)
 
 
 def round_significant(x, figures, mode=decimal.ROUND_HALF_EVEN):
@@ -250,11 +247,12 @@ SWEEP_MODELS = {
 
 
 def sweep_rows(model, phis):
-    """Audit one error model at each target fidelity; rows sorted by fidelity."""
+    """Audit one error model at each target fidelity; rows sorted by
+    fidelity.  ``phis`` is a sequence (``channels.checked_items``)."""
     if model not in SWEEP_MODELS:
         raise ValueError(f"unknown sweep model {model!r}")
     build, lo, hi = SWEEP_MODELS[model]
-    values = sorted(channels.checked_fidelity(p) for p in phis)
+    values = sorted(channels.checked_fidelity(p) for p in channels.checked_items(phis, "fidelities"))
     for phi in values:
         if not lo <= phi <= hi:
             raise ValueError(

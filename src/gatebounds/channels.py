@@ -12,7 +12,11 @@ with one message.  Every other unitary enters through them:
 ``diamond.unitary_diamond_distance`` and the CLI's ideal-gate files.  A
 channel argument passes :func:`checked_channel`, which refuses anything
 but a :class:`Channel` (a matrix, a list of Kraus operators) with a
-``TypeError`` that names the argument.  An input accepted with a defect above
+``TypeError`` that names the argument.  A collection argument (Kraus
+operators, mixture terms, channel pairs, seeds, fidelities, distances)
+passes :func:`checked_items`, and each pair in it :func:`checked_pair`,
+which refuse text, a mapping, a number, None or a wrong length with a
+``ValueError`` that names the argument.  An input accepted with a defect above
 ``linalg.NORMALIZE_ABOVE`` is moved there to the nearest channel or
 unitary, so every later step works on a channel.  A channel derived from
 checked input (:func:`compose`, :func:`mix`, :func:`discrepancy`, the
@@ -64,12 +68,11 @@ class Channel:
     """
 
     def __init__(self, kraus):
-        ops = []
-        for k, op in enumerate(kraus):
-            try:
-                ops.append(linalg.as_complex_matrix(op, f"Kraus operator {k}"))
-            except ValueError as exc:
-                raise ChannelValidationError(str(exc)) from None
+        try:
+            kraus = checked_items(kraus, "Kraus operators")
+            ops = [linalg.as_complex_matrix(op, f"Kraus operator {k}") for k, op in enumerate(kraus)]
+        except ValueError as exc:
+            raise ChannelValidationError(str(exc)) from None
         if not ops or not ops[0].size:
             raise ChannelValidationError("need at least one Kraus operator, of dimension at least 1")
         dim = ops[0].shape[0]
@@ -181,6 +184,27 @@ def checked_real(value, what, lo=-math.inf, hi=math.inf):
     raise ValueError(f"{what} {x!r} outside [{lo!r}, {hi!r}]")
 
 
+def checked_items(value, what):
+    """The items of the collection ``value`` as a list, or ValueError naming
+    ``what``.  Refused whole: text and bytes (not read character by
+    character), a mapping (not read by its keys), and anything that
+    ``np.iterable`` refuses, such as None, a number or a :class:`Channel`.
+    """
+    if isinstance(value, (str, bytes, Mapping)) or not np.iterable(value):
+        raise ValueError(f"{what} must be a collection, got {value!r}")
+    return list(value)
+
+
+def checked_pair(value, what):
+    """The two items of the pair ``value``, or ValueError naming ``what``:
+    a collection of another length or no collection at all is refused."""
+    try:
+        first, second = checked_items(value, what)
+    except ValueError:
+        raise ValueError(f"{what} must be a pair, got {value!r}") from None
+    return first, second
+
+
 def checked_fidelity(value):
     """``value`` as a float in [0, 1], or ValueError naming "fidelity".
 
@@ -199,15 +223,10 @@ def checked_distribution(entries, what):
     ``entries`` is a mapping (label to probability) or a sequence.  Each
     entry passes :func:`checked_real` with no entry below -SLOP, named
     ``what[label]`` or ``what[index]``, and the sum lies within ``SLOP`` of
-    1.  Entries are returned as they are, not clamped.  Text is refused
-    whole rather than read character by character.
+    1.  Entries are returned as they are, not clamped.  A sequence is read
+    through :func:`checked_items`.
     """
-    if isinstance(entries, Mapping):
-        items = entries.items()
-    elif isinstance(entries, (str, bytes)) or not np.iterable(entries):
-        raise ValueError(f"{what} must be a collection of numbers, got {entries!r}")
-    else:
-        items = enumerate(entries)
+    items = entries.items() if isinstance(entries, Mapping) else enumerate(checked_items(entries, what))
     values = []
     for key, p in items:
         try:
@@ -263,11 +282,10 @@ def compose(outer, inner):
 
 
 def mix(terms):
-    """Convex mixture of channels given as (weight, channel) pairs; the
-    channel of ``terms[k]`` is named ``terms[k][1]`` in a refusal."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty mixture")
+    """Convex mixture of channels given as (weight, channel) pairs; a term
+    that is not a pair is named ``terms[k]`` in a refusal, and its channel
+    ``terms[k][1]``."""
+    terms = [checked_pair(term, f"terms[{k}]") for k, term in enumerate(checked_items(terms, "terms"))]
     weights = checked_distribution([w for w, _ in terms], "mixture weights")
     chans = [checked_channel(ch, f"terms[{k}][1]") for k, (_, ch) in enumerate(terms)]
     if any(ch.dim != chans[0].dim for ch in chans):

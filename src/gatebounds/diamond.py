@@ -147,7 +147,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, linalg, metrics, pauli, sdp
-from .channels import Channel, checked_channel, checked_integer, identity_channel, unitary_channel
+from .channels import (
+    Channel, checked_channel, checked_integer, checked_items, checked_pair, identity_channel, unitary_channel
+)
 
 STRUCTURED_DIMENSION = 4
 MAX_ENTRIES = 2**25
@@ -731,15 +733,19 @@ def _solve(js, d, path):
     return out
 
 
-def _second(e, f):
-    """The second channel of a pair, the identity when None, with both
-    checked to be channels (:func:`channels.checked_channel`) of one
-    dimension."""
-    checked_channel(e, "e")
-    f = identity_channel(e.dim) if f is None else checked_channel(f, "f")
-    if e.dim != f.dim:
-        raise ValueError("channels differ in dimension")
-    return f
+def _pairs(pairs):
+    """The channel pairs (e, f) of ``pairs`` as a list, f None read as the
+    identity: ``pairs`` passes :func:`channels.checked_items` and each
+    ``pairs[k]`` :func:`channels.checked_pair`, and e and f must be channels
+    (:func:`channels.checked_channel`) of one dimension."""
+    out = []
+    for k, pair in enumerate(checked_items(pairs, "pairs")):
+        e, f = checked_pair(pair, f"pairs[{k}]")
+        f = identity_channel(checked_channel(e, "e").dim) if f is None else checked_channel(f, "f")
+        if e.dim != f.dim:
+            raise ValueError("channels differ in dimension")
+        out.append((e, f))
+    return out
 
 
 def _closed_form(e, f):
@@ -792,7 +798,7 @@ def diamond_distances(pairs, method="auto"):
     """
     if method not in ("auto", "sdp"):
         raise ValueError(f"unknown method {method!r}")
-    pairs = [(e, _second(e, f)) for e, f in pairs]
+    pairs = _pairs(pairs)
     closed, groups = [], {}
     for i, (e, f) in enumerate(pairs):
         closed.append(_closed_form(e, f) if method == "auto" else None)
@@ -847,7 +853,7 @@ def brute_force_lower_bound(e, f=None, samples=2000, seed=0):
     and ``seed`` one of at least 0; an integer-valued float is an integer
     (:func:`channels.checked_integer`).
     """
-    f = _second(e, f)
+    ((e, f),) = _pairs([(e, f)])
     samples = checked_integer(samples, "samples", 1)
     d = e.dim
     psis = _haar_states(checked_integer(seed, "seed", 0), samples, d * d)
@@ -914,16 +920,16 @@ def ascent_lower_bounds(pairs, seeds):
     against 0.186 s pair by pair (best of 7 and of 5 calls, one BLAS
     thread); one stack of all 113 d = 2 pairs ran as fast, and read the
     benchmark's paper-check peak RSS 0.6 % above stacks of 32 (43.51-43.54
-    against 43.16-43.28 MB over four alternating runs).  Seeds are
-    integers of at least 0, one per pair; an integer-valued float is an
-    integer (:func:`channels.checked_integer`).
+    against 43.16-43.28 MB over four alternating runs).  ``seeds`` is a
+    collection (:func:`channels.checked_items`) of one integer of at least
+    0 per pair; an integer-valued float is an integer
+    (:func:`channels.checked_integer`).
     """
-    pairs, seeds = list(pairs), list(seeds)
+    pairs, seeds = _pairs(pairs), checked_items(seeds, "seeds")
     if len(pairs) != len(seeds):
         raise ValueError(f"pairs and seeds differ in length: {len(pairs)} against {len(seeds)}")
     groups = {}
     for i, ((e, f), seed) in enumerate(zip(pairs, seeds)):
-        f = _second(e, f)
         groups.setdefault(e.dim, []).append((i, e.choi - f.choi, checked_integer(seed, "seed", 0)))
     lower = [0.0] * len(pairs)
     for d, members in groups.items():

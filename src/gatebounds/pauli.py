@@ -1,6 +1,7 @@
 """Pauli operators, Pauli channels, and twirling."""
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
@@ -65,6 +66,10 @@ class PauliChannel:
 
     def __post_init__(self):
         n = checked_integer(self.qubits, "qubit count", 1, 2**53)
+        if not isinstance(self.probs, Mapping):
+            raise ValueError(
+                f"Pauli probabilities must be a mapping of labels to probabilities, got {self.probs!r}"
+            )
         # frozen: store the count as the int it was read as
         object.__setattr__(self, "qubits", n)
         # each key on its own: the 4^n labels cannot all be listed at large n

@@ -36,11 +36,6 @@ class CheckResult:
     detail: str
 
 
-@dataclass
-class _Context:
-    records: list
-
-
 class _Tally:
     """Collects failure messages; empty means the check passed."""
 
@@ -91,7 +86,7 @@ def _random_channel(rng, dim=2, kraus_count=2):
 
 
 @_register("combined-noise-example")
-def _check_combined_noise(ctx):
+def _check_combined_noise(records):
     # depolarizing(1e-3) after a rotation with eigenphases +-1e-2
     r, theta = 1e-3, 1e-2
     dep = channels.depolarizing(r)
@@ -117,7 +112,7 @@ def _check_combined_noise(ctx):
 
 
 @_register("two-qubit-phase-example")
-def _check_two_qubit_phase(ctx):
+def _check_two_qubit_phase(records):
     ch = channels.generalized_cphase(4, 0.259)
     phi = metrics.average_gate_fidelity(ch)
     closed = diamond.diamond_distance(ch).value
@@ -130,7 +125,7 @@ def _check_two_qubit_phase(ctx):
 
 
 @_register("upper-bound-table")
-def _check_upper_bound_table(ctx):
+def _check_upper_bound_table(records):
     t = _Tally()
     rows = (
         (0.99, 2, {2: 25.0, 4: 45.0, 8: 85.0}),
@@ -147,7 +142,7 @@ def _check_upper_bound_table(ctx):
 
 
 @_register("threshold-fidelity")
-def _check_threshold(ctx):
+def _check_threshold(records):
     got = bounds.required_fidelity(0.01, 4)
     t = _Tally()
     t.check(got == 1.0 - 5e-6, f"required fidelity {got!r} != 1 - 5e-6")
@@ -155,7 +150,7 @@ def _check_threshold(ctx):
 
 
 @_register("nontriviality-thresholds")
-def _check_nontriviality(ctx):
+def _check_nontriviality(records):
     t = _Tally()
     t2 = bounds.nontriviality_threshold(2)
     t4 = bounds.nontriviality_threshold(4)
@@ -170,7 +165,7 @@ def _check_nontriviality(ctx):
 
 
 @_register("pauli-channel-saturation")
-def _check_pauli_saturation(ctx):
+def _check_pauli_saturation(records):
     rng = np.random.default_rng(601)
     t = _Tally()
     worst = 0.0
@@ -192,7 +187,7 @@ def _check_pauli_saturation(ctx):
 
 
 @_register("twirl-distance-sandwich")
-def _check_twirl_sandwich(ctx):
+def _check_twirl_sandwich(records):
     rng = np.random.default_rng(701)
     t = _Tally()
     pairs = []
@@ -211,7 +206,7 @@ def _check_twirl_sandwich(ctx):
 
 
 @_register("tightness-witnesses")
-def _check_tightness_witnesses(ctx):
+def _check_tightness_witnesses(records):
     t = _Tally()
     for d in (2, 3, 4):
         for theta in (0.05, 0.2, 0.5):
@@ -243,7 +238,7 @@ def _check_tightness_witnesses(ctx):
 
 
 @_register("single-qubit-unitary-rule")
-def _check_single_qubit_unitary(ctx):
+def _check_single_qubit_unitary(records):
     t = _Tally()
     for theta in np.linspace(0.05, 1.5, 10):
         ch = channels.unitary_error(float(theta))
@@ -258,7 +253,7 @@ def _check_single_qubit_unitary(ctx):
 
 
 @_register("sweep-models")
-def _check_sweep_models(ctx):
+def _check_sweep_models(records):
     t = _Tally()
     phis = np.linspace(0.90, 0.9999, 7)
     for model in ("unitary", "amplitude-damping"):
@@ -281,7 +276,7 @@ def _check_sweep_models(ctx):
 
 
 @_register("property-suite")
-def _check_properties(ctx):
+def _check_properties(records):
     rng = np.random.default_rng(1201)
     t = _Tally()
     for i in range(4):
@@ -324,17 +319,17 @@ def _check_properties(ctx):
 
 
 @_register("solver-health")
-def _check_solver_health(ctx):
+def _check_solver_health(records):
     # runs last: audits every SDP solve the suite performed
     t = _Tally()
-    if not t.check(bool(ctx.records), "no SDP solves were recorded"):
+    if not t.check(bool(records), "no SDP solves were recorded"):
         return t.result("")
     worst_gap = 0.0
     worst_residual = 0.0
     worst_excess = -math.inf
-    pairs = [(rec.e, rec.f) for rec in ctx.records]
+    pairs = [(rec.e, rec.f) for rec in records]
     lowers = diamond.ascent_lower_bounds(pairs, [9000 + i for i in range(len(pairs))])
-    for i, (rec, lower) in enumerate(zip(ctx.records, lowers)):
+    for i, (rec, lower) in enumerate(zip(records, lowers)):
         checked = rec.checked
         worst_gap = max(worst_gap, checked["gap"])
         worst_residual = max(worst_residual, checked["primal_residual"])
@@ -356,7 +351,7 @@ def _check_solver_health(ctx):
             f"{rec.result.upper_certificate!r}",
         )
     return t.result(
-        f"{len(ctx.records)} solves: max gap {worst_gap:.1e}, max residual {worst_residual:.1e}, "
+        f"{len(records)} solves: max gap {worst_gap:.1e}, max residual {worst_residual:.1e}, "
         f"max ascent excess {worst_excess:.1e}"
     )
 
@@ -365,10 +360,9 @@ def run_checks():
     """Run the whole suite; returns one CheckResult per check, in order."""
     results = []
     with diamond.recorded_solves() as records:
-        ctx = _Context(records)
         for name, fn in _CHECKS:
             try:
-                passed, detail = fn(ctx)
+                passed, detail = fn(records)
             except Exception as exc:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             results.append(CheckResult(name, passed, detail))

@@ -333,15 +333,11 @@ class SdpProblem(BlockLayout):
         array: entry i is sum_b Re tr(A_ib X_b).  Each row is one
         matrix-vector product, the one a flat X gets, so a row's result
         does not depend on the others."""
-        if x.ndim == 1:
-            return self._a_real @ x.view(np.float64)
         return (self._a_real @ x.view(np.float64)[..., None])[..., 0]
 
     def adjoint(self, y):
         """The adjoint operator as a flat vector, block b sum_i y_i A_ib, or
         one such row per row of a (B, m) array, each its own product."""
-        if y.ndim == 1:
-            return (y @ self._a_real).view(np.complex128)
         return (y[..., None, :] @ self._a_real)[..., 0, :].view(np.complex128)
 
     def newton_system(self, xs, inv_l, rd):
@@ -711,8 +707,7 @@ def solve(problem, start=None):
 
 def _floats(v):
     """The entries of a 0-d or 1-d array as a list of Python floats."""
-    v = v.tolist()
-    return v if isinstance(v, list) else [v]
+    return np.atleast_1d(v).tolist()
 
 
 def solve_batch(problem, start=None):

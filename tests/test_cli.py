@@ -425,6 +425,22 @@ def test_only_channels_tests_unitarity():
     assert callers == {"channels"}
 
 
+def test_only_checked_items_tests_for_a_collection():
+    # every collection argument is read through channels.checked_items, the
+    # package's one collection test: a call of np.iterable anywhere else
+    # would be a second one
+    callers = []
+    for path in sorted(Path(gatebounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "iterable":
+                    callers.append(f"{path.stem}.{owner.get(id(node))}")
+    assert callers == ["channels.checked_items"]
+
+
 def test_package_all_lists_exactly_the_public_names():
     names = gatebounds.__all__
     assert len(names) == len(set(names))

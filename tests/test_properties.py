@@ -369,6 +369,86 @@ def test_channel_table_lists_every_public_function_that_takes_a_channel():
     assert public == {entry.split("-")[0] for entry in CHANNEL_INPUTS}
 
 
+# every collection parameter of a public callable, keyed "callable-parameter":
+# how to pass it the bad value x, the name its ValueError must start with,
+# and whether it wants a sequence (so that a mapping is refused too)
+COLLECTION_INPUTS = {
+    "Channel-kraus": (Channel, "Kraus operators", True),
+    "mix-terms": (channels.mix, "terms", True),
+    "PauliChannel-probs": (lambda x: pauli.PauliChannel(1, x), "Pauli probabilities", False),
+    "decomposition_upper_bound-deltas": (
+        lambda x: bounds.decomposition_upper_bound(0.99, 2, x),
+        "Pauli distances",
+        True,
+    ),
+    "diamond_distances-pairs": (diamond.diamond_distances, "pairs", True),
+    "ascent_lower_bounds-pairs": (lambda x: diamond.ascent_lower_bounds(x, [0]), "pairs", True),
+    "ascent_lower_bounds-seeds": (
+        lambda x: diamond.ascent_lower_bounds([(_IDENTITY, None)], x),
+        "seeds",
+        True,
+    ),
+    "sweep_rows-phis": (lambda x: bounds.sweep_rows("unitary", x), "fidelities", True),
+    "total_variation_distance-mu": (
+        lambda x: metrics.total_variation_distance(x, [1.0, 0.0]),
+        "distribution mu",
+        False,
+    ),
+    "total_variation_distance-nu": (
+        lambda x: metrics.total_variation_distance([1.0, 0.0], x),
+        "distribution nu",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COLLECTION_INPUTS))
+def test_collection_inputs_refuse_what_is_not_a_collection_by_name(entry):
+    call, name, sequence = COLLECTION_INPUTS[entry]
+    for bad in (None, 5, "ab", _IDENTITY) + (({"a": 1},) if sequence else ()):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a "):
+            call(bad)
+
+
+def test_pauli_channel_refuses_a_sequence_of_probabilities():
+    # a list is not read as labels
+    message = "Pauli probabilities must be a mapping of labels to probabilities, got [0.5, 0.5]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pauli.PauliChannel(1, [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: diamond.diamond_distances([_IDENTITY]), "pairs[0]"),
+        (lambda: diamond.diamond_distances([(_IDENTITY,)]), "pairs[0]"),
+        (lambda: diamond.diamond_distances([(_IDENTITY, None), "ab"]), "pairs[1]"),
+        (lambda: diamond.ascent_lower_bounds([_IDENTITY], [0]), "pairs[0]"),
+        (lambda: channels.mix([_IDENTITY]), "terms[0]"),
+        (lambda: channels.mix([(0.5, _IDENTITY, 3)]), "terms[0]"),
+    ],
+    ids=["channel", "one", "text", "ascent-channel", "mix-channel", "mix-three"],
+)
+def test_pair_inputs_refuse_what_is_not_a_pair_by_index(call, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a pair, got "):
+        call()
+
+
+def test_collection_table_lists_every_public_collection_parameter():
+    # the functions and classes of the package's namespace, and sweep_rows,
+    # which takes the fidelities of a sweep
+    takes = {"kraus", "terms", "probs", "deltas", "pairs", "seeds", "phis", "mu", "nu"}
+    callables = {name: getattr(gatebounds, name) for name in gatebounds.__all__}
+    callables["sweep_rows"] = bounds.sweep_rows
+    public = {
+        f"{name}-{param}"
+        for name, fn in callables.items()
+        if inspect.isfunction(fn) or (inspect.isclass(fn) and not issubclass(fn, Exception))
+        for param in takes & set(inspect.signature(fn).parameters)
+    }
+    assert public == set(COLLECTION_INPUTS)
+
+
 @settings(derandomize=True, database=None, max_examples=20)
 @given(st.lists(st.lists(FINITE_FLOATS, min_size=SWEEP_NUMBERS, max_size=SWEEP_NUMBERS), min_size=1, max_size=4))
 def test_sweep_csv_round_trip_is_bit_exact(rows):

@@ -54,10 +54,9 @@ def suite_intervals():
     """The interval of every SDP solve of one suite pass, by check."""
     out = {}
     with diamond.recorded_solves() as records:
-        ctx = refcheck._Context(records)
         for name, fn in refcheck._CHECKS:
             before = len(records)
-            fn(ctx)
+            fn(records)
             out[name] = [[r.result.lower_certificate, r.result.upper_certificate] for r in records[before:]]
     return out
 

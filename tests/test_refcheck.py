@@ -10,25 +10,25 @@ import gatebounds
 from gatebounds import channels, diamond, kernels, refcheck, sdp
 
 
-def recorded_context(channel, route="choi"):
+def one_recorded_solve(channel, route="choi"):
     with diamond.recorded_solves() as records:
         diamond.diamond_distance(channel, method="sdp")
     assert len(records) == 1
     assert records[0].result.route == route
-    return refcheck._Context(records)
+    return records
 
 
 def test_solver_health_passes_on_a_real_solve():
-    passed, detail = refcheck._check_solver_health(recorded_context(channels.amplitude_damping(0.3)))
+    passed, detail = refcheck._check_solver_health(one_recorded_solve(channels.amplitude_damping(0.3)))
     assert passed, detail
     assert detail.startswith("1 solves:")
 
 
 def test_solver_health_gates_the_recorded_verification_figures():
-    ctx = recorded_context(channels.amplitude_damping(0.3))
-    rec = ctx.records[0]
-    ctx.records[0] = dataclasses.replace(rec, checked={**rec.checked, "gap": 2e-8})
-    passed, detail = refcheck._check_solver_health(ctx)
+    records = one_recorded_solve(channels.amplitude_damping(0.3))
+    rec = records[0]
+    records[0] = dataclasses.replace(rec, checked={**rec.checked, "gap": 2e-8})
+    passed, detail = refcheck._check_solver_health(records)
     assert not passed
     assert detail == "solve 0: duality gap 2.000e-08 above 1e-8"
 
@@ -37,13 +37,13 @@ def test_solver_health_tests_ascent_bound_against_upper_certificate():
     # the value stays put and the certificate drops just below the ascent
     # bound (same seed as the check), so only the certificate gate fails
     ch = channels.amplitude_damping(0.3)
-    ctx = recorded_context(ch)
-    rec = ctx.records[0]
+    records = one_recorded_solve(ch)
+    rec = records[0]
     ascent = diamond.ascent_lower_bound(ch, seed=9000)
     assert ascent <= rec.result.upper_certificate
     lowered = dataclasses.replace(rec.result, upper_certificate=ascent - 1e-11)
-    ctx.records[0] = dataclasses.replace(rec, result=lowered)
-    passed, detail = refcheck._check_solver_health(ctx)
+    records[0] = dataclasses.replace(rec, result=lowered)
+    passed, detail = refcheck._check_solver_health(records)
     assert not passed
     assert detail.startswith("solve 0: ascent lower bound")
     assert "exceeds upper certificate" in detail
@@ -53,11 +53,11 @@ def test_solver_health_tests_ascent_bound_against_upper_certificate():
 def test_solver_health_catches_a_value_one_millionth_low():
     # the 2000-sample scan fell 5.3e-3 short on this pair; the ascent reaches
     # the distance, so a recorded value 1e-6 too low fails the value gate
-    ctx = recorded_context(channels.amplitude_damping(0.3))
-    rec = ctx.records[0]
+    records = one_recorded_solve(channels.amplitude_damping(0.3))
+    rec = records[0]
     low = dataclasses.replace(rec.result, value=rec.result.value - 1e-6)
-    ctx.records[0] = dataclasses.replace(rec, result=low)
-    passed, detail = refcheck._check_solver_health(ctx)
+    records[0] = dataclasses.replace(rec, result=low)
+    passed, detail = refcheck._check_solver_health(records)
     assert not passed
     assert detail.startswith("solve 0: ascent lower bound")
     assert "exceeds SDP value" in detail
@@ -67,27 +67,27 @@ def test_solver_health_no_longer_runs_the_sampled_scan(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sampled scan ran")
 
-    ctx = recorded_context(channels.amplitude_damping(0.3))
+    records = one_recorded_solve(channels.amplitude_damping(0.3))
     monkeypatch.setattr(kernels, "pair_scan_kernel", refuse)
     monkeypatch.setattr(diamond, "brute_force_lower_bound", refuse)
-    passed, detail = refcheck._check_solver_health(ctx)
+    passed, detail = refcheck._check_solver_health(records)
     assert passed, detail
 
 
 def test_solver_health_gates_fidelity_route_records():
     # a low-rank d = 3 pair takes the fidelity route; the same gates apply
-    ctx = recorded_context(channels.generalized_cphase(3, 0.4), route="fidelity")
-    rec = ctx.records[0]
+    records = one_recorded_solve(channels.generalized_cphase(3, 0.4), route="fidelity")
+    rec = records[0]
     # the record carries the route and the verification figures of the
     # fidelity route's three blocks (P/Y/Q, rho, sigma), not the problem
     assert rec.result.route == "fidelity"
     assert len(rec.checked["z_eig_ranges"]) == 3
     assert rec.checked["gap"] <= 1e-8 and rec.checked["primal_residual"] <= 1e-8
-    passed, detail = refcheck._check_solver_health(ctx)
+    passed, detail = refcheck._check_solver_health(records)
     assert passed, detail
     assert detail.startswith("1 solves:")
-    ctx.records[0] = dataclasses.replace(rec, checked={**rec.checked, "z_min_eig": -2e-7})
-    passed, detail = refcheck._check_solver_health(ctx)
+    records[0] = dataclasses.replace(rec, checked={**rec.checked, "z_min_eig": -2e-7})
+    passed, detail = refcheck._check_solver_health(records)
     assert not passed
     assert detail == "solve 0: dual slack not PSD within 1e-7"
 
